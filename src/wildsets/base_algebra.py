@@ -28,6 +28,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "GF",
+    "MAX_FIELD_SIZE",
+    "checked_field",
     "Fq",
     "ResidueField",
     "QuadExtField",
@@ -91,10 +93,14 @@ class Fq:
     """The finite field with q elements, q an odd prime power.
 
     Do not instantiate directly; use GF(q) so contexts are shared.
+    Characteristic two is rejected: square classes, quadratic characters
+    and the non-square constant all need an odd field.
     """
 
     def __init__(self, q: int):
         p, k = _int_factor_prime_power(q)
+        if p == 2:
+            raise ValueError("characteristic 2 is not supported, got q = %d" % q)
         self.q = q
         self.p = p
         self.k = k
@@ -200,8 +206,29 @@ class Fq:
 
 @functools.lru_cache(maxsize=None)
 def GF(q: int) -> Fq:
-    """Shared field context for F_q."""
+    """Shared field context for F_q: one Fq per q, built on first use.
+
+    Raises ValueError unless q is an odd prime power.
+    """
     return Fq(q)
+
+
+MAX_FIELD_SIZE = 1024
+
+
+def checked_field(q) -> Fq:
+    """GF(q) for a size read from untrusted input (flags, certificate files).
+
+    Anything but an int that is an odd prime power up to MAX_FIELD_SIZE
+    raises ValueError, so a huge or malformed size never reaches the
+    table builder.
+    """
+    if isinstance(q, bool) or not isinstance(q, int) or q % 2 == 0 \
+            or q > MAX_FIELD_SIZE:
+        raise ValueError(
+            "the field size must be an odd prime power up to %d, got %r"
+            % (MAX_FIELD_SIZE, q))
+    return GF(q)
 
 
 def _digits(n: int, base: int, width: int) -> List[int]:
@@ -296,13 +323,15 @@ def poly_divmod(f: Poly, g: Poly, F: Fq) -> Tuple[Poly, Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(f)
     dg = poly_deg(g)
-    inv_lc = F.inv(g[-1])
+    # monic divisors (irreducibles, residue-field moduli) need no inverse
+    inv_lc = 1 if g[-1] == 1 else F.inv(g[-1])
     q = [0] * max(0, len(f) - dg)
     for i in range(len(f) - 1, dg - 1, -1):
         c = r[i]
         if c == 0:
             continue
-        c = F.mul(c, inv_lc)
+        if inv_lc != 1:
+            c = F.mul(c, inv_lc)
         q[i - dg] = c
         for j, b in enumerate(g):
             r[i - dg + j] = F.sub(r[i - dg + j], F.mul(c, b))

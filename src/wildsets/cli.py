@@ -22,7 +22,7 @@ import random
 import sys
 from typing import List, NamedTuple, Optional, Sequence
 
-from .base_algebra import GF, poly_parse
+from .base_algebra import GF, MAX_FIELD_SIZE, checked_field, poly_parse
 from .constructions import (
     construct_general,
     construct_rank0,
@@ -30,10 +30,10 @@ from .constructions import (
 )
 from .elliptic_curve import EllipticModel
 from .equivalence_core import (
+    SMALL_EQUIVALENCE_CHECKS,
     certificate_from_json,
     certificate_to_json,
     check_necessary_condition,
-    verify_small_equivalence,
 )
 from .errors import HypothesisError, SearchExhausted, VerificationError
 from .local_symbols import (
@@ -54,9 +54,8 @@ from .square_class_spaces import (
     smile,
 )
 
-__all__ = ["SessionConfig", "run", "main"]
+__all__ = ["MAX_FIELD_SIZE", "SessionConfig", "run", "main"]
 
-MAX_FIELD_SIZE = 1024
 DEGREE_CAP_VAR = "WILDSETS_DEGREE_CAP"
 
 
@@ -74,11 +73,7 @@ def _session(args) -> SessionConfig:
     q = args.q
     if q is None:
         raise ValueError("--q is required for this command")
-    if q % 2 == 0 or q > MAX_FIELD_SIZE:
-        raise ValueError(
-            "the field size must be an odd prime power up to %d, got %d"
-            % (MAX_FIELD_SIZE, q))
-    GF(q)  # validates that q is a prime power
+    checked_field(q)
     if args.degree_cap < 1:
         raise ValueError("the degree cap must be positive")
     return SessionConfig(q, args.curve, args.degree_cap, args.seed,
@@ -210,12 +205,12 @@ def _load_certificate(path: str):
 
 
 def _cmd_verify(args) -> int:
+    # loading runs certify, whose report already holds every check
     cert = _load_certificate(args.cert)
-    report = verify_small_equivalence(cert.equivalence)
+    report = cert.report
     payload = {
         "passes": report["passes"],
-        "checks": {k: v for k, v in sorted(report.items())
-                   if isinstance(v, bool) and k != "passes"},
+        "checks": {k: report[k] for k in sorted(SMALL_EQUIVALENCE_CHECKS)},
         "wild_set": sorted(str(P) for P in cert.wild_set),
         "necessary_condition": check_necessary_condition(
             cert.equivalence.model, cert.wild_set),

@@ -201,28 +201,48 @@ class CurveFunction:
     merge exponents, so equality is equality of the factored form: the
     same function assembled from different factorizations may compare
     unequal, while orders, residues, and divisors always agree.
+
+    The public constructor checks every atom -- polynomial factors monic
+    and irreducible, pairs primitive with a monic y-coefficient -- and
+    raises ValueError otherwise.  Arithmetic, from_poly and from_pair
+    build their results through ``_trusted``, whose atoms hold by
+    construction.
     """
 
     __slots__ = ("model", "constant", "factors")
 
     def __init__(self, model: "EllipticModel", constant: int,
                  factors: Optional[Mapping] = None):
+        F = model.field
+        for (kind, data), e in (factors or {}).items():
+            if not e:
+                continue
+            if kind == "poly":
+                if not (data and data[-1] == 1 and poly_is_irreducible(data, F)):
+                    raise ValueError("polynomial factors must be monic "
+                                     "irreducibles, got %r" % (data,))
+            else:
+                a, b = data
+                if not (b and b[-1] == 1 and poly_gcd(a, b, F) == (1,)):
+                    raise ValueError("pairs must be primitive with a monic "
+                                     "y-coefficient, got %r" % (data,))
+        self._fill(model, constant, factors)
+
+    def _fill(self, model: "EllipticModel", constant: int,
+              factors: Optional[Mapping]) -> None:
         if constant == 0:
             raise ValueError("the zero element has no factored form")
         self.model = model
         self.constant = constant
-        self.factors: Dict = {}
-        for atom, e in (factors or {}).items():
-            if not e:
-                continue
-            kind, data = atom
-            if kind == "poly":
-                assert data and data[-1] == 1, "polynomial factors must be monic"
-            else:
-                a, b = data
-                assert b and b[-1] == 1, "the y-coefficient must be monic"
-                assert (poly_gcd(a, b, model.field) == (1,)), "pairs must be primitive"
-            self.factors[atom] = e
+        self.factors: Dict = {atom: e for atom, e in (factors or {}).items() if e}
+
+    @classmethod
+    def _trusted(cls, model: "EllipticModel", constant: int,
+                 factors: Optional[Mapping] = None) -> "CurveFunction":
+        """Build from atoms already known to satisfy the constructor's checks."""
+        out = cls.__new__(cls)
+        out._fill(model, constant, factors)
+        return out
 
     @classmethod
     def one(cls, model: "EllipticModel") -> "CurveFunction":
@@ -234,7 +254,7 @@ class CurveFunction:
         if not g:
             raise ValueError("the zero element has no factored form")
         lc, factors = poly_factor(g, model.field)
-        return cls(model, lc, {("poly", p): m for p, m in factors})
+        return cls._trusted(model, lc, {("poly", p): m for p, m in factors})
 
     @classmethod
     def from_pair(cls, model: "EllipticModel", a: Poly, b: Poly) -> "CurveFunction":
@@ -250,7 +270,7 @@ class CurveFunction:
         ci = F.inv(c)
         pair = (poly_scalar(a1, ci, F), poly_scalar(b1, ci, F))
         out = cls.from_poly(model, g)
-        return out * cls(model, c, {("lin", pair): 1})
+        return out * cls._trusted(model, c, {("lin", pair): 1})
 
     @classmethod
     def parse(cls, model: "EllipticModel", s: str) -> "CurveFunction":
@@ -273,11 +293,12 @@ class CurveFunction:
         fac = dict(self.factors)
         for atom, e in other.factors.items():
             fac[atom] = fac.get(atom, 0) + e
-        return CurveFunction(self.model, self.model.field.mul(self.constant, other.constant), fac)
+        return CurveFunction._trusted(self.model,
+                                      self.model.field.mul(self.constant, other.constant), fac)
 
     def inverse(self) -> "CurveFunction":
-        return CurveFunction(self.model, self.model.field.inv(self.constant),
-                             {atom: -e for atom, e in self.factors.items()})
+        return CurveFunction._trusted(self.model, self.model.field.inv(self.constant),
+                                      {atom: -e for atom, e in self.factors.items()})
 
     def __truediv__(self, other: "CurveFunction") -> "CurveFunction":
         if not isinstance(other, CurveFunction):
@@ -285,8 +306,8 @@ class CurveFunction:
         return self * other.inverse()
 
     def __pow__(self, k: int) -> "CurveFunction":
-        return CurveFunction(self.model, self.model.field.pow(self.constant, k),
-                             {atom: k * e for atom, e in self.factors.items()})
+        return CurveFunction._trusted(self.model, self.model.field.pow(self.constant, k),
+                                      {atom: k * e for atom, e in self.factors.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CurveFunction)
@@ -334,14 +355,14 @@ class CurveFunction:
         for atom, e in self.factors.items():
             kind, data = atom
             if kind == "poly":
-                for P in model.places_above(data):
+                for P in model._places_over_irreducible(data):
                     bump(P, e * (2 if P.kind == "ramified" else 1))
                 bump(model.infinity, -2 * poly_deg(data) * e)
             else:
                 a, b = data
                 n = _pair_norm(a, b, model)
                 for p, _ in poly_factor(n, model.field)[1]:
-                    for P in model.places_above(p):
+                    for P in model._places_over_irreducible(p):
                         assert P.kind != "inert", "a primitive pair has no inert zeros"
                         bump(P, e * _atom_ord(atom, P, model))
                 bump(model.infinity, e * _atom_ord(atom, model.infinity, model))
@@ -508,14 +529,13 @@ class EllipticModel:
     """The curve y^2 = f(t) for a squarefree cubic f, as a divisor backend.
 
     The cubic need not be monic; its leading coefficient enters the
-    residues at infinity.  Characteristic two is rejected because the
-    square-class machinery needs odd residue fields everywhere.
+    residues at infinity.  The field is odd: GF rejects characteristic
+    two, because the square-class machinery needs odd residue fields
+    everywhere.
     """
 
     def __init__(self, field: Fq, f: Poly):
         f = poly_norm(f)
-        if field.p == 2:
-            raise ValueError("the curve backend needs odd characteristic")
         if poly_deg(f) != 3:
             raise ValueError("the defining polynomial must be a cubic")
         if poly_deg(poly_gcd(f, poly_deriv(f, field), field)) != 0:
@@ -523,7 +543,8 @@ class EllipticModel:
         self.field = field
         self.f = f
         self.infinity = CurvePlace(self, "infinite")
-        self._above: Dict[Poly, List[CurvePlace]] = {}
+        self._above: Dict[Poly, Tuple[CurvePlace, ...]] = {}
+        self._of_degree: Dict[int, Tuple[CurvePlace, ...]] = {}
         self._points: Optional[List[Point]] = None
         self._doubles: Optional[frozenset] = None
         self._classes: Dict[CurvePlace, Point] = {}
@@ -537,37 +558,52 @@ class EllipticModel:
     def places_above(self, p: Poly) -> List[CurvePlace]:
         """The places over a monic irreducible p, by the character of f mod p."""
         p = poly_monic(poly_norm(p), self.field)
+        if p not in self._above and (
+                poly_deg(p) < 1 or not poly_is_irreducible(p, self.field)):
+            raise ValueError("finite places sit over monic irreducibles, got %r" % (p,))
+        return list(self._places_over_irreducible(p))
+
+    def _places_over_irreducible(self, p: Poly) -> Tuple[CurvePlace, ...]:
+        """places_above for a monic p already known to be irreducible."""
         got = self._above.get(p)
         if got is not None:
             return got
-        if poly_deg(p) < 1 or not poly_is_irreducible(p, self.field):
-            raise ValueError("finite places sit over monic irreducibles, got %r" % (p,))
         rf = ResidueField(self.field, p)
         fbar = rf.reduce(self.f)
         chi = rf.quad_char(fbar)
         if chi == 0:
-            out = [CurvePlace(self, "ramified", p)]
+            out = (CurvePlace(self, "ramified", p),)
         elif chi < 0:
-            out = [CurvePlace(self, "inert", p)]
+            out = (CurvePlace(self, "inert", p),)
         else:
             s = rf.sqrt(fbar)
             branches = sorted((s, rf.neg(s)),
                               key=lambda w: poly_to_int(w, self.field))
-            out = [CurvePlace(self, "split", p, w) for w in branches]
+            out = tuple(CurvePlace(self, "split", p, w) for w in branches)
         self._above[p] = out
         return out
 
     def places_of_degree(self, d: int) -> List[CurvePlace]:
-        """All places of degree d, the infinite one first."""
-        out = [self.infinity] if d == 1 else []
-        finite: List[CurvePlace] = []
-        for p in irreducibles_of_degree(self.field, d):
-            finite.extend(P for P in self.places_above(p) if P.kind != "inert")
-        if d % 2 == 0:
-            for p in irreducibles_of_degree(self.field, d // 2):
-                finite.extend(P for P in self.places_above(p) if P.kind == "inert")
-        finite.sort(key=CurvePlace.sort_key)
-        return out + finite
+        """All places of degree d, the infinite one first.
+
+        Each degree is enumerated once per model, next to the cache of
+        places_above; every call returns a fresh list, so callers may
+        mutate it.
+        """
+        got = self._of_degree.get(d)
+        if got is None:
+            out = [self.infinity] if d == 1 else []
+            finite: List[CurvePlace] = []
+            for p in irreducibles_of_degree(self.field, d):
+                finite.extend(P for P in self._places_over_irreducible(p)
+                              if P.kind != "inert")
+            if d % 2 == 0:
+                for p in irreducibles_of_degree(self.field, d // 2):
+                    finite.extend(P for P in self._places_over_irreducible(p)
+                                  if P.kind == "inert")
+            finite.sort(key=CurvePlace.sort_key)
+            got = self._of_degree[d] = tuple(out + finite)
+        return list(got)
 
     def residue_field(self, place: CurvePlace):
         return place.residue_field()

@@ -36,7 +36,7 @@ import itertools
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .base_algebra import Fq, poly_parse, poly_str
+from .base_algebra import checked_field, poly_parse, poly_str
 from .elliptic_curve import EllipticModel
 from .errors import HypothesisError, SearchExhausted, VerificationError
 from .local_symbols import (
@@ -60,6 +60,7 @@ from .square_class_spaces import (
 )
 
 __all__ = [
+    "SMALL_EQUIVALENCE_CHECKS",
     "PreEquivalence",
     "SmallEquivalence",
     "WildSetCertificate",
@@ -279,6 +280,14 @@ def verify_pre_equivalence(pe: PreEquivalence) -> dict:
         "passes": injective and source and target and units and diagram,
         "failures": tuple(failures),
     }
+
+
+# the boolean checks of verify_small_equivalence, besides "passes"
+SMALL_EQUIVALENCE_CHECKS = (
+    "domain_rank_zero", "injective", "source_basis", "target_basis",
+    "unit_class_fixed", "diagram_commutes", "symbols_preserved",
+    "minus_one_fixed",
+)
 
 
 def verify_small_equivalence(se: SmallEquivalence) -> dict:
@@ -825,34 +834,74 @@ def certificate_to_json(cert: WildSetCertificate) -> str:
     return json.dumps(data, indent=2)
 
 
+def _strings(data: dict, key: str) -> List[str]:
+    value = data[key]
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError("certificate field %r must be a list of strings" % key)
+    return value
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError("%s must be a string, got %r" % (what, value))
+    return value
+
+
+def _local_maps_from_json(model, places, entries) -> List[LocalMap]:
+    """One local map per removed place, matched by the parsed place."""
+    if not isinstance(entries, list):
+        raise ValueError("certificate field 'local_maps' must be a list")
+    by_place = {}
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError("a local map must be an object, got %r" % (entry,))
+        P = model.parse_place(_string(entry["place"], "a local map's place"))
+        if P in by_place:
+            raise ValueError("the certificate has two local maps at %s" % P)
+        by_place[P] = LocalMap(
+            square_class_parse(_string(entry["image_of_u"], "image_of_u")),
+            square_class_parse(_string(entry["image_of_pi"], "image_of_pi")))
+    for P in places:
+        if P not in by_place:
+            raise ValueError("the certificate has no local map at %s" % P)
+    stray = set(by_place) - set(places)
+    if stray:
+        raise ValueError("the certificate has a local map at %s, which is "
+                         "not a removed place" % min(stray))
+    return [by_place[P] for P in places]
+
+
 def certificate_from_json(text: str) -> WildSetCertificate:
     """Rebuild and re-verify a certificate from its JSON form.
 
-    The model is reconstructed from the backend fields, every place and
+    The file is untrusted: every field is type-checked, the field size
+    must be an odd prime power up to MAX_FIELD_SIZE, and each removed
+    place needs exactly one local map; any defect is a ValueError.  The
+    model is reconstructed from the backend fields, every place and
     function is reparsed, and the whole certificate goes through
     certify again -- the claimed wild set is compared against the
     recomputed one and a mismatch is an error, not a warning.
     """
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("a certificate must be a JSON object")
     try:
         backend = data["backend"]
-        field = Fq(data["q"])
+        field = checked_field(data["q"])
         if backend == "projective_line":
             model = ProjectiveLine(field)
         elif backend == "elliptic_curve":
-            model = EllipticModel(field, poly_parse(data["curve"], field))
+            curve = _string(data["curve"], "the curve")
+            model = EllipticModel(field, poly_parse(curve, field))
         else:
-            raise ValueError("unknown backend %r" % backend)
-        places = [model.parse_place(s) for s in data["S"]]
-        images = [model.parse_place(s) for s in data["T"]]
-        basis = [model.parse(s) for s in data["quotient_basis"]]
-        imaged = [model.parse(s) for s in data["quotient_images"]]
-        by_place = {entry["place"]: LocalMap(
-            square_class_parse(entry["image_of_u"]),
-            square_class_parse(entry["image_of_pi"]))
-            for entry in data["local_maps"]}
-        maps = [by_place[str(P)] for P in places]
-        claimed = {model.parse_place(s) for s in data["claimed_wild_set"]}
+            raise ValueError("unknown backend %r" % (backend,))
+        places = [model.parse_place(s) for s in _strings(data, "S")]
+        images = [model.parse_place(s) for s in _strings(data, "T")]
+        basis = [model.parse(s) for s in _strings(data, "quotient_basis")]
+        imaged = [model.parse(s) for s in _strings(data, "quotient_images")]
+        maps = _local_maps_from_json(model, places, data["local_maps"])
+        claimed = {model.parse_place(s)
+                   for s in _strings(data, "claimed_wild_set")}
     except KeyError as missing:
         raise ValueError("certificate is missing the %s field" % missing)
     se = SmallEquivalence(model, places, images, basis, imaged, maps)

@@ -46,6 +46,13 @@ class Place:
     Places compare and hash by their polynomial (None for infinity), and
     sort with infinity first, then by degree, then in the same order the
     irreducible-enumeration produces them.
+
+    ``Place(field, poly)`` normalizes the polynomial and proves it
+    irreducible with Rabin's test; text goes through the same check via
+    ``ProjectiveLine.parse_place``.  Inside the package, polynomials
+    that are irreducible by construction -- enumerated irreducibles,
+    factors from poly_factor, factors of a RationalFunction -- become
+    places through ``_proven``, which skips the test.
     """
 
     __slots__ = ("field", "poly")
@@ -58,6 +65,14 @@ class Place:
                                  % (poly,))
         self.field = field
         self.poly = poly
+
+    @classmethod
+    def _proven(cls, field: Fq, poly: Poly) -> "Place":
+        """The place of a monic polynomial already known to be irreducible."""
+        place = cls.__new__(cls)
+        place.field = field
+        place.poly = poly
+        return place
 
     @classmethod
     def infinity(cls, field: Fq) -> "Place":
@@ -104,7 +119,7 @@ class Place:
 
 def finite_places_of_degree(F: Fq, d: int) -> List[Place]:
     """All degree-d finite places, in the canonical enumeration order."""
-    return [Place(F, f) for f in irreducibles_of_degree(F, d)]
+    return [Place._proven(F, f) for f in irreducibles_of_degree(F, d)]
 
 
 class Divisor:
@@ -185,21 +200,38 @@ class RationalFunction:
     The element is ``constant * prod(p ** e)`` over distinct monic
     irreducibles p with integer exponents e.  Multiplication, division,
     and powers stay in factored form; addition is deliberately absent.
+
+    The public constructor proves every factor monic and irreducible and
+    raises ValueError otherwise.  Results of arithmetic, of from_poly
+    (whose factors come from poly_factor) and of function_with_divisor
+    are built by ``_trusted``, which skips that check because their
+    factors are irreducible by construction.
     """
 
     __slots__ = ("field", "constant", "factors")
 
     def __init__(self, field: Fq, constant: int,
                  factors: Optional[Mapping[Poly, int]] = None):
+        for p, e in (factors or {}).items():
+            if e and not (p and p[-1] == 1 and poly_is_irreducible(p, field)):
+                raise ValueError("factors must be monic irreducibles, got %r" % (p,))
+        self._fill(field, constant, factors)
+
+    def _fill(self, field: Fq, constant: int,
+              factors: Optional[Mapping[Poly, int]]) -> None:
         if constant == 0:
             raise ValueError("the zero element has no factored form")
         self.field = field
         self.constant = constant
-        self.factors: Dict[Poly, int] = {}
-        for p, e in (factors or {}).items():
-            if e:
-                assert p and p[-1] == 1, "factors must be monic"
-                self.factors[p] = e
+        self.factors: Dict[Poly, int] = {p: e for p, e in (factors or {}).items() if e}
+
+    @classmethod
+    def _trusted(cls, field: Fq, constant: int,
+                 factors: Optional[Mapping[Poly, int]] = None) -> "RationalFunction":
+        """Build from factors already known to be monic irreducibles."""
+        out = cls.__new__(cls)
+        out._fill(field, constant, factors)
+        return out
 
     @classmethod
     def one(cls, field: Fq) -> "RationalFunction":
@@ -211,7 +243,7 @@ class RationalFunction:
         if not f:
             raise ValueError("the zero element has no factored form")
         lc, factors = poly_factor(f, field)
-        return cls(field, lc, {p: m for p, m in factors})
+        return cls._trusted(field, lc, {p: m for p, m in factors})
 
     @classmethod
     def parse(cls, field: Fq, s: str) -> "RationalFunction":
@@ -228,11 +260,12 @@ class RationalFunction:
         fac = dict(self.factors)
         for p, e in other.factors.items():
             fac[p] = fac.get(p, 0) + e
-        return RationalFunction(self.field, self.field.mul(self.constant, other.constant), fac)
+        return RationalFunction._trusted(self.field,
+                                         self.field.mul(self.constant, other.constant), fac)
 
     def inverse(self) -> "RationalFunction":
-        return RationalFunction(self.field, self.field.inv(self.constant),
-                                {p: -e for p, e in self.factors.items()})
+        return RationalFunction._trusted(self.field, self.field.inv(self.constant),
+                                         {p: -e for p, e in self.factors.items()})
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
@@ -240,8 +273,8 @@ class RationalFunction:
         return self * other.inverse()
 
     def __pow__(self, k: int) -> "RationalFunction":
-        return RationalFunction(self.field, self.field.pow(self.constant, k),
-                                {p: k * e for p, e in self.factors.items()})
+        return RationalFunction._trusted(self.field, self.field.pow(self.constant, k),
+                                         {p: k * e for p, e in self.factors.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalFunction) and self.field.q == other.field.q
@@ -275,7 +308,7 @@ class RationalFunction:
         return res
 
     def divisor(self) -> Divisor:
-        coeffs = {Place(self.field, p): e for p, e in self.factors.items()}
+        coeffs = {Place._proven(self.field, p): e for p, e in self.factors.items()}
         inf = Place.infinity(self.field)
         n = self.ord_at(inf)
         if n:
@@ -320,6 +353,7 @@ class ProjectiveLine:
     def __init__(self, field: Fq):
         self.field = field
         self.infinity = Place.infinity(field)
+        self._of_degree: Dict[int, Tuple[Place, ...]] = {}
 
     def __repr__(self) -> str:
         return "ProjectiveLine(GF(%d))" % self.field.q
@@ -327,10 +361,17 @@ class ProjectiveLine:
     # -- places
 
     def places_of_degree(self, d: int) -> List[Place]:
-        """All places of degree d, the infinite one first."""
-        out = [self.infinity] if d == 1 else []
-        out.extend(finite_places_of_degree(self.field, d))
-        return out
+        """All places of degree d, the infinite one first.
+
+        Each degree is enumerated once per model; every call returns a
+        fresh list, so callers may mutate it.
+        """
+        got = self._of_degree.get(d)
+        if got is None:
+            out = [self.infinity] if d == 1 else []
+            out.extend(finite_places_of_degree(self.field, d))
+            got = self._of_degree[d] = tuple(out)
+        return list(got)
 
     def residue_field(self, place: Place):
         return place.residue_field()
@@ -395,6 +436,6 @@ class ProjectiveLine:
         if D.degree != 0:
             raise ValueError("divisor of degree %d is not principal on the line" % D.degree)
         fac = {P.poly: n for P, n in D.coeffs.items() if not P.is_infinite}
-        h = RationalFunction(self.field, 1, fac)
+        h = RationalFunction._trusted(self.field, 1, fac)
         assert h.divisor() == D
         return h

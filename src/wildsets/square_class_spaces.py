@@ -16,13 +16,20 @@ two_divisible on subset sums, so no coordinates on the class group are
 ever chosen.  Independence of square classes is established by their
 local data (order parity and residue character) at a finite separating
 set of places, with an exact fallback through is_square when the local
-fingerprints alone are inconclusive.
+fingerprints alone are inconclusive.  The fingerprint starts with the
+order parities, read off the generators' divisors, and then adds
+residue characters one place at a time -- removed places first, then
+the supports of the generators, then the places of degree one and two.
+It stops at the first prefix that separates the generators: more local
+data can only raise the rank, so the verdict is the one the full
+fingerprint would give.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import HypothesisError, VerificationError
 from .local_symbols import local_square_class
@@ -126,31 +133,43 @@ def _local_bits(fn, places: Sequence) -> int:
     return bits
 
 
-def _separating_places(model, gens, removed) -> List:
-    places = list(removed)
-    seen = set(places)
-    for g in gens:
-        for P, _ in g.divisor().items():
-            if P not in seen:
-                seen.add(P)
-                places.append(P)
-    for d in (1, 2):
-        for P in model.places_of_degree(d):
-            if P not in seen:
-                seen.add(P)
-                places.append(P)
-    return places
+def _separating_places(model, divisors, removed) -> Iterator:
+    """Removed places, then the generators' supports, then degrees 1 and 2.
+
+    Each place is yielded once, lazily, so a caller that stops early
+    never enumerates the later degrees.
+    """
+    seen = set()
+    supports = (P for D in divisors for P in D.support())
+    small = (P for d in (1, 2) for P in model.places_of_degree(d))
+    for P in itertools.chain(removed, supports, small):
+        if P not in seen:
+            seen.add(P)
+            yield P
 
 
-def _independent_modulo_squares(model, gens, places) -> bool:
+def _independent_modulo_squares(model, gens, divisors, places) -> bool:
     """Whether no nonempty product of the functions is a global square.
 
-    Local data at the given places decides most cases; when its rank
-    falls short the answer comes from the exact square test on every
-    subset product.
+    Local data decides most cases.  The order parities come first: they
+    vanish off the supports of the divisors, so all of them are read
+    there for free.  Residue characters follow one place at a time, and
+    as soon as the local data seen so far has full rank the functions
+    are independent -- more data can only raise the rank.  When the
+    places run out first, the answer comes from the exact square test
+    on every subset product.
     """
-    if _f2_rank([_local_bits(g, places) for g in gens]) == len(gens):
+    vectors = [0] * len(gens)
+    for P in {P for D in divisors for P in D.coeffs}:
+        for i, D in enumerate(divisors):
+            vectors[i] = vectors[i] << 1 | D.get(P) & 1
+    if _f2_rank(vectors) == len(gens):
         return True
+    for P in places:
+        for i, g in enumerate(gens):
+            vectors[i] = vectors[i] << 1 | local_square_class(g, P)[1]
+        if _f2_rank(vectors) == len(gens):
+            return True
     return not any(_product(model, gens, mask).is_square()
                    for mask in range(1, 1 << len(gens)))
 
@@ -172,14 +191,16 @@ class SquareClassSpace:
         self.removed = tuple(removed)
         self.generators = tuple(generators)
         outside = set(self.removed)
-        for g in self.generators:
-            for P, n in g.divisor().items():
+        divisors = [g.divisor() for g in self.generators]
+        for g, D in zip(self.generators, divisors):
+            for P, n in D.items():
                 if P not in outside and n % 2:
                     raise VerificationError(
                         "generator %s has odd order at the retained place %s"
                         % (g, P))
-        places = _separating_places(model, self.generators, self.removed)
-        if not _independent_modulo_squares(model, self.generators, places):
+        places = _separating_places(model, divisors, self.removed)
+        if not _independent_modulo_squares(model, self.generators, divisors,
+                                           places):
             raise VerificationError("generators are dependent modulo squares")
 
     @property

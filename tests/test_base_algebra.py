@@ -25,8 +25,10 @@ from wildsets.base_algebra import (
     poly_is_irreducible,
     poly_monic,
     poly_mul,
+    poly_norm,
     poly_parse,
     poly_pow_mod,
+    poly_scalar,
     poly_str,
     poly_sub,
     poly_to_int,
@@ -116,6 +118,30 @@ def test_divmod_identity(q):
         qq, r = poly_divmod(f, g, F)
         assert poly_add(poly_mul(qq, g, F), r, F) == f
         assert poly_deg(r) < poly_deg(g)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 27])
+def test_monic_divmod_matches_division_by_a_scaled_divisor(q):
+    # dividing by c*g takes the general path through the inverse of c;
+    # the quotient scales by c and the remainder is the same
+    F = GF(q)
+    rng = random.Random(31 * q)
+    for _ in range(100):
+        f = poly_norm(_rand_poly(rng, F, rng.randrange(8)))
+        g = poly_norm(_rand_poly(rng, F, rng.randrange(4)) + (1,))
+        c = rng.randrange(2, q)
+        qq, r = poly_divmod(f, g, F)
+        qc, rc = poly_divmod(f, poly_scalar(g, c, F), F)
+        assert r == rc
+        assert qq == poly_scalar(qc, c, F)
+
+
+def test_gf_shares_contexts_and_rejects_even_sizes():
+    assert GF(9) is GF(9)
+    assert GF(5) is GF(5)
+    for q in (2, 4, 8):
+        with pytest.raises(ValueError):
+            GF(q)
 
 
 def test_gcd_and_xgcd():

@@ -6,12 +6,15 @@ is the workflow the JSON format exists for.
 """
 
 import json
+import pathlib
+import random
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from wildsets.cli import run
+from wildsets.cli import MAX_FIELD_SIZE, run
 
 
 def lines_of(capsys):
@@ -130,3 +133,164 @@ def test_tampered_certificate_fails_verification(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert run(["selftest"]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+# -- the verify command, pinned
+
+PINNED_VERIFY_TEXT = """\
+diagram_commutes: pass
+domain_rank_zero: pass
+injective: pass
+minus_one_fixed: pass
+source_basis: pass
+symbols_preserved: pass
+target_basis: pass
+unit_class_fixed: pass
+wild set: {t, t + 4}
+verdict: pass
+"""
+
+PINNED_VERIFY_JSON = """\
+{
+  "passes": true,
+  "checks": {
+    "diagram_commutes": true,
+    "domain_rank_zero": true,
+    "injective": true,
+    "minus_one_fixed": true,
+    "source_basis": true,
+    "symbols_preserved": true,
+    "target_basis": true,
+    "unit_class_fixed": true
+  },
+  "wild_set": [
+    "t",
+    "t + 4"
+  ],
+  "necessary_condition": true
+}
+"""
+
+
+def test_verify_output_is_pinned_in_both_formats(tmp_path, capsys):
+    # verify reads its checks off the report certify kept while loading;
+    # the output must stay byte for byte what a separate re-check printed
+    cert = tmp_path / "c.json"
+    assert run(["construct", "--q", "5", "--rank", "1", "--places", "t,t-1",
+                "--out", str(cert)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--cert", str(cert)]) == 0
+    assert capsys.readouterr().out == PINNED_VERIFY_TEXT
+    assert run(["verify", "--cert", str(cert), "--format", "json"]) == 0
+    assert capsys.readouterr().out == PINNED_VERIFY_JSON
+
+
+# -- certificate files are untrusted input
+
+@pytest.fixture
+def good_certificate(tmp_path, capsys):
+    cert = tmp_path / "good.json"
+    assert run(["construct", "--q", "5", "--rank", "1", "--places", "t,t-1",
+                "--out", str(cert)]) == 0
+    capsys.readouterr()
+    return json.loads(cert.read_text())
+
+
+def verify_edited(tmp_path, capsys, data):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    code = run(["verify", "--cert", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_places_must_be_strings(tmp_path, capsys, good_certificate):
+    for key in ("S", "T", "claimed_wild_set", "quotient_basis"):
+        data = dict(good_certificate, **{key: [1]})
+        assert verify_edited(tmp_path, capsys, data)[0] == 2
+    data = dict(good_certificate, S="t")
+    assert verify_edited(tmp_path, capsys, data)[0] == 2
+    data = dict(good_certificate)
+    data["local_maps"] = [dict(m, place=5) for m in data["local_maps"]]
+    assert verify_edited(tmp_path, capsys, data)[0] == 2
+    assert verify_edited(tmp_path, capsys, [good_certificate])[0] == 2
+
+
+@pytest.mark.parametrize("q", ["5", 5.0, True, 4, 25 * 41, 1031])
+def test_field_size_must_be_an_odd_bounded_int(tmp_path, capsys,
+                                              good_certificate, q):
+    assert 1031 > MAX_FIELD_SIZE
+    data = dict(good_certificate, q=q)
+    assert verify_edited(tmp_path, capsys, data)[0] == 2
+
+
+def test_duplicate_local_maps_are_rejected(tmp_path, capsys, good_certificate):
+    data = dict(good_certificate)
+    first = data["local_maps"][0]
+    data["local_maps"] = data["local_maps"] + [dict(first, image_of_u="u*pi")]
+    code, err = verify_edited(tmp_path, capsys, data)
+    assert code == 2
+    assert "two local maps at t" in err
+
+
+def test_a_missing_local_map_names_the_place(tmp_path, capsys,
+                                             good_certificate):
+    data = dict(good_certificate)
+    data["local_maps"] = data["local_maps"][:1]
+    code, err = verify_edited(tmp_path, capsys, data)
+    assert code == 2
+    assert "no local map at t + 4" in err
+
+
+# -- the README examples and the module entry point
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_lines():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return [line for line in block.strip().splitlines() if line.strip()]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert len(lines) >= 7
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "wildsets"
+        assert run(argv[1:]) == 0, line
+    capsys.readouterr()
+
+
+def test_python_dash_m_entry_point():
+    done = subprocess.run(
+        [sys.executable, "-m", "wildsets", "ranks", "--q", "5",
+         "--places", "t^2+2"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "rk Sing 2"
+
+
+def test_mutated_certificates_never_escape(tmp_path, capsys,
+                                           good_certificate):
+    # a seeded, bounded fuzz: every mutation ends in exit 0, 2 or 3
+    rng = random.Random(2018)
+    values = [None, True, 0, -1, 3, 7, 1025, 2.5, "", "t", "inf", "t^2 - 1",
+              "(t; inert)", "u*pi", [], [1], ["t"], [None], {}, {"place": "t"}]
+    keys = sorted(good_certificate)
+    for _ in range(80):
+        data = json.loads(json.dumps(good_certificate))
+        for _ in range(rng.randint(1, 2)):
+            key = rng.choice(keys)
+            target = data
+            if isinstance(data[key], list) and data[key] and rng.random() < 0.5:
+                target, key = data[key], rng.randrange(len(data[key]))
+                if isinstance(target[key], dict) and rng.random() < 0.7:
+                    target, key = target[key], rng.choice(sorted(target[key]))
+            if rng.random() < 0.1 and isinstance(target, dict):
+                del target[key]
+            else:
+                target[key] = json.loads(json.dumps(rng.choice(values)))
+        code, _ = verify_edited(tmp_path, capsys, data)
+        assert code in (0, 2, 3), data

@@ -22,7 +22,7 @@ from wildsets.base_algebra import (
     poly_parse,
     poly_sub,
 )
-from wildsets.elliptic_curve import CurvePlace, EllipticModel
+from wildsets.elliptic_curve import CurveFunction, CurvePlace, EllipticModel
 from wildsets.local_symbols import local_square_class, reciprocity_product
 from wildsets.projective_line import Divisor
 
@@ -247,6 +247,45 @@ def test_places_of_degree_order_and_determinism():
     deg2 = model.places_of_degree(2)
     assert deg2 == sorted(deg2, key=CurvePlace.sort_key)
     assert not (set(first) & set(deg2))
+
+
+@pytest.mark.parametrize("q,text", CURVES[:5])
+def test_cached_places_of_degree_match_a_fresh_enumeration(q, text):
+    model = make(q, text)
+    F = model.field
+    for d in (1, 2, 3):
+        # the oracle goes through the checked places_above of a new model
+        oracle = make(q, text)
+        fresh = [P for p in irreducibles_of_degree(F, d)
+                 for P in oracle.places_above(p) if P.kind != "inert"]
+        if d % 2 == 0:
+            fresh += [P for p in irreducibles_of_degree(F, d // 2)
+                      for P in oracle.places_above(p) if P.kind == "inert"]
+        fresh.sort(key=CurvePlace.sort_key)
+        if d == 1:
+            fresh.insert(0, oracle.infinity)
+        first = model.places_of_degree(d)
+        assert first == fresh
+        first.reverse()
+        first.append(model.infinity)
+        assert model.places_of_degree(d) == fresh
+    above = model.places_above((0, 1))
+    above.clear()
+    assert model.places_above((0, 1))
+
+
+def test_checked_constructor_rejects_bad_atoms():
+    model = make(5, "t^3 + 4t")
+    with pytest.raises(ValueError):
+        model.places_above(poly_parse("t^2 - 1", model.field))
+    with pytest.raises(ValueError):
+        CurveFunction(model, 1, {("poly", poly_parse("t^2 - 1", model.field)): 1})
+    with pytest.raises(ValueError):
+        CurveFunction(model, 1, {("lin", ((0, 1), (0, 1))): 1})  # t + t*y
+    with pytest.raises(ValueError):
+        CurveFunction(model, 1, {("lin", ((1,), (2,))): 1})  # 1 + 2y
+    y = CurveFunction(model, 1, {("lin", ((), (1,))): 1})
+    assert y == model.y()
 
 
 def test_residue_field_sizes():

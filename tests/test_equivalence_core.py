@@ -15,6 +15,7 @@ import pytest
 from wildsets.base_algebra import GF, poly_parse
 from wildsets.elliptic_curve import EllipticModel
 from wildsets.equivalence_core import (
+    SMALL_EQUIVALENCE_CHECKS,
     PreEquivalence,
     SmallEquivalence,
     certificate_from_json,
@@ -133,6 +134,16 @@ def test_wild_pair_certificate_end_to_end():
     assert g_rank(L, cert.wild_set).rank == 1
     assert check_necessary_condition(L, cert.wild_set)
     assert check_rank_preservation(cert)["passes"]
+
+
+def test_certificate_report_holds_every_small_equivalence_check():
+    # the CLI verify command prints these keys from the certify report
+    cert = wild_pair(line(5), 0, 4)
+    report = verify_small_equivalence(cert.equivalence)
+    checks = {k for k, v in report.items()
+              if isinstance(v, bool) and k != "passes"}
+    assert checks == set(SMALL_EQUIVALENCE_CHECKS)
+    assert all(cert.report[k] == report[k] for k in SMALL_EQUIVALENCE_CHECKS)
 
 
 def test_identity_certificate_has_no_wild_points():

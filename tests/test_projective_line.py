@@ -7,6 +7,7 @@ import pytest
 from wildsets.base_algebra import (
     GF,
     ResidueField,
+    irreducibles_of_degree,
     poly_deg,
     poly_divmod,
     poly_mul,
@@ -96,6 +97,38 @@ def test_place_counts_and_order():
     shuffled = list(d2)
     random.Random(3).shuffle(shuffled)
     assert sorted(shuffled) == d2
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_cached_places_of_degree_match_a_fresh_enumeration(q):
+    F = GF(q)
+    line = ProjectiveLine(F)
+    for d in (1, 2, 3):
+        # the checked constructor is the oracle for the proven places
+        fresh = [Place(F, f) for f in irreducibles_of_degree(F, d)]
+        if d == 1:
+            fresh.insert(0, Place.infinity(F))
+        first = line.places_of_degree(d)
+        assert first == fresh
+        first.clear()
+        first.append(Place.infinity(F))
+        assert line.places_of_degree(d) == fresh
+        assert ProjectiveLine(F).places_of_degree(d) == fresh
+
+
+def test_checked_constructors_reject_reducible_factors():
+    F = GF(5)
+    reducible = poly_parse("t^2 - 1", F)
+    with pytest.raises(ValueError):
+        Place(F, reducible)
+    with pytest.raises(ValueError):
+        ProjectiveLine(F).parse_place("t^2 - 1")
+    with pytest.raises(ValueError):
+        RationalFunction(F, 1, {reducible: 1})
+    with pytest.raises(ValueError):
+        RationalFunction(F, 1, {(2, 2): 1})  # 2t + 2 is not monic
+    # a zero exponent drops the factor, as before
+    assert RationalFunction(F, 3, {reducible: 0}) == RationalFunction(F, 3)
 
 
 def test_place_hash_and_str_roundtrip_extension_field():

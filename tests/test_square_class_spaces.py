@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from wildsets.base_algebra import GF, irreducibles_of_degree, poly_parse
+from wildsets.base_algebra import GF, f2_rank, irreducibles_of_degree, poly_parse
 from wildsets.elliptic_curve import EllipticModel
 from wildsets.errors import HypothesisError, VerificationError
 from wildsets.local_symbols import local_square_class
@@ -20,6 +20,7 @@ from wildsets.projective_line import Divisor, Place, ProjectiveLine
 from wildsets.square_class_spaces import (
     SquareClassSpace,
     _independent_modulo_squares,
+    _separating_places,
     check_lin_dep_lemma,
     check_odd_degree_transfer,
     check_pic_rank_formula,
@@ -367,9 +368,89 @@ def test_independence_helper_paths():
     shifted = L.from_poly(poly_parse("t (t + 1)^2", L.field))
     # the product is t^2 (t + 1)^2, a square: dependence must be found
     # even though fingerprints alone cannot certify independence
-    assert not _independent_modulo_squares(L, [t, shifted], [])
+    gens = [t, shifted]
+    assert not _independent_modulo_squares(
+        L, gens, [g.divisor() for g in gens], [])
     # with no places at all the exact fallback still decides correctly
-    assert _independent_modulo_squares(L, [L.constant(2), t], [])
+    gens = [L.constant(2), t]
+    assert _independent_modulo_squares(
+        L, gens, [g.divisor() for g in gens], [])
+
+
+def full_fingerprint_independent(model, gens, places):
+    """The slow path: local classes at every place, then is_square."""
+    rows = []
+    for g in gens:
+        bits = 0
+        for j, P in enumerate(places):
+            e, s = local_square_class(g, P)
+            bits |= e << (2 * j) | s << (2 * j + 1)
+        rows.append(bits)
+    if f2_rank(rows) == len(gens):
+        return True
+    for mask in range(1, 1 << len(gens)):
+        prod = model.one()
+        for i, g in enumerate(gens):
+            if mask >> i & 1:
+                prod = prod * g
+        if prod.is_square():
+            return False
+    return True
+
+
+def _random_generators(model, rng):
+    atoms = [model.constant(model.field.nonsquare())]
+    atoms += [model.from_poly(P.poly if hasattr(P, "poly") else P.base)
+              for d in (1, 2) for P in model.places_of_degree(d)
+              if not P.is_infinite]
+    if hasattr(model, "y"):
+        atoms.append(model.y())
+        atoms += [model.from_pair((rng.randrange(5), 1), (1,))
+                  for _ in range(3)]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        g = model.one()
+        for atom in rng.sample(atoms, rng.randint(1, 3)):
+            g = g * atom ** rng.randint(1, 3)
+        gens.append(g)
+    shape = rng.randrange(3)
+    if shape == 1:  # a product of two members, times a square
+        extra = gens[0] * gens[-1] * rng.choice(atoms) ** 2
+        gens.insert(rng.randrange(len(gens) + 1), extra)
+    elif shape == 2:  # a square on its own
+        gens.append(rng.choice(atoms) ** 2)
+    return gens
+
+
+@pytest.mark.parametrize("which", ["F3", "F5", "F9", "E5"])
+def test_early_stop_independence_matches_full_fingerprint(which):
+    if which == "E5":
+        model = EllipticModel(GF(5), poly_parse("t^3 + 4t", GF(5)))
+    else:
+        model = line(int(which[1:]))
+    rng = random.Random("independence " + which)
+    pool = model.places_of_degree(1) + model.places_of_degree(2)
+    verdicts = []
+    for _ in range(12):
+        gens = _random_generators(model, rng)
+        divisors = [g.divisor() for g in gens]
+        S = rng.sample(pool, rng.randint(1, 3))
+        full = list(_separating_places(model, divisors, S))
+        expected = full_fingerprint_independent(model, gens, full)
+        verdicts.append(expected)
+        assert _independent_modulo_squares(model, gens, divisors, full) == \
+            expected
+        # the lazy place stream gives the same verdict
+        lazy = _separating_places(model, divisors, S)
+        assert _independent_modulo_squares(model, gens, divisors, lazy) == \
+            expected
+        # short prefixes leave more of the work to the is_square fallback
+        for k in (0, 1, rng.randrange(len(full) + 1)):
+            assert _independent_modulo_squares(
+                model, gens, divisors, full[:k]) == \
+                full_fingerprint_independent(model, gens, full[:k])
+    # dependent sets always end in the fallback; both kinds occur
+    assert True in verdicts and False in verdicts
 
 
 def test_space_constructor_rejects_bad_generators():
