@@ -1,4 +1,4 @@
-"""Arithmetic groundwork: finite fields, polynomials, GF(2) linear algebra.
+"""Arithmetic groundwork: finite fields, polynomials, residue fields.
 
 Elements of F_q (q = p^k odd) are encoded as integers in range(q).  For
 k = 1 this is the usual residue 0..p-1; for k > 1 the integer is read in
@@ -15,9 +15,6 @@ Residue fields F_q[t]/(m) and their quadratic extensions are small
 wrapper classes over the same tuple representation.  They exist to give
 square-class computations a uniform interface: ``size``, ``mul``,
 ``pow``, ``quad_char``.
-
-GF(2) matrices are lists of Python ints used as bit rows, least
-significant bit = column 0.
 """
 
 from __future__ import annotations
@@ -55,9 +52,6 @@ __all__ = [
     "poly_str",
     "poly_parse",
     "irreducibles_of_degree",
-    "BitMatrix",
-    "f2_rank",
-    "f2_solve",
 ]
 
 Poly = Tuple[int, ...]
@@ -580,6 +574,9 @@ def poly_str(f: Poly, var: str = "t", F: Optional[Fq] = None) -> str:
 
 # parser values are dicts {y_degree: coefficient polynomial in t}
 
+# Degree bound on the result of one power x^e in parsed text.
+MAX_PARSED_DEGREE = 4096
+
 
 def _ydict_mul(a, b, F: Fq):
     out: Dict[int, Poly] = {}
@@ -592,6 +589,23 @@ def _ydict_mul(a, b, F: Fq):
             else:
                 out.pop(k, None)
     return out
+
+
+def _ydict_pow(a, e: int, F: Fq):
+    """a^e by square-and-multiply."""
+    out: Dict[int, Poly] = {0: (1,)}
+    while e:
+        if e & 1:
+            out = _ydict_mul(out, a, F)
+        e >>= 1
+        if e:
+            a = _ydict_mul(a, a, F)
+    return out
+
+
+def _ydict_degree(a) -> int:
+    """The largest degree in t or in y among the terms."""
+    return max((max(k, len(c) - 1) for k, c in a.items()), default=0)
 
 
 def _ydict_add(a, b, F: Fq):
@@ -699,10 +713,21 @@ class _PolyParser:
     def power(self, v):
         if self.peek() != "^":
             return v
+        e, negative = self.exponent(_ydict_degree(v))
+        if negative:
+            self.error("negative exponents belong on factors, not inside polynomials")
+        return _ydict_pow(v, e, self.F)
+
+    def exponent(self, degree: int) -> Tuple[int, bool]:
+        """The exponent after '^', and whether a minus sign preceded it.
+
+        A power of a value of the given degree must stay within
+        MAX_PARSED_DEGREE, so that no input text asks for more work than
+        its length and that bound allow.
+        """
         self.i += 1
-        neg = False
-        if self.peek() == "-":
-            neg = True
+        negative = self.peek() == "-"
+        if negative:
             self.i += 1
         j = self.i
         while self.peek().isdigit():
@@ -710,12 +735,10 @@ class _PolyParser:
         if j == self.i:
             self.error("expected exponent")
         e = int(self.s[j:self.i])
-        if neg:
-            self.error("negative exponents belong on factors, not inside polynomials")
-        out = {0: (1,)}
-        for _ in range(e):
-            out = _ydict_mul(out, v, self.F)
-        return out
+        if degree * e > MAX_PARSED_DEGREE:
+            self.error("the power has degree %d, above the bound %d"
+                       % (degree * e, MAX_PARSED_DEGREE))
+        return e, negative
 
 
 def poly_parse(s: str, F: Fq) -> Poly:
@@ -807,22 +830,9 @@ class _RatParser(_PolyParser):
     def power(self, v):
         if self.peek() != "^":
             return v
-        self.i += 1
-        neg = False
-        if self.peek() == "-":
-            neg = True
-            self.i += 1
-        j = self.i
-        while self.peek().isdigit():
-            self.i += 1
-        if j == self.i:
-            self.error("expected exponent")
-        e = int(self.s[j:self.i])
-        num, den = self.ONE, self.ONE
-        for _ in range(e):
-            num = _ydict_mul(num, v[0], self.F)
-            den = _ydict_mul(den, v[1], self.F)
-        if neg:
+        e, negative = self.exponent(max(map(_ydict_degree, v)))
+        num, den = (_ydict_pow(half, e, self.F) for half in v)
+        if negative:
             if not num:
                 self.error("division by zero")
             num, den = den, num
@@ -837,109 +847,6 @@ def rat_parse(s: str, F: Fq, allow_y: bool = False):
     guaranteed nonzero, the numerator may be zero (an empty dict).
     """
     return _RatParser(s, F, allow_y).parse()
-
-
-# ---------------------------------------------------------------------------
-# GF(2) linear algebra on int bit rows
-
-
-class BitMatrix:
-    """A matrix over GF(2); rows are ints, bit j = column j."""
-
-    def __init__(self, rows: Sequence[int], ncols: int):
-        self.rows = list(rows)
-        self.ncols = ncols
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.ncols)
-
-    def rank(self) -> int:
-        return len(_echelon(self.rows)[0])
-
-    def rref(self) -> "BitMatrix":
-        piv, rows = _echelon(self.rows)
-        return BitMatrix(rows, self.ncols)
-
-    def solve(self, target: int) -> Optional[int]:
-        return f2_solve(self.rows, self.ncols, target)
-
-    def nullspace(self) -> List[int]:
-        """Basis of the right kernel {v : M v = 0}, as column bitmasks."""
-        work = list(self.rows)
-        pivots = []  # (row index, col)
-        rpos = 0
-        for col in range(self.ncols):
-            sel = None
-            for i in range(rpos, len(work)):
-                if (work[i] >> col) & 1:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            work[rpos], work[sel] = work[sel], work[rpos]
-            for i in range(len(work)):
-                if i != rpos and (work[i] >> col) & 1:
-                    work[i] ^= work[rpos]
-            pivots.append(col)
-            rpos += 1
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = 1 << fc
-            for i, pc in enumerate(pivots):
-                if (work[i] >> fc) & 1:
-                    v |= 1 << pc
-            basis.append(v)
-        return basis
-
-
-def _echelon(rows: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """Row reduce; returns (pivot columns, reduced nonzero rows)."""
-    red: List[int] = []
-    pivs: List[int] = []
-    for r in rows:
-        for p, b in zip(pivs, red):
-            if (r >> p) & 1:
-                r ^= b
-        if r:
-            p = (r & -r).bit_length() - 1
-            # back-substitute into earlier rows
-            for i in range(len(red)):
-                if (red[i] >> p) & 1:
-                    red[i] ^= r
-            pivs.append(p)
-            red.append(r)
-    order = sorted(range(len(pivs)), key=lambda i: pivs[i])
-    return [pivs[i] for i in order], [red[i] for i in order]
-
-
-def f2_rank(rows: Sequence[int], ncols: int = 0) -> int:
-    """Rank over GF(2) of the given bit rows."""
-    return len(_echelon(rows)[0])
-
-
-def f2_solve(rows: Sequence[int], ncols: int, target: int) -> Optional[int]:
-    """Solve x^T M = target over GF(2), i.e. find a subset of rows XORing
-    to target.  Returns a row-selection bitmask, or None if inconsistent."""
-    pivs: List[Tuple[int, int, int]] = []  # (col, row, selection mask)
-    for i, r in enumerate(rows):
-        m = 1 << i
-        for c, rr, mm in pivs:
-            if (r >> c) & 1:
-                r ^= rr
-                m ^= mm
-        if r:
-            c = (r & -r).bit_length() - 1
-            for j, (cj, rj, mj) in enumerate(pivs):
-                if (rj >> c) & 1:
-                    pivs[j] = (cj, rj ^ r, mj ^ m)
-            pivs.append((c, r, m))
-    acc, sel = target, 0
-    for c, rr, mm in pivs:
-        if (acc >> c) & 1:
-            acc ^= rr
-            sel ^= mm
-    return sel if acc == 0 else None
 
 
 # ---------------------------------------------------------------------------

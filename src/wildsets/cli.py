@@ -137,11 +137,12 @@ def _cmd_ranks(args) -> int:
     config = _session(args)
     model = _model(config)
     S = _places(model, args.places)
+    g = g_rank(model, S).rank
     ranks = {
         "sing": sing_space(model, S).rank,
         "delta": delta_space(model, S).rank,
-        "g": g_rank(model, S).rank,
-        "pic_y": 1 + model.pic_zero_two_rank() - g_rank(model, S).rank,
+        "g": g,
+        "pic_y": 1 + model.pic_zero_two_rank() - g,
     }
     _emit(config.fmt, ranks, [
         "rk Sing %d" % ranks["sing"],

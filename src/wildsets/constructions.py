@@ -37,7 +37,7 @@ from .local_symbols import (
     square_class_mul,
 )
 from .projective_line import Divisor
-from .square_class_spaces import _product, g_rank, smile
+from .square_class_spaces import _f2_rank, _product, g_rank, smile
 
 __all__ = [
     "construct_rank0",
@@ -310,7 +310,7 @@ def _fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
     targets = (S[0], S[1], p4)
     for code in range(1 << 9):
         rows = (code & 7, code >> 3 & 7, code >> 6 & 7)
-        if _f2_row_rank(rows) != 3:
+        if _f2_rank(rows) != 3:
             continue
         images = tuple(_product(model, pool, row) for row in rows)
         maps = []
@@ -330,16 +330,6 @@ def _fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
         "no combination of the witnesses realizes a wild triple; the "
         "search space is complete, so a hypothesis must have failed "
         "undetected")
-
-
-def _f2_row_rank(rows) -> int:
-    basis = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-    return len(basis)
 
 
 def _klein_map_from_pairs(pairs):

@@ -534,6 +534,8 @@ class EllipticModel:
     everywhere.
     """
 
+    backend = "elliptic_curve"  # recorded in certificates
+
     def __init__(self, field: Fq, f: Poly):
         f = poly_norm(f)
         if poly_deg(f) != 3:
@@ -548,6 +550,7 @@ class EllipticModel:
         self._points: Optional[List[Point]] = None
         self._doubles: Optional[frozenset] = None
         self._classes: Dict[CurvePlace, Point] = {}
+        self._coset_bits: Optional[Dict[Point, int]] = None
 
     def __repr__(self) -> str:
         return "EllipticModel(GF(%d), y^2 = %s)" % (
@@ -779,6 +782,39 @@ class EllipticModel:
             out = (cx, cy)
         self._classes[place] = out
         return out
+
+    def _coordinates_mod_doubles(self) -> Dict[Point, int]:
+        """Every rational point's coordinates in E(F_q)/2E(F_q), as a bitmask.
+
+        Fixed once per model: the points are scanned in _point_key order,
+        and each one outside the span of the cosets found so far becomes
+        the next basis vector, so the map is a homomorphism with kernel
+        exactly the doubles.
+        """
+        if self._coset_bits is None:
+            bits = dict.fromkeys(self._doubles_set(), 0)
+            new = 1
+            for P in sorted(self.rational_points(), key=_point_key):
+                if P not in bits:
+                    bits.update({self.add_points(Q, P): c | new
+                                 for Q, c in bits.items()})
+                    new <<= 1
+            assert new == 1 << self.pic_zero_two_rank(), \
+                "E/2E must have 2^(2-rank) cosets"
+            self._coset_bits = bits
+        return self._coset_bits
+
+    def pic_mod2(self, place: CurvePlace) -> int:
+        """F_2 coordinates of the class of the place in Pic/2Pic.
+
+        Bit 0 is the degree parity; the bits above it are the coordinates
+        of pic_class_of_place(place) in E(F_q)/2E(F_q), in the table
+        fixed once per model.  A divisor is 2-divisible exactly when the
+        XOR of the coordinates of its places, each taken with its
+        coefficient's parity, is zero.
+        """
+        point = self.pic_class_of_place(place)
+        return place.degree & 1 | self._coordinates_mod_doubles()[point] << 1
 
     def pic_class(self, D: Divisor) -> Tuple[int, Point]:
         """The class of D in Z (+) E(F_q) as (degree, point)."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base_algebra import checked_field, poly_parse, poly_str
@@ -76,6 +77,12 @@ __all__ = [
     "certificate_to_json",
     "certificate_from_json",
 ]
+
+# Budgets of the two bounded searches behind compose.  A search that the
+# budget cuts short raises SearchExhausted; only a complete search may
+# end in a refusal.
+PERMUTATION_CAP = 40320  # matchings _wild_union_fallback tries (8!)
+TWIST_KERNEL_BITS = 20  # _sandwich_solve walks 2^min(kernel dim, this)
 
 
 # -- certificate data types
@@ -437,7 +444,8 @@ def _sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
     x, y and the product xy, so the patterns solve an F_2 linear
     system with one extra consistency constraint, checked over the
     solution set in a fixed order.  Returns the adjusted maps and the
-    generator images; raises when no pattern works.
+    generator images; raises VerificationError when no pattern works,
+    and SearchExhausted when the solution set was too large to walk.
     """
     # triangular basis of the embedded target, remembering combinations
     triangular: Dict[int, Tuple[int, int]] = {}
@@ -546,7 +554,8 @@ def _sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
         return True
 
     twists = None
-    for pick in range(1 << min(len(kernel), 20)):
+    walked = min(len(kernel), TWIST_KERNEL_BITS)
+    for pick in range(1 << walked):
         assign = particular
         for k, vec in enumerate(kernel):
             if pick >> k & 1:
@@ -555,6 +564,10 @@ def _sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
             twists = assign
             break
     if twists is None:
+        if walked < len(kernel):
+            raise SearchExhausted(
+                "no consistent tame adjustment among the first 2^%d of 2^%d "
+                "twist patterns" % (walked, len(kernel)))
         raise no_pattern
 
     final_maps = []
@@ -658,8 +671,13 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate
 
     try:
         se = _realize_small_equivalence(model, places, images, maps)
-    except VerificationError:
-        se = _wild_union_fallback(model, places, images, maps)
+    except (VerificationError, SearchExhausted) as first:
+        try:
+            se = _wild_union_fallback(model, places, images, maps)
+        except VerificationError:
+            if isinstance(first, SearchExhausted):
+                raise first from None
+            raise
     cert = certify(se)
     expected = set(c1.wild_set) | pulled_back
     if set(cert.wild_set) != expected:
@@ -680,6 +698,8 @@ def _wild_union_fallback(model, places, images, maps) -> SmallEquivalence:
     a pre-equivalence there with the composed wild maps, searching the
     injective matchings into the recorded image pool in a fixed order
     starting from the faithful one, and extend the first that solves.
+    Raises SearchExhausted rather than a refusal when the matchings run
+    past PERMUTATION_CAP or a twist solve runs past its own budget.
     """
     keep = [j for j, m in enumerate(maps) if m.is_wild]
     if not keep:
@@ -690,21 +710,27 @@ def _wild_union_fallback(model, places, images, maps) -> SmallEquivalence:
     wild_maps = tuple(maps[j] for j in keep)
     pool = tuple(images[j] for j in keep)
     src_gens = quotient_basis(model, wild_places)
-    for number, cand in enumerate(itertools.permutations(pool)):
-        if number == 40320:
-            break
+    cut_short = math.factorial(len(pool)) > PERMUTATION_CAP
+    for cand in itertools.islice(itertools.permutations(pool),
+                                 PERMUTATION_CAP):
         dst_gens = quotient_basis(model, cand)
         try:
             final_maps, gen_images = _sandwich_solve(
                 model, wild_places, cand, wild_maps, src_gens, dst_gens)
+        except SearchExhausted:
+            cut_short = True
+            continue
         except VerificationError:
             continue
         pe = PreEquivalence(model, wild_places, cand, src_gens, gen_images,
                             final_maps)
         return extend_pre_equivalence(pe)
-    raise VerificationError(
-        "no matching of the wild locus {%s} into its image pool realizes "
-        "the composed local maps" % ", ".join(str(P) for P in wild_places))
+    message = ("no matching of the wild locus {%s} into its image pool "
+               "realizes the composed local maps"
+               % ", ".join(str(P) for P in wild_places))
+    if cut_short:
+        raise SearchExhausted(message + " within the search budget")
+    raise VerificationError(message)
 
 
 # -- extension of a pre-equivalence
@@ -809,16 +835,11 @@ def extend_pre_equivalence(pe: PreEquivalence, degree_cap: int = 6
 
 # -- serialization
 
-def _backend_name(model) -> str:
-    return ("elliptic_curve" if hasattr(model, "rational_points")
-            else "projective_line")
-
-
 def certificate_to_json(cert: WildSetCertificate) -> str:
     """Serialize a certificate to the interchange JSON form."""
     se = cert.equivalence
     model = se.model
-    data = {"backend": _backend_name(model), "q": model.field.q}
+    data = {"backend": model.backend, "q": model.field.q}
     if data["backend"] == "elliptic_curve":
         data["curve"] = poly_str(model.f, "t", model.field)
     data["S"] = [str(P) for P in se.places]

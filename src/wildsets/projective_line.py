@@ -350,6 +350,8 @@ class ProjectiveLine:
     the classes of a set of places is gcd-of-degrees Z.
     """
 
+    backend = "projective_line"  # recorded in certificates
+
     def __init__(self, field: Fq):
         self.field = field
         self.infinity = Place.infinity(field)
@@ -405,6 +407,14 @@ class ProjectiveLine:
     def two_divisible(self, D: Divisor) -> bool:
         """Whether the class of D lies in 2 Pic."""
         return D.degree % 2 == 0
+
+    def pic_mod2(self, place: Place) -> int:
+        """F_2 coordinates of the class of the place in Pic/2Pic = Z/2.
+
+        Pic is Z by the degree, so the only coordinate is the degree
+        parity.
+        """
+        return place.degree & 1
 
     def halve_in_pic(self, D: Divisor) -> Optional[Divisor]:
         """Some divisor E with 2E ~ D, or None when the class is odd."""

@@ -10,12 +10,21 @@ modulo doubles, executable forms of the identities tying these ranks
 together, and the compatibility relation between 2-divisible places
 that later drives the assembly of large wild sets.
 
-All linear algebra over F_2 runs on integer bitmasks.  Questions about
-the class group modulo doubles are answered by the backend's
-two_divisible on subset sums, so no coordinates on the class group are
-ever chosen.  Independence of square classes is established by their
-local data (order parity and residue character) at a finite separating
-set of places, with an exact fallback through is_square when the local
+All linear algebra over F_2 runs on integer bitmasks, through one
+triangular eliminator and the kernel routine built on it.  Questions
+about the class group modulo doubles are elimination problems: each
+backend gives every place explicit coordinates in Pic/2Pic through
+pic_mod2 (the degree parity, plus on the elliptic curve the coordinates
+of the place's point in E(F_q)/2E(F_q), fixed once per model).  The
+relations among the classes of S are the kernel of those rows, and the
+rank of the classes is the rank of the rows.  The backend's
+two_divisible and the direct and backend routes of
+check_pic_rank_formula never read the coordinates, so a wrong table is
+caught there.
+
+Independence of square classes is established by their local data
+(order parity and residue character) at a finite separating set of
+places, with an exact fallback through is_square when the local
 fingerprints alone are inconclusive.  The fingerprint starts with the
 order parities, read off the generators' divisors, and then adds
 residue characters one place at a time -- removed places first, then
@@ -72,23 +81,30 @@ def _f2_rank(vectors: Sequence[int]) -> int:
     return len(basis)
 
 
-def _mask_basis(masks: Sequence[int]) -> List[int]:
-    """An independent basis of the F_2 span of the masks, in insertion order."""
+def _kernel_basis(vectors: Sequence[int]) -> List[int]:
+    """The F_2 relations among the vectors, as a basis of selection masks.
+
+    Bit i of a mask selects vectors[i]; a relation selects vectors that
+    XOR to zero.  For each index t that is the top bit of some relation
+    the basis holds the least such relation, in ascending order of t --
+    the basis a triangular insertion of all relations in increasing
+    order would keep.  Each vector is augmented with its own selection
+    bit below it; an augmented row that reduces to its mask part is a
+    relation, and reducing it against the lower relations from the top
+    down makes it the least one with its top bit.
+    """
+    n = len(vectors)
     basis: Dict[int, int] = {}
-    out = []
-    for m in masks:
-        reduced = _xor_insert(basis, m)
-        if reduced:
-            out.append(reduced)
-    return out
-
-
-def _xor_rows(rows: Sequence[int], mask: int) -> int:
-    out = 0
-    for i, r in enumerate(rows):
-        if mask >> i & 1:
-            out ^= r
-    return out
+    for i, v in enumerate(vectors):
+        _xor_insert(basis, v << n | 1 << i)
+    kernel: List[int] = []
+    for t in sorted(k for k in basis if k < n):
+        m = basis[t]
+        for r in reversed(kernel):
+            if m >> (r.bit_length() - 1) & 1:
+                m ^= r
+        kernel.append(m)
+    return kernel
 
 
 # -- shared helpers
@@ -102,18 +118,15 @@ def _clean_places(S) -> List:
     return places
 
 
-def _subset_divisor(S: Sequence, mask: int) -> Divisor:
-    return Divisor({P: 1 for i, P in enumerate(S) if mask >> i & 1})
-
-
 def _dependency_masks(model, S: Sequence) -> List[int]:
-    """Nonempty subsets of S whose class sum is divisible by 2.
+    """A basis of the subsets of S whose class sum is divisible by 2.
 
-    These are exactly the F_2 linear relations among the classes of the
-    places of S in the class group modulo doubles.
+    These are the F_2 linear relations among the classes of the places
+    of S in the class group modulo doubles, read off as the kernel of
+    their pic_mod2 coordinates: for each place that closes a relation,
+    the least subset that it closes.
     """
-    return [m for m in range(1, 1 << len(S))
-            if model.two_divisible(_subset_divisor(S, m))]
+    return _kernel_basis([model.pic_mod2(P) for P in S])
 
 
 def _product(model, gens: Sequence, mask: int):
@@ -229,8 +242,8 @@ def sing_space(model, S) -> SquareClassSpace:
     S = _clean_places(S)
     gens = [model.constant(model.field.nonsquare())]
     gens.extend(model.two_torsion_witnesses())
-    for mask in _mask_basis(_dependency_masks(model, S)):
-        D = _subset_divisor(S, mask)
+    for mask in _dependency_masks(model, S):
+        D = Divisor({P: 1 for i, P in enumerate(S) if mask >> i & 1})
         half = model.halve_in_pic(D)
         gens.append(model.function_with_divisor(D - 2 * half))
     return SquareClassSpace(model, S, gens)
@@ -246,10 +259,8 @@ def delta_space(model, S) -> SquareClassSpace:
     S = _clean_places(S)
     base = sing_space(model, S)
     rows = [_local_bits(g, S) for g in base.generators]
-    relations = [m for m in range(1, 1 << len(rows))
-                 if _xor_rows(rows, m) == 0]
     gens = [_product(model, base.generators, mask)
-            for mask in _mask_basis(relations)]
+            for mask in _kernel_basis(rows)]
     space = SquareClassSpace(model, S, gens)
     for g in space.generators:
         for P in S:
@@ -280,21 +291,15 @@ class GYRank(NamedTuple):
 def g_rank(model, S) -> GYRank:
     """Rank of the span of the classes of S, with an independent sublist.
 
-    The sublist is chosen greedily in the given order, so it is the
-    lexicographically first maximal independent subset.
+    The sublist is chosen greedily in the given order, inserting each
+    place's pic_mod2 row into a triangular basis and keeping the place
+    when the row is new, so it is the lexicographically first maximal
+    independent subset.
     """
     S = _clean_places(S)
-    deps = _dependency_masks(model, S)
-    rank = len(S) - len(_mask_basis(deps))
-    picked = 0
-    chosen = []
-    for i, P in enumerate(S):
-        trial = picked | 1 << i
-        if not any(m >> i & 1 and not m & ~trial for m in deps):
-            picked = trial
-            chosen.append(P)
-    assert len(chosen) == rank
-    return GYRank(tuple(S), rank, tuple(chosen))
+    basis: Dict[int, int] = {}
+    chosen = tuple(P for P in S if _xor_insert(basis, model.pic_mod2(P)))
+    return GYRank(tuple(S), len(chosen), chosen)
 
 
 # -- executable identities
@@ -302,9 +307,10 @@ def g_rank(model, S) -> GYRank:
 def check_lin_dep_lemma(model, S) -> dict:
     """Classes of S independent iff removing S adds no new even classes.
 
-    Both sides are computed: independence through subset sums in the
-    class group, the right side by comparing the rank of sing_space(S)
-    with the rank over the complete curve.  A discrepancy raises.
+    Both sides are computed: independence through the pic_mod2
+    coordinates of the classes, the right side by comparing the rank of
+    sing_space(S) with the rank over the complete curve.  A discrepancy
+    raises.
     """
     info = g_rank(model, S)
     independent = info.rank == len(info.removed)
@@ -347,7 +353,7 @@ def check_pic_rank_formula(model, S) -> dict:
 
 
 def _pic_two_rank_direct(model, S) -> int:
-    if not hasattr(model, "rational_points"):
+    if model.backend == "projective_line":
         g = 0
         for P in S:
             g = math.gcd(g, P.degree)

@@ -1,4 +1,4 @@
-"""Oracle tests for field arithmetic, factorization and GF(2) kernels."""
+"""Oracle tests for field arithmetic and factorization."""
 
 from __future__ import annotations
 
@@ -8,11 +8,9 @@ import pytest
 
 from wildsets.base_algebra import (
     GF,
-    BitMatrix,
+    MAX_PARSED_DEGREE,
     QuadExtField,
     ResidueField,
-    f2_rank,
-    f2_solve,
     irreducibles_of_degree,
     poly_add,
     poly_deg,
@@ -264,58 +262,6 @@ def test_factor_with_multiplicity():
     assert factors == [((0, 1), 2), ((1, 1), 1)]
 
 
-# -- GF(2) linear algebra against span enumeration ---------------------------
-
-
-def _span(rows):
-    out = {0}
-    for r in rows:
-        out |= {x ^ r for x in out}
-    return out
-
-
-def test_f2_rank_matches_span_enumeration():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randrange(1, 9)
-        rows = [rng.randrange(1 << n) for _ in range(rng.randrange(1, 9))]
-        sp = _span(rows)
-        assert 1 << f2_rank(rows, n) == len(sp)
-
-
-def test_f2_solve_consistency():
-    rng = random.Random(8)
-    for _ in range(200):
-        n = rng.randrange(1, 9)
-        rows = [rng.randrange(1 << n) for _ in range(rng.randrange(1, 9))]
-        sp = _span(rows)
-        target = rng.randrange(1 << n)
-        sel = f2_solve(rows, n, target)
-        if target in sp:
-            assert sel is not None
-            acc = 0
-            for i, r in enumerate(rows):
-                if (sel >> i) & 1:
-                    acc ^= r
-            assert acc == target
-        else:
-            assert sel is None
-
-
-def test_nullspace():
-    rng = random.Random(9)
-    for _ in range(100):
-        n = rng.randrange(1, 9)
-        rows = [rng.randrange(1 << n) for _ in range(rng.randrange(1, 7))]
-        M = BitMatrix(rows, n)
-        basis = M.nullspace()
-        assert len(basis) == n - f2_rank(rows, n)
-        for v in basis:
-            for r in rows:
-                assert bin(r & v).count("1") % 2 == 0
-        assert f2_rank(basis, n) == len(basis)
-
-
 # -- residue fields -----------------------------------------------------------
 
 
@@ -452,6 +398,35 @@ def test_rat_parse_negative_power_and_division_by_zero():
     for s in ["1 / 0", "1 / (t - t)", "0^-1"]:
         with pytest.raises(ValueError):
             rat_parse(s, F)
+
+
+def test_powers_match_repeated_products():
+    F = GF(5)
+    assert rat_parse("t^2000", F) == ({0: (0,) * 2000 + (1,)}, {0: (1,)})
+    rng = random.Random(11)
+    for _ in range(20):
+        f = tuple(rng.randrange(5) for _ in range(4)) + (rng.randrange(1, 5),)
+        e = rng.randrange(40)
+        text = "(%s)" % poly_str(f, "t", F)
+        expected = (1,)
+        for _ in range(e):
+            expected = poly_mul(expected, f, F)
+        assert poly_parse("%s^%d" % (text, e), F) == expected
+        assert rat_parse("%s^-%d" % (text, e), F) == ({0: (1,)}, {0: expected})
+    # constants carry no degree, so any exponent is cheap and allowed
+    assert poly_parse("2^99999999", F) == (pow(2, 99999999, 5),)
+
+
+def test_powers_above_the_degree_bound_are_rejected():
+    F = GF(5)
+    assert poly_parse("t^%d" % MAX_PARSED_DEGREE, F)[-1] == 1
+    for s in ["t^99999999", "(t^2 + 1)^%d" % (MAX_PARSED_DEGREE // 2 + 1)]:
+        with pytest.raises(ValueError):
+            poly_parse(s, F)
+        with pytest.raises(ValueError):
+            rat_parse("1 / " + s, F)
+    with pytest.raises(ValueError):
+        rat_parse("y^99999999", F, allow_y=True)
 
 
 def test_rat_parse_zero_numerator_is_allowed():

@@ -11,9 +11,11 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
+from wildsets import equivalence_core
 from wildsets.cli import MAX_FIELD_SIZE, run
 
 
@@ -100,6 +102,23 @@ def test_search_exhaustion_exits_four(capsys):
     assert run(["construct", "--q", "5", "--rank", "1",
                 "--places", "t,t-1,t-2", "--degree-cap", "1"]) == 4
     assert "degree" in capsys.readouterr().err
+
+
+# rank 1 over F_5 whose compositions reach the matching fallback
+FALLBACK_ARGV = ["construct", "--q", "5", "--rank", "1",
+                 "--places", "t + 4, t + 2, t^2 + t + 1, t^2 + 3"]
+
+
+def test_matching_cap_exhaustion_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr(equivalence_core, "PERMUTATION_CAP", 1)
+    assert run(FALLBACK_ARGV) == 4
+    assert "within the search budget" in capsys.readouterr().err
+
+
+def test_twist_walk_exhaustion_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr(equivalence_core, "TWIST_KERNEL_BITS", 0)
+    assert run(FALLBACK_ARGV) == 4
+    assert "search exhausted" in capsys.readouterr().err
 
 
 def test_degree_cap_environment_override(capsys, monkeypatch):
@@ -201,6 +220,16 @@ def verify_edited(tmp_path, capsys, data):
     path.write_text(json.dumps(data))
     code = run(["verify", "--cert", str(path)])
     return code, capsys.readouterr().err
+
+
+def test_huge_exponents_exit_two_fast(tmp_path, capsys, good_certificate):
+    start = time.process_time()
+    assert run(["ranks", "--q", "5", "--places", "t^99999999"]) == 2
+    assert "above the bound" in capsys.readouterr().err
+    data = dict(good_certificate, quotient_basis=["t^99999999"] * 2)
+    code, err = verify_edited(tmp_path, capsys, data)
+    assert (code, "above the bound" in err) == (2, True)
+    assert time.process_time() - start < 5
 
 
 def test_places_must_be_strings(tmp_path, capsys, good_certificate):

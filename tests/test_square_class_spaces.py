@@ -6,20 +6,28 @@ removed irreducibles times the non-square constant, so ranks follow
 from counting exponent patterns.  Curve cases are pinned by hand on
 y^2 = t^3 - t over F_5 and cross-checked through the class-group
 identities, whose two sides run through different code paths.
+
+The class-group questions are answered by elimination on the backends'
+pic_mod2 coordinates; the subset walk they replaced is kept here as
+the oracle, together with span enumeration for the F_2 kernel itself.
 """
 
 import random
 
 import pytest
 
-from wildsets.base_algebra import GF, f2_rank, irreducibles_of_degree, poly_parse
+from wildsets.base_algebra import GF, irreducibles_of_degree, poly_parse
 from wildsets.elliptic_curve import EllipticModel
 from wildsets.errors import HypothesisError, VerificationError
 from wildsets.local_symbols import local_square_class
 from wildsets.projective_line import Divisor, Place, ProjectiveLine
 from wildsets.square_class_spaces import (
     SquareClassSpace,
+    _dependency_masks,
+    _f2_rank,
     _independent_modulo_squares,
+    _kernel_basis,
+    _local_bits,
     _separating_places,
     check_lin_dep_lemma,
     check_odd_degree_transfer,
@@ -386,7 +394,7 @@ def full_fingerprint_independent(model, gens, places):
             e, s = local_square_class(g, P)
             bits |= e << (2 * j) | s << (2 * j + 1)
         rows.append(bits)
-    if f2_rank(rows) == len(gens):
+    if len(span(rows)) == 1 << len(gens):
         return True
     for mask in range(1, 1 << len(gens)):
         prod = model.one()
@@ -460,3 +468,173 @@ def test_space_constructor_rejects_bad_generators():
         SquareClassSpace(L, [P], [L.from_poly((1, 1))])  # odd order off S
     with pytest.raises(VerificationError):
         SquareClassSpace(L, [P], [L.from_poly((0, 1)), L.from_poly((0, 1))])
+
+
+# -- the F_2 kernel against span enumeration
+
+
+def span(rows):
+    out = {0}
+    for r in rows:
+        out |= {x ^ r for x in out}
+    return out
+
+
+def xor_selected(rows, mask):
+    acc = 0
+    for i, r in enumerate(rows):
+        if mask >> i & 1:
+            acc ^= r
+    return acc
+
+
+def walk_relations(rows):
+    """Every nonempty selection of rows that XORs to zero, ascending."""
+    return [m for m in range(1, 1 << len(rows)) if xor_selected(rows, m) == 0]
+
+
+def mask_basis(masks):
+    """Triangular insertion in the given order, keeping each new reduced mask."""
+    basis, out = {}, []
+    for m in masks:
+        while m:
+            top = m.bit_length() - 1
+            if top not in basis:
+                basis[top] = m
+                out.append(m)
+                break
+            m ^= basis[top]
+    return out
+
+
+def random_rows(rng):
+    n = rng.randrange(1, 9)
+    return n, [rng.randrange(1 << n) for _ in range(rng.randrange(1, 9))]
+
+
+def test_f2_rank_matches_span_enumeration():
+    rng = random.Random(7)
+    for _ in range(200):
+        n, rows = random_rows(rng)
+        assert 1 << _f2_rank(rows) == len(span(rows))
+
+
+def test_kernel_solves_membership():
+    """A target is in the span exactly when appending it closes a relation,
+    and the relation's other bits select rows that XOR to the target."""
+    rng = random.Random(8)
+    for _ in range(200):
+        n, rows = random_rows(rng)
+        target = rng.randrange(1 << n)
+        top = 1 << len(rows)
+        closing = [m for m in _kernel_basis(rows + [target]) if m & top]
+        if target in span(rows):
+            assert len(closing) == 1
+            assert xor_selected(rows, closing[0] ^ top) == target
+        else:
+            assert closing == []
+
+
+def test_kernel_basis_against_the_walk():
+    """The kernel is a basis of all relations, and exactly the basis the
+    triangular insertion of the walked relations keeps."""
+    rng = random.Random(9)
+    for _ in range(200):
+        n, rows = random_rows(rng)
+        kernel = _kernel_basis(rows)
+        relations = walk_relations(rows)
+        assert kernel == mask_basis(relations)
+        assert len(kernel) == len(rows) - _f2_rank(rows)
+        assert all(xor_selected(rows, m) == 0 for m in kernel)
+        assert len(span(kernel)) == len(relations) + 1
+        # each member is the least relation with its top bit
+        for m in kernel:
+            top = m.bit_length() - 1
+            assert m == min(r for r in relations if r.bit_length() - 1 == top)
+
+
+# -- pic_mod2 elimination against the two_divisible subset walk
+
+PIC_MODELS = {
+    "F3": lambda: line(3),
+    "F5": lambda: line(5),
+    "F9": lambda: line(9),
+    "F13": lambda: line(13),
+    # 2-torsion of rank 0, 1 and 2
+    "E5[t^3 + t + 1]": lambda: curve(5, "t^3 + t + 1"),
+    "E5[t^3 + 2]": lambda: curve(5, "t^3 + 2"),
+    "E5[t^3 + 4t]": lambda: curve(5, "t^3 + 4t"),
+}
+
+
+def place_pool(model):
+    return [P for d in (1, 2, 3) for P in model.places_of_degree(d)]
+
+
+def walked_dependencies(model, S):
+    """Every nonempty subset of S whose class sum is 2-divisible, ascending."""
+    return [m for m in range(1, 1 << len(S))
+            if model.two_divisible(Divisor({P: 1 for i, P in enumerate(S)
+                                            if m >> i & 1}))]
+
+
+def greedy_independent(S, deps):
+    """The greedy independent sublist, decided on the walked dependencies."""
+    picked, chosen = 0, []
+    for i, P in enumerate(S):
+        trial = picked | 1 << i
+        if not any(m >> i & 1 and not m & ~trial for m in deps):
+            picked = trial
+            chosen.append(P)
+    return len(chosen), tuple(chosen)
+
+
+@pytest.mark.parametrize("which", sorted(PIC_MODELS))
+def test_elimination_matches_the_subset_walk(which):
+    model = PIC_MODELS[which]()
+    pool = place_pool(model)
+    rng = random.Random("walk " + which)
+    for k in range(5):
+        S = rng.sample(pool, rng.randint(1, 10))
+        walked = walked_dependencies(model, S)
+        assert _dependency_masks(model, S) == mask_basis(walked)
+        info = g_rank(model, S)
+        assert (info.rank, info.independent) == greedy_independent(S, walked)
+        if k < 2:  # the spaces themselves, on fewer sets: they cost more
+            base = sing_space(model, S)
+            rows = [_local_bits(g, S) for g in base.generators]
+            expected = []
+            for mask in mask_basis(walk_relations(rows)):
+                h = model.one()
+                for i, g in enumerate(base.generators):
+                    if mask >> i & 1:
+                        h = h * g
+                expected.append(h)
+            assert list(delta_space(model, S).generators) == expected
+
+
+@pytest.mark.parametrize("which", sorted(PIC_MODELS))
+def test_pic_mod2_decides_two_divisibility(which):
+    model = PIC_MODELS[which]()
+    pool = place_pool(model)
+    rng = random.Random("coordinates " + which)
+    verdicts = set()
+    for _ in range(60):
+        D = Divisor({P: rng.randint(-3, 3)
+                     for P in rng.sample(pool, rng.randint(1, 5))})
+        coords = 0
+        for P, n in D.items():
+            if n % 2:
+                coords ^= model.pic_mod2(P)
+        assert (coords == 0) == model.two_divisible(D)
+        verdicts.add(coords == 0)
+    assert verdicts == {True, False}
+
+
+def test_spaces_at_sixty_four_places():
+    """Out of reach of any walk over the 2^64 subsets."""
+    L = line(13)
+    S = (L.places_of_degree(1) + L.places_of_degree(2))[:64]
+    assert g_rank(L, S).rank == 1
+    assert sing_space(L, S).rank == 64
+    assert delta_space(L, S).rank == 0
