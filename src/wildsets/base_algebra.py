@@ -15,6 +15,10 @@ Residue fields F_q[t]/(m) and their quadratic extensions are small
 wrapper classes over the same tuple representation.  They exist to give
 square-class computations a uniform interface: ``size``, ``mul``,
 ``pow``, ``quad_char``.
+
+Text is read by one recursive-descent parser of quotient expressions
+(rat_parse); poly_parse is that parser plus the check that the
+denominator is a nonzero constant.
 """
 
 from __future__ import annotations
@@ -576,6 +580,9 @@ def poly_str(f: Poly, var: str = "t", F: Optional[Fq] = None) -> str:
 
 # Degree bound on the result of one power x^e in parsed text.
 MAX_PARSED_DEGREE = 4096
+# Bound on the nesting of parentheses in parsed text; each level costs
+# the recursive-descent parser three stack frames.
+MAX_PARSED_NESTING = 100
 
 
 def _ydict_mul(a, b, F: Fq):
@@ -623,12 +630,20 @@ def _ydict_neg(a, F: Fq):
     return {k: poly_neg(c, F) for k, c in a.items()}
 
 
-class _PolyParser:
-    """Recursive-descent parser for polynomials in t (and optionally y)."""
+class _RatParser:
+    """Recursive-descent parser for quotient expressions in t (and y).
+
+    Values are fractions, i.e. pairs (numerator, denominator) of y-degree
+    dicts; nothing is ever inverted during parsing, so the result is exact
+    over any coefficient field.
+    """
+
+    ONE = {0: (1,)}
 
     def __init__(self, s: str, F: Fq, allow_y: bool = False):
         self.s = s.replace(" ", "")
         self.i = 0
+        self.depth = 0
         self.F = F
         self.allow_y = allow_y
 
@@ -647,117 +662,6 @@ class _PolyParser:
         if self.i != len(self.s):
             self.error("trailing input")
         return v
-
-    # polynomial values are dicts {y_degree: coeff tuple}
-    def expr(self):
-        sign = 1
-        if self.at("+-"):
-            sign = -1 if self.peek() == "-" else 1
-            self.i += 1
-        v = self.term()
-        if sign < 0:
-            v = _ydict_neg(v, self.F)
-        while self.at("+-"):
-            op = self.peek()
-            self.i += 1
-            w = self.term()
-            if op == "-":
-                w = _ydict_neg(w, self.F)
-            v = _ydict_add(v, w, self.F)
-        return v
-
-    def term(self):
-        v = self.atom()
-        while True:
-            if self.peek() == "*":
-                self.i += 1
-                w = self.atom()
-            elif self.at("t(yg"):
-                w = self.atom()
-            else:
-                return v
-            v = _ydict_mul(v, w, self.F)
-
-    def atom(self):
-        c = self.peek()
-        if c == "(":
-            self.i += 1
-            v = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.i += 1
-            return self.power(v)
-        if c == "t":
-            self.i += 1
-            return self.power({0: (0, 1)})
-        if c == "y":
-            if not self.allow_y:
-                self.error("'y' not allowed here")
-            self.i += 1
-            return self.power({1: (1,)})
-        if c == "g":
-            if self.F.k == 1:
-                self.error("'g' is only defined over extension fields")
-            self.i += 1
-            # the generator's code is p: digits (0, 1) in base p
-            return self.power({0: (self.F.p,)})
-        if c.isdigit():
-            j = self.i
-            while self.peek().isdigit():
-                self.i += 1
-            # integer literals live in the prime subfield
-            code = int(self.s[j:self.i]) % self.F.p
-            return self.power({0: poly_norm((code,))})
-        self.error("unexpected character %r" % c)
-
-    def power(self, v):
-        if self.peek() != "^":
-            return v
-        e, negative = self.exponent(_ydict_degree(v))
-        if negative:
-            self.error("negative exponents belong on factors, not inside polynomials")
-        return _ydict_pow(v, e, self.F)
-
-    def exponent(self, degree: int) -> Tuple[int, bool]:
-        """The exponent after '^', and whether a minus sign preceded it.
-
-        A power of a value of the given degree must stay within
-        MAX_PARSED_DEGREE, so that no input text asks for more work than
-        its length and that bound allow.
-        """
-        self.i += 1
-        negative = self.peek() == "-"
-        if negative:
-            self.i += 1
-        j = self.i
-        while self.peek().isdigit():
-            self.i += 1
-        if j == self.i:
-            self.error("expected exponent")
-        e = int(self.s[j:self.i])
-        if degree * e > MAX_PARSED_DEGREE:
-            self.error("the power has degree %d, above the bound %d"
-                       % (degree * e, MAX_PARSED_DEGREE))
-        return e, negative
-
-
-def poly_parse(s: str, F: Fq) -> Poly:
-    """Parse a polynomial in t with integer coefficients (reduced mod q)."""
-    v = _PolyParser(s, F, allow_y=False).parse()
-    if any(k != 0 for k in v):
-        raise ValueError("unexpected variable in %r" % s)
-    return v.get(0, ())
-
-
-class _RatParser(_PolyParser):
-    """Parser for quotient expressions: polynomials combined with / and ^-n.
-
-    Values are fractions, i.e. pairs (numerator, denominator) of y-degree
-    dicts; nothing is ever inverted during parsing, so the result is exact
-    over any coefficient field.
-    """
-
-    ONE = {0: (1,)}
 
     def expr(self):
         sign = 1
@@ -799,11 +703,16 @@ class _RatParser(_PolyParser):
     def atom(self):
         c = self.peek()
         if c == "(":
+            self.depth += 1
+            if self.depth > MAX_PARSED_NESTING:
+                self.error("parentheses nested deeper than %d"
+                           % MAX_PARSED_NESTING)
             self.i += 1
             v = self.expr()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.i += 1
+            self.depth -= 1
             return self.power(v)
         if c == "t":
             self.i += 1
@@ -817,11 +726,13 @@ class _RatParser(_PolyParser):
             if self.F.k == 1:
                 self.error("'g' is only defined over extension fields")
             self.i += 1
+            # the generator's code is p: digits (0, 1) in base p
             return self.power(({0: (self.F.p,)}, self.ONE))
         if c.isdigit():
             j = self.i
             while self.peek().isdigit():
                 self.i += 1
+            # integer literals live in the prime subfield
             code = int(self.s[j:self.i]) % self.F.p
             num = {0: (code,)} if code else {}
             return self.power((num, self.ONE))
@@ -838,6 +749,28 @@ class _RatParser(_PolyParser):
             num, den = den, num
         return (num, den)
 
+    def exponent(self, degree: int) -> Tuple[int, bool]:
+        """The exponent after '^', and whether a minus sign preceded it.
+
+        A power of a value of the given degree must stay within
+        MAX_PARSED_DEGREE, so that no input text asks for more work than
+        its length and that bound allow.
+        """
+        self.i += 1
+        negative = self.peek() == "-"
+        if negative:
+            self.i += 1
+        j = self.i
+        while self.peek().isdigit():
+            self.i += 1
+        if j == self.i:
+            self.error("expected exponent")
+        e = int(self.s[j:self.i])
+        if degree * e > MAX_PARSED_DEGREE:
+            self.error("the power has degree %d, above the bound %d"
+                       % (degree * e, MAX_PARSED_DEGREE))
+        return e, negative
+
 
 def rat_parse(s: str, F: Fq, allow_y: bool = False):
     """Parse a quotient expression into a (numerator, denominator) pair.
@@ -847,6 +780,20 @@ def rat_parse(s: str, F: Fq, allow_y: bool = False):
     guaranteed nonzero, the numerator may be zero (an empty dict).
     """
     return _RatParser(s, F, allow_y).parse()
+
+
+def poly_parse(s: str, F: Fq) -> Poly:
+    """Parse a polynomial in t with integer coefficients (reduced mod q).
+
+    The text is read as a quotient expression whose denominator must be
+    a nonzero constant, which the numerator is then divided by.
+    """
+    num, den = rat_parse(s, F)
+    den = den[0]
+    if len(den) != 1:
+        raise ValueError("bad polynomial %r: the denominator %s is not a "
+                         "constant" % (s, poly_str(den, "t", F)))
+    return poly_scalar(num.get(0, ()), F.inv(den[0]), F)
 
 
 # ---------------------------------------------------------------------------

@@ -333,7 +333,17 @@ def _cmd_selftest(args) -> int:
 
 # -- argument plumbing
 
+def _env_degree_cap() -> int:
+    text = os.environ.get(DEGREE_CAP_VAR, "6")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%s must be an integer, got %r"
+                         % (DEGREE_CAP_VAR, text)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    degree_cap = _env_degree_cap()
     parser = argparse.ArgumentParser(
         prog="wildsets",
         description="wild sets of self-equivalences of F_q(t) and "
@@ -349,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="cubic f(t) for the model y^2 = f(t); "
                                 "omit for the projective line")
             p.add_argument("--degree-cap", type=int,
-                           default=int(os.environ.get(DEGREE_CAP_VAR, "6")),
+                           default=degree_cap,
                            help="search budget for auxiliary places "
                                 "(env %s)" % DEGREE_CAP_VAR)
             p.add_argument("--seed", type=int, default=0)
@@ -408,8 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Parse argv, dispatch, and map errors to documented exit codes."""
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except (HypothesisError, VerificationError) as exc:
         print("refused: %s" % exc, file=sys.stderr)

@@ -52,8 +52,10 @@ from .projective_line import ProjectiveLine
 from .square_class_spaces import (
     _clean_places,
     _f2_rank,
+    _kernel_basis,
     _local_bits,
     _product,
+    _reduce,
     _xor_insert,
     delta_space,
     g_rank,
@@ -443,38 +445,24 @@ def _sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
     post-twist bits at a place, a prescribed vector shifts linearly in
     x, y and the product xy, so the patterns solve an F_2 linear
     system with one extra consistency constraint, checked over the
-    solution set in a fixed order.  Returns the adjusted maps and the
-    generator images; raises VerificationError when no pattern works,
-    and SearchExhausted when the solution set was too large to walk.
+    solution set in a fixed order.  The system is solved by the shared
+    kernel: the relations among the residual columns of the unknowns,
+    listed highest unknown first, and of the prescription, listed last.
+    The least relation through the last column is the solution with
+    every free unknown zero; the other relations, lowest unknown first,
+    span the twist patterns that keep it a solution.  Returns the
+    adjusted maps and the generator images; raises VerificationError
+    when no pattern works, and SearchExhausted when the solution set was
+    too large to walk.
     """
-    # triangular basis of the embedded target, remembering combinations
-    triangular: Dict[int, Tuple[int, int]] = {}
+    # the embedded target, each row tagged with its generator's bit
+    shift = len(dst_gens)
+    target: Dict[int, int] = {}
     for k, c in enumerate(dst_gens):
-        v, combo = _local_bits(c, images), 1 << k
-        while v:
-            top = v.bit_length() - 1
-            if top not in triangular:
-                triangular[top] = (v, combo)
-                break
-            bv, bc = triangular[top]
-            v ^= bv
-            combo ^= bc
-        else:
+        if not _xor_insert(target, _local_bits(c, images) << shift | 1 << k
+                           ) >> shift:
             raise VerificationError("the target generators are dependent "
                                     "in their local data")
-
-    def reduce(v: int) -> Tuple[int, int]:
-        residual, combo = 0, 0
-        while v:
-            top = v.bit_length() - 1
-            if top in triangular:
-                bv, bc = triangular[top]
-                v ^= bv
-                combo ^= bc
-            else:
-                residual |= 1 << top
-                v &= (1 << top) - 1
-        return residual, combo
 
     # unknowns per place j: pre-twist 3j, post-twist 3j+1, product 3j+2
     prescribed = []
@@ -497,61 +485,29 @@ def _sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
         prescribed.append(v)
         twist_flips.append(flips)
 
+    # column nvars-1-k stacks every generator's residual for unknown k
     nvars = 3 * len(places)
-    equations = []
+    columns = [0] * (nvars + 1)
     for v, flips in zip(prescribed, twist_flips):
-        r_v = reduce(v)[0]
-        r_flips = [reduce(w)[0] if w else 0 for w in flips]
-        bits = r_v
-        for r in r_flips:
-            bits |= r
-        while bits:
-            pos = bits.bit_length() - 1
-            bits &= (1 << pos) - 1
-            coeffs = 0
-            for k, r in enumerate(r_flips):
-                coeffs |= (r >> pos & 1) << k
-            rhs = r_v >> pos & 1
-            if coeffs or rhs:
-                equations.append(coeffs << 1 | rhs)
-
+        for i, w in enumerate(flips[::-1] + [v]):
+            columns[i] = (columns[i] << 2 * len(images)
+                          | _reduce(target, w << shift) >> shift)
     no_pattern = VerificationError(
         "the prescribed local maps cannot be realized, even after "
         "tame adjustment")
-    solved: Dict[int, int] = {}
-    for eq in equations:
-        while eq:
-            top = eq.bit_length() - 1
-            if top == 0:
-                raise no_pattern
-            if top not in solved:
-                solved[top] = eq
-                break
-            eq ^= solved[top]
-    for top in sorted(solved, reverse=True):
-        row = solved[top]
-        for other in solved:
-            if other != top and solved[other] >> top & 1:
-                solved[other] ^= row
+    relations = _kernel_basis(columns)
+    if not relations or not relations[-1] >> nvars:
+        raise no_pattern
+    particular = relations.pop()
+    kernel = relations[::-1]
 
-    particular = 0
-    for top, row in solved.items():
-        particular |= (row & 1) << (top - 1)
-    free = [k for k in range(nvars) if k + 1 not in solved]
-    kernel = []
-    for f in free:
-        vec = 1 << f
-        for top, row in solved.items():
-            vec |= (row >> (f + 1) & 1) << (top - 1)
-        kernel.append(vec)
+    def unknown(assign: int, k: int) -> int:
+        return assign >> (nvars - 1 - k) & 1
 
     def consistent(assign: int) -> bool:
-        for j in range(len(places)):
-            x, y, z = (assign >> 3 * j & 1, assign >> (3 * j + 1) & 1,
-                       assign >> (3 * j + 2) & 1)
-            if z != (x & y):
-                return False
-        return True
+        return all(unknown(assign, 3 * j + 2)
+                   == unknown(assign, 3 * j) & unknown(assign, 3 * j + 1)
+                   for j in range(len(places)))
 
     twists = None
     walked = min(len(kernel), TWIST_KERNEL_BITS)
@@ -573,18 +529,18 @@ def _sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
     final_maps = []
     for j, lm in enumerate(local_maps):
         m = lm
-        if twists >> 3 * j & 1:
+        if unknown(twists, 3 * j):
             m = m.compose(LocalMap.tame_twist())
-        if twists >> (3 * j + 1) & 1:
+        if unknown(twists, 3 * j + 1):
             m = LocalMap.tame_twist().compose(m)
         final_maps.append(m)
     basis_images = []
     for v, flips in zip(prescribed, twist_flips):
         for k, w in enumerate(flips):
-            if twists >> k & 1:
+            if unknown(twists, k):
                 v ^= w
-        residual, combo = reduce(v)
-        assert residual == 0
+        combo = _reduce(target, v << shift)
+        assert combo >> shift == 0
         basis_images.append(_product(model, dst_gens, combo))
     return tuple(final_maps), tuple(basis_images)
 
@@ -617,9 +573,9 @@ def _realize_small_equivalence(model, places, images, local_maps
 # -- composition
 
 def _same_model(a, b) -> bool:
-    if type(a) is not type(b) or a.field.q != b.field.q:
+    if a.backend != b.backend or a.field.q != b.field.q:
         return False
-    return getattr(a, "f", None) == getattr(b, "f", None)
+    return a.backend != "elliptic_curve" or a.f == b.f
 
 
 def compose(c1: WildSetCertificate, c2: WildSetCertificate
@@ -903,7 +859,10 @@ def certificate_from_json(text: str) -> WildSetCertificate:
     certify again -- the claimed wild set is compared against the
     recomputed one and a mismatch is an error, not a warning.
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("the certificate is nested too deeply to read") from None
     if not isinstance(data, dict):
         raise ValueError("a certificate must be a JSON object")
     try:

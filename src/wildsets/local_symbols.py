@@ -60,10 +60,6 @@ def local_square_class(elem, place) -> SquareClass:
     return (e, 1 if chi < 0 else 0)
 
 
-def is_local_square(elem, place) -> bool:
-    return local_square_class(elem, place) == ONE
-
-
 def square_class_hilbert(a: SquareClass, b: SquareClass,
                          minus_one_square: bool) -> int:
     """Hilbert symbol of two square classes, +1 or -1.

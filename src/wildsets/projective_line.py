@@ -32,7 +32,6 @@ from .base_algebra import (
     poly_factor,
     poly_is_irreducible,
     poly_monic,
-    poly_mul,
     poly_norm,
     poly_parse,
     poly_str,
@@ -130,10 +129,6 @@ class Divisor:
     def __init__(self, coeffs: Optional[Mapping] = None):
         self.coeffs = {P: n for P, n in (coeffs or {}).items() if n}
 
-    @classmethod
-    def zero(cls) -> "Divisor":
-        return cls()
-
     @property
     def degree(self) -> int:
         return sum(n * P.degree for P, n in self.coeffs.items())
@@ -150,10 +145,6 @@ class Divisor:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_effective(self) -> bool:
-        return all(n > 0 for n in self.coeffs.values())
 
     def __add__(self, other: "Divisor") -> "Divisor":
         out = dict(self.coeffs)
@@ -181,7 +172,7 @@ class Divisor:
             return "0"
         parts = []
         for P, n in self.items():
-            term = "(%s)" % P if not getattr(P, "is_infinite", False) else "inf"
+            term = "inf" if P.is_infinite else "(%s)" % P
             if abs(n) != 1:
                 term = "%d*%s" % (abs(n), term)
             if not parts:
@@ -320,17 +311,6 @@ class RationalFunction:
         if any(e % 2 for e in self.factors.values()):
             return False
         return self.field.quad_char(self.constant) == 1
-
-    def to_fraction(self) -> Tuple[Poly, Poly]:
-        """Multiply the factored form back out into (numerator, denominator)."""
-        num, den = (self.constant,), (1,)
-        for p, e in self.factors.items():
-            for _ in range(abs(e)):
-                if e > 0:
-                    num = poly_mul(num, p, self.field)
-                else:
-                    den = poly_mul(den, p, self.field)
-        return num, den
 
     def __str__(self) -> str:
         parts = [const_str(self.constant, self.field)]

@@ -11,7 +11,9 @@ together, and the compatibility relation between 2-divisible places
 that later drives the assembly of large wild sets.
 
 All linear algebra over F_2 runs on integer bitmasks, through one
-triangular eliminator and the kernel routine built on it.  Questions
+triangular eliminator, its full reduction and the kernel routine built
+on them; the kernel also solves the tame-twist system behind the
+composition of certificates in equivalence_core.  Questions
 about the class group modulo doubles are elimination problems: each
 backend gives every place explicit coordinates in Pic/2Pic through
 pic_mod2 (the degree parity, plus on the elliptic curve the coordinates
@@ -74,6 +76,19 @@ def _xor_insert(basis: Dict[int, int], v: int) -> int:
     return 0
 
 
+def _reduce(basis: Dict[int, int], v: int) -> int:
+    """Clear every leading bit of the basis from v, highest first.
+
+    The result is the unique member of v + span(basis) with no bit at a
+    leading position, so it does not depend on which triangular basis of
+    the span is given.
+    """
+    for top in sorted(basis, reverse=True):
+        if v >> top & 1:
+            v ^= basis[top]
+    return v
+
+
 def _f2_rank(vectors: Sequence[int]) -> int:
     basis: Dict[int, int] = {}
     for v in vectors:
@@ -97,14 +112,10 @@ def _kernel_basis(vectors: Sequence[int]) -> List[int]:
     basis: Dict[int, int] = {}
     for i, v in enumerate(vectors):
         _xor_insert(basis, v << n | 1 << i)
-    kernel: List[int] = []
+    kernel: Dict[int, int] = {}
     for t in sorted(k for k in basis if k < n):
-        m = basis[t]
-        for r in reversed(kernel):
-            if m >> (r.bit_length() - 1) & 1:
-                m ^= r
-        kernel.append(m)
-    return kernel
+        kernel[t] = _reduce(kernel, basis[t])
+    return list(kernel.values())
 
 
 # -- shared helpers

@@ -9,6 +9,7 @@ import pytest
 from wildsets.base_algebra import (
     GF,
     MAX_PARSED_DEGREE,
+    MAX_PARSED_NESTING,
     QuadExtField,
     ResidueField,
     irreducibles_of_degree,
@@ -346,9 +347,26 @@ def test_poly_parse_negative_coefficients():
 
 def test_poly_parse_rejects_garbage():
     F = GF(5)
-    for s in ["t +", "(t", "t^", "x + 1", "t^-2"]:
+    for s in ["t +", "(t", "t^", "x + 1", "t^-2", "t/t", "1/0"]:
         with pytest.raises(ValueError):
             poly_parse(s, F)
+
+
+def test_poly_parse_divides_by_nonzero_constants():
+    F = GF(5)
+    assert poly_parse("t/2", F) == (0, 3)
+    assert poly_parse("(t^2 + 2)/(3 - 1) + t", F) == poly_parse("3t^2 + t + 1", F)
+
+
+def test_parentheses_nested_past_the_bound_are_rejected():
+    F = GF(5)
+    nested = lambda depth: "(" * depth + "t" + ")" * depth
+    assert poly_parse(nested(MAX_PARSED_NESTING), F) == (0, 1)
+    for depth in (MAX_PARSED_NESTING + 1, 3000):
+        with pytest.raises(ValueError, match="nested deeper"):
+            poly_parse(nested(depth), F)
+        with pytest.raises(ValueError, match="nested deeper"):
+            rat_parse("1/" + nested(depth), F)
 
 
 def test_poly_parse_generator_symbol():

@@ -128,6 +128,12 @@ def test_degree_cap_environment_override(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_malformed_degree_cap_environment_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("WILDSETS_DEGREE_CAP", "abc")
+    assert run(["ranks", "--q", "5", "--places", "t"]) == 2
+    assert "WILDSETS_DEGREE_CAP" in capsys.readouterr().err
+
+
 def test_unusable_input_exits_two(capsys):
     assert run(["hilbert", "--q", "6", "--a", "t", "--b", "2",
                 "--place", "t"]) == 2
@@ -230,6 +236,19 @@ def test_huge_exponents_exit_two_fast(tmp_path, capsys, good_certificate):
     code, err = verify_edited(tmp_path, capsys, data)
     assert (code, "above the bound" in err) == (2, True)
     assert time.process_time() - start < 5
+
+
+def test_deep_nesting_exits_two(tmp_path, capsys, good_certificate):
+    nested = "(" * 3000 + "t" + ")" * 3000
+    assert run(["ranks", "--q", "5", "--places", nested]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+    data = dict(good_certificate, quotient_basis=[nested] * 2)
+    code, err = verify_edited(tmp_path, capsys, data)
+    assert (code, "nested deeper" in err) == (2, True)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert run(["verify", "--cert", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_places_must_be_strings(tmp_path, capsys, good_certificate):

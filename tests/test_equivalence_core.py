@@ -9,6 +9,8 @@ Hilbert symbol in the expected data can be recomputed on paper.
 from __future__ import annotations
 
 import json
+import random
+from typing import Dict, Tuple
 
 import pytest
 
@@ -16,6 +18,7 @@ from wildsets.base_algebra import GF, poly_parse
 from wildsets.elliptic_curve import EllipticModel
 from wildsets.equivalence_core import (
     SMALL_EQUIVALENCE_CHECKS,
+    TWIST_KERNEL_BITS,
     PreEquivalence,
     SmallEquivalence,
     certificate_from_json,
@@ -31,9 +34,22 @@ from wildsets.equivalence_core import (
     wild_points,
 )
 from wildsets.errors import HypothesisError, SearchExhausted, VerificationError
-from wildsets.local_symbols import ONE, PI, U, U_PI, LocalMap
+from wildsets.local_symbols import (
+    ONE,
+    PI,
+    U,
+    U_PI,
+    LocalMap,
+    local_square_class,
+)
 from wildsets.projective_line import Place, ProjectiveLine
-from wildsets.square_class_spaces import g_rank, sing_space
+from wildsets.square_class_spaces import (
+    _kernel_basis as kernel_basis,
+    _local_bits,
+    _product,
+    g_rank,
+    sing_space,
+)
 
 SWAP = LocalMap(PI, U)
 FIX_PI = LocalMap(U_PI, PI)
@@ -406,3 +422,240 @@ def test_unknown_backend_and_missing_fields_are_rejected():
         partial = {k: v for k, v in good.items() if k != key}
         with pytest.raises(ValueError, match="missing"):
             certificate_from_json(json.dumps(partial))
+
+
+# -- the twist solve against the triangular solve it replaced
+#
+# The solve below is the earlier implementation of _sandwich_solve, kept
+# verbatim as the oracle: it ran its own triangular basis, Gauss-Jordan
+# pass and free-variable extraction instead of the shared F_2 kernel.
+
+def _oracle_sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
+    """Match prescribed local data to the embedded target, up to twists.
+
+    Pushing the local classes of each source generator through the
+    prescribed maps dictates where it must land -- provided the
+    prescription stays inside the span of the target generators' local
+    data.  When it does not, sandwiching a map between tame twists can
+    repair it: neither side of the sandwich moves the parity of the
+    image of u, so no wildness changes.  With x, y the pre- and
+    post-twist bits at a place, a prescribed vector shifts linearly in
+    x, y and the product xy, so the patterns solve an F_2 linear
+    system with one extra consistency constraint, checked over the
+    solution set in a fixed order.  Returns the adjusted maps and the
+    generator images; raises VerificationError when no pattern works,
+    and SearchExhausted when the solution set was too large to walk.
+    """
+    # triangular basis of the embedded target, remembering combinations
+    triangular: Dict[int, Tuple[int, int]] = {}
+    for k, c in enumerate(dst_gens):
+        v, combo = _local_bits(c, images), 1 << k
+        while v:
+            top = v.bit_length() - 1
+            if top not in triangular:
+                triangular[top] = (v, combo)
+                break
+            bv, bc = triangular[top]
+            v ^= bv
+            combo ^= bc
+        else:
+            raise VerificationError("the target generators are dependent "
+                                    "in their local data")
+
+    def reduce(v: int) -> Tuple[int, int]:
+        residual, combo = 0, 0
+        while v:
+            top = v.bit_length() - 1
+            if top in triangular:
+                bv, bc = triangular[top]
+                v ^= bv
+                combo ^= bc
+            else:
+                residual |= 1 << top
+                v &= (1 << top) - 1
+        return residual, combo
+
+    # unknowns per place j: pre-twist 3j, post-twist 3j+1, product 3j+2
+    prescribed = []
+    twist_flips = []
+    for b in src_gens:
+        v = 0
+        flips = []
+        for j, (P, lm) in enumerate(zip(places, local_maps)):
+            e0, s0 = local_square_class(b, P)
+            e, s = lm.apply((e0, s0))
+            v |= e << (2 * j) | s << (2 * j + 1)
+            iu_e, iu_s = lm.image_of_u
+            # pre-twist feeds the map u times the class instead
+            flips.append((iu_e << (2 * j) | iu_s << (2 * j + 1))
+                         if e0 else 0)
+            # post-twist flips the residue bit of odd-parity values,
+            # whose parity the pre-twist may itself have moved
+            flips.append(e << (2 * j + 1) if e else 0)
+            flips.append(1 << (2 * j + 1) if e0 and iu_e else 0)
+        prescribed.append(v)
+        twist_flips.append(flips)
+
+    nvars = 3 * len(places)
+    equations = []
+    for v, flips in zip(prescribed, twist_flips):
+        r_v = reduce(v)[0]
+        r_flips = [reduce(w)[0] if w else 0 for w in flips]
+        bits = r_v
+        for r in r_flips:
+            bits |= r
+        while bits:
+            pos = bits.bit_length() - 1
+            bits &= (1 << pos) - 1
+            coeffs = 0
+            for k, r in enumerate(r_flips):
+                coeffs |= (r >> pos & 1) << k
+            rhs = r_v >> pos & 1
+            if coeffs or rhs:
+                equations.append(coeffs << 1 | rhs)
+
+    no_pattern = VerificationError(
+        "the prescribed local maps cannot be realized, even after "
+        "tame adjustment")
+    solved: Dict[int, int] = {}
+    for eq in equations:
+        while eq:
+            top = eq.bit_length() - 1
+            if top == 0:
+                raise no_pattern
+            if top not in solved:
+                solved[top] = eq
+                break
+            eq ^= solved[top]
+    for top in sorted(solved, reverse=True):
+        row = solved[top]
+        for other in solved:
+            if other != top and solved[other] >> top & 1:
+                solved[other] ^= row
+
+    particular = 0
+    for top, row in solved.items():
+        particular |= (row & 1) << (top - 1)
+    free = [k for k in range(nvars) if k + 1 not in solved]
+    kernel = []
+    for f in free:
+        vec = 1 << f
+        for top, row in solved.items():
+            vec |= (row >> (f + 1) & 1) << (top - 1)
+        kernel.append(vec)
+
+    def consistent(assign: int) -> bool:
+        for j in range(len(places)):
+            x, y, z = (assign >> 3 * j & 1, assign >> (3 * j + 1) & 1,
+                       assign >> (3 * j + 2) & 1)
+            if z != (x & y):
+                return False
+        return True
+
+    twists = None
+    walked = min(len(kernel), TWIST_KERNEL_BITS)
+    for pick in range(1 << walked):
+        assign = particular
+        for k, vec in enumerate(kernel):
+            if pick >> k & 1:
+                assign ^= vec
+        if consistent(assign):
+            twists = assign
+            break
+    if twists is None:
+        if walked < len(kernel):
+            raise SearchExhausted(
+                "no consistent tame adjustment among the first 2^%d of 2^%d "
+                "twist patterns" % (walked, len(kernel)))
+        raise no_pattern
+
+    final_maps = []
+    for j, lm in enumerate(local_maps):
+        m = lm
+        if twists >> 3 * j & 1:
+            m = m.compose(LocalMap.tame_twist())
+        if twists >> (3 * j + 1) & 1:
+            m = LocalMap.tame_twist().compose(m)
+        final_maps.append(m)
+    basis_images = []
+    for v, flips in zip(prescribed, twist_flips):
+        for k, w in enumerate(flips):
+            if twists >> k & 1:
+                v ^= w
+        residual, combo = reduce(v)
+        assert residual == 0
+        basis_images.append(_product(model, dst_gens, combo))
+    return tuple(final_maps), tuple(basis_images)
+
+
+def _solve_outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (VerificationError, SearchExhausted) as exc:
+        return type(exc), str(exc)
+
+
+def _twist_cases(rng, count):
+    """Seeded solve inputs on the F_5/F_9/F_13 lines and an F_5 curve."""
+    models = [line(5), line(9), line(13),
+              EllipticModel(GF(5), poly_parse("t^3 + 4t", GF(5)))]
+    pools = [m.places_of_degree(1) + m.places_of_degree(2) for m in models]
+    for _ in range(count):
+        which = rng.randrange(len(models))
+        model, pool = models[which], pools[which]
+        n = rng.randint(1, 4)
+        places = tuple(rng.sample(pool, n))
+        images = places if rng.random() < 0.5 else tuple(rng.sample(pool, n))
+        choices = LocalMap.all_maps()
+        if rng.random() < 0.5:
+            choices = [LocalMap.identity(), LocalMap.tame_twist(), FIX_PI]
+        maps = tuple(rng.choice(choices) for _ in range(n))
+        if rng.random() < 0.5:
+            src = sing_space(model, places).generators
+            dst = sing_space(model, images).generators
+        else:
+            try:
+                src = quotient_basis(model, places)
+                dst = quotient_basis(model, images)
+            except VerificationError:
+                continue
+        yield model, places, images, maps, src, dst
+
+
+def test_twist_solve_matches_the_triangular_solve(monkeypatch):
+    import wildsets.equivalence_core as core
+
+    seen = []
+
+    def recording(columns):
+        relations = kernel_basis(columns)
+        seen.append(list(relations))
+        return relations
+
+    monkeypatch.setattr(core, "_kernel_basis", recording)
+    rng = random.Random(4096)
+    tally = {"kernel": 0, "particular": 0, "no_pattern": 0,
+             "dependent": 0, "exhausted": 0, "cases": 0}
+    full = core.TWIST_KERNEL_BITS
+    for args in _twist_cases(rng, 240):
+        tally["cases"] += 1
+        for bits in (full, 0):
+            monkeypatch.setattr(core, "TWIST_KERNEL_BITS", bits)
+            monkeypatch.setitem(globals(), "TWIST_KERNEL_BITS", bits)
+            del seen[:]
+            new = _solve_outcome(core._sandwich_solve, *args)
+            assert new == _solve_outcome(_oracle_sandwich_solve, *args)
+            if bits == 0 and new[0] is SearchExhausted:
+                tally["exhausted"] += 1
+            if bits == 0:
+                continue
+            if new[0] is VerificationError:
+                key = "dependent" if "dependent" in new[1] else "no_pattern"
+                tally[key] += 1
+            nvars = 3 * len(args[1])
+            if seen and seen[0] and seen[0][-1] >> nvars:
+                tally["kernel"] += len(seen[0]) > 1
+                tally["particular"] += seen[0][-1] != 1 << nvars
+    assert tally["cases"] >= 200
+    for key in ("kernel", "particular", "no_pattern", "exhausted"):
+        assert tally[key] >= 10, tally

@@ -12,7 +12,6 @@ from wildsets.local_symbols import (
     U_PI,
     LocalMap,
     hilbert_symbol,
-    is_local_square,
     local_square_class,
     minus_one_is_square,
     reciprocity_product,
@@ -67,7 +66,7 @@ def test_local_square_class_fixed_values():
     assert local_square_class(parse("4"), at_t) == ONE
     assert local_square_class(parse("t - 1"), at_t) == ONE  # residue -1 = 2^2
     assert local_square_class(parse("t"), inf) == PI
-    assert is_local_square(parse("4 * (t)^2"), at_t)
+    assert local_square_class(parse("4 * (t)^2"), at_t) == ONE
 
 
 def test_local_square_class_is_multiplicative():

@@ -151,7 +151,7 @@ def test_divisor_arithmetic():
     assert (2 * D).get(Q) == 4
     assert (D + Divisor({P: -1})).get(P) == 0
     assert D.support() == [inf, P, Q]
-    assert Divisor({P: 1}) + Divisor({P: -1}) == Divisor.zero()
+    assert Divisor({P: 1}) + Divisor({P: -1}) == Divisor()
 
 
 def test_divisor_str():
@@ -244,13 +244,6 @@ def test_is_square():
     assert not t.is_square()
     assert not (RationalFunction(F, 2) * t * t).is_square()  # 2 is not a square mod 5
     assert RationalFunction(F, 4).is_square()
-
-
-def test_to_fraction_roundtrip():
-    F = GF(7)
-    e = RationalFunction.parse(F, "4 * (t + 2)^2 * (t^2 + 1)^-1")
-    num, den = e.to_fraction()
-    assert RationalFunction.from_poly(F, num) / RationalFunction.from_poly(F, den) == e
 
 
 def test_str_roundtrip_extension_constants():
