@@ -630,6 +630,13 @@ def _ydict_neg(a, F: Fq):
     return {k: poly_neg(c, F) for k, c in a.items()}
 
 
+def _quoted(text: str) -> str:
+    """Input text for an error message: its repr, cut after 60 characters."""
+    if len(text) <= 60:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:60], len(text))
+
+
 class _RatParser:
     """Recursive-descent parser for quotient expressions in t (and y).
 
@@ -648,7 +655,8 @@ class _RatParser:
         self.allow_y = allow_y
 
     def error(self, msg: str):
-        raise ValueError("bad polynomial %r: %s (at index %d)" % (self.s, msg, self.i))
+        raise ValueError("bad polynomial %s: %s (at index %d)"
+                         % (_quoted(self.s), msg, self.i))
 
     def peek(self) -> str:
         return self.s[self.i] if self.i < len(self.s) else ""
@@ -791,8 +799,8 @@ def poly_parse(s: str, F: Fq) -> Poly:
     num, den = rat_parse(s, F)
     den = den[0]
     if len(den) != 1:
-        raise ValueError("bad polynomial %r: the denominator %s is not a "
-                         "constant" % (s, poly_str(den, "t", F)))
+        raise ValueError("bad polynomial %s: the denominator %s is not a "
+                         "constant" % (_quoted(s), poly_str(den, "t", F)))
     return poly_scalar(num.get(0, ()), F.inv(den[0]), F)
 
 

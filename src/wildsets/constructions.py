@@ -28,16 +28,20 @@ from .equivalence_core import (
 from .errors import HypothesisError, SearchExhausted, VerificationError
 from .local_symbols import (
     ONE,
-    PI,
     U,
-    U_PI,
     LocalMap,
     local_square_class,
     minus_one_is_square,
     square_class_mul,
 )
 from .projective_line import Divisor
-from .square_class_spaces import _f2_rank, _product, g_rank, smile
+from .square_class_spaces import (
+    _f2_rank,
+    _global_even_generators,
+    _product,
+    g_rank,
+    smile,
+)
 
 __all__ = [
     "construct_rank0",
@@ -71,12 +75,10 @@ def _even_class_witness(model, D: Divisor):
 def _global_even_elements(model) -> List:
     """Nontrivial classes of even order at every single place.
 
-    Spanned by one nonsquare constant together with the witnesses of
-    the 2-torsion classes; the products are enumerated in a fixed
-    order so that every scan over them is deterministic.
+    The products of the global even-order generators, enumerated in a
+    fixed order so that every scan over them is deterministic.
     """
-    gens = [model.constant(model.field.nonsquare())]
-    gens.extend(model.two_torsion_witnesses())
+    gens = _global_even_generators(model)
     return [_product(model, gens, mask) for mask in range(1, 1 << len(gens))]
 
 
@@ -91,35 +93,6 @@ def _sing_element(model, nonsquare_at: Sequence, square_at: Sequence = ()):
         % (", ".join(str(P) for P in nonsquare_at),
            " and a square at {%s}" % ", ".join(str(P) for P in square_at)
            if square_at else ""))
-
-
-def _map_from_action(a, fa, b, fb) -> LocalMap:
-    """The local map sending the class a to fa and b to fb.
-
-    The two sources must be distinct and nontrivial; together with
-    their product they exhaust the nontrivial classes, which pins the
-    map completely.
-    """
-    vals = {a: fa, b: fb, square_class_mul(a, b): square_class_mul(fa, fb)}
-    return LocalMap(vals[U], vals[PI])
-
-
-def _map_sending_u(x) -> LocalMap:
-    """u goes to x; the image of pi is the first legal leftover."""
-    for ip in (U, PI, U_PI):
-        if ip != x:
-            return LocalMap(x, ip)
-    raise AssertionError("unreachable: three candidates, one exclusion")
-
-
-def _map_sending_to_u(y) -> LocalMap:
-    """The class y goes to u; y must have odd order parity."""
-    if y == PI:
-        return LocalMap(PI, U)
-    if y == U_PI:
-        # u*pi must land on u, so the images of u and pi multiply to u
-        return LocalMap(PI, U_PI)
-    raise AssertionError("y has even parity; the diagram cannot force it")
 
 
 def _require_distinct(places) -> Tuple:
@@ -155,7 +128,7 @@ def _singleton_certificate(model, q, degree_cap: int) -> WildSetCertificate:
     """
     lam = _even_class_witness(model, _single(q))
     cls = local_square_class(lam, q)
-    lm = _map_from_action(cls, cls, U, square_class_mul(U, cls))
+    lm = LocalMap.from_pairs([(cls, cls), (U, square_class_mul(U, cls))])
     pe = PreEquivalence(model, (q,), (q,), (lam,), (lam,), (lm,))
     return certify(extend_pre_equivalence(pe, degree_cap))
 
@@ -208,17 +181,16 @@ def construct_rank1_pair(model, p, q, degree_cap: int = 6
             mu = mu * lam
         w = local_square_class(mu, q)
         pe = PreEquivalence(model, (p, q), (q, p), (lam, mu), (mu, lam),
-                            (_map_sending_u(w), _map_sending_to_u(w)))
+                            (LocalMap.from_pairs([(U, w)]),
+                             LocalMap.from_pairs([(w, U)])))
     else:
         # neither is divisible, but rank 1 makes their sum divisible
         lam = _sing_element(model, nonsquare_at=(p,))
         assert local_square_class(lam, q) != ONE, \
             "reciprocity should spread the nonsquare to the other place"
         mu = _even_class_witness(model, _single(p) + _single(q))
-        maps = tuple(
-            _map_from_action(U, local_square_class(mu, r),
-                             local_square_class(mu, r), U)
-            for r in (p, q))
+        maps = tuple(LocalMap.from_pairs([(U, c), (c, U)])
+                     for c in (local_square_class(mu, r) for r in (p, q)))
         pe = PreEquivalence(model, (p, q), (p, q), (lam, mu), (mu, lam),
                             maps)
     cert = certify(extend_pre_equivalence(pe, degree_cap))
@@ -317,7 +289,7 @@ def _fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
         for P, Q in zip(places, targets):
             pairs = [(local_square_class(b, P), local_square_class(g, Q))
                      for b, g in zip(basis, images)]
-            lm = _klein_map_from_pairs(pairs)
+            lm = LocalMap.from_pairs(pairs)
             if lm is None or not lm.is_wild:
                 break
             maps.append(lm)
@@ -330,34 +302,6 @@ def _fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
         "no combination of the witnesses realizes a wild triple; the "
         "search space is complete, so a hypothesis must have failed "
         "undetected")
-
-
-def _klein_map_from_pairs(pairs):
-    """The deterministic local map matching (source, image) class pairs.
-
-    Returns None when no automorphism fits: a trivial class paired
-    with a nontrivial one, conflicting images, or a collapse of two
-    distinct sources.  Unconstrained values are completed in a fixed
-    order.
-    """
-    vals = {}
-    for s, d in pairs:
-        if (s == ONE) != (d == ONE):
-            return None
-        if s == ONE:
-            continue
-        if vals.setdefault(s, d) != d:
-            return None
-    if len(set(vals.values())) != len(vals):
-        return None
-    taken = set(vals.values())
-    for s in (U, PI, U_PI):
-        if s not in vals:
-            vals[s] = next(d for d in (U, PI, U_PI) if d not in taken)
-            taken.add(vals[s])
-    # an injective assignment of the three nontrivial classes is
-    # automatically multiplicative, so no closing check is needed
-    return LocalMap(vals[U], vals[PI])
 
 
 # -- rank 1, any size

@@ -30,7 +30,6 @@ function with a prescribed principal divisor.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .base_algebra import (
@@ -608,9 +607,6 @@ class EllipticModel:
             got = self._of_degree[d] = tuple(out + finite)
         return list(got)
 
-    def residue_field(self, place: CurvePlace):
-        return place.residue_field()
-
     def parse_place(self, s: str) -> CurvePlace:
         """Parse 'inf' or '(base; kind)' / '(base; split; branch)'."""
         text = s.strip()
@@ -699,28 +695,6 @@ class EllipticModel:
             Q = self.add_points(Q, Q)
             n >>= 1
         return R
-
-    def _point_order(self, P: Point) -> int:
-        k, Q = 1, P
-        while Q is not None:
-            Q = self.add_points(Q, P)
-            k += 1
-        return k
-
-    def group_order(self) -> int:
-        return len(self.rational_points())
-
-    def group_invariants(self) -> Tuple[int, ...]:
-        """Invariant factors (d1, d2) with d1 | d2, or (n,) if cyclic."""
-        N = self.group_order()
-        exp = 1
-        for P in self.rational_points():
-            exp = math.lcm(exp, self._point_order(P))
-        n1 = N // exp
-        assert n1 * exp == N and (n1 == 1 or exp % n1 == 0)
-        if n1 == 1:
-            return (exp,) if exp > 1 else ()
-        return (n1, exp)
 
     def _doubles_set(self) -> frozenset:
         if self._doubles is None:
@@ -845,30 +819,6 @@ class EllipticModel:
                 return Divisor({self.place_of_rational_point(H): 1,
                                 self.infinity: k - 1})
         return None
-
-    def pic_complement_two_rank(self, places) -> int:
-        """F_2-rank of the class group after removing the given places.
-
-        Pic tensor F_2 is Z/2 (degree parity) plus E/2E; the classes of
-        the removed places span a subgroup, and the answer is the
-        codimension of that span.
-        """
-        doubles = sorted(self._doubles_set(), key=_point_key)
-
-        def rep(P: Point) -> Point:
-            return min((self.add_points(P, d) for d in doubles), key=_point_key)
-
-        identity = (0, rep(None))
-        span = {identity}
-        for P in places:
-            g = (P.degree & 1, rep(self.pic_class_of_place(P)))
-            if g in span:
-                continue
-            span |= {(h[0] ^ g[0], rep(self.add_points(h[1], g[1]))) for h in span}
-        k = len(span).bit_length() - 1
-        assert 1 << k == len(span)
-        r2 = self.pic_zero_two_rank()
-        return 1 + r2 - k
 
     # -- points <-> degree-one places
 

@@ -18,10 +18,14 @@ element of the locally trivial subspace, chosen to see exactly that
 element, and patch the basis to be locally trivial at the new places --
 is followed step by step in extend_pre_equivalence.
 
-Verification never trusts the certificate: bases are rechecked for
-membership and independence through their local data, the local/global
-compatibility square is evaluated on every basis element, and symbol
-preservation and the fate of -1 are spot-checked on all basis pairs.
+Verification never trusts the certificate, and both shapes go through
+one body.  It rechecks membership of the bases through their divisors,
+then tabulates the local square class of every basis element at every
+removed place and of every image at its target place, once per side.
+Independence of the local data, the local/global compatibility square
+on every basis element and, for small equivalences, Hilbert-symbol
+preservation on all basis pairs are all read off those two tables; the
+fate of -1 is checked at every place.
 Composition glues two certificates with disjoint wild loci; when the
 prescribed local maps cannot be realized by any global basis map, tame
 twists -- which never change wildness -- are searched for by an F_2
@@ -43,8 +47,9 @@ from .errors import HypothesisError, SearchExhausted, VerificationError
 from .local_symbols import (
     ONE,
     LocalMap,
-    hilbert_symbol,
     local_square_class,
+    minus_one_is_square,
+    square_class_hilbert,
     square_class_parse,
     square_class_str,
 )
@@ -59,6 +64,7 @@ from .square_class_spaces import (
     _xor_insert,
     delta_space,
     g_rank,
+    pic_complement_two_rank,
     sing_space,
 )
 
@@ -75,7 +81,6 @@ __all__ = [
     "compose",
     "extend_pre_equivalence",
     "check_necessary_condition",
-    "check_rank_preservation",
     "certificate_to_json",
     "certificate_from_json",
 ]
@@ -222,8 +227,14 @@ def quotient_basis(model, S) -> Tuple:
 
 # -- verification
 
-def _basis_check(model, places, elements, failures, side) -> bool:
-    """Even order outside the places, independent local data, full count."""
+def _side_classes(places, elements, failures, side):
+    """Check one side's basis and tabulate its local square classes.
+
+    The basis needs one element per place, even order off the places
+    and independent local data at them.  Returns whether it passes and
+    the table whose row i holds the class of elements[i] at each place
+    in order; the later checks read their classes off this table.
+    """
     ok = True
     if len(elements) != len(places):
         failures.append("%s basis has %d elements for %d places"
@@ -237,28 +248,73 @@ def _basis_check(model, places, elements, failures, side) -> bool:
                                 % (side, b, P))
                 ok = False
                 break
-    rows = [_local_bits(b, places) for b in elements]
+    table = [[local_square_class(b, P) for P in places] for b in elements]
+    rows = [sum((e | s << 1) << 2 * j for j, (e, s) in enumerate(row))
+            for row in table]
     if _f2_rank(rows) != len(elements):
         failures.append("%s basis is dependent modulo the locally trivial "
                         "classes" % side)
         ok = False
-    return ok
+    return ok, table
 
 
-def _diagram_check(matching, basis, images, failures) -> bool:
-    """The local data of each image matches the mapped data of its source."""
-    ok = True
-    for b, m in zip(basis, images):
-        for P, Q, lm in zip(matching.places, matching.images,
-                            matching.local_maps):
-            if lm.apply(local_square_class(b, P)) != local_square_class(m, Q):
+def _verification_report(matching, basis, images, small: bool) -> dict:
+    """The checks of both certificate shapes, over one class table per side.
+
+    Every shape gets injectivity, both bases, the unit class and the
+    diagram; a small equivalence first has its domain checked and then
+    also gets symbol preservation and the class of -1.
+    """
+    places, targets = matching.places, matching.images
+    maps = matching.local_maps
+    report = {}
+    if small:
+        leftover = pic_complement_two_rank(matching.model, places)
+        if leftover != 0:
+            raise HypothesisError(
+                "the removed set leaves class rank %d; a small equivalence "
+                "needs rank 0" % leftover)
+        report["domain_rank_zero"] = True
+    failures: List[str] = []
+    report["injective"] = len(set(targets)) == len(targets)
+    if not report["injective"]:
+        failures.append("two places share an image")
+    report["source_basis"], src = _side_classes(places, basis, failures,
+                                                "source")
+    report["target_basis"], dst = _side_classes(targets, images, failures,
+                                                "target")
+    report["unit_class_fixed"] = all(m.apply(ONE) == ONE for m in maps)
+    report["diagram_commutes"] = True
+    for b, row, image_row in zip(basis, src, dst):
+        for P, lm, a, t in zip(places, maps, row, image_row):
+            if lm.apply(a) != t:
                 failures.append("diagram breaks at %s on %s" % (P, b))
-                ok = False
-    return ok
+                report["diagram_commutes"] = False
 
+    if small:
+        report["symbols_preserved"] = True
+        flags = [(minus_one_is_square(P), minus_one_is_square(Q))
+                 for P, Q in zip(places, targets)]
+        for i in range(len(basis)):
+            for k in range(i, len(basis)):
+                for j, (P, (sq, tq)) in enumerate(zip(places, flags)):
+                    if square_class_hilbert(src[i][j], src[k][j], sq) != \
+                            square_class_hilbert(dst[i][j], dst[k][j], tq):
+                        failures.append("symbol of (%s, %s) changes at %s"
+                                        % (basis[i], basis[k], P))
+                        report["symbols_preserved"] = False
 
-def _unit_class_check(local_maps) -> bool:
-    return all(m.apply(ONE) == ONE for m in local_maps)
+        minus_one = matching.model.constant(matching.model.field.neg(1))
+        report["minus_one_fixed"] = True
+        for P, Q, lm in zip(places, targets, maps):
+            if lm.apply(local_square_class(minus_one, P)) != \
+                    local_square_class(minus_one, Q):
+                failures.append("the class of -1 is not preserved at %s" % P)
+                report["minus_one_fixed"] = False
+
+    report["passes"] = all(report.values())
+    report["failures"] = tuple(failures)
+    return report
 
 
 def verify_pre_equivalence(pe: PreEquivalence) -> dict:
@@ -269,26 +325,8 @@ def verify_pre_equivalence(pe: PreEquivalence) -> dict:
     the trivial class, and commutation of the local/global square --
     plus the list of specific failures.  Nothing is repaired silently.
     """
-    failures: List[str] = []
-    injective = len(set(pe.images)) == len(pe.images)
-    if not injective:
-        failures.append("two places share an image")
-    source = _basis_check(pe.model, pe.places, pe.quotient_basis,
-                          failures, "source")
-    target = _basis_check(pe.model, pe.images, pe.quotient_images,
-                          failures, "target")
-    units = _unit_class_check(pe.local_maps)
-    diagram = _diagram_check(pe, pe.quotient_basis, pe.quotient_images,
-                             failures)
-    return {
-        "injective": injective,
-        "source_basis": source,
-        "target_basis": target,
-        "unit_class_fixed": units,
-        "diagram_commutes": diagram,
-        "passes": injective and source and target and units and diagram,
-        "failures": tuple(failures),
-    }
+    return _verification_report(pe, pe.quotient_basis, pe.quotient_images,
+                                 small=False)
 
 
 # the boolean checks of verify_small_equivalence, besides "passes"
@@ -309,53 +347,8 @@ def verify_small_equivalence(se: SmallEquivalence) -> dict:
     spot-checks Hilbert symbol preservation on all basis pairs at all
     removed places, and that every local map fixes the class of -1.
     """
-    model = se.model
-    leftover = model.pic_complement_two_rank(se.places)
-    if leftover != 0:
-        raise HypothesisError(
-            "the removed set leaves class rank %d; a small equivalence "
-            "needs rank 0" % leftover)
-    failures: List[str] = []
-    injective = len(set(se.images)) == len(se.images)
-    if not injective:
-        failures.append("two places share an image")
-    source = _basis_check(model, se.places, se.sing_basis, failures, "source")
-    target = _basis_check(model, se.images, se.sing_images, failures, "target")
-    units = _unit_class_check(se.local_maps)
-    diagram = _diagram_check(se, se.sing_basis, se.sing_images, failures)
-
-    symbols = True
-    pairs = [(a, b) for i, a in enumerate(se.sing_basis)
-             for b in se.sing_basis[i:]]
-    image_pairs = [(a, b) for i, a in enumerate(se.sing_images)
-                   for b in se.sing_images[i:]]
-    for (a, b), (ta, tb) in zip(pairs, image_pairs):
-        for P, Q in zip(se.places, se.images):
-            if hilbert_symbol(a, b, P) != hilbert_symbol(ta, tb, Q):
-                failures.append("symbol of (%s, %s) changes at %s" % (a, b, P))
-                symbols = False
-
-    minus_one = model.constant(model.field.neg(1))
-    fixed = True
-    for P, Q, lm in zip(se.places, se.images, se.local_maps):
-        if lm.apply(local_square_class(minus_one, P)) != local_square_class(
-                minus_one, Q):
-            failures.append("the class of -1 is not preserved at %s" % P)
-            fixed = False
-
-    return {
-        "domain_rank_zero": True,
-        "injective": injective,
-        "source_basis": source,
-        "target_basis": target,
-        "unit_class_fixed": units,
-        "diagram_commutes": diagram,
-        "symbols_preserved": symbols,
-        "minus_one_fixed": fixed,
-        "passes": (injective and source and target and units and diagram
-                   and symbols and fixed),
-        "failures": tuple(failures),
-    }
+    return _verification_report(se, se.sing_basis, se.sing_images,
+                                 small=True)
 
 
 def wild_points(se: SmallEquivalence) -> frozenset:
@@ -401,17 +394,6 @@ def _rank_preservation_report(se: SmallEquivalence) -> dict:
         "delta_ranks_equal": delta_src == delta_dst,
         "passes": src == dst and in_target and delta_src == delta_dst,
     }
-
-
-def check_rank_preservation(cert: WildSetCertificate) -> dict:
-    """Recheck that the certificate preserves the three rank invariants.
-
-    The class rank of the removed set, membership of the basis images
-    in the target even-order classes, and the rank of the locally
-    trivial subspace must all carry over; each is recomputed from
-    scratch on both sides.
-    """
-    return _rank_preservation_report(cert.equivalence)
 
 
 def certify(se: SmallEquivalence) -> WildSetCertificate:
@@ -557,7 +539,7 @@ def _realize_small_equivalence(model, places, images, local_maps
     places = tuple(places)
     images = tuple(images)
     for side, removed in (("source", places), ("target", images)):
-        leftover = model.pic_complement_two_rank(removed)
+        leftover = pic_complement_two_rank(model, removed)
         if leftover != 0:
             raise HypothesisError(
                 "the %s set leaves class rank %d; realization needs rank 0"

@@ -14,7 +14,7 @@ their wildness -- is bookkeeping on these pairs.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 SquareClass = Tuple[int, int]
 
@@ -123,14 +123,33 @@ class LocalMap:
         return cls(U, U_PI)
 
     @classmethod
-    def all_maps(cls):
-        """All six automorphisms, in a fixed order."""
-        out = []
-        for iu in (U, PI, U_PI):
-            for ip in (U, PI, U_PI):
-                if iu != ip:
-                    out.append(cls(iu, ip))
-        return out
+    def from_pairs(cls, pairs) -> Optional["LocalMap"]:
+        """The deterministic map sending each source class to its image.
+
+        Returns None when no automorphism fits: a trivial class paired
+        with a nontrivial one, conflicting images, or a collapse of two
+        distinct sources.  Each nontrivial class left unconstrained, in
+        the order u, pi, u*pi, takes the first image in that order not
+        yet taken.
+        """
+        vals = {}
+        for s, d in pairs:
+            if (s == ONE) != (d == ONE):
+                return None
+            if s == ONE:
+                continue
+            if vals.setdefault(s, d) != d:
+                return None
+        if len(set(vals.values())) != len(vals):
+            return None
+        taken = set(vals.values())
+        for s in (U, PI, U_PI):
+            if s not in vals:
+                vals[s] = next(d for d in (U, PI, U_PI) if d not in taken)
+                taken.add(vals[s])
+        # an injective assignment of the three nontrivial classes is
+        # automatically multiplicative, so no closing check is needed
+        return cls(vals[U], vals[PI])
 
     def apply(self, a: SquareClass) -> SquareClass:
         e, s = a
@@ -153,12 +172,6 @@ class LocalMap:
         """The map 'self after inner'."""
         return LocalMap(self.apply(inner.image_of_u), self.apply(inner.image_of_pi))
 
-    def inverse(self) -> "LocalMap":
-        for m in self.all_maps():
-            if self.compose(m).is_identity:
-                return m
-        raise AssertionError("unreachable: Klein-four automorphisms form a group")
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, LocalMap) and self.image_of_u == other.image_of_u
                 and self.image_of_pi == other.image_of_pi)
@@ -169,17 +182,3 @@ class LocalMap:
     def __repr__(self) -> str:
         return "LocalMap(u -> %s, pi -> %s)" % (square_class_str(self.image_of_u),
                                                 square_class_str(self.image_of_pi))
-
-    def preserves_hilbert_pairing(self, minus_one_square: bool) -> bool:
-        """Whether the map respects the symbol at a place with this chi(-1).
-
-        When -1 is a local square every automorphism does; otherwise only
-        the two tame ones survive.
-        """
-        classes = (ONE, U, PI, U_PI)
-        for a in classes:
-            for b in classes:
-                if (square_class_hilbert(self.apply(a), self.apply(b), minus_one_square)
-                        != square_class_hilbert(a, b, minus_one_square)):
-                    return False
-        return True

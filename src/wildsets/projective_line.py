@@ -19,7 +19,6 @@ against the matching power of t.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .base_algebra import (
@@ -355,9 +354,6 @@ class ProjectiveLine:
             got = self._of_degree[d] = tuple(out)
         return list(got)
 
-    def residue_field(self, place: Place):
-        return place.residue_field()
-
     def parse_place(self, s: str) -> Place:
         """Parse 'inf' or the text of an irreducible polynomial in t."""
         text = s.strip()
@@ -409,17 +405,6 @@ class ProjectiveLine:
     def two_torsion_witnesses(self) -> List[RationalFunction]:
         """Functions whose divisors are twice a 2-torsion class (none here)."""
         return []
-
-    def pic_complement_two_rank(self, places) -> int:
-        """F_2-rank of the class group after removing the given places.
-
-        Removing S leaves Z / gcd(deg P : P in S), whose 2-rank is 1
-        exactly when that gcd is even or S is empty.
-        """
-        d = 0
-        for P in places:
-            d = math.gcd(d, P.degree)
-        return 1 if d % 2 == 0 else 0
 
     def function_with_divisor(self, D: Divisor) -> RationalFunction:
         """The constant-1 function with the given principal divisor."""

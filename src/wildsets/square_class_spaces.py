@@ -19,10 +19,12 @@ backend gives every place explicit coordinates in Pic/2Pic through
 pic_mod2 (the degree parity, plus on the elliptic curve the coordinates
 of the place's point in E(F_q)/2E(F_q), fixed once per model).  The
 relations among the classes of S are the kernel of those rows, and the
-rank of the classes is the rank of the rows.  The backend's
-two_divisible and the direct and backend routes of
-check_pic_rank_formula never read the coordinates, so a wrong table is
-caught there.
+rank of the classes is the rank of the rows; pic_complement_two_rank
+turns it into the rank of the punctured class group modulo doubles,
+1 + (2-rank of Pic^0) minus it.  The routes that never read the
+coordinates catch a wrong table: the backend's two_divisible, the direct
+route _pic_two_rank_direct of check_pic_rank_formula, and the oracles
+of the tests.
 
 Independence of square classes is established by their local data
 (order parity and residue character) at a finite separating set of
@@ -54,7 +56,7 @@ __all__ = [
     "g_rank",
     "check_lin_dep_lemma",
     "check_pic_rank_formula",
-    "check_odd_degree_transfer",
+    "pic_complement_two_rank",
     "smile",
 ]
 
@@ -138,6 +140,16 @@ def _dependency_masks(model, S: Sequence) -> List[int]:
     the least subset that it closes.
     """
     return _kernel_basis([model.pic_mod2(P) for P in S])
+
+
+def _global_even_generators(model) -> List:
+    """Classes of even order at every place, independent modulo squares.
+
+    The smallest nonsquare constant, then one witness per independent
+    2-torsion class of the degree-zero class group, in that order.
+    """
+    return [model.constant(model.field.nonsquare())] + \
+        model.two_torsion_witnesses()
 
 
 def _product(model, gens: Sequence, mask: int):
@@ -251,8 +263,7 @@ def sing_space(model, S) -> SquareClassSpace:
     odd-order places are exactly the subset.
     """
     S = _clean_places(S)
-    gens = [model.constant(model.field.nonsquare())]
-    gens.extend(model.two_torsion_witnesses())
+    gens = _global_even_generators(model)
     for mask in _dependency_masks(model, S):
         D = Divisor({P: 1 for i, P in enumerate(S) if mask >> i & 1})
         half = model.halve_in_pic(D)
@@ -278,7 +289,7 @@ def delta_space(model, S) -> SquareClassSpace:
             if local_square_class(g, P) != (0, 0):
                 raise VerificationError(
                     "generator %s is not a local square at %s" % (g, P))
-    expected = 1 + model.pic_zero_two_rank() - g_rank(model, S).rank
+    expected = pic_complement_two_rank(model, S)
     if space.rank != expected:
         raise VerificationError(
             "computed rank %d, but the class-group identity gives %d"
@@ -311,6 +322,18 @@ def g_rank(model, S) -> GYRank:
     basis: Dict[int, int] = {}
     chosen = tuple(P for P in S if _xor_insert(basis, model.pic_mod2(P)))
     return GYRank(tuple(S), len(chosen), chosen)
+
+
+def pic_complement_two_rank(model, S) -> int:
+    """F_2-rank of the class group after removing the places of S.
+
+    Pic modulo doubles has rank 1 (the degree parity) plus the 2-rank
+    of the degree-zero part; removing S divides out the span of the
+    classes of S, whose rank is the rank of their pic_mod2 rows.  S may
+    be empty.
+    """
+    return 1 + model.pic_zero_two_rank() - _f2_rank(
+        [model.pic_mod2(P) for P in S])
 
 
 # -- executable identities
@@ -348,19 +371,16 @@ def check_pic_rank_formula(model, S) -> dict:
     group: on the line it is cyclic of order gcd of the degrees; on the
     curve the quotient of the point group by the subgroup the removed
     places generate is enumerated, which needs the infinite place to be
-    removed.  The backend's own pic_complement_two_rank is compared as
-    a third route.
+    removed.  Only the formula side reads the pic_mod2 coordinates.
     """
     S = _clean_places(S)
-    formula = 1 + model.pic_zero_two_rank() - g_rank(model, S).rank
+    formula = pic_complement_two_rank(model, S)
     direct = _pic_two_rank_direct(model, S)
-    backend = model.pic_complement_two_rank(S)
-    if not (formula == direct == backend):
+    if formula != direct:
         raise VerificationError(
-            "punctured class group ranks disagree: formula %d, direct %d, "
-            "backend %d" % (formula, direct, backend))
-    return {"formula_rank": formula, "direct_rank": direct,
-            "backend_rank": backend}
+            "punctured class group ranks disagree: formula %d, direct %d"
+            % (formula, direct))
+    return {"formula_rank": formula, "direct_rank": direct}
 
 
 def _pic_two_rank_direct(model, S) -> int:
@@ -393,29 +413,6 @@ def _pic_two_rank_direct(model, S) -> int:
     return rank
 
 
-def check_odd_degree_transfer(model, place, D: Divisor) -> dict:
-    """2-divisibility transfers through the removal of an odd-degree place.
-
-    The class of D is 2-divisible on the complete curve exactly when it
-    is 2-divisible off the chosen place and has even degree; the two
-    sides are computed separately and compared.
-    """
-    if place.degree % 2 == 0:
-        raise ValueError("the transfer needs a place of odd degree")
-    if D.get(place):
-        raise ValueError("the divisor must avoid the chosen place")
-    complete = model.two_divisible(D)
-    even = D.degree % 2 == 0
-    punctured = (model.two_divisible(D)
-                 or model.two_divisible(D - Divisor({place: 1})))
-    if complete != (punctured and even):
-        raise VerificationError(
-            "transfer identity fails: complete %s, punctured %s, degree "
-            "parity %s" % (complete, punctured, even))
-    return {"divisible_complete": complete, "divisible_punctured": punctured,
-            "even_degree": even}
-
-
 # -- the compatibility relation on 2-divisible places
 
 def smile(model, q1, q2) -> bool:
@@ -435,8 +432,7 @@ def smile(model, q1, q2) -> bool:
                 "undefined" % P)
     D = Divisor({q1: 1})
     lam = model.function_with_divisor(D - 2 * model.halve_in_pic(D))
-    base = [model.constant(model.field.nonsquare())]
-    base.extend(model.two_torsion_witnesses())
+    base = _global_even_generators(model)
     for mask in range(1 << len(base)):
         if local_square_class(_product(model, base, mask) * lam, q2) != (0, 0):
             return False

@@ -21,11 +21,11 @@ from wildsets.equivalence_core import (
     TWIST_KERNEL_BITS,
     PreEquivalence,
     SmallEquivalence,
+    _rank_preservation_report,
     certificate_from_json,
     certificate_to_json,
     certify,
     check_necessary_condition,
-    check_rank_preservation,
     compose,
     extend_pre_equivalence,
     quotient_basis,
@@ -149,7 +149,7 @@ def test_wild_pair_certificate_end_to_end():
     # a wild pair is as small as the bound allows: rank 1 forces >= 2
     assert g_rank(L, cert.wild_set).rank == 1
     assert check_necessary_condition(L, cert.wild_set)
-    assert check_rank_preservation(cert)["passes"]
+    assert _rank_preservation_report(cert.equivalence)["passes"]
 
 
 def test_certificate_report_holds_every_small_equivalence_check():
@@ -177,6 +177,25 @@ def test_domain_condition_is_a_hard_error():
     se = SmallEquivalence(L, (q,), (q,), gens, gens, (LocalMap.identity(),))
     with pytest.raises(HypothesisError):
         verify_small_equivalence(se)
+
+
+def test_wild_maps_break_the_symbols_where_minus_one_is_a_nonsquare():
+    # over F_3, -1 = 2 is a nonsquare at degree-1 places; trading the
+    # constant 2 for t/(t+1) commutes with the swap at (t) and with
+    # u -> u*pi, pi -> pi at (t+1), but squares the symbol (u, u) = +1
+    # into (pi, pi) = -1 and moves the class of -1 off itself
+    L = line(3)
+    p, q = lplace(L, "t"), lplace(L, "t + 1")
+    two, f = L.constant(2), L.parse("t / (t + 1)")
+    se = SmallEquivalence(L, (p, q), (p, q), (two, f), (f, two),
+                          (SWAP, FIX_PI))
+    report = verify_small_equivalence(se)
+    assert [k for k in SMALL_EQUIVALENCE_CHECKS if not report[k]] == \
+        ["symbols_preserved", "minus_one_fixed"]
+    assert report["failures"] == tuple(
+        ["symbol of (2, 2) changes at %s" % P for P in (p, q)]
+        + ["symbol of (%s, %s) changes at %s" % (f, f, P) for P in (p, q)]
+        + ["the class of -1 is not preserved at %s" % P for P in (p, q)])
 
 
 def test_wild_points_refuses_invalid_data():
@@ -307,7 +326,7 @@ def test_composing_two_wild_pairs_needs_a_tame_sandwich():
         ["t", "t + 2", "t + 3", "t + 4"]
     assert all(m.is_wild for m in both.equivalence.local_maps)
     assert g_rank(L, both.wild_set).rank == 1
-    assert check_rank_preservation(both)["passes"]
+    assert _rank_preservation_report(both.equivalence)["passes"]
     maps = dict(zip((str(P) for P in both.equivalence.places),
                     both.equivalence.local_maps))
     assert maps["t"] == LocalMap(U_PI, PI)
@@ -357,7 +376,6 @@ def test_size_bound_against_class_rank():
 
 
 def test_rank_preservation_catches_a_doctored_image_basis():
-    from wildsets.equivalence_core import WildSetCertificate
     L = line(5)
     cert = wild_pair(L, 0, 4)
     se = cert.equivalence
@@ -366,8 +384,7 @@ def test_rank_preservation_catches_a_doctored_image_basis():
         L, se.places, se.images, se.sing_basis,
         (se.sing_images[0] * L.parse("t + 1"),) + se.sing_images[1:],
         se.local_maps)
-    broken = WildSetCertificate(doctored, cert.wild_set, {})
-    report = check_rank_preservation(broken)
+    report = _rank_preservation_report(doctored)
     assert not report["sing_images_in_target"]
     assert not report["passes"]
 
@@ -606,7 +623,8 @@ def _twist_cases(rng, count):
         n = rng.randint(1, 4)
         places = tuple(rng.sample(pool, n))
         images = places if rng.random() < 0.5 else tuple(rng.sample(pool, n))
-        choices = LocalMap.all_maps()
+        choices = [LocalMap(iu, ip) for iu in (U, PI, U_PI)
+                   for ip in (U, PI, U_PI) if iu != ip]
         if rng.random() < 0.5:
             choices = [LocalMap.identity(), LocalMap.tame_twist(), FIX_PI]
         maps = tuple(rng.choice(choices) for _ in range(n))

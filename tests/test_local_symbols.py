@@ -141,8 +141,24 @@ def test_reciprocity_with_cancelling_supports():
 # -- local maps -----------------------------------------------------------------
 
 
+def all_maps():
+    """All six automorphisms, in a fixed order."""
+    return [LocalMap(iu, ip) for iu in CLASSES[1:] for ip in CLASSES[1:]
+            if iu != ip]
+
+
+def inverse(m):
+    return next(n for n in all_maps() if m.compose(n).is_identity)
+
+
+def preserves_hilbert_pairing(m, minus_one_square):
+    return all(square_class_hilbert(m.apply(a), m.apply(b), minus_one_square)
+               == square_class_hilbert(a, b, minus_one_square)
+               for a in CLASSES for b in CLASSES)
+
+
 def test_local_map_enumeration_and_wildness():
-    maps = LocalMap.all_maps()
+    maps = all_maps()
     assert len(set(maps)) == 6
     assert sum(1 for m in maps if m.is_wild) == 4
     assert LocalMap.identity() in maps
@@ -160,7 +176,7 @@ def test_local_map_rejects_degenerate_images():
 
 
 def test_local_map_is_linear_and_bijective():
-    for m in LocalMap.all_maps():
+    for m in all_maps():
         images = {m.apply(a) for a in CLASSES}
         assert images == set(CLASSES)
         for a in CLASSES:
@@ -169,9 +185,9 @@ def test_local_map_is_linear_and_bijective():
 
 
 def test_local_map_compose_and_inverse():
-    maps = LocalMap.all_maps()
+    maps = all_maps()
     for m1 in maps:
-        inv = m1.inverse()
+        inv = inverse(m1)
         assert m1.compose(inv).is_identity and inv.compose(m1).is_identity
         for m2 in maps:
             comp = m1.compose(m2)
@@ -180,10 +196,69 @@ def test_local_map_compose_and_inverse():
 
 
 def test_symbol_preservation_depends_on_minus_one():
-    maps = LocalMap.all_maps()
-    assert all(m.preserves_hilbert_pairing(True) for m in maps)
-    preservers = {m for m in maps if m.preserves_hilbert_pairing(False)}
+    maps = all_maps()
+    assert all(preserves_hilbert_pairing(m, True) for m in maps)
+    preservers = {m for m in maps if preserves_hilbert_pairing(m, False)}
     assert preservers == {LocalMap.identity(), LocalMap.tame_twist()}
+
+
+# the three special-case builders LocalMap.from_pairs replaced, kept as
+# the oracle for it
+
+
+def map_from_action(a, fa, b, fb):
+    vals = {a: fa, b: fb, square_class_mul(a, b): square_class_mul(fa, fb)}
+    return LocalMap(vals[U], vals[PI])
+
+
+def map_sending_u(x):
+    for ip in (U, PI, U_PI):
+        if ip != x:
+            return LocalMap(x, ip)
+    raise AssertionError("unreachable: three candidates, one exclusion")
+
+
+def map_sending_to_u(y):
+    if y == PI:
+        return LocalMap(PI, U)
+    if y == U_PI:
+        return LocalMap(PI, U_PI)
+    raise AssertionError("y has even parity")
+
+
+def test_from_pairs_matches_the_special_case_builders():
+    nontrivial = CLASSES[1:]
+    checked = 0
+    for a in nontrivial:
+        for b in nontrivial:
+            for fa in nontrivial:
+                for fb in nontrivial:
+                    if a == b or fa == fb:
+                        continue
+                    assert LocalMap.from_pairs([(a, fa), (b, fb)]) == \
+                        map_from_action(a, fa, b, fb)
+                    checked += 1
+    for x in nontrivial:
+        assert LocalMap.from_pairs([(U, x)]) == map_sending_u(x)
+        checked += 1
+    for y in (PI, U_PI):
+        assert LocalMap.from_pairs([(y, U)]) == map_sending_to_u(y)
+        checked += 1
+    assert checked == 41
+
+
+def test_from_pairs_refuses_what_no_automorphism_fits():
+    assert LocalMap.from_pairs([(ONE, U)]) is None
+    assert LocalMap.from_pairs([(U, PI), (U, U_PI)]) is None
+    assert LocalMap.from_pairs([(U, PI), (PI, PI)]) is None
+    assert LocalMap.from_pairs([(ONE, ONE)]) == LocalMap.identity()
+    # every consistent list of pairs is met by the map it returns
+    for m in all_maps():
+        for a in CLASSES:
+            for b in CLASSES:
+                pairs = [(a, m.apply(a)), (b, m.apply(b))]
+                got = LocalMap.from_pairs(pairs)
+                assert all(got.apply(s) == d for s, d in pairs)
 
 
 def test_square_class_hilbert_matches_element_level():

@@ -1,0 +1,147 @@
+"""Byte-identity pins: certificate text and demo output, by SHA-256.
+
+Each digest was recorded from the code before the certificate path was
+simplified (one verifier body, one Klein-four map rule, one
+punctured-class-group rank).  Refactors of that path must keep every
+certificate and every demo line byte for byte, so a changed digest means
+changed output, not a stale pin.  The cases are chosen to cross each
+route the constructions take: both backends, a compose that the rigid
+glue realizes, a compose that needs the second matching of the
+wild-union fallback, the swap and fixed-place pair constructions, a
+rank-1 triple through the fitted images, and the rank-2 general set.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import pathlib
+import runpy
+
+import pytest
+
+from wildsets.base_algebra import GF, poly_parse
+from wildsets.constructions import (
+    construct_general,
+    construct_rank0,
+    construct_rank1,
+    construct_rank1_pair,
+    construct_rank1_triple,
+)
+from wildsets.elliptic_curve import EllipticModel
+from wildsets.equivalence_core import certificate_to_json, compose
+from wildsets.projective_line import ProjectiveLine
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def line5():
+    return ProjectiveLine(GF(5))
+
+
+def curve5():
+    return EllipticModel(GF(5), poly_parse("t^3 + 4t", GF(5)))
+
+
+def places(model, *names):
+    return [model.parse_place(s) for s in names]
+
+
+def rank0_pair_by_rigid_glue():
+    L = line5()
+    return construct_rank0(L, places(L, "t^2 + 2", "t^2 + 3"))
+
+
+def pair_fixing_its_places():
+    L = line5()
+    return construct_rank1_pair(L, *places(L, "t", "t + 4"))
+
+
+def pair_swapping_its_places():
+    L = line5()
+    return construct_rank1(L, places(L, "t", "t^2 + 2"))
+
+
+def triple_on_f5():
+    L = line5()
+    return construct_rank1_triple(L, *places(L, "t", "t + 1", "t + 4"))
+
+
+def triple_on_f13():
+    L = ProjectiveLine(GF(13))
+    return construct_rank1_triple(L, *places(L, "t", "t + 1", "t + 4"))
+
+
+def singletons_through_the_second_matching():
+    L = line5()
+    c1, c2, c3 = (construct_rank0(L, [P])
+                  for P in places(L, "t^2 + 2", "t^2 + 3", "t^2 + t + 1"))
+    return compose(compose(c1, c2), c3)
+
+
+def curve_rank0():
+    E = curve5()
+    return construct_rank0(E, places(E, "(t^2 + 2; inert)",
+                                     "(t^2 + 3; inert)"))
+
+
+def curve_rank1():
+    E = curve5()
+    return construct_rank1(E, places(E, "(t; ramified)", "(t^2 + 2; inert)"))
+
+
+def curve_general():
+    E = curve5()
+    return construct_general(
+        E, places(E, "(t; ramified)", "(t + 1; ramified)"),
+        places(E, "(t^2 + 2; inert)", "(t^2 + 3; inert)"))
+
+
+CERTIFICATES = {
+    rank0_pair_by_rigid_glue:
+        "0e8fd46e321dfb30d615e18c08010c80ad5d4a23f0051dd4836736250f39e418",
+    pair_fixing_its_places:
+        "b716c7a32fa132ea1116fa976173b89f733eaecabe87a5a97613e9391b50f822",
+    pair_swapping_its_places:
+        "b503e9783db597a6f82467f54222fb45c14b3ab8d86653d71db17204ebfb219d",
+    triple_on_f5:
+        "f6963cafd2f8343774ef8268e75397caaf6795d24a26df3939c639eca9b6e08e",
+    triple_on_f13:
+        "d98a47340d3e3c060783c1b0212094d49d5d97539a0b3cf56bd49ccc1e62c057",
+    singletons_through_the_second_matching:
+        "2c146cc8964a941f53e9135499f12ed88c61a99769c809747452e510da6d6f99",
+    curve_rank0:
+        "7ab931ace9656ddea7d556e300a08189b366ab4f6886d6e7d25b12ed6b47e23e",
+    curve_rank1:
+        "6c2b9959c0b7906782a6cc2fd75fb28980482fb26a25686c4d211618af08299f",
+    curve_general:
+        "8c19077a056f820291ad18f34b01d26706cdf9ac9b5b77e326e6a2864f9ec0d6",
+}
+
+DEMO_STDOUT = {
+    "build_wild_sets":
+        "29b7b93688b0e8c481d62a49fe5fcc72795fbc42dd57d97d8250c96eefa49747",
+    "rank_walkthrough":
+        "aa014def7cfd842d7476480b47211a4aab8ab192a74e740f805946c8568bfde6",
+    "reciprocity_tour":
+        "b6d24dd1cc79e86687e60cb3dd7c1ee34165eec9d3ec70e559945423a6a0e6db",
+}
+
+
+@pytest.mark.parametrize("build", list(CERTIFICATES),
+                         ids=lambda fn: fn.__name__)
+def test_certificate_text_is_pinned(build):
+    assert sha(certificate_to_json(build())) == CERTIFICATES[build]
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_STDOUT))
+def test_demo_stdout_is_pinned(demo):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / (demo + ".py")), run_name="__main__")
+    assert sha(out.getvalue()) == DEMO_STDOUT[demo]

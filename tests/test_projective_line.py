@@ -21,6 +21,7 @@ from wildsets.projective_line import (
     RationalFunction,
     finite_places_of_degree,
 )
+from wildsets.square_class_spaces import pic_complement_two_rank
 
 
 # -- independent oracles ------------------------------------------------------
@@ -298,10 +299,10 @@ def test_pic_complement_two_rank():
     inf = line.infinity
     P2 = finite_places_of_degree(F, 2)[0]
     P3 = finite_places_of_degree(F, 3)[0]
-    assert line.pic_complement_two_rank([]) == 1
-    assert line.pic_complement_two_rank([inf]) == 0
-    assert line.pic_complement_two_rank([P2]) == 1
-    assert line.pic_complement_two_rank([P2, P3]) == 0
+    assert pic_complement_two_rank(line, []) == 1
+    assert pic_complement_two_rank(line, [inf]) == 0
+    assert pic_complement_two_rank(line, [P2]) == 1
+    assert pic_complement_two_rank(line, [P2, P3]) == 0
 
 
 def test_parse_place():

@@ -12,12 +12,13 @@ pic_mod2 coordinates; the subset walk they replaced is kept here as
 the oracle, together with span enumeration for the F_2 kernel itself.
 """
 
+import math
 import random
 
 import pytest
 
 from wildsets.base_algebra import GF, irreducibles_of_degree, poly_parse
-from wildsets.elliptic_curve import EllipticModel
+from wildsets.elliptic_curve import EllipticModel, _point_key
 from wildsets.errors import HypothesisError, VerificationError
 from wildsets.local_symbols import local_square_class
 from wildsets.projective_line import Divisor, Place, ProjectiveLine
@@ -30,10 +31,10 @@ from wildsets.square_class_spaces import (
     _local_bits,
     _separating_places,
     check_lin_dep_lemma,
-    check_odd_degree_transfer,
     check_pic_rank_formula,
     delta_space,
     g_rank,
+    pic_complement_two_rank,
     sing_space,
     smile,
 )
@@ -272,7 +273,7 @@ def test_check_pic_rank_formula_examples():
 
     model = curve(5, "t^3 + 4t")
     report = check_pic_rank_formula(model, [model.infinity])
-    assert report == {"formula_rank": 2, "direct_rank": 2, "backend_rank": 2}
+    assert report == {"formula_rank": 2, "direct_rank": 2}
     rt = model.places_above((0, 1))[0]
     report = check_pic_rank_formula(model, [model.infinity, rt])
     assert report["formula_rank"] == 2
@@ -297,18 +298,90 @@ def test_check_pic_rank_formula_fuzz():
                 check_pic_rank_formula(model, [model.infinity] + pool[:size])
 
 
+def line_complement_rank_oracle(S):
+    """The line minus S has class group Z/gcd(degrees): 2-rank by parity."""
+    d = 0
+    for P in S:
+        d = math.gcd(d, P.degree)
+    return 1 if d % 2 == 0 else 0
+
+
+def curve_complement_rank_oracle(model, S):
+    """Codimension of the span of the classes of S in Z/2 + E/2E.
+
+    A class is a (degree parity, coset of doubles) pair, the coset named
+    by its least point; the span of S is enumerated by closure.
+    """
+    doubles = sorted(model._doubles_set(), key=_point_key)
+
+    def rep(P):
+        return min((model.add_points(P, d) for d in doubles), key=_point_key)
+
+    span = {(0, rep(None))}
+    for P in S:
+        g = (P.degree & 1, rep(model.pic_class_of_place(P)))
+        if g not in span:
+            span |= {(h[0] ^ g[0], rep(model.add_points(h[1], g[1])))
+                     for h in span}
+    k = len(span).bit_length() - 1
+    assert 1 << k == len(span)
+    return 1 + model.pic_zero_two_rank() - k
+
+
+def test_pic_complement_two_rank_matches_both_enumerations():
+    rng = random.Random(38)
+
+    def draw(pool):
+        return rng.sample(pool, rng.randrange(1, min(6, len(pool) + 1)))
+
+    checked = 0
+    for q, degrees in ((3, (1, 2, 3)), (5, (1, 2, 3)), (9, (1, 2)),
+                       (13, (1, 2))):
+        L = line(q)
+        pool = [P for d in degrees for P in L.places_of_degree(d)]
+        even = [P for P in pool if P.degree % 2 == 0]
+        sets = [[]] + [draw(even if i % 2 else pool) for i in range(130)]
+        for S in sets:
+            assert pic_complement_two_rank(L, S) == \
+                line_complement_rank_oracle(S)
+            checked += 1
+    assert checked >= 500
+
+    two_ranks = set()
+    for q, text in ((3, "t^3 + 2t"), (3, "t^3 + t"), (3, "t^3 + 2t + 1"),
+                    (5, "t^3 + 4t"), (5, "t^3 + t + 1"),
+                    (5, "2t^3 + 2t + 1"), (9, "t^3 + 2t")):
+        model = curve(q, text)
+        two_ranks.add(model.pic_zero_two_rank())
+        pool = model.places_of_degree(1) + model.places_of_degree(2)
+        sets = [[]] + [draw(pool) for _ in range(40)]
+        for S in sets:
+            assert pic_complement_two_rank(model, S) == \
+                curve_complement_rank_oracle(model, S)
+    assert two_ranks == {0, 1, 2}
+
+
+def odd_degree_transfer(model, place, D):
+    """Both sides of the transfer of 2-divisibility through one place.
+
+    Off an odd-degree place the class of D is 2-divisible exactly when
+    D or D - place is 2-divisible on the complete curve; together with
+    even degree that is 2-divisibility on the complete curve.
+    """
+    assert place.degree % 2 and not D.get(place)
+    complete = model.two_divisible(D)
+    punctured = (model.two_divisible(D)
+                 or model.two_divisible(D - Divisor({place: 1})))
+    return complete, punctured and D.degree % 2 == 0
+
+
 def test_check_odd_degree_transfer():
     L = line(5)
     inf = L.infinity
-    report = check_odd_degree_transfer(L, inf, Divisor({lplace(L, "t^2 + 2"): 1}))
-    assert report["divisible_complete"] and report["even_degree"]
-    report = check_odd_degree_transfer(L, inf, Divisor({lplace(L, "t"): 1}))
-    assert not report["divisible_complete"]
-
-    with pytest.raises(ValueError):
-        check_odd_degree_transfer(L, lplace(L, "t^2 + 2"), Divisor({}))
-    with pytest.raises(ValueError):
-        check_odd_degree_transfer(L, inf, Divisor({inf: 1}))
+    assert odd_degree_transfer(L, inf, Divisor({lplace(L, "t^2 + 2"): 1})) \
+        == (True, True)
+    assert odd_degree_transfer(L, inf, Divisor({lplace(L, "t"): 1})) \
+        == (False, False)
 
     rng = random.Random(37)
     model = curve(5, "t^3 + 4t")
@@ -319,9 +392,9 @@ def test_check_odd_degree_transfer():
             pt = pts[rng.randrange(1, len(pts))]
             P = model.place_of_rational_point(pt)
             coeffs[P] = coeffs.get(P, 0) + rng.choice([-1, 1])
-        report = check_odd_degree_transfer(model, model.infinity, Divisor(coeffs))
-        assert report["divisible_complete"] == (
-            report["divisible_punctured"] and report["even_degree"])
+        complete, transferred = odd_degree_transfer(model, model.infinity,
+                                                    Divisor(coeffs))
+        assert complete == transferred
 
 
 # -- the compatibility relation
