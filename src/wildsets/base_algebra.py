@@ -11,10 +11,12 @@ with no trailing zeros; the zero polynomial is the empty tuple.  All
 polynomial helpers take the field as their last argument, e.g.
 ``poly_mul(f, g, F)``.
 
-Residue fields F_q[t]/(m) and their quadratic extensions are small
-wrapper classes over the same tuple representation.  They exist to give
-square-class computations a uniform interface: ``size``, ``mul``,
-``pow``, ``quad_char``.
+Quadratic characters modulo a polynomial come from one kernel,
+``poly_jacobi``: the Jacobi symbol of F_q[t], computed by a Euclid
+descent with quadratic reciprocity instead of a power to (Q-1)/2.
+Residue fields F_q[t]/(m) are a small wrapper class over the same tuple
+representation, with the arithmetic that square roots and Frobenius
+orbits need.
 
 Text is read by one recursive-descent parser of quotient expressions
 (rat_parse); poly_parse is that parser plus the check that the
@@ -33,7 +35,6 @@ __all__ = [
     "checked_field",
     "Fq",
     "ResidueField",
-    "QuadExtField",
     "poly_deg",
     "poly_norm",
     "poly_add",
@@ -46,6 +47,7 @@ __all__ = [
     "poly_gcd",
     "poly_xgcd",
     "poly_pow_mod",
+    "poly_jacobi",
     "poly_eval",
     "poly_deriv",
     "poly_monic",
@@ -119,23 +121,48 @@ class Fq:
         raise AssertionError("no irreducible modulus found")
 
     def _build_tables(self) -> None:
+        # Addition and negation act digit by digit in base p, so their
+        # tables grow one digit at a time.  Multiplication goes through
+        # discrete logarithms: a * b = g^(log a + log b) for a primitive g.
+        p, q = self.p, self.q
+        digit_add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        digit_neg = [(-a) % p for a in range(p)]
+        codes = list(range(q))  # one int object per code for all q^2 entries
+        add, neg, size = digit_add, digit_neg, p
+        while size < q:
+            add = [[codes[lo + size * hi] for hi in digit_add[a // size]
+                    for lo in add[a % size]] for a in range(size * p)]
+            neg = [lo + size * hi for hi in digit_neg for lo in neg]
+            size *= p
+        exp = self._antilogs()
+        log = [0] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        exp += exp  # so that exp[la + lb] needs no reduction mod q - 1
+        logs = log[1:]
+        self._add = add
+        self._neg = neg
+        self._mul = [[0] * q] + [[0] + [exp[la + lb] for lb in logs]
+                                 for la in logs]
+
+    def _antilogs(self) -> List[int]:
+        """Codes of g^0, ..., g^(q-2) for the first primitive element g.
+
+        Candidates run in code order from the generator x (code p); each
+        walk of powers takes one product in F_p[x]/(modulus) per step.
+        """
         Fp = GF(self.p)
-        q, m = self.q, self.modulus
-        polys = [tuple(_digits(n, self.p, self.k)) for n in range(q)]
-        enc = {}
-        for n, f in enumerate(polys):
-            enc[poly_norm(f)] = n
-        self._add = [[0] * q for _ in range(q)]
-        self._mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            fa = poly_norm(polys[a])
-            for b in range(a, q):
-                fb = poly_norm(polys[b])
-                s = enc[poly_add(fa, fb, Fp)]
-                t = enc[poly_mod(poly_mul(fa, fb, Fp), m, Fp)]
-                self._add[a][b] = self._add[b][a] = s
-                self._mul[a][b] = self._mul[b][a] = t
-        self._neg = [enc[poly_neg(poly_norm(polys[a]), Fp)] for a in range(q)]
+        for code in range(self.p, self.q):
+            g = poly_norm(_digits(code, self.p, self.k))
+            out, power = [], (1,)
+            while True:
+                out.append(poly_to_int(power, Fp))
+                power = poly_mod(poly_mul(power, g, Fp), self.modulus, Fp)
+                if power == (1,):
+                    break
+            if len(out) == self.q - 1:
+                return out
+        raise AssertionError("no primitive element found")
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -805,6 +832,39 @@ def poly_parse(s: str, F: Fq) -> Poly:
 
 
 # ---------------------------------------------------------------------------
+# quadratic characters and residue fields
+
+
+def poly_jacobi(a: Poly, m: Poly, F: Fq) -> int:
+    """The Jacobi symbol (a/m) for a monic m of positive degree.
+
+    It is 0 when a and m share a factor, and otherwise the product of
+    the quadratic characters of a modulo the irreducible factors of m,
+    so for an irreducible m it is the character of F_q[t]/(m).  The
+    value comes from a Euclid descent on two rules: a constant c gives
+    chi(c)^deg(m), and monic coprime A and M satisfy the reciprocity law
+    (A/M)(M/A) = (-1)^((q-1)/2 * deg A * deg M) (Rosen, Number Theory in
+    Function Fields, ch. 3).
+    """
+    sign = 1
+    odd_half = F.q % 4 == 3  # whether (q-1)/2 is odd
+    while True:
+        a = poly_mod(a, m, F)
+        if not a:
+            return 0
+        da, dm = len(a) - 1, len(m) - 1
+        c = a[-1]
+        if dm & 1 and F.quad_char(c) < 0:
+            sign = -sign
+        if da == 0:
+            return sign
+        if odd_half and da & dm & 1:
+            sign = -sign
+        if c != 1:
+            a = poly_scalar(a, F.inv(c), F)
+        a, m = m, a
+
+
 # residue fields
 
 
@@ -847,11 +907,7 @@ class ResidueField:
 
     def quad_char(self, a: Poly) -> int:
         """+1 / -1 / 0 on squares / non-squares / zero."""
-        a = self.reduce(a)
-        if not a:
-            return 0
-        v = self.pow(a, (self.size - 1) // 2)
-        return 1 if v == (1,) else -1
+        return poly_jacobi(a, self.modulus, self.F)
 
     def nonsquare(self) -> Poly:
         for code in range(1, self.size):
@@ -876,54 +932,3 @@ class ResidueField:
         if poly_deg(a) > 0:
             return None
         return a[0] if a else 0
-
-
-class QuadExtField:
-    """RF[y]/(y^2 - s) for a non-square s in the residue field RF.
-
-    Elements are pairs (a, b) meaning a + b*y.  Only the operations the
-    square-class machinery needs are provided.
-    """
-
-    def __init__(self, rf: ResidueField, s: Poly):
-        self.rf = rf
-        self.s = rf.reduce(s)
-        self.size = rf.size ** 2
-
-    def one(self) -> Tuple[Poly, Poly]:
-        return ((1,), ())
-
-    def mul(self, x, y):
-        a, b = x
-        c, d = y
-        rf = self.rf
-        return (
-            rf.add(rf.mul(a, c), rf.mul(rf.mul(b, d), self.s)),
-            rf.add(rf.mul(a, d), rf.mul(b, c)),
-        )
-
-    def inv(self, x):
-        a, b = x
-        rf = self.rf
-        # 1 / (a + b*y) = (a - b*y) / (a^2 - s b^2); the norm is nonzero
-        norm = rf.sub(rf.mul(a, a), rf.mul(self.s, rf.mul(b, b)))
-        n = rf.inv(norm)
-        return (rf.mul(a, n), rf.neg(rf.mul(b, n)))
-
-    def pow(self, x, e: int):
-        if e < 0:
-            return self.pow(self.inv(x), -e)
-        r = self.one()
-        b = x
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
-
-    def quad_char(self, x) -> int:
-        if not x[0] and not x[1]:
-            return 0
-        v = self.pow(x, (self.size - 1) // 2)
-        return 1 if v == self.one() else -1

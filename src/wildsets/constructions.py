@@ -139,7 +139,7 @@ def construct_rank0(model, S, degree_cap: int = 6) -> WildSetCertificate:
     if not S:
         raise HypothesisError("an empty set cannot be a wild set")
     for q in S:
-        if not model.two_divisible(_single(q)):
+        if model.pic_mod2(q) != 0:
             raise HypothesisError(
                 "the class of %s is not 2-divisible, so the set has "
                 "positive rank" % q)
@@ -169,9 +169,9 @@ def construct_rank1_pair(model, p, q, degree_cap: int = 6
             "the classes of %s and %s span rank %d, not 1" % (p, q, rank))
     _require_minus_one_square((p, q))
 
-    if model.two_divisible(_single(p)):
+    if model.pic_mod2(p) == 0:
         p, q = q, p
-    if model.two_divisible(_single(q)):
+    if model.pic_mod2(q) == 0:
         # one divisible class: swap construction across the two places
         lam = _sing_element(model, nonsquare_at=(p,))
         assert local_square_class(lam, q) == ONE, \
@@ -212,7 +212,7 @@ def _aux_point_and_witness(model, S, mu, degree_cap: int):
     for d in range(1, degree_cap + 1):
         for P in sorted(model.places_of_degree(d),
                         key=lambda Q: bool(Q.is_infinite)):
-            if P in S or not model.two_divisible(_single(P)):
+            if P in S or model.pic_mod2(P) != 0:
                 continue
             base = _even_class_witness(model, _single(P))
             for sigma in [model.one()] + _global_even_elements(model):
@@ -242,7 +242,7 @@ def construct_rank1_triple(model, p1, p2, p3, degree_cap: int = 6
             "the classes of the triple span rank %d, not 1" % rank)
     _require_minus_one_square(S)
 
-    divisible = [P for P in S if model.two_divisible(_single(P))]
+    divisible = [P for P in S if model.pic_mod2(P) == 0]
     if divisible:
         q = divisible[0]
         rest = [P for P in S if P != q]
@@ -374,7 +374,7 @@ def construct_general(model, P, Q, degree_cap: int = 6
             "the classes of P span rank %d, not %d; they are dependent"
             % (observed, m))
     for q in Q:
-        if not model.two_divisible(_single(q)):
+        if model.pic_mod2(q) != 0:
             raise HypothesisError("the class of %s is not 2-divisible" % q)
         # 2-divisibility forces even degree, where -1 is always a square
         assert minus_one_is_square(q), \

@@ -15,9 +15,10 @@ at split and inert places, y at ramified places, and t/y at infinity.
 
 Nonzero functions are kept in factored form: a constant times a product
 of monic irreducibles in t and of primitive pairs a + b*y (b monic,
-gcd(a, b) = 1), with integer exponents.  Orders and unit-part residues
-come factor by factor from closed forms against the uniformizers above;
-nothing is ever expanded, lifted, or approximated.  The only identity
+gcd(a, b) = 1), with integer exponents.  Orders and residue characters
+(quadratic characters of the unit-part residues, by Jacobi symbols in
+F_q[t]) come factor by factor from closed forms against the uniformizers
+above; nothing is ever expanded, lifted, or approximated.  The only identity
 used beyond bookkeeping is (a + b*y)(a - b*y) = a^2 - b^2 f, which turns
 every question about a pair into a question about polynomials.
 
@@ -35,8 +36,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .base_algebra import (
     Fq,
     Poly,
-    QuadExtField,
     ResidueField,
+    _quoted,
     const_str,
     irreducibles_of_degree,
     poly_add,
@@ -47,6 +48,7 @@ from .base_algebra import (
     poly_factor,
     poly_gcd,
     poly_is_irreducible,
+    poly_jacobi,
     poly_monic,
     poly_mul,
     poly_neg,
@@ -180,16 +182,6 @@ class CurvePlace:
     def __repr__(self) -> str:
         return "CurvePlace(%s)" % self
 
-    def residue_field(self):
-        """F_q at infinity, F_q[t]/(p) at split and ramified places, and
-        its quadratic extension by a root of f mod p at inert places."""
-        if self.kind == "infinite":
-            return self.field
-        rf = ResidueField(self.field, self.base)
-        if self.kind == "inert":
-            return QuadExtField(rf, rf.reduce(self.model.f))
-        return rf
-
 
 class CurveFunction:
     """A nonzero function on the curve in factored form.
@@ -278,9 +270,9 @@ class CurveFunction:
         num = _reduce_y(num, model)
         den = _reduce_y(den, model)
         if not den:
-            raise ValueError("denominator vanishes on the curve: %r" % s)
+            raise ValueError("denominator vanishes on the curve: %s" % _quoted(s))
         if not num:
-            raise ValueError("the zero element has no factored form: %r" % s)
+            raise ValueError("the zero element has no factored form: %s" % _quoted(s))
         top = cls.from_pair(model, num.get(0, ()), num.get(1, ()))
         bot = cls.from_pair(model, den.get(0, ()), den.get(1, ()))
         return top / bot
@@ -326,22 +318,20 @@ class CurveFunction:
         return sum(e * _atom_ord(atom, place, self.model)
                    for atom, e in self.factors.items())
 
-    def unit_residue(self, place: CurvePlace):
-        """Residue of self / uniformizer**ord in the residue field.
+    def residue_char(self, place: CurvePlace) -> int:
+        """The quadratic character (+1 or -1) of the unit-part residue.
 
-        Computed against the canonical uniformizers factor by factor, so
-        it is multiplicative by construction.
+        The residue against the canonical uniformizers is multiplicative
+        factor by factor, so its character is the constant's, chi(c) to
+        the degree of the place, times the characters of the atoms with
+        odd exponents.
         """
-        K = place.residue_field()
-        if place.kind == "infinite":
-            res = self.constant
-        elif place.kind == "inert":
-            res = (K.rf.reduce((self.constant,)), ())
-        else:
-            res = K.reduce((self.constant,))
+        F = self.model.field
+        sign = F.quad_char(self.constant) if place.degree & 1 else 1
         for atom, e in self.factors.items():
-            res = K.mul(res, K.pow(_atom_residue(atom, place, self.model), e))
-        return res
+            if e & 1:
+                sign *= _atom_char(atom, place, self.model)
+        return sign
 
     def divisor(self) -> Divisor:
         model = self.model
@@ -385,8 +375,7 @@ class CurveFunction:
             return False
         h = self.model.function_with_divisor(half)
         rest = self / (h * h)
-        return self.model.field.quad_char(
-            rest.unit_residue(self.model.infinity)) == 1
+        return rest.residue_char(self.model.infinity) == 1
 
     def __str__(self) -> str:
         F = self.model.field
@@ -450,63 +439,59 @@ def _atom_ord(atom, place: CurvePlace, model: "EllipticModel") -> int:
     return _vp(_pair_norm(a, b, model), p, F)
 
 
-def _atom_residue(atom, place: CurvePlace, model: "EllipticModel"):
+def _atom_char(atom, place: CurvePlace, model: "EllipticModel") -> int:
+    """The quadratic character of an atom's unit-part residue at a place.
+
+    A character ignores inverses and sees exponents only mod 2, so each
+    case takes Jacobi symbols of the polynomials whose products and
+    quotients make up the residue against the canonical uniformizer.
+    """
     kind, data = atom
     F = model.field
     if place.kind == "infinite":
+        # the residue is a leading coefficient over a power of lc(f)
         lcf = model.f[-1]
         if kind == "poly":
-            return F.pow(lcf, -poly_deg(data))
-        a, b = data
-        if a and 2 * poly_deg(a) > 2 * poly_deg(b) + 3:
-            return F.mul(a[-1], F.pow(lcf, -poly_deg(a)))
-        return F.mul(b[-1], F.pow(lcf, -(poly_deg(b) + 1)))
+            c, n = 1, poly_deg(data)
+        else:
+            a, b = data
+            if a and 2 * poly_deg(a) > 2 * poly_deg(b) + 3:
+                c, n = a[-1], poly_deg(a)
+            else:
+                c, n = b[-1], poly_deg(b) + 1
+        return F.quad_char(F.mul(c, lcf) if n & 1 else c)
     p = place.base
-    rf = ResidueField(F, p)
-    if kind == "poly":
-        g = data
-        if g != p:
-            gbar = rf.reduce(g)
-            return (gbar, ()) if place.kind == "inert" else gbar
-        if place.kind == "split":
-            return (1,)
-        if place.kind == "inert":
-            return ((1,), ())
-        # ramified base: p = y^2 / (f/p)
-        f1, r = poly_divmod(model.f, p, F)
-        assert not r
-        return rf.inv(rf.reduce(f1))
-    a, b = data
     if place.kind == "inert":
-        # primitive pairs are units at inert places
-        return (rf.reduce(a), rf.reduce(b))
+        # every element of F_Q is a square in F_(Q^2), and a + b*y is a
+        # square there exactly when its norm a^2 - b^2 f is one in F_Q
+        if kind == "poly":
+            return 1
+        return poly_jacobi(_pair_norm(data[0], data[1], model), p, F)
+    if kind == "poly":
+        if data != p:
+            return poly_jacobi(data, p, F)
+        if place.kind == "split":
+            return 1
+        # ramified base: p = y^2 / (f/p)
+        return poly_jacobi(poly_divmod(model.f, p, F)[0], p, F)
+    a, b = data
     if place.kind == "ramified":
-        va, vb = _vp(a, p, F), _vp(b, p, F)
-        f1, _ = poly_divmod(model.f, p, F)
-        f1bar = rf.reduce(f1)
-        if 2 * va <= 2 * vb + 1:
-            a1, _ = poly_divmod(a, _poly_power(p, va, F), F)
-            return rf.mul(rf.reduce(a1), rf.pow(f1bar, -va))
-        b1, _ = poly_divmod(b, _poly_power(p, vb, F), F)
-        return rf.mul(rf.reduce(b1), rf.pow(f1bar, -vb))
+        # p divides at most one half of a primitive pair; the residue is
+        # the other half
+        return poly_jacobi(a, p, F) or poly_jacobi(b, p, F)
     # split
-    abar, bbar = rf.reduce(a), rf.reduce(b)
-    r = rf.add(abar, rf.mul(bbar, place.branch))
-    if r:
-        return r
+    chi = poly_jacobi(poly_add(a, poly_mul(b, place.branch, F), F), p, F)
+    if chi:
+        return chi
     # the residue of the norm splits across the two branches
     n = _pair_norm(a, b, model)
-    v = _vp(n, p, F)
-    m, _ = poly_divmod(n, _poly_power(p, v, F), F)
-    conj = rf.sub(abar, rf.mul(bbar, place.branch))
-    return rf.mul(rf.reduce(m), rf.inv(conj))
-
-
-def _poly_power(p: Poly, e: int, F: Fq) -> Poly:
-    out: Poly = (1,)
-    for _ in range(e):
-        out = poly_mul(out, p, F)
-    return out
+    while True:
+        q, r = poly_divmod(n, p, F)
+        if r:
+            break
+        n = q
+    conj = poly_sub(a, poly_mul(b, place.branch, F), F)
+    return poly_jacobi(n, p, F) * poly_jacobi(conj, p, F)
 
 
 def _atom_sort_key(atom):
@@ -562,7 +547,8 @@ class EllipticModel:
         p = poly_monic(poly_norm(p), self.field)
         if p not in self._above and (
                 poly_deg(p) < 1 or not poly_is_irreducible(p, self.field)):
-            raise ValueError("finite places sit over monic irreducibles, got %r" % (p,))
+            raise ValueError("finite places sit over monic irreducibles, got %s"
+                             % _quoted(poly_str(p, "t", self.field)))
         return list(self._places_over_irreducible(p))
 
     def _places_over_irreducible(self, p: Poly) -> Tuple[CurvePlace, ...]:
@@ -613,29 +599,32 @@ class EllipticModel:
         if text == "inf":
             return self.infinity
         if not (text.startswith("(") and text.endswith(")")):
-            raise ValueError("expected 'inf' or '(base; kind[; branch])', got %r" % s)
+            raise ValueError("expected 'inf' or '(base; kind[; branch])', got %s"
+                             % _quoted(s))
         parts = [part.strip() for part in text[1:-1].split(";")]
         if len(parts) not in (2, 3):
-            raise ValueError("expected '(base; kind[; branch])', got %r" % s)
+            raise ValueError("expected '(base; kind[; branch])', got %s" % _quoted(s))
         base = poly_parse(parts[0], self.field)
         kind = parts[1]
         above = self.places_above(base)
         if kind not in _KINDS:
-            raise ValueError("unknown place kind %r" % kind)
+            raise ValueError("unknown place kind %s" % _quoted(kind))
         if above[0].kind != kind:
-            raise ValueError("%s is %s here, not %s" % (parts[0], above[0].kind, kind))
+            raise ValueError("%s is %s here, not %s"
+                             % (_quoted(parts[0]), above[0].kind, kind))
         if kind != "split":
             if len(parts) == 3:
                 raise ValueError("only split places carry a branch")
             return above[0]
         if len(parts) != 3:
-            raise ValueError("a split place needs its branch: %r" % s)
+            raise ValueError("a split place needs its branch: %s" % _quoted(s))
         rf = ResidueField(self.field, above[0].base)
         branch = rf.reduce(poly_parse(parts[2], self.field))
         for P in above:
             if P.branch == branch:
                 return P
-        raise ValueError("%r is not a square root of f at %s" % (parts[2], parts[0]))
+        raise ValueError("%s is not a square root of f at %s"
+                         % (_quoted(parts[2]), _quoted(parts[0])))
 
     # -- elements
 

@@ -10,6 +10,10 @@ element as a pair of bits
 so 1 = (0,0), u = (0,1), pi = (1,0), and u*pi = (1,1).  Multiplication
 of classes is XOR.  Everything downstream -- symbols, local maps, and
 their wildness -- is bookkeeping on these pairs.
+
+The second bit is the backend's ``residue_char``: the quadratic
+character of the unit-part residue, which both backends assemble from
+Jacobi symbols in F_q[t] without forming the residue itself.
 """
 
 from __future__ import annotations
@@ -54,10 +58,7 @@ def minus_one_is_square(place) -> bool:
 
 def local_square_class(elem, place) -> SquareClass:
     """The square class of a function in the completion at a place."""
-    e = elem.ord_at(place) & 1
-    chi = place.residue_field().quad_char(elem.unit_residue(place))
-    assert chi != 0, "unit residue of a nonzero function cannot vanish"
-    return (e, 1 if chi < 0 else 0)
+    return (elem.ord_at(place) & 1, int(elem.residue_char(place) < 0))
 
 
 def square_class_hilbert(a: SquareClass, b: SquareClass,

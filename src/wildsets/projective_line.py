@@ -14,7 +14,9 @@ Canonical uniformizers, fixed once and for all:
 
 With these choices the unit-part residue of a factored function at
 infinity is simply its constant, because every monic factor tends to 1
-against the matching power of t.
+against the matching power of t.  Only the quadratic character of a
+residue is ever needed; at a finite place it is a product of Jacobi
+symbols of the factors, and the residue itself is never formed.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .base_algebra import (
     Fq,
     Poly,
-    ResidueField,
+    _quoted,
     const_str,
     irreducibles_of_degree,
     poly_deg,
     poly_factor,
     poly_is_irreducible,
+    poly_jacobi,
     poly_monic,
     poly_norm,
     poly_parse,
@@ -59,8 +62,9 @@ class Place:
         if poly is not None:
             poly = poly_monic(poly_norm(poly), field)
             if poly_deg(poly) < 1 or not poly_is_irreducible(poly, field):
-                raise ValueError("a finite place needs a monic irreducible polynomial, got %r"
-                                 % (poly,))
+                raise ValueError("a finite place needs a monic irreducible "
+                                 "polynomial, got %s"
+                                 % _quoted(poly_str(poly, "t", field)))
         self.field = field
         self.poly = poly
 
@@ -107,12 +111,6 @@ class Place:
 
     def __repr__(self) -> str:
         return "Place(%s)" % self
-
-    def residue_field(self):
-        """The residue field: F_q itself at infinity, F_q[t]/(p) else."""
-        if self.poly is None:
-            return self.field
-        return ResidueField(self.field, self.poly)
 
 
 def finite_places_of_degree(F: Fq, d: int) -> List[Place]:
@@ -241,7 +239,7 @@ class RationalFunction:
         num, den = rat_parse(s, field)
         n = num.get(0, ())
         if not n:
-            raise ValueError("the zero element has no factored form: %r" % s)
+            raise ValueError("the zero element has no factored form: %s" % _quoted(s))
         return cls.from_poly(field, n) / cls.from_poly(field, den.get(0, ()))
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
@@ -281,21 +279,23 @@ class RationalFunction:
             return -sum(e * poly_deg(p) for p, e in self.factors.items())
         return self.factors.get(place.poly, 0)
 
-    def unit_residue(self, place: Place):
-        """Residue of self / uniformizer**ord in the residue field.
+    def residue_char(self, place: Place) -> int:
+        """The quadratic character (+1 or -1) of the unit-part residue.
 
-        Uniformizers are canonical (the irreducible itself, 1/t at
-        infinity), so this is well-defined and multiplicative.  At
-        infinity the answer is always the constant.
+        The residue of self / uniformizer**ord is the constant times the
+        residues of the other factors, so its character is
+        chi(c)^deg(P) times the Jacobi symbols (p/P) of the factors with
+        odd exponents.  At infinity the residue is the constant itself.
         """
+        F = self.field
         if place.is_infinite:
-            return self.constant
-        rf = ResidueField(self.field, place.poly)
-        res = rf.reduce((self.constant,))
+            return F.quad_char(self.constant)
+        P = place.poly
+        sign = F.quad_char(self.constant) if poly_deg(P) & 1 else 1
         for p, e in self.factors.items():
-            if p != place.poly:
-                res = rf.mul(res, rf.pow(rf.reduce(p), e))
-        return res
+            if e & 1 and p != P:
+                sign *= poly_jacobi(p, P, F)
+        return sign
 
     def divisor(self) -> Divisor:
         coeffs = {Place._proven(self.field, p): e for p, e in self.factors.items()}

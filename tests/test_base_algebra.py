@@ -10,7 +10,6 @@ from wildsets.base_algebra import (
     GF,
     MAX_PARSED_DEGREE,
     MAX_PARSED_NESTING,
-    QuadExtField,
     ResidueField,
     irreducibles_of_degree,
     poly_add,
@@ -22,6 +21,7 @@ from wildsets.base_algebra import (
     poly_from_int,
     poly_gcd,
     poly_is_irreducible,
+    poly_jacobi,
     poly_monic,
     poly_mul,
     poly_norm,
@@ -34,6 +34,8 @@ from wildsets.base_algebra import (
     poly_xgcd,
     rat_parse,
 )
+
+from residue_oracle import QuadExtField
 
 FIELDS = [3, 5, 7, 9, 13, 25, 27, 49]
 
@@ -55,6 +57,24 @@ def test_field_axioms_sampled(q):
         assert F.add(a, F.neg(a)) == 0
         if a:
             assert F.mul(a, F.inv(a)) == 1
+
+
+def polynomial_tables(F):
+    """The add, mul and neg tables of an extension field, entry by entry
+    from products in F_p[x]/(modulus)."""
+    Fp = GF(F.p)
+    polys = [poly_norm(poly_from_int(n, Fp)) for n in range(F.q)]
+    add = [[poly_to_int(poly_add(f, g, Fp), Fp) for g in polys] for f in polys]
+    mul = [[poly_to_int(poly_divmod(poly_mul(f, g, Fp), F.modulus, Fp)[1], Fp)
+            for g in polys] for f in polys]
+    neg = [poly_to_int(poly_sub((), f, Fp), Fp) for f in polys]
+    return add, mul, neg
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 121, 125, 169, 243])
+def test_field_tables_match_the_polynomial_route(q):
+    F = GF(q)
+    assert (F._add, F._mul, F._neg) == polynomial_tables(F)
 
 
 @pytest.mark.parametrize("q", FIELDS)
@@ -278,6 +298,38 @@ def test_residue_field_f25_quad_char_enumeration():
         assert RF.quad_char(a) == expect
     # 2 is a square in F_25 (even-degree extension kills the constant class)
     assert RF.quad_char((2,)) == 1
+
+
+def euler_jacobi(a, m, F):
+    """(a/m) as the product of a^((|P|-1)/2) mod P over the factors P^e of m."""
+    out = 1
+    for P, e in poly_factor(m, F)[1]:
+        RF = ResidueField(F, P)
+        r = RF.reduce(a)
+        if not r:
+            return 0
+        chi = 1 if RF.pow(r, (RF.size - 1) // 2) == (1,) else -1
+        out *= chi ** e
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 25, 27])
+def test_poly_jacobi_matches_the_euler_criterion(q):
+    F = GF(q)
+    rng = random.Random(7 * q)
+    seen = set()
+    for _ in range(150):
+        a = poly_norm(tuple(rng.randrange(q) for _ in range(rng.randrange(8))))
+        m = tuple(rng.randrange(q) for _ in range(rng.randrange(1, 6))) + (1,)
+        if rng.random() < 0.3:  # a square factor, and shared factors
+            g = tuple(rng.randrange(q) for _ in range(rng.randrange(1, 3))) + (1,)
+            m = poly_mul(m, poly_mul(g, g, F), F)
+            a = poly_mul(a, g, F) if rng.random() < 0.5 else a
+        want = euler_jacobi(a, m, F)
+        assert poly_jacobi(a, m, F) == want, (a, m)
+        seen.add((want, len(poly_factor(m, F)[1]) > 1))
+    # both signs and zero, on irreducible and composite moduli
+    assert seen >= {(1, True), (-1, True), (0, True), (1, False), (-1, False)}
 
 
 def test_residue_field_inverse_and_sqrt():

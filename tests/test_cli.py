@@ -259,6 +259,18 @@ def test_deep_nesting_exits_two(tmp_path, capsys, good_certificate):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+def test_long_places_are_quoted_in_short(capsys):
+    # 6000 factors of t: not a place text on the curve, and t^6000 is no
+    # irreducible under a place of either backend
+    long_t = "t" * 6000
+    for argv in (["--curve", "t^3+4t", "--places", long_t],
+                 ["--places", long_t],
+                 ["--curve", "t^3+4t", "--places", "(%s; inert)" % long_t]):
+        assert run(["ranks", "--q", "5"] + argv) == 2
+        err = capsys.readouterr().err
+        assert len(err) < 200, err[:300]
+
+
 def test_places_must_be_strings(tmp_path, capsys, good_certificate):
     for key in ("S", "T", "claimed_wild_set", "quotient_basis"):
         data = dict(good_certificate, **{key: [1]})

@@ -28,6 +28,8 @@ from wildsets.local_symbols import local_square_class, reciprocity_product
 from wildsets.projective_line import Divisor
 from wildsets.square_class_spaces import pic_complement_two_rank
 
+from residue_oracle import residue_field, unit_residue
+
 # a mix of shapes: fully split, mixed ramification, irreducible cubics,
 # a non-monic cubic, and an extension base field
 CURVES = [
@@ -315,7 +317,7 @@ def test_residue_field_sizes():
     model = make(5, "t^3 + t + 1")
     for d in (1, 2):
         for P in model.places_of_degree(d):
-            rf = P.residue_field()
+            rf = residue_field(P)
             size = rf.q if P.is_infinite else rf.size
             assert size == 5 ** P.degree
 
@@ -357,7 +359,7 @@ def test_conjugate_pair_matches_polynomial_norm():
             places = set(g.divisor().coeffs) | set(model.places_of_degree(1))
             for P in places:
                 assert h.ord_at(P) == g.ord_at(P)
-                assert h.unit_residue(P) == g.unit_residue(P)
+                assert unit_residue(h, P) == unit_residue(g, P)
 
 
 def test_y_squared_is_f():
@@ -369,7 +371,7 @@ def test_y_squared_is_f():
         for d in (1, 2):
             for P in model.places_of_degree(d):
                 assert ysq.ord_at(P) == g.ord_at(P)
-                assert ysq.unit_residue(P) == g.unit_residue(P)
+                assert unit_residue(ysq, P) == unit_residue(g, P)
 
 
 def test_divisor_matches_ord_at_everywhere():
@@ -401,7 +403,7 @@ def test_unit_residue_by_evaluation_at_rational_points():
                     continue
                 P = model.place_of_rational_point(pt)
                 assert h.ord_at(P) == 0
-                assert h.unit_residue(P) == (val,)
+                assert unit_residue(h, P) == (val,)
                 checked += 1
     assert checked > 100
 
@@ -416,9 +418,9 @@ def test_unit_residue_is_multiplicative():
         places = (set(h1.divisor().coeffs) | set(h2.divisor().coeffs)
                   | set(model.places_of_degree(1)))
         for P in places:
-            rf = P.residue_field()
-            want = rf.mul(h1.unit_residue(P), h2.unit_residue(P))
-            assert prod.unit_residue(P) == want
+            rf = residue_field(P)
+            want = rf.mul(unit_residue(h1, P), unit_residue(h2, P))
+            assert unit_residue(prod, P) == want
 
 
 def test_running_example_hand_values():
@@ -434,30 +436,30 @@ def test_running_example_hand_values():
     assert t.ord_at(rt) == 2
     # t = y^2 / (t^2 - 1) and t^2 - 1 = -1 at the place, so the residue
     # against the uniformizer y is 1 / (-1)
-    assert t.unit_residue(rt) == (4,)
+    assert unit_residue(t, rt) == (4,)
     assert t.ord_at(model.infinity) == -2
-    assert t.unit_residue(model.infinity) == 1
+    assert unit_residue(t, model.infinity) == 1
     y = model.y()
     assert y.ord_at(model.infinity) == -3
-    assert y.unit_residue(model.infinity) == 1
+    assert unit_residue(y, model.infinity) == 1
     # a linear pair with a simple zero: y - 1 vanishes at (2, 1) only
     h = model.parse("y - 1")
     P = model.place_of_rational_point((2, 1))
     assert h.ord_at(P) == 1
-    assert h.unit_residue(P) == (3,)  # dy/dt = f'(2)/2y = 3 at the point
+    assert unit_residue(h, P) == (3,)  # dy/dt = f'(2)/2y = 3 at the point
     Pconj = model.place_of_rational_point((2, 4))
     assert h.ord_at(Pconj) == 0
-    assert h.unit_residue(Pconj) == (3,)  # direct evaluation: 4 - 1
+    assert unit_residue(h, Pconj) == (3,)  # direct evaluation: 4 - 1
 
 
 def test_infinity_with_nonmonic_leading_coefficient():
     model = make(5, "2t^3 + 2t + 1")
     t = model.from_poly((0, 1))
     assert t.ord_at(model.infinity) == -2
-    assert t.unit_residue(model.infinity) == 3  # 1 / lc(f) = 1/2
+    assert unit_residue(t, model.infinity) == 3  # 1 / lc(f) = 1/2
     y = model.y()
     assert y.ord_at(model.infinity) == -3
-    assert y.unit_residue(model.infinity) == 3
+    assert unit_residue(y, model.infinity) == 3
 
 
 def test_constants_are_units_everywhere():
@@ -516,7 +518,7 @@ def test_parse_and_str_of_functions():
         again = model.parse(str(h))
         assert again.divisor() == h.divisor()
         for P in model.places_of_degree(1):
-            assert again.unit_residue(P) == h.unit_residue(P)
+            assert unit_residue(again, P) == unit_residue(h, P)
 
 
 def test_parse_rejects_degenerate_input():

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
 
-from wildsets.base_algebra import GF, poly_norm
+from wildsets.base_algebra import (
+    GF,
+    poly_factor,
+    poly_is_irreducible,
+    poly_neg,
+    poly_norm,
+    poly_parse,
+)
+from wildsets.elliptic_curve import EllipticModel
 from wildsets.local_symbols import (
     ONE,
     PI,
@@ -23,7 +32,16 @@ from wildsets.local_symbols import (
 )
 from wildsets.projective_line import Place, ProjectiveLine, RationalFunction, finite_places_of_degree
 
+from residue_oracle import euler_square_class
+
 CLASSES = (ONE, U, PI, U_PI)
+
+
+def random_poly(rng, F, deg):
+    while True:
+        f = poly_norm(tuple(rng.randrange(F.q) for _ in range(deg + 1)))
+        if f:
+            return f
 
 
 def random_element(rng, F, max_deg=3):
@@ -270,3 +288,85 @@ def test_square_class_hilbert_matches_element_level():
         for P in places:
             assert hilbert_symbol(a, b, P) == square_class_hilbert(
                 local_square_class(a, P), local_square_class(b, P), minus_one_is_square(P))
+
+
+# -- residue characters against the Euler criterion ------------------------------
+
+LINE_FIELDS = (3, 5, 9, 13, 25, 27)
+CURVES = ((5, "t^3 + t + 1"),    # ramified of degree 3
+          (7, "t^3 + t"),        # q = 3 mod 4; ramified of degrees 1 and 2
+          (9, "t^3 + 2t + g"),   # extension field, full 2-torsion
+          (11, "t^3 + t + 4"),   # q = 3 mod 4; ramified of degree 3
+          (13, "2t^3 + t"))      # non-monic; ramified of degrees 1 and 2
+
+
+def _sample_places(model, rng, counts):
+    """All degree-1 places and the places over a few random bases of
+    degrees 2 and 3."""
+    F = model.field
+    places = model.places_of_degree(1)
+    for d, n in counts:
+        bases = set()
+        while len(bases) < n:
+            p = tuple(rng.randrange(F.q) for _ in range(d)) + (1,)
+            if poly_is_irreducible(p, F):
+                bases.add(p)
+        for p in sorted(bases):
+            if isinstance(model, ProjectiveLine):
+                places.append(Place(F, p))
+            else:
+                places.extend(model.places_above(p))
+    return places
+
+
+def _check_against_euler(elem, places, seen):
+    for P in places:
+        want = euler_square_class(elem, P)
+        assert elem.residue_char(P) == (-1 if want[1] else 1), (elem, P)
+        assert local_square_class(elem, P) == want
+        seen["cases"] += 1
+        seen[getattr(P, "kind", "infinite" if P.is_infinite else "finite")] += 1
+        base = getattr(P, "base", getattr(P, "poly", None))
+        for atom, e in elem.factors.items():
+            seen["even exponent"] += e % 2 == 0
+            seen["pair atom"] += atom[0] == "lin"
+            seen["base atom"] += base is not None and atom in (base, ("poly", base))
+
+
+def test_residue_char_matches_the_euler_criterion():
+    seen = collections.Counter()
+    rng = random.Random(2018)
+    for q in LINE_FIELDS:
+        F = GF(q)
+        line = ProjectiveLine(F)
+        places = _sample_places(line, rng, ((2, 3), (3, 3)))
+        pool = [P.poly for P in places if not P.is_infinite]
+        for _ in range(50):
+            factors = {p: rng.choice((-3, -2, -1, 1, 2, 3))
+                       for p in rng.sample(pool, rng.randrange(1, 5))}
+            elem = RationalFunction(F, rng.randrange(1, q), factors)
+            _check_against_euler(elem, places, seen)
+    for q, text in CURVES:
+        F = GF(q)
+        model = EllipticModel(F, poly_parse(text, F))
+        places = _sample_places(model, rng, ((2, 3), (3, 2)))
+        # every ramified place: the places over the factors of f
+        places += [P for p, _ in poly_factor(model.f, F)[1]
+                   for P in model.places_above(p) if P not in places]
+        atoms = [model.from_poly(P.base) for P in places if not P.is_infinite]
+        atoms += [model.y()] + [model.from_pair(P.base, (1,))
+                                for P in places if P.kind == "ramified"]
+        # y minus a lift of the branch vanishes at a split place
+        atoms += [model.from_pair(poly_neg(P.branch, F), (1,))
+                  for P in places if P.kind == "split"]
+        for _ in range(12):
+            atoms.append(model.from_pair(random_poly(rng, F, 2), random_poly(rng, F, 1)))
+        for _ in range(45):
+            elem = model.constant(rng.randrange(1, q))
+            for g in rng.sample(atoms, rng.randrange(1, 5)):
+                elem = elem * g ** rng.choice((-3, -2, -1, 1, 2, 3))
+            _check_against_euler(elem, places, seen)
+    assert seen["cases"] >= 9000, seen
+    for kind in ("finite", "infinite", "split", "inert", "ramified",
+                 "pair atom", "even exponent", "base atom"):
+        assert seen[kind] >= 300, (kind, seen)
