@@ -40,6 +40,7 @@ from .errors import (
     VerificationError,
     WildSetsError,
 )
+from .function_field import Divisor
 from .local_symbols import (
     LocalMap,
     hilbert_symbol,
@@ -47,7 +48,7 @@ from .local_symbols import (
     minus_one_is_square,
     reciprocity_product,
 )
-from .projective_line import Divisor, ProjectiveLine
+from .projective_line import ProjectiveLine
 from .square_class_spaces import (
     check_lin_dep_lemma,
     check_pic_rank_formula,

@@ -605,7 +605,7 @@ def poly_str(f: Poly, var: str = "t", F: Optional[Fq] = None) -> str:
 
 # parser values are dicts {y_degree: coefficient polynomial in t}
 
-# Degree bound on the result of one power x^e in parsed text.
+# Degree bound on every power and product in parsed text, in t and in y.
 MAX_PARSED_DEGREE = 4096
 # Bound on the nesting of parentheses in parsed text; each level costs
 # the recursive-descent parser three stack frames.
@@ -714,7 +714,7 @@ class _RatParser:
                 w = (_ydict_neg(w[0], self.F), w[1])
             n = _ydict_add(_ydict_mul(v[0], w[1], self.F),
                            _ydict_mul(w[0], v[1], self.F), self.F)
-            v = (n, _ydict_mul(v[1], w[1], self.F))
+            v = self.bounded((n, _ydict_mul(v[1], w[1], self.F)))
         return v
 
     def term(self):
@@ -733,7 +733,16 @@ class _RatParser:
                 w = self.atom()
             else:
                 return v
-            v = (_ydict_mul(v[0], w[0], self.F), _ydict_mul(v[1], w[1], self.F))
+            v = self.bounded((_ydict_mul(v[0], w[0], self.F),
+                              _ydict_mul(v[1], w[1], self.F)))
+
+    def bounded(self, v):
+        """The product v, once both its halves are within MAX_PARSED_DEGREE."""
+        degree = max(map(_ydict_degree, v))
+        if degree > MAX_PARSED_DEGREE:
+            self.error("the product has degree %d, above the bound %d"
+                       % (degree, MAX_PARSED_DEGREE))
+        return v
 
     def atom(self):
         c = self.peek()

@@ -15,11 +15,12 @@ generic machinery.  Nothing returned here bypasses verification.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .equivalence_core import (
     PreEquivalence,
     WildSetCertificate,
+    _places_by_degree,
     certify,
     compose,
     extend_pre_equivalence,
@@ -34,10 +35,10 @@ from .local_symbols import (
     minus_one_is_square,
     square_class_mul,
 )
-from .projective_line import Divisor
+from .function_field import Divisor
 from .square_class_spaces import (
     _f2_rank,
-    _global_even_generators,
+    _global_even_elements,
     _product,
     g_rank,
     smile,
@@ -70,16 +71,6 @@ def _even_class_witness(model, D: Divisor):
     if E is None:
         raise HypothesisError("the class of %s is not 2-divisible" % D)
     return model.function_with_divisor(D - 2 * E)
-
-
-def _global_even_elements(model) -> List:
-    """Nontrivial classes of even order at every single place.
-
-    The products of the global even-order generators, enumerated in a
-    fixed order so that every scan over them is deterministic.
-    """
-    gens = _global_even_generators(model)
-    return [_product(model, gens, mask) for mask in range(1, 1 << len(gens))]
 
 
 def _sing_element(model, nonsquare_at: Sequence, square_at: Sequence = ()):
@@ -209,17 +200,15 @@ def _aux_point_and_witness(model, S, mu, degree_cap: int):
     """
     p1, p2 = S[0], S[1]
     goal = local_square_class(mu, p2)
-    for d in range(1, degree_cap + 1):
-        for P in sorted(model.places_of_degree(d),
-                        key=lambda Q: bool(Q.is_infinite)):
-            if P in S or model.pic_mod2(P) != 0:
-                continue
-            base = _even_class_witness(model, _single(P))
-            for sigma in [model.one()] + _global_even_elements(model):
-                nu = base * sigma
-                if local_square_class(nu, p1) == ONE and \
-                        local_square_class(nu, p2) == goal:
-                    return P, nu
+    for P in _places_by_degree(model, degree_cap):
+        if P in S or model.pic_mod2(P) != 0:
+            continue
+        base = _even_class_witness(model, _single(P))
+        for sigma in _global_even_elements(model):
+            nu = base * sigma
+            if local_square_class(nu, p1) == ONE and \
+                    local_square_class(nu, p2) == goal:
+                return P, nu
     raise SearchExhausted(
         "no point of degree <= %d admits the witness the three-point "
         "construction needs; raise the degree cap" % degree_cap)

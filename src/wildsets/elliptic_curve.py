@@ -31,14 +31,13 @@ function with a prescribed principal divisor.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .base_algebra import (
     Fq,
     Poly,
     ResidueField,
     _quoted,
-    const_str,
     irreducibles_of_degree,
     poly_add,
     poly_deg,
@@ -60,7 +59,8 @@ from .base_algebra import (
     poly_to_int,
     rat_parse,
 )
-from .projective_line import Divisor
+from .errors import HypothesisError
+from .function_field import Divisor, FactoredFunction
 
 Point = Optional[Tuple[int, int]]  # None is the point at infinity
 
@@ -120,8 +120,8 @@ class CurvePlace:
     Finite places carry their base irreducible and kind; split places
     also carry the branch, i.e. the square root of f mod p that y
     reduces to.  The infinite place has no base.  Places compare by
-    (field, curve, kind, base, branch) and sort with infinity first,
-    then by degree and base.
+    (model key, kind, base, branch) and sort with infinity first, then
+    by degree and base.
     """
 
     __slots__ = ("model", "kind", "base", "branch")
@@ -159,14 +159,13 @@ class CurvePlace:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CurvePlace)
-                and self.field.q == other.field.q
-                and self.model.f == other.model.f
+                and self.model.key == other.model.key
                 and self.kind == other.kind
                 and self.base == other.base
                 and self.branch == other.branch)
 
     def __hash__(self) -> int:
-        return hash((self.field.q, self.model.f, self.kind, self.base, self.branch))
+        return hash((self.model.key, self.kind, self.base, self.branch))
 
     def __lt__(self, other: "CurvePlace") -> bool:
         return self.sort_key() < other.sort_key()
@@ -181,216 +180,6 @@ class CurvePlace:
 
     def __repr__(self) -> str:
         return "CurvePlace(%s)" % self
-
-
-class CurveFunction:
-    """A nonzero function on the curve in factored form.
-
-    The factors dict maps atoms to integer exponents; an atom is either
-    ("poly", p) for a monic irreducible p in t, or ("lin", (a, b)) for a
-    primitive pair a + b*y with b monic and gcd(a, b) = 1.  Products
-    merge exponents, so equality is equality of the factored form: the
-    same function assembled from different factorizations may compare
-    unequal, while orders, residues, and divisors always agree.
-
-    The public constructor checks every atom -- polynomial factors monic
-    and irreducible, pairs primitive with a monic y-coefficient -- and
-    raises ValueError otherwise.  Arithmetic, from_poly and from_pair
-    build their results through ``_trusted``, whose atoms hold by
-    construction.
-    """
-
-    __slots__ = ("model", "constant", "factors")
-
-    def __init__(self, model: "EllipticModel", constant: int,
-                 factors: Optional[Mapping] = None):
-        F = model.field
-        for (kind, data), e in (factors or {}).items():
-            if not e:
-                continue
-            if kind == "poly":
-                if not (data and data[-1] == 1 and poly_is_irreducible(data, F)):
-                    raise ValueError("polynomial factors must be monic "
-                                     "irreducibles, got %r" % (data,))
-            else:
-                a, b = data
-                if not (b and b[-1] == 1 and poly_gcd(a, b, F) == (1,)):
-                    raise ValueError("pairs must be primitive with a monic "
-                                     "y-coefficient, got %r" % (data,))
-        self._fill(model, constant, factors)
-
-    def _fill(self, model: "EllipticModel", constant: int,
-              factors: Optional[Mapping]) -> None:
-        if constant == 0:
-            raise ValueError("the zero element has no factored form")
-        self.model = model
-        self.constant = constant
-        self.factors: Dict = {atom: e for atom, e in (factors or {}).items() if e}
-
-    @classmethod
-    def _trusted(cls, model: "EllipticModel", constant: int,
-                 factors: Optional[Mapping] = None) -> "CurveFunction":
-        """Build from atoms already known to satisfy the constructor's checks."""
-        out = cls.__new__(cls)
-        out._fill(model, constant, factors)
-        return out
-
-    @classmethod
-    def one(cls, model: "EllipticModel") -> "CurveFunction":
-        return cls(model, 1)
-
-    @classmethod
-    def from_poly(cls, model: "EllipticModel", g: Poly) -> "CurveFunction":
-        g = poly_norm(g)
-        if not g:
-            raise ValueError("the zero element has no factored form")
-        lc, factors = poly_factor(g, model.field)
-        return cls._trusted(model, lc, {("poly", p): m for p, m in factors})
-
-    @classmethod
-    def from_pair(cls, model: "EllipticModel", a: Poly, b: Poly) -> "CurveFunction":
-        """The function a + b*y, normalized into factored form."""
-        F = model.field
-        a, b = poly_norm(a), poly_norm(b)
-        if not b:
-            return cls.from_poly(model, a)
-        g = poly_gcd(a, b, F)
-        a1, _ = poly_divmod(a, g, F)
-        b1, _ = poly_divmod(b, g, F)
-        c = b1[-1]
-        ci = F.inv(c)
-        pair = (poly_scalar(a1, ci, F), poly_scalar(b1, ci, F))
-        out = cls.from_poly(model, g)
-        return out * cls._trusted(model, c, {("lin", pair): 1})
-
-    @classmethod
-    def parse(cls, model: "EllipticModel", s: str) -> "CurveFunction":
-        """Parse an expression in t and y, e.g. ``(y - 1) / (t + y)^2``."""
-        num, den = rat_parse(s, model.field, allow_y=True)
-        num = _reduce_y(num, model)
-        den = _reduce_y(den, model)
-        if not den:
-            raise ValueError("denominator vanishes on the curve: %s" % _quoted(s))
-        if not num:
-            raise ValueError("the zero element has no factored form: %s" % _quoted(s))
-        top = cls.from_pair(model, num.get(0, ()), num.get(1, ()))
-        bot = cls.from_pair(model, den.get(0, ()), den.get(1, ()))
-        return top / bot
-
-    def __mul__(self, other: "CurveFunction") -> "CurveFunction":
-        if not isinstance(other, CurveFunction):
-            return NotImplemented
-        assert self.model.f == other.model.f and self.model.field.q == other.model.field.q
-        fac = dict(self.factors)
-        for atom, e in other.factors.items():
-            fac[atom] = fac.get(atom, 0) + e
-        return CurveFunction._trusted(self.model,
-                                      self.model.field.mul(self.constant, other.constant), fac)
-
-    def inverse(self) -> "CurveFunction":
-        return CurveFunction._trusted(self.model, self.model.field.inv(self.constant),
-                                      {atom: -e for atom, e in self.factors.items()})
-
-    def __truediv__(self, other: "CurveFunction") -> "CurveFunction":
-        if not isinstance(other, CurveFunction):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, k: int) -> "CurveFunction":
-        return CurveFunction._trusted(self.model, self.model.field.pow(self.constant, k),
-                                      {atom: k * e for atom, e in self.factors.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CurveFunction)
-                and self.model.field.q == other.model.field.q
-                and self.model.f == other.model.f
-                and self.constant == other.constant
-                and self.factors == other.factors)
-
-    def __hash__(self) -> int:
-        return hash((self.model.field.q, self.model.f, self.constant,
-                     frozenset(self.factors.items())))
-
-    # -- orders, residues, divisors
-
-    def ord_at(self, place: CurvePlace) -> int:
-        """The valuation at a place."""
-        return sum(e * _atom_ord(atom, place, self.model)
-                   for atom, e in self.factors.items())
-
-    def residue_char(self, place: CurvePlace) -> int:
-        """The quadratic character (+1 or -1) of the unit-part residue.
-
-        The residue against the canonical uniformizers is multiplicative
-        factor by factor, so its character is the constant's, chi(c) to
-        the degree of the place, times the characters of the atoms with
-        odd exponents.
-        """
-        F = self.model.field
-        sign = F.quad_char(self.constant) if place.degree & 1 else 1
-        for atom, e in self.factors.items():
-            if e & 1:
-                sign *= _atom_char(atom, place, self.model)
-        return sign
-
-    def divisor(self) -> Divisor:
-        model = self.model
-        coeffs: Dict[CurvePlace, int] = {}
-
-        def bump(P, n):
-            if n:
-                coeffs[P] = coeffs.get(P, 0) + n
-
-        for atom, e in self.factors.items():
-            kind, data = atom
-            if kind == "poly":
-                for P in model._places_over_irreducible(data):
-                    bump(P, e * (2 if P.kind == "ramified" else 1))
-                bump(model.infinity, -2 * poly_deg(data) * e)
-            else:
-                a, b = data
-                n = _pair_norm(a, b, model)
-                for p, _ in poly_factor(n, model.field)[1]:
-                    for P in model._places_over_irreducible(p):
-                        assert P.kind != "inert", "a primitive pair has no inert zeros"
-                        bump(P, e * _atom_ord(atom, P, model))
-                bump(model.infinity, e * _atom_ord(atom, model.infinity, model))
-        D = Divisor(coeffs)
-        assert D.degree == 0
-        return D
-
-    def is_square(self) -> bool:
-        """True when the element is a square in the function field.
-
-        The divisor must be twice a principal divisor; dividing by the
-        square of a function with that half leaves a constant, and the
-        constant decides the question.  Exact, unlike any test by local
-        data at finitely many places.
-        """
-        D = self.divisor()
-        if any(n % 2 for n in D.coeffs.values()):
-            return False
-        half = Divisor({P: n // 2 for P, n in D.coeffs.items()})
-        if not self.model.is_principal(half):
-            return False
-        h = self.model.function_with_divisor(half)
-        rest = self / (h * h)
-        return rest.residue_char(self.model.infinity) == 1
-
-    def __str__(self) -> str:
-        F = self.model.field
-        parts = [const_str(self.constant, F)]
-        for atom in sorted(self.factors, key=_atom_sort_key):
-            kind, data = atom
-            if kind == "poly":
-                body = poly_str(data, "t", F)
-            else:
-                body = _lin_str(data[0], data[1], F)
-            parts.append("(%s)^%d" % (body, self.factors[atom]))
-        return " * ".join(parts)
-
-    def __repr__(self) -> str:
-        return "CurveFunction(%s)" % self
 
 
 def _reduce_y(ydict, model: "EllipticModel"):
@@ -502,11 +291,122 @@ def _atom_sort_key(atom):
     return (1, poly_deg(b), tuple(reversed(b)), tuple(reversed(a)))
 
 
-def _lin_str(a: Poly, b: Poly, F: Fq) -> str:
-    ys = "y" if b == (1,) else "(%s)y" % poly_str(b, "t", F)
-    if not a:
-        return ys
-    return "%s + %s" % (poly_str(a, "t", F), ys)
+class CurveFunction(FactoredFunction):
+    """A nonzero function on the curve in factored form.
+
+    An atom is either ("poly", p) for a monic irreducible p in t, or
+    ("lin", (a, b)) for a primitive pair a + b*y with b monic and
+    gcd(a, b) = 1.  Products merge exponents, so equality is equality of
+    the factored form: the same function assembled from different
+    factorizations may compare unequal, while orders, residues, and
+    divisors always agree.
+
+    The public constructor checks every atom -- polynomial factors monic
+    and irreducible, pairs primitive with a monic y-coefficient.
+    """
+
+    __slots__ = ()
+
+    _atom_ord = staticmethod(_atom_ord)
+    _atom_char = staticmethod(_atom_char)
+    _atom_sort_key = staticmethod(_atom_sort_key)
+    _poly_atom = staticmethod(lambda p: ("poly", p))
+
+    @staticmethod
+    def _atom_str(atom, F: Fq) -> str:
+        kind, data = atom
+        if kind == "poly":
+            return poly_str(data, "t", F)
+        a, b = data
+        ys = "y" if b == (1,) else "(%s)y" % poly_str(b, "t", F)
+        return "%s + %s" % (poly_str(a, "t", F), ys) if a else ys
+
+    @staticmethod
+    def _check_atom(atom, F: Fq) -> None:
+        kind, data = atom
+        if kind == "poly":
+            if not (data and data[-1] == 1 and poly_is_irreducible(data, F)):
+                raise ValueError("polynomial factors must be monic "
+                                 "irreducibles, got %r" % (data,))
+        else:
+            a, b = data
+            if not (b and b[-1] == 1 and poly_gcd(a, b, F) == (1,)):
+                raise ValueError("pairs must be primitive with a monic "
+                                 "y-coefficient, got %r" % (data,))
+
+    @classmethod
+    def from_pair(cls, model: "EllipticModel", a: Poly, b: Poly) -> "CurveFunction":
+        """The function a + b*y, normalized into factored form."""
+        F = model.field
+        a, b = poly_norm(a), poly_norm(b)
+        if not b:
+            return cls.from_poly(model, a)
+        g = poly_gcd(a, b, F)
+        a1, _ = poly_divmod(a, g, F)
+        b1, _ = poly_divmod(b, g, F)
+        c = b1[-1]
+        ci = F.inv(c)
+        pair = (poly_scalar(a1, ci, F), poly_scalar(b1, ci, F))
+        out = cls.from_poly(model, g)
+        return out * cls._trusted(model, c, {("lin", pair): 1})
+
+    @classmethod
+    def parse(cls, model: "EllipticModel", s: str) -> "CurveFunction":
+        """Parse an expression in t and y, e.g. ``(y - 1) / (t + y)^2``."""
+        num, den = rat_parse(s, model.field, allow_y=True)
+        num = _reduce_y(num, model)
+        den = _reduce_y(den, model)
+        if not den:
+            raise ValueError("denominator vanishes on the curve: %s" % _quoted(s))
+        if not num:
+            raise ValueError("the zero element has no factored form: %s" % _quoted(s))
+        top = cls.from_pair(model, num.get(0, ()), num.get(1, ()))
+        bot = cls.from_pair(model, den.get(0, ()), den.get(1, ()))
+        return top / bot
+
+    def divisor(self) -> Divisor:
+        model = self.model
+        coeffs: Dict[CurvePlace, int] = {}
+
+        def bump(P, n):
+            if n:
+                coeffs[P] = coeffs.get(P, 0) + n
+
+        for atom, e in self.factors.items():
+            kind, data = atom
+            if kind == "poly":
+                for P in model._places_over_irreducible(data):
+                    bump(P, e * (2 if P.kind == "ramified" else 1))
+                bump(model.infinity, -2 * poly_deg(data) * e)
+            else:
+                a, b = data
+                n = _pair_norm(a, b, model)
+                for p, _ in poly_factor(n, model.field)[1]:
+                    for P in model._places_over_irreducible(p):
+                        assert P.kind != "inert", "a primitive pair has no inert zeros"
+                        bump(P, e * _atom_ord(atom, P, model))
+                bump(model.infinity, e * _atom_ord(atom, model.infinity, model))
+        D = Divisor(coeffs)
+        assert D.degree == 0
+        return D
+
+    def is_square(self) -> bool:
+        """True when the element is a square in the function field.
+
+        The divisor must be twice a principal divisor; dividing by the
+        square of a function with that half leaves a constant, and the
+        constant decides the question.  Exact, unlike any test by local
+        data at finitely many places.
+        """
+        D = self.divisor()
+        if any(n % 2 for n in D.coeffs.values()):
+            return False
+        half = Divisor({P: n // 2 for P, n in D.coeffs.items()})
+        if not self.model.is_principal(half):
+            return False
+        h = self.model.function_with_divisor(half)
+        rest = self / (h * h)
+        return rest.residue_char(self.model.infinity) == 1
 
 
 class EllipticModel:
@@ -528,6 +428,7 @@ class EllipticModel:
             raise ValueError("the defining polynomial must be squarefree")
         self.field = field
         self.f = f
+        self.key = (field.q, f)  # the model's identity
         self.infinity = CurvePlace(self, "infinite")
         self._above: Dict[Poly, Tuple[CurvePlace, ...]] = {}
         self._of_degree: Dict[int, Tuple[CurvePlace, ...]] = {}
@@ -645,6 +546,20 @@ class EllipticModel:
 
     def parse(self, s: str) -> CurveFunction:
         return CurveFunction.parse(self, s)
+
+    # -- certificates
+
+    def header(self) -> dict:
+        """The certificate fields that name this model."""
+        return {"backend": self.backend, "q": self.field.q,
+                "curve": poly_str(self.f, "t", self.field)}
+
+    @classmethod
+    def from_header(cls, field: Fq, data: dict) -> "EllipticModel":
+        curve = data["curve"]
+        if not isinstance(curve, str):
+            raise ValueError("the curve must be a string, got %r" % (curve,))
+        return cls(field, poly_parse(curve, field))
 
     # -- the Mordell-Weil group over F_q
 
@@ -808,6 +723,32 @@ class EllipticModel:
                 return Divisor({self.place_of_rational_point(H): 1,
                                 self.infinity: k - 1})
         return None
+
+    def punctured_pic_two_rank(self, S) -> int:
+        """F_2-rank of Pic modulo the classes of S, without pic_mod2.
+
+        The quotient of the point group by the subgroup the removed
+        places generate is enumerated, which needs the infinite place to
+        be removed.
+        """
+        if self.infinity not in S:
+            raise HypothesisError(
+                "direct computation unavailable: removing the infinite place "
+                "is required to enumerate the punctured class group")
+        subgroup = {None}
+        for g in (self.pic_class_of_place(P) for P in S if not P.is_infinite):
+            # adjoin g: one coset per multiple of g until one falls inside
+            inside, x = set(subgroup), g
+            while x not in inside:
+                subgroup |= {self.add_points(x, h) for h in inside}
+                x = self.add_points(x, g)
+        points = self.rational_points()
+        halves = sum(1 for P in points if self.add_points(P, P) in subgroup)
+        assert halves % len(subgroup) == 0
+        torsion = halves // len(subgroup)
+        rank = torsion.bit_length() - 1
+        assert 1 << rank == torsion
+        return rank
 
     # -- points <-> degree-one places
 

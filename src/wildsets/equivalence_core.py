@@ -41,11 +41,12 @@ import json
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .base_algebra import checked_field, poly_parse, poly_str
+from .base_algebra import checked_field
 from .elliptic_curve import EllipticModel
 from .errors import HypothesisError, SearchExhausted, VerificationError
 from .local_symbols import (
     ONE,
+    U,
     LocalMap,
     local_square_class,
     minus_one_is_square,
@@ -58,7 +59,7 @@ from .square_class_spaces import (
     _clean_places,
     _f2_rank,
     _kernel_basis,
-    _local_bits,
+    _pack,
     _product,
     _reduce,
     _xor_insert,
@@ -190,8 +191,7 @@ class WildSetCertificate:
             if P not in members:
                 raise VerificationError(
                     "wild point %s lies outside the removed set" % P)
-        if self.wild_set and not check_necessary_condition(
-                equivalence.model, self.wild_set):
+        if not check_necessary_condition(equivalence.model, self.wild_set):
             raise VerificationError(
                 "a wild set of %d places cannot have class rank %d"
                 % (len(self.wild_set),
@@ -217,7 +217,7 @@ def quotient_basis(model, S) -> Tuple:
     seen: Dict[int, int] = {}
     out = []
     for g in space.generators:
-        if _xor_insert(seen, _local_bits(g, S)):
+        if _xor_insert(seen, _pack(local_square_class(g, P) for P in S)):
             out.append(g)
     if len(out) != len(S):
         raise VerificationError(
@@ -249,9 +249,7 @@ def _side_classes(places, elements, failures, side):
                 ok = False
                 break
     table = [[local_square_class(b, P) for P in places] for b in elements]
-    rows = [sum((e | s << 1) << 2 * j for j, (e, s) in enumerate(row))
-            for row in table]
-    if _f2_rank(rows) != len(elements):
+    if _f2_rank([_pack(row) for row in table]) != len(elements):
         failures.append("%s basis is dependent modulo the locally trivial "
                         "classes" % side)
         ok = False
@@ -369,8 +367,12 @@ def wild_points(se: SmallEquivalence) -> frozenset:
 
 
 def check_necessary_condition(model, S) -> bool:
-    """Whether S is large enough to be wild: twice its class rank."""
-    return len(tuple(S)) >= 2 * g_rank(model, S).rank
+    """Whether S is large enough to be wild: twice its class rank.
+
+    The empty set holds it: it has no classes to span.
+    """
+    S = tuple(S)
+    return not S or len(S) >= 2 * g_rank(model, S).rank
 
 
 def _rank_preservation_report(se: SmallEquivalence) -> dict:
@@ -441,8 +443,8 @@ def _sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
     shift = len(dst_gens)
     target: Dict[int, int] = {}
     for k, c in enumerate(dst_gens):
-        if not _xor_insert(target, _local_bits(c, images) << shift | 1 << k
-                           ) >> shift:
+        row = _pack(local_square_class(c, Q) for Q in images)
+        if not _xor_insert(target, row << shift | 1 << k) >> shift:
             raise VerificationError("the target generators are dependent "
                                     "in their local data")
 
@@ -450,21 +452,19 @@ def _sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
     prescribed = []
     twist_flips = []
     for b in src_gens:
-        v = 0
+        images_of_b = []
         flips = []
         for j, (P, lm) in enumerate(zip(places, local_maps)):
-            e0, s0 = local_square_class(b, P)
-            e, s = lm.apply((e0, s0))
-            v |= e << (2 * j) | s << (2 * j + 1)
-            iu_e, iu_s = lm.image_of_u
+            start = local_square_class(b, P)
+            image = lm.apply(start)
+            images_of_b.append(image)
             # pre-twist feeds the map u times the class instead
-            flips.append((iu_e << (2 * j) | iu_s << (2 * j + 1))
-                         if e0 else 0)
+            flips.append(_pack([lm.image_of_u], j) if start[0] else 0)
             # post-twist flips the residue bit of odd-parity values,
             # whose parity the pre-twist may itself have moved
-            flips.append(e << (2 * j + 1) if e else 0)
-            flips.append(1 << (2 * j + 1) if e0 and iu_e else 0)
-        prescribed.append(v)
+            flips.append(_pack([(0, image[0])], j))
+            flips.append(_pack([U], j) if start[0] and lm.image_of_u[0] else 0)
+        prescribed.append(_pack(images_of_b))
         twist_flips.append(flips)
 
     # column nvars-1-k stacks every generator's residual for unknown k
@@ -554,12 +554,6 @@ def _realize_small_equivalence(model, places, images, local_maps
 
 # -- composition
 
-def _same_model(a, b) -> bool:
-    if a.backend != b.backend or a.field.q != b.field.q:
-        return False
-    return a.backend != "elliptic_curve" or a.f == b.f
-
-
 def compose(c1: WildSetCertificate, c2: WildSetCertificate
             ) -> WildSetCertificate:
     """Glue two certificates into one for the composed equivalence.
@@ -575,7 +569,7 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate
     rejected as misaligned.
     """
     se1, se2 = c1.equivalence, c2.equivalence
-    if not _same_model(se1.model, se2.model):
+    if se1.model.key != se2.model.key:
         raise ValueError("certificates live over different fields")
     model = se1.model
     forward = dict(zip(se1.places, se1.images))
@@ -673,29 +667,37 @@ def _wild_union_fallback(model, places, images, maps) -> SmallEquivalence:
 
 # -- extension of a pre-equivalence
 
+def _places_by_degree(model, degree_cap: int):
+    """Every place of degree at most the cap, by increasing degree.
+
+    Within a degree the finite places come first, in enumeration order,
+    and the infinite place last.
+    """
+    for d in range(1, degree_cap + 1):
+        yield from sorted(model.places_of_degree(d),
+                          key=lambda Q: Q.is_infinite)
+
+
 def _auxiliary_places(model, lams, forbidden, degree_cap) -> Tuple:
     """One place per function, seeing it and none of the others.
 
-    Scans places by increasing degree -- finite ones before the
-    infinite one -- for residues that make exactly one of the given
-    locally-trivial functions a nonsquare.  Existence is guaranteed
-    only in the limit, so running past the degree cap raises instead
-    of returning something wrong.
+    Scans places by increasing degree for residues that make exactly
+    one of the given locally-trivial functions a nonsquare.  Existence
+    is guaranteed only in the limit, so running past the degree cap
+    raises instead of returning something wrong.
     """
     found: List[Optional[object]] = [None] * len(lams)
     missing = len(lams)
-    for d in range(1, degree_cap + 1):
-        for P in sorted(model.places_of_degree(d),
-                        key=lambda Q: bool(Q.is_infinite)):
-            if P in forbidden or P in found:
-                continue
-            nonsquare = [i for i, lam in enumerate(lams)
-                         if local_square_class(lam, P) != ONE]
-            if len(nonsquare) == 1 and found[nonsquare[0]] is None:
-                found[nonsquare[0]] = P
-                missing -= 1
-                if missing == 0:
-                    return tuple(found)
+    for P in _places_by_degree(model, degree_cap):
+        if P in forbidden or P in found:
+            continue
+        nonsquare = [i for i, lam in enumerate(lams)
+                     if local_square_class(lam, P) != ONE]
+        if len(nonsquare) == 1 and found[nonsquare[0]] is None:
+            found[nonsquare[0]] = P
+            missing -= 1
+            if missing == 0:
+                return tuple(found)
     raise SearchExhausted(
         "no places of degree <= %d separate the %d locally trivial classes; "
         "raise the degree cap" % (degree_cap, len(lams)))
@@ -776,10 +778,7 @@ def extend_pre_equivalence(pe: PreEquivalence, degree_cap: int = 6
 def certificate_to_json(cert: WildSetCertificate) -> str:
     """Serialize a certificate to the interchange JSON form."""
     se = cert.equivalence
-    model = se.model
-    data = {"backend": model.backend, "q": model.field.q}
-    if data["backend"] == "elliptic_curve":
-        data["curve"] = poly_str(model.f, "t", model.field)
+    data = se.model.header()
     data["S"] = [str(P) for P in se.places]
     data["T"] = [str(Q) for Q in se.images]
     data["quotient_basis"] = [str(b) for b in se.sing_basis]
@@ -830,6 +829,10 @@ def _local_maps_from_json(model, places, entries) -> List[LocalMap]:
     return [by_place[P] for P in places]
 
 
+# the model class behind each backend name a certificate may carry
+_BACKENDS = {cls.backend: cls for cls in (ProjectiveLine, EllipticModel)}
+
+
 def certificate_from_json(text: str) -> WildSetCertificate:
     """Rebuild and re-verify a certificate from its JSON form.
 
@@ -850,13 +853,9 @@ def certificate_from_json(text: str) -> WildSetCertificate:
     try:
         backend = data["backend"]
         field = checked_field(data["q"])
-        if backend == "projective_line":
-            model = ProjectiveLine(field)
-        elif backend == "elliptic_curve":
-            curve = _string(data["curve"], "the curve")
-            model = EllipticModel(field, poly_parse(curve, field))
-        else:
+        if not isinstance(backend, str) or backend not in _BACKENDS:
             raise ValueError("unknown backend %r" % (backend,))
+        model = _BACKENDS[backend].from_header(field, data)
         places = [model.parse_place(s) for s in _strings(data, "S")]
         images = [model.parse_place(s) for s in _strings(data, "T")]
         basis = [model.parse(s) for s in _strings(data, "quotient_basis")]

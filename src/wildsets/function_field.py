@@ -1,0 +1,189 @@
+"""Divisors and factored functions, shared by both backends.
+
+A nonzero function is kept as a constant times a product of integer
+powers of atoms, irreducible pieces whose order and residue character at
+every place the backend knows in closed form.  So the order of the whole
+function is the sum of e * ord(atom), and, since a character ignores
+squares, its residue character is chi(c)^(deg P) times the characters of
+the atoms with odd exponent.  Places and functions belong to a model,
+whose ``key`` is its identity: they compare and hash through it.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Mapping, Optional, Tuple
+
+from .base_algebra import Poly, const_str, poly_factor, poly_norm
+
+
+class Divisor:
+    """A formal integer combination of places, held as a sparse dict."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Optional[Mapping] = None):
+        self.coeffs = {P: n for P, n in (coeffs or {}).items() if n}
+
+    @property
+    def degree(self) -> int:
+        return sum(n * P.degree for P, n in self.coeffs.items())
+
+    def support(self) -> List:
+        return sorted(self.coeffs, key=lambda P: P.sort_key())
+
+    def items(self) -> List[Tuple]:
+        return [(P, self.coeffs[P]) for P in self.support()]
+
+    def get(self, place) -> int:
+        return self.coeffs.get(place, 0)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other: "Divisor") -> "Divisor":
+        out = dict(self.coeffs)
+        for P, n in other.coeffs.items():
+            out[P] = out.get(P, 0) + n
+        return Divisor(out)
+
+    def __neg__(self) -> "Divisor":
+        return Divisor({P: -n for P, n in self.coeffs.items()})
+
+    def __sub__(self, other: "Divisor") -> "Divisor":
+        return self + (-other)
+
+    def __rmul__(self, k: int) -> "Divisor":
+        return Divisor({P: k * n for P, n in self.coeffs.items()})
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Divisor) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.coeffs.items()))
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for P, n in self.items():
+            term = "inf" if P.is_infinite else "(%s)" % P
+            if abs(n) != 1:
+                term = "%d*%s" % (abs(n), term)
+            if not parts:
+                parts.append(term if n > 0 else "-" + term)
+            else:
+                parts.append(("+ " if n > 0 else "- ") + term)
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return "Divisor(%s)" % self
+
+
+class FactoredFunction:
+    """A nonzero function ``constant * prod(atom ** e)`` on one model.
+
+    Multiplication, division and powers stay in factored form; addition
+    is deliberately absent.  Equality is equality of the factored form.
+    The public constructor checks every atom and raises ValueError on a
+    bad one; ``_trusted`` skips the check for atoms that hold by
+    construction.  A backend's subclass gives the rules for one atom as
+    static functions: ``_atom_ord`` and ``_atom_char`` (of atom, place,
+    model), ``_check_atom`` and ``_atom_str`` (of atom, field),
+    ``_atom_sort_key``, and ``_poly_atom``, the atom of a monic
+    irreducible polynomial in t.  A subclass whose atoms each have
+    order 1 at one place may replace ord_at by a lookup instead.
+    """
+
+    __slots__ = ("model", "constant", "factors")
+
+    def __init__(self, model, constant: int, factors: Optional[Mapping] = None):
+        for atom, e in (factors or {}).items():
+            if e:
+                self._check_atom(atom, model.field)
+        self._fill(model, constant, factors)
+
+    def _fill(self, model, constant: int, factors: Optional[Mapping]) -> None:
+        if constant == 0:
+            raise ValueError("the zero element has no factored form")
+        self.model = model
+        self.constant = constant
+        self.factors: Dict = {atom: e for atom, e in (factors or {}).items() if e}
+
+    @classmethod
+    def _trusted(cls, model, constant: int, factors: Optional[Mapping] = None):
+        """Build from atoms already known to satisfy the constructor's checks."""
+        out = cls.__new__(cls)
+        out._fill(model, constant, factors)
+        return out
+
+    @classmethod
+    def one(cls, model):
+        return cls(model, 1)
+
+    @classmethod
+    def from_poly(cls, model, f: Poly):
+        f = poly_norm(f)
+        if not f:
+            raise ValueError("the zero element has no factored form")
+        lc, factors = poly_factor(f, model.field)
+        return cls._trusted(model, lc, {cls._poly_atom(p): m for p, m in factors})
+
+    @property
+    def field(self):
+        return self.model.field
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        model = self.model
+        if other.model is not model and other.model.key != model.key:
+            raise ValueError("cannot multiply functions on different models")
+        fac = dict(self.factors)
+        for atom, e in other.factors.items():
+            fac[atom] = fac.get(atom, 0) + e
+        return self._trusted(model, model.field.mul(self.constant, other.constant), fac)
+
+    def inverse(self):
+        return self._trusted(self.model, self.model.field.inv(self.constant),
+                             {atom: -e for atom, e in self.factors.items()})
+
+    def __truediv__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self * other.inverse()
+
+    def __pow__(self, k: int):
+        return self._trusted(self.model, self.model.field.pow(self.constant, k),
+                             {atom: k * e for atom, e in self.factors.items()})
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.model.key == other.model.key
+                and self.constant == other.constant and self.factors == other.factors)
+
+    def __hash__(self) -> int:
+        return hash((self.model.key, self.constant, frozenset(self.factors.items())))
+
+    def ord_at(self, place) -> int:
+        """The valuation at a place."""
+        model, atom_ord = self.model, self._atom_ord
+        return sum(e * atom_ord(atom, place, model) for atom, e in self.factors.items())
+
+    def residue_char(self, place) -> int:
+        """The quadratic character (+1 or -1) of the unit-part residue."""
+        model = self.model
+        sign = model.field.quad_char(self.constant) if place.degree & 1 else 1
+        for atom, e in self.factors.items():
+            if e & 1:
+                sign *= self._atom_char(atom, place, model)
+        return sign
+
+    def __str__(self) -> str:
+        F = self.model.field
+        parts = [const_str(self.constant, F)]
+        for atom in sorted(self.factors, key=self._atom_sort_key):
+            parts.append("(%s)^%d" % (self._atom_str(atom, F), self.factors[atom]))
+        return " * ".join(parts)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, self)

@@ -22,8 +22,8 @@ relations among the classes of S are the kernel of those rows, and the
 rank of the classes is the rank of the rows; pic_complement_two_rank
 turns it into the rank of the punctured class group modulo doubles,
 1 + (2-rank of Pic^0) minus it.  The routes that never read the
-coordinates catch a wrong table: the backend's two_divisible, the direct
-route _pic_two_rank_direct of check_pic_rank_formula, and the oracles
+coordinates catch a wrong table: the backend's two_divisible, its
+punctured_pic_two_rank behind check_pic_rank_formula, and the oracles
 of the tests.
 
 Independence of square classes is established by their local data
@@ -41,12 +41,11 @@ fingerprint would give.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import HypothesisError, VerificationError
 from .local_symbols import local_square_class
-from .projective_line import Divisor
+from .function_field import Divisor
 
 __all__ = [
     "GYRank",
@@ -160,12 +159,26 @@ def _product(model, gens: Sequence, mask: int):
     return out
 
 
-def _local_bits(fn, places: Sequence) -> int:
-    """Order parity and residue characters packed two bits per place."""
+def _global_even_elements(model) -> List:
+    """Every class of even order at every single place, 1 first.
+
+    The products of the global even-order generators in the order of
+    their selection masks, so that every scan over them is
+    deterministic.
+    """
+    gens = _global_even_generators(model)
+    return [_product(model, gens, mask) for mask in range(1 << len(gens))]
+
+
+def _pack(classes, first: int = 0) -> int:
+    """Square classes packed two bits per place, from place `first` on.
+
+    The class at place j puts its order parity at bit 2j and its
+    nonsquare bit at bit 2j + 1.
+    """
     bits = 0
-    for j, P in enumerate(places):
-        e, s = local_square_class(fn, P)
-        bits |= e << (2 * j) | s << (2 * j + 1)
+    for j, (e, s) in enumerate(classes, first):
+        bits |= (e | s << 1) << 2 * j
     return bits
 
 
@@ -193,7 +206,8 @@ def _independent_modulo_squares(model, gens, divisors, places) -> bool:
     as soon as the local data seen so far has full rank the functions
     are independent -- more data can only raise the rank.  When the
     places run out first, the answer comes from the exact square test
-    on every subset product.
+    on the subset products whose local data cancels: the span of the
+    relations among the fingerprints.
     """
     vectors = [0] * len(gens)
     for P in {P for D in divisors for P in D.coeffs}:
@@ -206,8 +220,16 @@ def _independent_modulo_squares(model, gens, divisors, places) -> bool:
             vectors[i] = vectors[i] << 1 | local_square_class(g, P)[1]
         if _f2_rank(vectors) == len(gens):
             return True
-    return not any(_product(model, gens, mask).is_square()
-                   for mask in range(1, 1 << len(gens)))
+    # only products whose local data vanishes can be squares
+    kernel = _kernel_basis(vectors)
+    for pick in range(1, 1 << len(kernel)):
+        mask = 0
+        for k, relation in enumerate(kernel):
+            if pick >> k & 1:
+                mask ^= relation
+        if _product(model, gens, mask).is_square():
+            return False
+    return True
 
 
 # -- the two spaces
@@ -280,7 +302,8 @@ def delta_space(model, S) -> SquareClassSpace:
     """
     S = _clean_places(S)
     base = sing_space(model, S)
-    rows = [_local_bits(g, S) for g in base.generators]
+    rows = [_pack(local_square_class(g, P) for P in S)
+            for g in base.generators]
     gens = [_product(model, base.generators, mask)
             for mask in _kernel_basis(rows)]
     space = SquareClassSpace(model, S, gens)
@@ -367,50 +390,18 @@ def check_pic_rank_formula(model, S) -> dict:
     """Rank of the punctured class group, by formula and directly.
 
     The formula side is 1 + (2-rank of the degree-zero part) - (rank of
-    the removed classes).  The direct side rebuilds the punctured class
-    group: on the line it is cyclic of order gcd of the degrees; on the
-    curve the quotient of the point group by the subgroup the removed
-    places generate is enumerated, which needs the infinite place to be
-    removed.  Only the formula side reads the pic_mod2 coordinates.
+    the removed classes).  The direct side is the backend's
+    punctured_pic_two_rank, which rebuilds the punctured class group
+    without reading the pic_mod2 coordinates.
     """
     S = _clean_places(S)
     formula = pic_complement_two_rank(model, S)
-    direct = _pic_two_rank_direct(model, S)
+    direct = model.punctured_pic_two_rank(S)
     if formula != direct:
         raise VerificationError(
             "punctured class group ranks disagree: formula %d, direct %d"
             % (formula, direct))
     return {"formula_rank": formula, "direct_rank": direct}
-
-
-def _pic_two_rank_direct(model, S) -> int:
-    if model.backend == "projective_line":
-        g = 0
-        for P in S:
-            g = math.gcd(g, P.degree)
-        return 1 if g % 2 == 0 else 0
-    if model.infinity not in S:
-        raise HypothesisError(
-            "direct computation unavailable: removing the infinite place "
-            "is required to enumerate the punctured class group")
-    subgroup = {None}
-    gens = [model.pic_class_of_place(P) for P in S if not P.is_infinite]
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            for h in list(subgroup):
-                s = model.add_points(g, h)
-                if s not in subgroup:
-                    subgroup.add(s)
-                    changed = True
-    points = model.rational_points()
-    halves = sum(1 for P in points if model.add_points(P, P) in subgroup)
-    assert halves % len(subgroup) == 0
-    torsion = halves // len(subgroup)
-    rank = torsion.bit_length() - 1
-    assert 1 << rank == torsion
-    return rank
 
 
 # -- the compatibility relation on 2-divisible places
@@ -432,8 +423,5 @@ def smile(model, q1, q2) -> bool:
                 "undefined" % P)
     D = Divisor({q1: 1})
     lam = model.function_with_divisor(D - 2 * model.halve_in_pic(D))
-    base = _global_even_generators(model)
-    for mask in range(1 << len(base)):
-        if local_square_class(_product(model, base, mask) * lam, q2) != (0, 0):
-            return False
-    return True
+    return all(local_square_class(elem * lam, q2) == (0, 0)
+               for elem in _global_even_elements(model))

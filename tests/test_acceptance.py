@@ -33,8 +33,9 @@ from wildsets.equivalence_core import (
     verify_small_equivalence,
 )
 from wildsets.errors import HypothesisError, VerificationError
+from wildsets.function_field import Divisor
 from wildsets.local_symbols import PI, U, LocalMap, reciprocity_product
-from wildsets.projective_line import Divisor, ProjectiveLine
+from wildsets.projective_line import ProjectiveLine
 from wildsets.square_class_spaces import (
     check_lin_dep_lemma,
     check_pic_rank_formula,

@@ -499,6 +499,19 @@ def test_powers_above_the_degree_bound_are_rejected():
         rat_parse("y^99999999", F, allow_y=True)
 
 
+def test_products_above_the_degree_bound_are_rejected():
+    F = GF(5)
+    n = MAX_PARSED_DEGREE
+    assert poly_parse("t" * n, F) == (0,) * n + (1,)
+    bound = "above the bound %d" % n
+    # implicit and explicit products, and the common denominator of a sum
+    for s in ["t" * (n + 1), "t*" * n + "t", "1/t^%d + 1/t" % n]:
+        with pytest.raises(ValueError, match=bound):
+            rat_parse(s, F)
+    with pytest.raises(ValueError, match=bound):
+        rat_parse("y" * (n + 1), F, allow_y=True)
+
+
 def test_rat_parse_zero_numerator_is_allowed():
     F = GF(5)
     num, den = rat_parse("t - t", F)

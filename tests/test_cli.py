@@ -16,7 +16,16 @@ import time
 import pytest
 
 from wildsets import equivalence_core
+from wildsets.base_algebra import GF
 from wildsets.cli import MAX_FIELD_SIZE, run
+from wildsets.equivalence_core import (
+    SmallEquivalence,
+    certificate_to_json,
+    certify,
+)
+from wildsets.local_symbols import LocalMap
+from wildsets.projective_line import ProjectiveLine
+from wildsets.square_class_spaces import sing_space
 
 
 def lines_of(capsys):
@@ -216,6 +225,27 @@ def test_verify_output_is_pinned_in_both_formats(tmp_path, capsys):
     assert capsys.readouterr().out == PINNED_VERIFY_JSON
 
 
+def test_verify_accepts_an_empty_wild_set(tmp_path, capsys):
+    # the identity on {t, t^2 + 2} over F_5 is a valid certificate with
+    # no wild place; the empty set holds the size bound 0 >= 2 * 0
+    line = ProjectiveLine(GF(5))
+    S = [line.parse_place("t"), line.parse_place("t^2 + 2")]
+    gens = sing_space(line, S).generators
+    cert = certify(SmallEquivalence(line, S, S, gens, gens,
+                                    [LocalMap.identity()] * len(S)))
+    assert cert.wild_set == ()
+    path = tmp_path / "identity.json"
+    path.write_text(certificate_to_json(cert))
+    assert run(["wild", "--cert", str(path)]) == 0
+    assert lines_of(capsys) == ["(empty)"]
+    assert run(["verify", "--cert", str(path)]) == 0
+    assert lines_of(capsys)[-2:] == ["wild set: {}", "verdict: pass"]
+    assert run(["verify", "--cert", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["passes"], payload["wild_set"],
+            payload["necessary_condition"]) == (True, [], True)
+
+
 # -- certificate files are untrusted input
 
 @pytest.fixture
@@ -257,6 +287,15 @@ def test_deep_nesting_exits_two(tmp_path, capsys, good_certificate):
     path.write_text("[" * 100000)
     assert run(["verify", "--cert", str(path)]) == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_long_products_exit_two_fast(capsys):
+    # one degree bound for powers and products: 6000 factors of t stop
+    # at the first product above it
+    start = time.process_time()
+    assert run(["ranks", "--q", "5", "--places", "t" * 6000]) == 2
+    assert "above the bound" in capsys.readouterr().err
+    assert time.process_time() - start < 1.42
 
 
 def test_long_places_are_quoted_in_short(capsys):

@@ -25,8 +25,9 @@ from wildsets.equivalence_core import (
     wild_points,
 )
 from wildsets.errors import HypothesisError
+from wildsets.function_field import Divisor
 from wildsets.local_symbols import PI, U, U_PI, LocalMap, minus_one_is_square
-from wildsets.projective_line import Divisor, ProjectiveLine
+from wildsets.projective_line import ProjectiveLine
 from wildsets.square_class_spaces import g_rank, smile
 
 

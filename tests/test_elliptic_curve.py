@@ -24,8 +24,8 @@ from wildsets.base_algebra import (
     poly_sub,
 )
 from wildsets.elliptic_curve import CurveFunction, CurvePlace, EllipticModel
+from wildsets.function_field import Divisor
 from wildsets.local_symbols import local_square_class, reciprocity_product
-from wildsets.projective_line import Divisor
 from wildsets.square_class_spaces import pic_complement_two_rank
 
 from residue_oracle import residue_field, unit_residue

@@ -45,7 +45,7 @@ from wildsets.local_symbols import (
 from wildsets.projective_line import Place, ProjectiveLine
 from wildsets.square_class_spaces import (
     _kernel_basis as kernel_basis,
-    _local_bits,
+    _pack,
     _product,
     g_rank,
     sing_space,
@@ -60,7 +60,7 @@ def line(q):
 
 
 def lplace(L, text):
-    return Place(L.field, poly_parse(text, L.field))
+    return Place(L, poly_parse(text, L.field))
 
 
 def identity_certificate(model, texts):
@@ -466,7 +466,7 @@ def _oracle_sandwich_solve(model, places, images, local_maps, src_gens, dst_gens
     # triangular basis of the embedded target, remembering combinations
     triangular: Dict[int, Tuple[int, int]] = {}
     for k, c in enumerate(dst_gens):
-        v, combo = _local_bits(c, images), 1 << k
+        v, combo = _pack(local_square_class(c, P) for P in images), 1 << k
         while v:
             top = v.bit_length() - 1
             if top not in triangular:

@@ -44,14 +44,16 @@ def random_poly(rng, F, deg):
             return f
 
 
-def random_element(rng, F, max_deg=3):
+def random_element(rng, L, max_deg=3):
+    F = L.field
+
     def poly():
         while True:
             f = poly_norm(tuple(rng.randrange(F.q) for _ in range(rng.randrange(1, max_deg + 2))))
             if f:
                 return f
 
-    return RationalFunction.from_poly(F, poly()) / RationalFunction.from_poly(F, poly())
+    return RationalFunction.from_poly(L, poly()) / RationalFunction.from_poly(L, poly())
 
 
 # -- square classes -----------------------------------------------------------
@@ -74,10 +76,10 @@ def test_square_class_names():
 
 
 def test_local_square_class_fixed_values():
-    F = GF(5)
-    at_t = Place(F, (0, 1))
-    inf = Place.infinity(F)
-    parse = lambda s: RationalFunction.parse(F, s)
+    L = ProjectiveLine(GF(5))
+    at_t = Place(L, (0, 1))
+    inf = L.infinity
+    parse = lambda s: RationalFunction.parse(L, s)
     assert local_square_class(parse("t"), at_t) == PI
     assert local_square_class(parse("2"), at_t) == U  # 2 is not a square mod 5
     assert local_square_class(parse("2*t"), at_t) == U_PI
@@ -88,70 +90,70 @@ def test_local_square_class_fixed_values():
 
 
 def test_local_square_class_is_multiplicative():
-    F = GF(9)
+    L = ProjectiveLine(GF(9))
     rng = random.Random(41)
-    places = [Place.infinity(F)] + finite_places_of_degree(F, 1)[:2] + finite_places_of_degree(F, 2)[:2]
+    places = [L.infinity] + finite_places_of_degree(L, 1)[:2] + finite_places_of_degree(L, 2)[:2]
     for _ in range(15):
-        a, b = random_element(rng, F), random_element(rng, F)
+        a, b = random_element(rng, L), random_element(rng, L)
         for P in places:
             assert local_square_class(a * b, P) == square_class_mul(
                 local_square_class(a, P), local_square_class(b, P))
 
 
 def test_minus_one_square_depends_on_residue_size():
-    assert minus_one_is_square(Place(GF(5), (0, 1)))
-    assert not minus_one_is_square(Place(GF(3), (0, 1)))
-    assert minus_one_is_square(finite_places_of_degree(GF(3), 2)[0])  # size 9
-    assert residue_field_size(finite_places_of_degree(GF(5), 2)[0]) == 25
+    L5, L3 = ProjectiveLine(GF(5)), ProjectiveLine(GF(3))
+    assert minus_one_is_square(Place(L5, (0, 1)))
+    assert not minus_one_is_square(Place(L3, (0, 1)))
+    assert minus_one_is_square(finite_places_of_degree(L3, 2)[0])  # size 9
+    assert residue_field_size(finite_places_of_degree(L5, 2)[0]) == 25
 
 
 # -- Hilbert symbols ------------------------------------------------------------
 
 
 def test_hilbert_symbol_fixed_values():
-    F5 = GF(5)
-    at_t5 = Place(F5, (0, 1))
-    t5 = RationalFunction.parse(F5, "t")
+    L5 = ProjectiveLine(GF(5))
+    at_t5 = Place(L5, (0, 1))
+    t5 = RationalFunction.parse(L5, "t")
     assert hilbert_symbol(t5, t5, at_t5) == 1
-    assert hilbert_symbol(t5, RationalFunction.parse(F5, "2"), at_t5) == -1
-    assert hilbert_symbol(t5, RationalFunction.parse(F5, "t - 1"), at_t5) == 1
-    F3 = GF(3)
-    t3 = RationalFunction.parse(F3, "t")
-    assert hilbert_symbol(t3, t3, Place(F3, (0, 1))) == -1  # chi(-1) = -1 in F_3
+    assert hilbert_symbol(t5, RationalFunction.parse(L5, "2"), at_t5) == -1
+    assert hilbert_symbol(t5, RationalFunction.parse(L5, "t - 1"), at_t5) == 1
+    L3 = ProjectiveLine(GF(3))
+    t3 = RationalFunction.parse(L3, "t")
+    assert hilbert_symbol(t3, t3, Place(L3, (0, 1))) == -1  # chi(-1) = -1 in F_3
 
 
 def test_hilbert_symbol_is_symmetric_and_bilinear():
-    F = GF(5)
+    L = ProjectiveLine(GF(5))
     rng = random.Random(17)
-    places = [Place.infinity(F)] + finite_places_of_degree(F, 1) + finite_places_of_degree(F, 2)[:2]
+    places = [L.infinity] + finite_places_of_degree(L, 1) + finite_places_of_degree(L, 2)[:2]
     for _ in range(10):
-        a, b, c = (random_element(rng, F) for _ in range(3))
+        a, b, c = (random_element(rng, L) for _ in range(3))
         for P in places:
             assert hilbert_symbol(a, b, P) == hilbert_symbol(b, a, P)
             assert hilbert_symbol(a * b, c, P) == hilbert_symbol(a, c, P) * hilbert_symbol(b, c, P)
 
 
 def test_hilbert_symbol_trivial_on_units():
-    F = GF(3)
-    P = Place(F, (0, 1))
-    a = RationalFunction.parse(F, "2")          # nonsquare unit
-    b = RationalFunction.parse(F, "t - 1")
+    L = ProjectiveLine(GF(3))
+    P = Place(L, (0, 1))
+    a = RationalFunction.parse(L, "2")          # nonsquare unit
+    b = RationalFunction.parse(L, "t - 1")
     assert hilbert_symbol(a, b, P) == 1
 
 
 @pytest.mark.parametrize("q", [3, 5, 9])
 def test_reciprocity(q):
-    F = GF(q)
+    L = ProjectiveLine(GF(q))
     rng = random.Random(1000 + q)
     for _ in range(40):
-        a, b = random_element(rng, F), random_element(rng, F)
+        a, b = random_element(rng, L), random_element(rng, L)
         assert reciprocity_product(a, b) == 1
 
 
 def test_reciprocity_with_cancelling_supports():
     # ord parities matter even when the summed divisor cancels
-    F = GF(3)
-    t = RationalFunction.parse(F, "t")
+    t = RationalFunction.parse(ProjectiveLine(GF(3)), "t")
     assert reciprocity_product(t, t.inverse()) == 1
     assert reciprocity_product(t, t) == 1
 
@@ -280,11 +282,11 @@ def test_from_pairs_refuses_what_no_automorphism_fits():
 
 
 def test_square_class_hilbert_matches_element_level():
-    F = GF(5)
+    L = ProjectiveLine(GF(5))
     rng = random.Random(29)
-    places = [Place.infinity(F)] + finite_places_of_degree(F, 1)
+    places = [L.infinity] + finite_places_of_degree(L, 1)
     for _ in range(10):
-        a, b = random_element(rng, F), random_element(rng, F)
+        a, b = random_element(rng, L), random_element(rng, L)
         for P in places:
             assert hilbert_symbol(a, b, P) == square_class_hilbert(
                 local_square_class(a, P), local_square_class(b, P), minus_one_is_square(P))
@@ -313,7 +315,7 @@ def _sample_places(model, rng, counts):
                 bases.add(p)
         for p in sorted(bases):
             if isinstance(model, ProjectiveLine):
-                places.append(Place(F, p))
+                places.append(Place(model, p))
             else:
                 places.extend(model.places_above(p))
     return places
@@ -344,7 +346,7 @@ def test_residue_char_matches_the_euler_criterion():
         for _ in range(50):
             factors = {p: rng.choice((-3, -2, -1, 1, 2, 3))
                        for p in rng.sample(pool, rng.randrange(1, 5))}
-            elem = RationalFunction(F, rng.randrange(1, q), factors)
+            elem = RationalFunction(line, rng.randrange(1, q), factors)
             _check_against_euler(elem, places, seen)
     for q, text in CURVES:
         F = GF(q)

@@ -20,15 +20,16 @@ import pytest
 from wildsets.base_algebra import GF, irreducibles_of_degree, poly_parse
 from wildsets.elliptic_curve import EllipticModel, _point_key
 from wildsets.errors import HypothesisError, VerificationError
+from wildsets.function_field import Divisor
 from wildsets.local_symbols import local_square_class
-from wildsets.projective_line import Divisor, Place, ProjectiveLine
+from wildsets.projective_line import Place, ProjectiveLine
 from wildsets.square_class_spaces import (
     SquareClassSpace,
     _dependency_masks,
     _f2_rank,
     _independent_modulo_squares,
     _kernel_basis,
-    _local_bits,
+    _pack,
     _separating_places,
     check_lin_dep_lemma,
     check_pic_rank_formula,
@@ -45,7 +46,7 @@ def line(q):
 
 
 def lplace(L, text):
-    return Place(L.field, poly_parse(text, L.field))
+    return Place(L, poly_parse(text, L.field))
 
 
 def curve(q, text):
@@ -89,7 +90,7 @@ def line_space_ranks(L, S):
 def random_line_set(L, rng, size):
     pool = [L.infinity]
     for d in (1, 2, 3):
-        pool.extend(Place(L.field, p)
+        pool.extend(Place(L, p)
                     for p in irreducibles_of_degree(L.field, d))
     rng.shuffle(pool)
     return pool[:size]
@@ -414,7 +415,7 @@ def test_smile_line_examples():
 
 def test_smile_symmetry_and_a_failing_pair():
     L = line(5)
-    evens = [Place(L.field, p) for p in irreducibles_of_degree(L.field, 2)]
+    evens = [Place(L, p) for p in irreducibles_of_degree(L.field, 2)]
     seen_false = False
     for i, p in enumerate(evens):
         for q in evens[i + 1:]:
@@ -503,8 +504,24 @@ def _random_generators(model, rng):
     return gens
 
 
+def fallback_walk_bound(gens, divisors, places):
+    """2^dim K - 1, K the relations among the fingerprints the exact
+    fallback starts from: order parities on the supports, then residue
+    bits at the places."""
+    support = sorted({P for D in divisors for P in D.coeffs})
+    rows = []
+    for g, D in zip(gens, divisors):
+        bits = 0
+        for P in support:
+            bits = bits << 1 | D.get(P) & 1
+        for P in places:
+            bits = bits << 1 | local_square_class(g, P)[1]
+        rows.append(bits)
+    return (1 << len(gens)) // len(span(rows)) - 1
+
+
 @pytest.mark.parametrize("which", ["F3", "F5", "F9", "E5"])
-def test_early_stop_independence_matches_full_fingerprint(which):
+def test_early_stop_independence_matches_full_fingerprint(which, monkeypatch):
     if which == "E5":
         model = EllipticModel(GF(5), poly_parse("t^3 + 4t", GF(5)))
     else:
@@ -512,6 +529,10 @@ def test_early_stop_independence_matches_full_fingerprint(which):
     rng = random.Random("independence " + which)
     pool = model.places_of_degree(1) + model.places_of_degree(2)
     verdicts = []
+    squares_tested = []
+    exact = type(model.one()).is_square
+    monkeypatch.setattr(type(model.one()), "is_square",
+                        lambda g: squares_tested.append(g) or exact(g))
     for _ in range(12):
         gens = _random_generators(model, rng)
         divisors = [g.divisor() for g in gens]
@@ -527,8 +548,13 @@ def test_early_stop_independence_matches_full_fingerprint(which):
             expected
         # short prefixes leave more of the work to the is_square fallback
         for k in (0, 1, rng.randrange(len(full) + 1)):
-            assert _independent_modulo_squares(
-                model, gens, divisors, full[:k]) == \
+            squares_tested.clear()
+            verdict = _independent_modulo_squares(model, gens, divisors,
+                                                  full[:k])
+            # the fallback walks only the products with vanishing data
+            assert len(squares_tested) <= \
+                fallback_walk_bound(gens, divisors, full[:k])
+            assert verdict == \
                 full_fingerprint_independent(model, gens, full[:k])
     # dependent sets always end in the fallback; both kinds occur
     assert True in verdicts and False in verdicts
@@ -675,7 +701,8 @@ def test_elimination_matches_the_subset_walk(which):
         assert (info.rank, info.independent) == greedy_independent(S, walked)
         if k < 2:  # the spaces themselves, on fewer sets: they cost more
             base = sing_space(model, S)
-            rows = [_local_bits(g, S) for g in base.generators]
+            rows = [_pack(local_square_class(g, P) for P in S)
+                    for g in base.generators]
             expected = []
             for mask in mask_basis(walk_relations(rows)):
                 h = model.one()
