@@ -32,7 +32,6 @@ from .equivalence_core import (
     extend_pre_equivalence,
     verify_pre_equivalence,
     verify_small_equivalence,
-    wild_points,
 )
 from .errors import (
     HypothesisError,
@@ -94,7 +93,6 @@ __all__ = [
     "smile",
     "verify_pre_equivalence",
     "verify_small_equivalence",
-    "wild_points",
 ]
 
 __version__ = "0.1.0"

@@ -10,22 +10,27 @@ one Klein-four isomorphism per removed place.
 Two certificate shapes appear.  A pre-equivalence records the map only
 modulo the everywhere-locally-trivial classes, which is the natural
 granularity for prescribing wild behavior.  A small equivalence, whose
-removed set must kill the punctured class group modulo doubles, records
-the map on the even-order classes themselves, and extension results for
-such data produce an actual self-equivalence of the field realizing it.
+removed set and its image must both kill the punctured class group
+modulo doubles, records the map on the even-order classes themselves,
+and extension results for such data produce an actual self-equivalence
+of the field realizing it.
 The bridge between the two -- attach one auxiliary place per basis
 element of the locally trivial subspace, chosen to see exactly that
 element, and patch the basis to be locally trivial at the new places --
 is followed step by step in extend_pre_equivalence.
 
 Verification never trusts the certificate, and both shapes go through
-one body.  It rechecks membership of the bases through their divisors,
-then tabulates the local square class of every basis element at every
+one body.  For a small equivalence it first requires both removed sets,
+the places and their images, to kill the class group modulo doubles.
+It rechecks membership of the bases through their divisors, then
+tabulates the local square class of every basis element at every
 removed place and of every image at its target place, once per side.
 Independence of the local data, the local/global compatibility square
 on every basis element and, for small equivalences, Hilbert-symbol
 preservation on all basis pairs are all read off those two tables; the
-fate of -1 is checked at every place.
+fate of -1 is checked at every place.  A small equivalence is data
+until certify verifies it, once, and reads off its wild set; a
+WildSetCertificate is the verified type.
 Composition glues two certificates with disjoint wild loci; when the
 prescribed local maps cannot be realized by any global basis map, tame
 twists -- which never change wildness -- are searched for by an F_2
@@ -77,7 +82,6 @@ __all__ = [
     "quotient_basis",
     "verify_pre_equivalence",
     "verify_small_equivalence",
-    "wild_points",
     "certify",
     "compose",
     "extend_pre_equivalence",
@@ -151,10 +155,11 @@ class PreEquivalence(_PlaceMatching):
 class SmallEquivalence(_PlaceMatching):
     """Square-class data on the full group of even-order classes.
 
-    Valid only over a removed set whose classes exhaust the class group
-    modulo doubles; then the even-order classes embed into the product
-    of the local square-class groups and the recorded basis determines
-    the map completely.
+    Valid only when the classes of the removed set, and those of its
+    image, exhaust the class group modulo doubles; then the even-order
+    classes embed into the product of the local square-class groups and
+    the recorded basis determines the map completely.  Construct freely:
+    an instance is data until certify verifies it.
     """
 
     __slots__ = ("sing_basis", "sing_images")
@@ -227,6 +232,20 @@ def quotient_basis(model, S) -> Tuple:
 
 # -- verification
 
+def _require_rank_zero(model, removed, which: str, purpose: str) -> None:
+    """Raise HypothesisError unless removing the set kills Pic/2Pic.
+
+    Over such a set the even-order classes embed into the product of
+    the local square-class groups, which every statement about a small
+    equivalence silently depends on.
+    """
+    leftover = pic_complement_two_rank(model, removed)
+    if leftover != 0:
+        raise HypothesisError(
+            "the %s set leaves class rank %d; %s needs rank 0"
+            % (which, leftover, purpose))
+
+
 def _side_classes(places, elements, failures, side):
     """Check one side's basis and tabulate its local square classes.
 
@@ -267,11 +286,10 @@ def _verification_report(matching, basis, images, small: bool) -> dict:
     maps = matching.local_maps
     report = {}
     if small:
-        leftover = pic_complement_two_rank(matching.model, places)
-        if leftover != 0:
-            raise HypothesisError(
-                "the removed set leaves class rank %d; a small equivalence "
-                "needs rank 0" % leftover)
+        _require_rank_zero(matching.model, places, "removed",
+                           "a small equivalence")
+        _require_rank_zero(matching.model, targets, "target",
+                           "a small equivalence")
         report["domain_rank_zero"] = True
     failures: List[str] = []
     report["injective"] = len(set(targets)) == len(targets)
@@ -338,32 +356,16 @@ SMALL_EQUIVALENCE_CHECKS = (
 def verify_small_equivalence(se: SmallEquivalence) -> dict:
     """Check the defining conditions of a small equivalence.
 
-    The domain condition -- the removed classes must exhaust the class
-    group modulo doubles -- is a hard failure, raised instead of
-    reported, because every later statement silently depends on it.
+    The domain condition -- the classes of each removed set, the places
+    and their images alike, must exhaust the class group modulo
+    doubles -- is a hard failure, raised instead of reported, because
+    every later statement silently depends on it.
     On top of the four conditions shared with pre-equivalences this
     spot-checks Hilbert symbol preservation on all basis pairs at all
     removed places, and that every local map fixes the class of -1.
     """
     return _verification_report(se, se.sing_basis, se.sing_images,
                                  small=True)
-
-
-def wild_points(se: SmallEquivalence) -> frozenset:
-    """The removed places where the local map breaks order parity.
-
-    Wildness is read off the recorded Klein-four maps: a place is wild
-    exactly when its map moves the even classes off themselves, which
-    does not depend on the choice of local generators.  Certificates
-    that fail verification are rejected.
-    """
-    report = verify_small_equivalence(se)
-    if not report["passes"]:
-        raise VerificationError(
-            "refusing to read wild points off an invalid certificate: %s"
-            % report["failures"][0])
-    return frozenset(P for P, lm in zip(se.places, se.local_maps)
-                     if lm.is_wild)
 
 
 def check_necessary_condition(model, S) -> bool:
@@ -375,44 +377,21 @@ def check_necessary_condition(model, S) -> bool:
     return not S or len(S) >= 2 * g_rank(model, S).rank
 
 
-def _rank_preservation_report(se: SmallEquivalence) -> dict:
-    """Rank bookkeeping that any genuine certificate must satisfy."""
-    model = se.model
-    src = g_rank(model, se.places).rank
-    dst = g_rank(model, se.images).rank
-    removed = set(se.images)
-    in_target = all(
-        all(P in removed or n % 2 == 0 for P, n in m.divisor().items())
-        for m in se.sing_images)
-    delta_src = delta_space(model, se.places).rank
-    delta_dst = delta_space(model, se.images).rank
-    return {
-        "g_rank_source": src,
-        "g_rank_target": dst,
-        "g_ranks_equal": src == dst,
-        "sing_images_in_target": in_target,
-        "delta_rank_source": delta_src,
-        "delta_rank_target": delta_dst,
-        "delta_ranks_equal": delta_src == delta_dst,
-        "passes": src == dst and in_target and delta_src == delta_dst,
-    }
-
-
 def certify(se: SmallEquivalence) -> WildSetCertificate:
-    """Verify a small equivalence and package it with its wild set."""
+    """Verify a small equivalence and package it with its wild set.
+
+    This is the one place a small equivalence is verified: the data is
+    checked once, on both removed sets, and the wild set is then read
+    off the recorded Klein-four maps -- a place is wild exactly when its
+    map moves the even classes off themselves, which does not depend on
+    the choice of local generators.
+    """
     report = verify_small_equivalence(se)
     if not report["passes"]:
         raise VerificationError("certificate is invalid: %s"
                                 % report["failures"][0])
-    ranks = _rank_preservation_report(se)
-    if not ranks["passes"]:
-        raise VerificationError("certificate does not preserve ranks: %r"
-                                % (ranks,))
     wild = sorted(P for P, lm in zip(se.places, se.local_maps) if lm.is_wild)
-    merged = dict(report)
-    merged.update(ranks)
-    merged["passes"] = True
-    return WildSetCertificate(se, tuple(wild), merged)
+    return WildSetCertificate(se, tuple(wild), report)
 
 
 # -- realizing prescribed local maps
@@ -539,11 +518,7 @@ def _realize_small_equivalence(model, places, images, local_maps
     places = tuple(places)
     images = tuple(images)
     for side, removed in (("source", places), ("target", images)):
-        leftover = pic_complement_two_rank(model, removed)
-        if leftover != 0:
-            raise HypothesisError(
-                "the %s set leaves class rank %d; realization needs rank 0"
-                % (side, leftover))
+        _require_rank_zero(model, removed, side, "realization")
     src = sing_space(model, places)
     dst = sing_space(model, images)
     final_maps, basis_images = _sandwich_solve(
@@ -728,9 +703,9 @@ def extend_pre_equivalence(pe: PreEquivalence, degree_cap: int = 6
     one auxiliary place per basis element on each side -- the place
     seeing exactly that element -- kills the punctured class group.
     The auxiliary places join the removed set carrying the identity
-    local map, the quotient basis is patched to be locally trivial at
-    them, and the combined data is a small equivalence, which is
-    verified before being returned.
+    local map, and the quotient basis is patched to be locally trivial
+    at them.  The input is verified; the returned small equivalence is
+    data until certify verifies it.
     """
     report = verify_pre_equivalence(pe)
     if not report["passes"]:
@@ -748,29 +723,23 @@ def extend_pre_equivalence(pe: PreEquivalence, degree_cap: int = 6
     dst_delta = delta_space(model, pe.images)
     assert src_delta.rank == dst_delta.rank
     if src_delta.rank == 0:
-        se = SmallEquivalence(model, pe.places, pe.images, pe.quotient_basis,
-                              pe.quotient_images, pe.local_maps)
-    else:
-        spots = _auxiliary_places(model, src_delta.generators,
-                                  set(pe.places), degree_cap)
-        spots2 = _auxiliary_places(model, dst_delta.generators,
-                                   set(pe.images), degree_cap)
-        mus = _make_locally_trivial(pe.quotient_basis,
-                                    src_delta.generators, spots)
-        mus2 = _make_locally_trivial(pe.quotient_images,
-                                     dst_delta.generators, spots2)
-        se = SmallEquivalence(
-            model,
-            pe.places + spots,
-            pe.images + spots2,
-            tuple(src_delta.generators) + tuple(mus),
-            tuple(dst_delta.generators) + tuple(mus2),
-            pe.local_maps + (LocalMap.identity(),) * len(spots))
-    final = verify_small_equivalence(se)
-    if not final["passes"]:
-        raise VerificationError("extension produced an invalid certificate: "
-                                "%s" % final["failures"][0])
-    return se
+        return SmallEquivalence(model, pe.places, pe.images, pe.quotient_basis,
+                                pe.quotient_images, pe.local_maps)
+    spots = _auxiliary_places(model, src_delta.generators,
+                              set(pe.places), degree_cap)
+    spots2 = _auxiliary_places(model, dst_delta.generators,
+                               set(pe.images), degree_cap)
+    mus = _make_locally_trivial(pe.quotient_basis,
+                                src_delta.generators, spots)
+    mus2 = _make_locally_trivial(pe.quotient_images,
+                                 dst_delta.generators, spots2)
+    return SmallEquivalence(
+        model,
+        pe.places + spots,
+        pe.images + spots2,
+        tuple(src_delta.generators) + tuple(mus),
+        tuple(dst_delta.generators) + tuple(mus2),
+        pe.local_maps + (LocalMap.identity(),) * len(spots))
 
 
 # -- serialization

@@ -6,6 +6,7 @@ is the workflow the JSON format exists for.
 """
 
 import json
+import os
 import pathlib
 import random
 import shlex
@@ -15,6 +16,7 @@ import time
 
 import pytest
 
+import wildsets
 from wildsets import equivalence_core
 from wildsets.base_algebra import GF
 from wildsets.cli import MAX_FIELD_SIZE, run
@@ -30,6 +32,16 @@ from wildsets.square_class_spaces import sing_space
 
 def lines_of(capsys):
     return capsys.readouterr().out.strip().splitlines()
+
+
+def fresh_interpreter(*args):
+    """Run Python on args with this wildsets importable, as installed."""
+    source = str(pathlib.Path(wildsets.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (source, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
 
 
 def test_hilbert_symbol_query(capsys):
@@ -64,9 +76,7 @@ def test_construct_verify_round_trip(tmp_path, capsys):
     # verification in a fresh interpreter, as a consumer would run it
     probe = ("import sys; from wildsets.cli import run; "
              "sys.exit(run(sys.argv[1:]))")
-    done = subprocess.run(
-        [sys.executable, "-c", probe, "verify", "--cert", str(cert)],
-        capture_output=True, text=True)
+    done = fresh_interpreter("-c", probe, "verify", "--cert", str(cert))
     assert done.returncode == 0, done.stderr
     assert "verdict: pass" in done.stdout
 
@@ -372,9 +382,8 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
 
 
 def test_python_dash_m_entry_point():
-    done = subprocess.run(
-        [sys.executable, "-m", "wildsets", "ranks", "--q", "5",
-         "--places", "t^2+2"], capture_output=True, text=True)
+    done = fresh_interpreter("-m", "wildsets", "ranks", "--q", "5",
+                             "--places", "t^2+2")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "rk Sing 2"
 

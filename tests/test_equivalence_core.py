@@ -14,14 +14,22 @@ from typing import Dict, Tuple
 
 import pytest
 
+from wildsets import cli, constructions, equivalence_core
 from wildsets.base_algebra import GF, poly_parse
+from wildsets.constructions import (
+    construct_general,
+    construct_rank0,
+    construct_rank1,
+)
 from wildsets.elliptic_curve import EllipticModel
 from wildsets.equivalence_core import (
     SMALL_EQUIVALENCE_CHECKS,
     TWIST_KERNEL_BITS,
     PreEquivalence,
     SmallEquivalence,
-    _rank_preservation_report,
+    WildSetCertificate,
+    _sandwich_solve,
+    _side_classes,
     certificate_from_json,
     certificate_to_json,
     certify,
@@ -31,7 +39,6 @@ from wildsets.equivalence_core import (
     quotient_basis,
     verify_pre_equivalence,
     verify_small_equivalence,
-    wild_points,
 )
 from wildsets.errors import HypothesisError, SearchExhausted, VerificationError
 from wildsets.local_symbols import (
@@ -41,13 +48,17 @@ from wildsets.local_symbols import (
     U_PI,
     LocalMap,
     local_square_class,
+    minus_one_is_square,
+    square_class_hilbert,
 )
 from wildsets.projective_line import Place, ProjectiveLine
 from wildsets.square_class_spaces import (
     _kernel_basis as kernel_basis,
     _pack,
     _product,
+    delta_space,
     g_rank,
+    pic_complement_two_rank,
     sing_space,
 )
 
@@ -145,11 +156,11 @@ def test_wild_pair_certificate_end_to_end():
     assert sorted(str(P) for P in cert.wild_set) == ["t", "t + 4"]
     se = cert.equivalence
     assert verify_small_equivalence(se)["passes"]
-    assert wild_points(se) == frozenset(se.places)
+    assert set(certify(se).wild_set) == set(se.places)
     # a wild pair is as small as the bound allows: rank 1 forces >= 2
     assert g_rank(L, cert.wild_set).rank == 1
     assert check_necessary_condition(L, cert.wild_set)
-    assert _rank_preservation_report(cert.equivalence)["passes"]
+    assert _oracle_rank_preservation_report(cert.equivalence)["passes"]
 
 
 def test_certificate_report_holds_every_small_equivalence_check():
@@ -166,7 +177,7 @@ def test_identity_certificate_has_no_wild_points():
     L = line(5)
     cert = identity_certificate(L, ["t", "t + 1"])
     assert cert.wild_set == ()
-    assert wild_points(cert.equivalence) == frozenset()
+    assert certify(cert.equivalence).wild_set == ()
 
 
 def test_domain_condition_is_a_hard_error():
@@ -177,6 +188,20 @@ def test_domain_condition_is_a_hard_error():
     se = SmallEquivalence(L, (q,), (q,), gens, gens, (LocalMap.identity(),))
     with pytest.raises(HypothesisError):
         verify_small_equivalence(se)
+
+
+def test_target_set_of_positive_rank_is_a_hard_error():
+    # (t) kills the class group modulo doubles but (t^2+2) does not; the
+    # data is otherwise consistent, so only the target condition fails
+    L = line(5)
+    p, q = lplace(L, "t"), lplace(L, "t^2 + 2")
+    se = SmallEquivalence(L, (p,), (q,), (L.constant(2),),
+                          (L.parse("t^2 + 2"),), (SWAP,))
+    with pytest.raises(HypothesisError, match="the target set leaves "
+                       "class rank 1; a small equivalence needs rank 0"):
+        verify_small_equivalence(se)
+    with pytest.raises(HypothesisError, match="target set"):
+        certify(se)
 
 
 def test_wild_maps_break_the_symbols_where_minus_one_is_a_nonsquare():
@@ -198,14 +223,14 @@ def test_wild_maps_break_the_symbols_where_minus_one_is_a_nonsquare():
         + ["the class of -1 is not preserved at %s" % P for P in (p, q)])
 
 
-def test_wild_points_refuses_invalid_data():
+def test_certify_refuses_invalid_data():
     L = line(5)
     p, q = lplace(L, "t"), lplace(L, "t + 4")
     lam, mu = L.constant(2), L.parse("t(t + 4)")
     se = SmallEquivalence(L, (p, q), (p, q), (lam, mu), (lam, mu),
                           (SWAP, SWAP))
     with pytest.raises(VerificationError):
-        wild_points(se)
+        certify(se)
 
 
 # -- extension
@@ -326,7 +351,7 @@ def test_composing_two_wild_pairs_needs_a_tame_sandwich():
         ["t", "t + 2", "t + 3", "t + 4"]
     assert all(m.is_wild for m in both.equivalence.local_maps)
     assert g_rank(L, both.wild_set).rank == 1
-    assert _rank_preservation_report(both.equivalence)["passes"]
+    assert _oracle_rank_preservation_report(both.equivalence)["passes"]
     maps = dict(zip((str(P) for P in both.equivalence.places),
                     both.equivalence.local_maps))
     assert maps["t"] == LocalMap(U_PI, PI)
@@ -375,18 +400,22 @@ def test_size_bound_against_class_rank():
     assert check_necessary_condition(L, [lplace(L, "t^2 + 2")])
 
 
-def test_rank_preservation_catches_a_doctored_image_basis():
+def test_verifier_catches_a_doctored_image_basis():
     L = line(5)
     cert = wild_pair(L, 0, 4)
     se = cert.equivalence
     # an image picking up odd order at (t+1), outside the target set
+    bad = se.sing_images[0] * L.parse("t + 1")
     doctored = SmallEquivalence(
         L, se.places, se.images, se.sing_basis,
-        (se.sing_images[0] * L.parse("t + 1"),) + se.sing_images[1:],
-        se.local_maps)
-    report = _rank_preservation_report(doctored)
-    assert not report["sing_images_in_target"]
+        (bad,) + se.sing_images[1:], se.local_maps)
+    report = verify_small_equivalence(doctored)
+    assert not report["target_basis"]
     assert not report["passes"]
+    assert report["failures"][0] == \
+        "target basis element %s has odd order at inf" % bad
+    with pytest.raises(VerificationError, match="odd order at inf"):
+        certify(doctored)
 
 
 # -- serialization
@@ -677,3 +706,243 @@ def test_twist_solve_matches_the_triangular_solve(monkeypatch):
     assert tally["cases"] >= 200
     for key in ("kernel", "particular", "no_pattern", "exhausted"):
         assert tally[key] >= 10, tally
+
+
+# -- certify against the certify it replaced
+#
+# The earlier certify, kept verbatim as the oracle: its verifier checked
+# the rank-zero condition on the removed places only, and a second
+# report re-derived the target side from class ranks and Delta ranks.
+
+def _oracle_verification_report(matching, basis, images, small: bool) -> dict:
+    """The checks of both certificate shapes, over one class table per side.
+
+    Every shape gets injectivity, both bases, the unit class and the
+    diagram; a small equivalence first has its domain checked and then
+    also gets symbol preservation and the class of -1.
+    """
+    places, targets = matching.places, matching.images
+    maps = matching.local_maps
+    report = {}
+    if small:
+        leftover = pic_complement_two_rank(matching.model, places)
+        if leftover != 0:
+            raise HypothesisError(
+                "the removed set leaves class rank %d; a small equivalence "
+                "needs rank 0" % leftover)
+        report["domain_rank_zero"] = True
+    failures = []
+    report["injective"] = len(set(targets)) == len(targets)
+    if not report["injective"]:
+        failures.append("two places share an image")
+    report["source_basis"], src = _side_classes(places, basis, failures,
+                                                "source")
+    report["target_basis"], dst = _side_classes(targets, images, failures,
+                                                "target")
+    report["unit_class_fixed"] = all(m.apply(ONE) == ONE for m in maps)
+    report["diagram_commutes"] = True
+    for b, row, image_row in zip(basis, src, dst):
+        for P, lm, a, t in zip(places, maps, row, image_row):
+            if lm.apply(a) != t:
+                failures.append("diagram breaks at %s on %s" % (P, b))
+                report["diagram_commutes"] = False
+
+    if small:
+        report["symbols_preserved"] = True
+        flags = [(minus_one_is_square(P), minus_one_is_square(Q))
+                 for P, Q in zip(places, targets)]
+        for i in range(len(basis)):
+            for k in range(i, len(basis)):
+                for j, (P, (sq, tq)) in enumerate(zip(places, flags)):
+                    if square_class_hilbert(src[i][j], src[k][j], sq) != \
+                            square_class_hilbert(dst[i][j], dst[k][j], tq):
+                        failures.append("symbol of (%s, %s) changes at %s"
+                                        % (basis[i], basis[k], P))
+                        report["symbols_preserved"] = False
+
+        minus_one = matching.model.constant(matching.model.field.neg(1))
+        report["minus_one_fixed"] = True
+        for P, Q, lm in zip(places, targets, maps):
+            if lm.apply(local_square_class(minus_one, P)) != \
+                    local_square_class(minus_one, Q):
+                failures.append("the class of -1 is not preserved at %s" % P)
+                report["minus_one_fixed"] = False
+
+    report["passes"] = all(report.values())
+    report["failures"] = tuple(failures)
+    return report
+
+
+def _oracle_rank_preservation_report(se: SmallEquivalence) -> dict:
+    """Rank bookkeeping that any genuine certificate must satisfy."""
+    model = se.model
+    src = g_rank(model, se.places).rank
+    dst = g_rank(model, se.images).rank
+    removed = set(se.images)
+    in_target = all(
+        all(P in removed or n % 2 == 0 for P, n in m.divisor().items())
+        for m in se.sing_images)
+    delta_src = delta_space(model, se.places).rank
+    delta_dst = delta_space(model, se.images).rank
+    return {
+        "g_rank_source": src,
+        "g_rank_target": dst,
+        "g_ranks_equal": src == dst,
+        "sing_images_in_target": in_target,
+        "delta_rank_source": delta_src,
+        "delta_rank_target": delta_dst,
+        "delta_ranks_equal": delta_src == delta_dst,
+        "passes": src == dst and in_target and delta_src == delta_dst,
+    }
+
+
+def _oracle_certify(se: SmallEquivalence) -> WildSetCertificate:
+    """Verify a small equivalence and package it with its wild set."""
+    report = _oracle_verification_report(se, se.sing_basis, se.sing_images,
+                                         small=True)
+    if not report["passes"]:
+        raise VerificationError("certificate is invalid: %s"
+                                % report["failures"][0])
+    ranks = _oracle_rank_preservation_report(se)
+    if not ranks["passes"]:
+        raise VerificationError("certificate does not preserve ranks: %r"
+                                % (ranks,))
+    wild = sorted(P for P, lm in zip(se.places, se.local_maps) if lm.is_wild)
+    merged = dict(report)
+    merged.update(ranks)
+    merged["passes"] = True
+    return WildSetCertificate(se, tuple(wild), merged)
+
+
+def _certify_outcome(certifier, se):
+    """The wild set and checks on success; a refusal is any error class
+    the command line maps to exit 3, and every other error escapes."""
+    try:
+        cert = certifier(se)
+    except (HypothesisError, VerificationError):
+        return "refused", None
+    return cert.wild_set, {k: cert.report[k] for k in SMALL_EQUIVALENCE_CHECKS}
+
+
+def _valid_certificates():
+    """Constructed certificates on the F_5/F_9/F_13 lines and an F_5 curve."""
+    out = []
+    for q in (5, 9, 13):
+        L = line(q)
+        ones, twos = L.places_of_degree(1), L.places_of_degree(2)
+        out.append(construct_rank0(L, twos[:2]))
+        out.append(construct_rank1(L, ones[1:3]))
+        out.append(construct_rank1(L, (ones[0], twos[1])))
+    E = EllipticModel(GF(5), poly_parse("t^3 + 4t", GF(5)))
+    ramified = [E.parse_place("(t; ramified)"),
+                E.parse_place("(t + 1; ramified)")]
+    inert = [E.parse_place("(t^2 + 2; inert)"),
+             E.parse_place("(t^2 + 3; inert)")]
+    out.append(construct_rank0(E, inert))
+    out.append(construct_rank1(E, (ramified[0], inert[1])))
+    out.append(construct_general(E, ramified, inert))
+    return out
+
+
+def _odd_outside(model, targets, rng):
+    """A function with odd order at some place outside the targets."""
+    while True:
+        f = model.parse("t + %d" % rng.randrange(model.field.p))
+        if any(n % 2 and P not in targets for P, n in f.divisor().items()):
+            return f
+
+
+def _doctored(cert, rng):
+    """One certificate, honest or with one of four kinds of damage."""
+    se = cert.equivalence
+    model, n = se.model, len(se.places)
+    kind = rng.choice(("honest", "retarget", "retarget-even", "odd image",
+                       "permute maps"))
+    if kind == "honest":
+        return kind, se
+    if kind == "odd image":
+        i = rng.randrange(n)
+        images = list(se.sing_images)
+        images[i] = images[i] * _odd_outside(model, set(se.images), rng)
+        return kind, SmallEquivalence(model, se.places, se.images,
+                                      se.sing_basis, images, se.local_maps)
+    if kind == "permute maps":
+        maps = list(se.local_maps)
+        rng.shuffle(maps)
+        return kind, SmallEquivalence(model, se.places, se.images,
+                                      se.sing_basis, se.sing_images, maps)
+    degrees = (2,) if kind == "retarget-even" else (1, 2)
+    pool = [P for d in degrees for P in model.places_of_degree(d)]
+    targets = tuple(rng.sample(pool, n))
+    # solve for images matching the local maps on the new targets, so
+    # that only the conditions on the target set itself can fail
+    try:
+        maps, images = _sandwich_solve(
+            model, se.places, targets, se.local_maps, se.sing_basis,
+            quotient_basis(model, targets))
+    except (VerificationError, SearchExhausted):
+        return kind + " unsolved", SmallEquivalence(
+            model, se.places, targets, se.sing_basis, se.sing_images,
+            se.local_maps)
+    return kind, SmallEquivalence(model, se.places, targets, se.sing_basis,
+                                  images, maps)
+
+
+def test_certify_matches_the_rank_preserving_certify():
+    rng = random.Random(909)
+    certs = _valid_certificates()
+    tally: Dict[Tuple[str, str], int] = {}
+    only_target_rank = 0
+    for _ in range(240):
+        kind, se = _doctored(rng.choice(certs), rng)
+        new = _certify_outcome(certify, se)
+        old = _certify_outcome(_oracle_certify, se)
+        assert new == old, (kind, se.places, se.images)
+        outcome = "refused" if new[0] == "refused" else "accepted"
+        tally[kind, outcome] = tally.get((kind, outcome), 0) + 1
+        try:
+            passes = _oracle_verification_report(
+                se, se.sing_basis, se.sing_images, small=True)["passes"]
+        except HypothesisError:
+            continue
+        if passes and not _oracle_rank_preservation_report(se)["passes"]:
+            only_target_rank += 1
+            with pytest.raises(HypothesisError, match="the target set"):
+                verify_small_equivalence(se)
+    assert tally[("honest", "accepted")] >= 10, tally
+    for kind in ("retarget", "retarget-even", "odd image", "permute maps"):
+        assert tally.get((kind, "refused"), 0) >= 5, tally
+    assert only_target_rank >= 10, (only_target_rank, tally)
+
+
+# -- each certificate is verified once
+
+def _count_calls(monkeypatch, name, calls):
+    """Count calls to a function under every name the package binds it."""
+    original = getattr(equivalence_core, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for module in (equivalence_core, constructions, cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+
+
+def test_each_certificate_is_verified_once(monkeypatch, tmp_path, capsys):
+    calls = {"verify_small_equivalence": 0, "certify": 0}
+    for name in calls:
+        _count_calls(monkeypatch, name, calls)
+    # two extensions and one compose
+    L = line(5)
+    construct_rank0(L, [lplace(L, "t^2 + 2"), lplace(L, "t^2 + 3")])
+    assert calls["certify"] == 3
+    assert calls["verify_small_equivalence"] == calls["certify"]
+    path = str(tmp_path / "c.json")
+    assert cli.run(["construct", "--q", "5", "--rank", "1",
+                    "--places", "t, t + 4", "--out", path]) == 0
+    assert cli.run(["verify", "--cert", path]) == 0
+    capsys.readouterr()
+    assert calls["certify"] > 3
+    assert calls["verify_small_equivalence"] == calls["certify"]
