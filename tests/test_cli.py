@@ -5,6 +5,7 @@ round trip also goes through a genuinely fresh interpreter, since that
 is the workflow the JSON format exists for.
 """
 
+import argparse
 import json
 import os
 import pathlib
@@ -141,9 +142,11 @@ def test_twist_walk_exhaustion_exits_four(capsys, monkeypatch):
 
 
 def test_degree_cap_environment_override(capsys, monkeypatch):
+    argv = ["construct", "--q", "5", "--rank", "1", "--places", "t,t-1,t-2"]
     monkeypatch.setenv("WILDSETS_DEGREE_CAP", "1")
-    assert run(["construct", "--q", "5", "--rank", "1",
-                "--places", "t,t-1,t-2"]) == 4
+    assert run(argv) == 4
+    monkeypatch.delenv("WILDSETS_DEGREE_CAP")
+    assert run(argv) == 0
     capsys.readouterr()
 
 
@@ -151,6 +154,28 @@ def test_malformed_degree_cap_environment_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("WILDSETS_DEGREE_CAP", "abc")
     assert run(["ranks", "--q", "5", "--places", "t"]) == 2
     assert "WILDSETS_DEGREE_CAP" in capsys.readouterr().err
+    # a given flag does not excuse a malformed environment
+    assert run(["ranks", "--q", "5", "--places", "t",
+                "--degree-cap", "3"]) == 2
+    assert "WILDSETS_DEGREE_CAP" in capsys.readouterr().err
+
+
+def test_parser_is_built_at_most_once_per_process(capsys, monkeypatch):
+    # only the top-level parser adds subparsers: one call per build
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        built.append(self)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    for argv in (["ranks", "--q", "5", "--places", "t"],
+                 ["smile", "--q", "5", "--places", "t^2+2, t^2+3"],
+                 ["verify", "--cert", "/nonexistent/path.json"]):
+        run(argv)
+    assert len(built) <= 1
+    capsys.readouterr()
 
 
 def test_unusable_input_exits_two(capsys):

@@ -9,6 +9,7 @@ re-verified from scratch rather than trusted.
 
 import pytest
 
+from wildsets import equivalence_core
 from wildsets.base_algebra import GF, poly_parse
 from wildsets.constructions import (
     construct_general,
@@ -72,6 +73,23 @@ def test_rank0_pair(line):
     cert = construct_rank0(line, S)
     assert_sound(line, cert, set(S))
     assert g_rank(line, S).rank == 0
+
+
+def test_rank0_composition_searches_within_the_callers_cap(line, monkeypatch):
+    # the third singleton is glued on through the compose fallback, whose
+    # re-extension must search with the caller's cap, not the default
+    caps = []
+    search = equivalence_core._auxiliary_places
+
+    def spy(model, lams, forbidden, degree_cap):
+        caps.append(degree_cap)
+        return search(model, lams, forbidden, degree_cap)
+
+    monkeypatch.setattr(equivalence_core, "_auxiliary_places", spy)
+    S = [line.parse_place(s) for s in ("t^2 + 2", "t^2 + 3", "t^2 + t + 1")]
+    cert = construct_rank0(line, S, degree_cap=2)
+    assert_sound(line, cert, set(S))
+    assert caps and set(caps) == {2}
 
 
 def test_rank0_refuses_odd_degree(line):
