@@ -9,7 +9,15 @@ enumeration order, so the encoding is reproducible across runs.
 Polynomials over F_q are tuples of element codes, lowest degree first,
 with no trailing zeros; the zero polynomial is the empty tuple.  All
 polynomial helpers take the field as their last argument, e.g.
-``poly_mul(f, g, F)``.
+``poly_mul(f, g, F)``.  Their coefficient loops call no Fq method, in
+one of two regimes.  Over a prime field the codes are plain ints:
+products and differences accumulate unreduced and are reduced mod p
+once, when a coefficient is read as a pivot and at the end.  Over an
+extension field they are read from the field's tables, one row of the
+multiplication table per scalar.  Inverses come from a table of q
+entries built with the field: from the logarithm tables on extension
+fields, and by pairing a with a^(q-2) on prime fields, which build no
+table of q^2 entries.
 
 Quadratic characters modulo a polynomial come from one kernel,
 ``poly_jacobi``: the Jacobi symbol of F_q[t], computed by a Euclid
@@ -108,6 +116,13 @@ class Fq:
         if k > 1:
             self.modulus = self._find_modulus()
             self._build_tables()
+        else:
+            # pair a with a^(q-2), so each power serves two codes
+            self._inv = [0] * q
+            for a in range(1, q):
+                if not self._inv[a]:
+                    b = pow(a, q - 2, q)
+                    self._inv[a], self._inv[b] = b, a
         # the quadratic character of every code, read by quad_char
         self._chi = [0] + [-1] * (q - 1)
         for a in range(1, q):
@@ -146,6 +161,7 @@ class Fq:
         logs = log[1:]
         self._add = add
         self._neg = neg
+        self._inv = [0] + [exp[q - 1 - la] for la in logs]
         self._mul = [[0] * q] + [[0] + [exp[la + lb] for lb in logs]
                                  for la in logs]
 
@@ -191,7 +207,7 @@ class Fq:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_%d" % self.q)
-        return self.pow(a, self.q - 2)
+        return self._inv[a]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -295,10 +311,12 @@ def _tonelli(a, m: int, one, mul, powf, z):
 def poly_norm(f: Sequence[int]) -> Poly:
     """Strip trailing zero coefficients."""
     f = tuple(f)
-    n = len(f)
-    while n and f[n - 1] == 0:
-        n -= 1
-    return f[:n]
+    if f and not f[-1]:
+        n = len(f) - 1
+        while n and f[n - 1] == 0:
+            n -= 1
+        return f[:n]
+    return f
 
 
 def poly_deg(f: Poly) -> int:
@@ -309,56 +327,108 @@ def poly_deg(f: Poly) -> int:
 def poly_add(f: Poly, g: Poly, F: Fq) -> Poly:
     if len(f) < len(g):
         f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = F.add(out[i], c)
+    if not g:
+        return poly_norm(f)
+    if F.k == 1:
+        p = F.p
+        out = [(a + b) % p for a, b in zip(f, g)]
+    else:
+        add = F._add
+        out = [add[a][b] for a, b in zip(f, g)]
+    out.extend(f[len(g):])
     return poly_norm(out)
 
 
 def poly_neg(f: Poly, F: Fq) -> Poly:
-    return tuple(F.neg(c) for c in f)
+    if F.k == 1:
+        p = F.p
+        return tuple(p - c if c else 0 for c in f)
+    neg = F._neg
+    return tuple(neg[c] for c in f)
 
 
 def poly_sub(f: Poly, g: Poly, F: Fq) -> Poly:
-    return poly_add(f, poly_neg(g, F), F)
+    if F.k == 1:
+        p = F.p
+        out = [(a - b) % p for a, b in zip(f, g)]
+    else:
+        add, neg = F._add, F._neg
+        out = [add[a][neg[b]] for a, b in zip(f, g)]
+    out.extend(f[len(g):])
+    out.extend(poly_neg(g[len(f):], F))
+    return poly_norm(out)
 
 
 def poly_scalar(f: Poly, c: int, F: Fq) -> Poly:
     if c == 0:
         return ()
-    return poly_norm(tuple(F.mul(a, c) for a in f))
+    if F.k == 1:
+        p = F.p
+        return poly_norm([a * c % p for a in f])
+    row = F._mul[c]
+    return poly_norm([row[a] for a in f])
 
 
 def poly_mul(f: Poly, g: Poly, F: Fq) -> Poly:
     if not f or not g:
         return ()
     out = [0] * (len(f) + len(g) - 1)
+    if F.k == 1:
+        # accumulate plain products; reduce once at the end
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g, i):
+                    out[j] += a * b
+        p = F.p
+        return poly_norm([c % p for c in out])
+    add, mul = F._add, F._mul
     for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = F.add(out[i + j], F.mul(a, b))
+        if a:
+            row = mul[a]
+            for j, b in enumerate(g, i):
+                out[j] = add[out[j]][row[b]]
     return poly_norm(out)
 
 
 def poly_divmod(f: Poly, g: Poly, F: Fq) -> Tuple[Poly, Poly]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(f)
-    dg = poly_deg(g)
+    dg = len(g) - 1
     # monic divisors (irreducibles, residue-field moduli) need no inverse
     inv_lc = 1 if g[-1] == 1 else F.inv(g[-1])
-    q = [0] * max(0, len(f) - dg)
+    if len(f) <= dg:
+        return (), poly_norm(f)
+    r = list(f)
+    q = [0] * (len(f) - dg)
+    low = g[:-1]
+    if F.k == 1:
+        # r holds unreduced integers; a coefficient is reduced when it
+        # becomes a pivot, and the remainder once at the end
+        p = F.p
+        for i in range(len(f) - 1, dg - 1, -1):
+            c = r[i] % p
+            if c == 0:
+                continue
+            if inv_lc != 1:
+                c = c * inv_lc % p
+            q[i - dg] = c
+            for j, b in enumerate(low, i - dg):
+                r[j] -= c * b
+        return poly_norm(q), poly_norm([c % p for c in r[:dg]])
+    # extension fields: subtract c*g as c*(-g), one table row per pivot
+    add, mul, neg = F._add, F._mul, F._neg
+    low = [neg[b] for b in low]
     for i in range(len(f) - 1, dg - 1, -1):
         c = r[i]
         if c == 0:
             continue
         if inv_lc != 1:
-            c = F.mul(c, inv_lc)
+            c = mul[c][inv_lc]
         q[i - dg] = c
-        for j, b in enumerate(g):
-            r[i - dg + j] = F.sub(r[i - dg + j], F.mul(c, b))
-    return poly_norm(q), poly_norm(r)
+        row = mul[c]
+        for j, b in enumerate(low, i - dg):
+            r[j] = add[r[j]][row[b]]
+    return poly_norm(q), poly_norm(r[:dg])
 
 
 def poly_mod(f: Poly, g: Poly, F: Fq) -> Poly:
@@ -407,8 +477,14 @@ def poly_pow_mod(f: Poly, e: int, m: Poly, F: Fq) -> Poly:
 
 def poly_eval(f: Poly, x: int, F: Fq) -> int:
     r = 0
+    if F.k == 1:
+        p = F.p
+        for c in reversed(f):
+            r = (r * x + c) % p
+        return r
+    add, row = F._add, F._mul[x]
     for c in reversed(f):
-        r = F.add(F.mul(r, x), c)
+        r = add[row[r]][c]
     return r
 
 
@@ -635,9 +711,28 @@ def _ydict_pow(a, e: int, F: Fq):
     return out
 
 
+def _ydict_degrees(a) -> Optional[Tuple[int, int]]:
+    """(degree in y, degree in t) of a nonzero value, None for zero.
+
+    Over a field both are additive under products.
+    """
+    if not a:
+        return None
+    return max(a), max(map(len, a.values())) - 1
+
+
 def _ydict_degree(a) -> int:
-    """The largest degree in t or in y among the terms."""
-    return max((max(k, len(c) - 1) for k, c in a.items()), default=0)
+    """The larger of the degrees in t and in y; 0 for zero."""
+    return max(_ydict_degrees(a) or (0,))
+
+
+def _ydict_product(factors: List, F: Fq):
+    """The product of the factors, multiplied as a balanced tree."""
+    while len(factors) > 1:
+        pairs = zip(factors[::2], factors[1::2])
+        factors = ([_ydict_mul(a, b, F) for a, b in pairs]
+                   + factors[len(factors) & ~1:])
+    return factors[0]
 
 
 def _ydict_add(a, b, F: Fq):
@@ -712,11 +807,15 @@ class _RatParser:
                 w = (_ydict_neg(w[0], self.F), w[1])
             n = _ydict_add(_ydict_mul(v[0], w[1], self.F),
                            _ydict_mul(w[0], v[1], self.F), self.F)
-            v = self.bounded((n, _ydict_mul(v[1], w[1], self.F)))
+            v = (n, _ydict_mul(v[1], w[1], self.F))
+            self.bound_product(max(map(_ydict_degree, v)))
         return v
 
     def term(self):
+        """A product of atoms, each checked against the degree bound as it
+        is read and all multiplied at the end."""
         v = self.atom()
+        nums = None
         while True:
             if self.peek() == "*":
                 self.i += 1
@@ -730,17 +829,27 @@ class _RatParser:
             elif self.at("t(yg"):
                 w = self.atom()
             else:
-                return v
-            v = self.bounded((_ydict_mul(v[0], w[0], self.F),
-                              _ydict_mul(v[1], w[1], self.F)))
+                break
+            if nums is None:
+                nums, dens = [v[0]], [v[1]]
+                num_deg, den_deg = map(_ydict_degrees, v)  # dens are nonzero
+            nums.append(w[0])
+            dens.append(w[1])
+            e = _ydict_degrees(w[0])
+            # zero times anything is zero, of degree 0
+            num_deg = num_deg and e and (num_deg[0] + e[0], num_deg[1] + e[1])
+            e = _ydict_degrees(w[1])
+            den_deg = (den_deg[0] + e[0], den_deg[1] + e[1])
+            self.bound_product(max(den_deg + (num_deg or ())))
+        if nums is None:
+            return v
+        return (_ydict_product(nums, self.F), _ydict_product(dens, self.F))
 
-    def bounded(self, v):
-        """The product v, once both its halves are within MAX_PARSED_DEGREE."""
-        degree = max(map(_ydict_degree, v))
+    def bound_product(self, degree: int) -> None:
+        """Refuse a product whose degree is above MAX_PARSED_DEGREE."""
         if degree > MAX_PARSED_DEGREE:
             self.error("the product has degree %d, above the bound %d"
                        % (degree, MAX_PARSED_DEGREE))
-        return v
 
     def atom(self):
         c = self.peek()

@@ -16,7 +16,8 @@ With these choices the unit-part residue of a factored function at
 infinity is simply its constant, because every monic factor tends to 1
 against the matching power of t.  Only the quadratic character of a
 residue is ever needed; at a finite place it is a product of Jacobi
-symbols of the factors, and the residue itself is never formed.
+symbols of the factors -- at a degree-one place t - r, the characters of
+their values at r -- and the residue itself is never formed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .base_algebra import (
     _quoted,
     irreducibles_of_degree,
     poly_deg,
+    poly_eval,
     poly_is_irreducible,
     poly_jacobi,
     poly_monic,
@@ -135,10 +137,17 @@ class RationalFunction(FactoredFunction):
 
     @staticmethod
     def _atom_char(p: Poly, place: Place, line: "ProjectiveLine") -> int:
-        """The character of p's residue: 1 at infinity and at p itself."""
-        if place.poly is None or p == place.poly:
+        """The character of p's residue: 1 at infinity and at p itself.
+
+        At a place t - r the residue of p is the value p(r).
+        """
+        m = place.poly
+        if m is None or p == m:
             return 1
-        return poly_jacobi(p, place.poly, line.field)
+        F = line.field
+        if len(m) == 2:
+            return F.quad_char(poly_eval(p, F.neg(m[0]), F))
+        return poly_jacobi(p, m, F)
 
     @staticmethod
     def _check_atom(p: Poly, F: Fq) -> None:

@@ -1,0 +1,117 @@
+"""Method-call polynomial arithmetic: the test oracle for the F_q[t] kernel.
+
+The package's polynomial helpers work on plain ints over prime fields
+and on table rows over extension fields, and Fq.inv reads a table.  This
+module keeps the route they replaced: every coefficient operation is a
+call of an Fq method, and an inverse is the power a^(q-2) by
+square-and-multiply.  `install` swaps these functions into
+`wildsets.base_algebra`, so that the higher helpers built on them
+(gcd, xgcd, pow_mod, factor, jacobi) can be run on the old kernel too.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence, Tuple
+
+from wildsets import base_algebra
+from wildsets.base_algebra import Fq, Poly, poly_deg
+
+
+def field_pow(F: Fq, a: int, e: int) -> int:
+    if e < 0:
+        return field_pow(F, field_inv(F, a), -e)
+    r, b = 1, a
+    while e:
+        if e & 1:
+            r = F.mul(r, b)
+        b = F.mul(b, b)
+        e >>= 1
+    return r
+
+
+def field_inv(F: Fq, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("inverse of zero in F_%d" % F.q)
+    return field_pow(F, a, F.q - 2)
+
+
+def poly_norm(f: Sequence[int]) -> Poly:
+    """Strip trailing zero coefficients."""
+    f = tuple(f)
+    n = len(f)
+    while n and f[n - 1] == 0:
+        n -= 1
+    return f[:n]
+
+
+def poly_add(f: Poly, g: Poly, F: Fq) -> Poly:
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] = F.add(out[i], c)
+    return poly_norm(out)
+
+
+def poly_neg(f: Poly, F: Fq) -> Poly:
+    return tuple(F.neg(c) for c in f)
+
+
+def poly_sub(f: Poly, g: Poly, F: Fq) -> Poly:
+    return poly_add(f, poly_neg(g, F), F)
+
+
+def poly_scalar(f: Poly, c: int, F: Fq) -> Poly:
+    if c == 0:
+        return ()
+    return poly_norm(tuple(F.mul(a, c) for a in f))
+
+
+def poly_mul(f: Poly, g: Poly, F: Fq) -> Poly:
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a == 0:
+            continue
+        for j, b in enumerate(g):
+            out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return poly_norm(out)
+
+
+def poly_divmod(f: Poly, g: Poly, F: Fq) -> Tuple[Poly, Poly]:
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(f)
+    dg = poly_deg(g)
+    # monic divisors (irreducibles, residue-field moduli) need no inverse
+    inv_lc = 1 if g[-1] == 1 else field_inv(F, g[-1])
+    q = [0] * max(0, len(f) - dg)
+    for i in range(len(f) - 1, dg - 1, -1):
+        c = r[i]
+        if c == 0:
+            continue
+        if inv_lc != 1:
+            c = F.mul(c, inv_lc)
+        q[i - dg] = c
+        for j, b in enumerate(g):
+            r[i - dg + j] = F.sub(r[i - dg + j], F.mul(c, b))
+    return poly_norm(q), poly_norm(r)
+
+
+def poly_eval(f: Poly, x: int, F: Fq) -> int:
+    r = 0
+    for c in reversed(f):
+        r = F.add(F.mul(r, x), c)
+    return r
+
+
+KERNEL = ("poly_norm", "poly_add", "poly_neg", "poly_sub", "poly_scalar",
+          "poly_mul", "poly_divmod", "poly_eval")
+
+
+def install(monkeypatch) -> None:
+    """Run base_algebra on this module's kernel until the test ends."""
+    for name in KERNEL:
+        monkeypatch.setattr(base_algebra, name, globals()[name])
+    monkeypatch.setattr(Fq, "inv", field_inv)

@@ -118,6 +118,23 @@ def test_quad_char_f5_table():
     assert [F.quad_char(a) for a in range(5)] == [0, 1, -1, -1, 1]
 
 
+@pytest.mark.parametrize("q", [1019, 1021])
+def test_prime_fields_build_no_square_tables(q):
+    """Prime fields keep lists of q entries only: memory linear in q."""
+    F = GF(q)
+    for name in ("_add", "_mul", "_neg"):
+        assert not hasattr(F, name)
+    assert len(F._inv) == q
+    assert all(a * F.inv(a) % q == 1 for a in range(1, q))
+
+
+@pytest.mark.parametrize("q", [9, 243])
+def test_extension_field_inverse_table(q):
+    F = GF(q)
+    assert len(F._inv) == q
+    assert all(F.mul(a, F.inv(a)) == 1 for a in range(1, q))
+
+
 @pytest.mark.parametrize("q", FIELDS)
 def test_sqrt_roundtrip(q):
     F = GF(q)
@@ -531,6 +548,21 @@ def test_products_above_the_degree_bound_are_rejected():
             rat_parse(s, F)
     with pytest.raises(ValueError, match=bound):
         rat_parse("y" * (n + 1), F, allow_y=True)
+    # degrees in y and in t add up separately: both at the bound is allowed
+    num, den = rat_parse("y" * n + "t" * n, F, allow_y=True)
+    assert num == {n: (0,) * n + (1,)} and den == {0: (1,)}
+    num, den = rat_parse("(y + t)^2" + "t" * (n - 2) + "/y^%d" % (n - 2),
+                         F, allow_y=True)
+    assert max(num) == 2 and max(map(len, num.values())) == n + 1
+    assert den == {n - 2: (1,)}
+    # a zero factor makes the rest of the product degree 0
+    assert rat_parse("t" * n + "*0" + "t" * n, F)[0] == {}
+    # a rejection names the degree of the first product above the bound
+    mixed = "y" * (n - 1) + "(y*t)" + "t" * (n - 1) + "t*t"
+    with pytest.raises(ValueError, match="degree %d, %s" % (n + 1, bound)):
+        rat_parse(mixed, F, allow_y=True)
+    with pytest.raises(ValueError, match="degree %d, %s" % (n + 1, bound)):
+        rat_parse("t/t*y^%d*(t + y)^2" % (n - 1), F, allow_y=True)
 
 
 def test_rat_parse_zero_numerator_is_allowed():

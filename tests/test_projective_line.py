@@ -10,6 +10,8 @@ from wildsets.base_algebra import (
     irreducibles_of_degree,
     poly_deg,
     poly_divmod,
+    poly_is_irreducible,
+    poly_jacobi,
     poly_mul,
     poly_norm,
     poly_parse,
@@ -340,3 +342,23 @@ def test_parse_place():
     assert P.degree == 2 and str(P) == "t^2 + 2"
     for Q in [line.infinity] + finite_places_of_degree(line, 2)[:3]:
         assert line.parse_place(str(Q)) == Q
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 27, 243])
+def test_degree_one_characters_by_evaluation_match_jacobi(q):
+    """At a place t - r the character of an atom p is read from p(r); it
+    must be the Jacobi symbol (p / (t - r))."""
+    line = ProjectiveLine(GF(q))
+    F = line.field
+    rng = random.Random("degree one %d" % q)
+    places = finite_places_of_degree(line, 1)
+    atoms = []
+    while len(atoms) < 12:
+        d = rng.randrange(1, 5)
+        p = tuple(rng.randrange(q) for _ in range(d)) + (1,)
+        if poly_is_irreducible(p, F):
+            atoms.append(p)
+    for place in rng.sample(places, min(len(places), 15)):
+        for p in atoms + [place.poly, poly_mul(place.poly, atoms[0], F)]:
+            expected = 1 if p == place.poly else poly_jacobi(p, place.poly, F)
+            assert RationalFunction._atom_char(p, place, line) == expected
