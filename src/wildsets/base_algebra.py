@@ -960,8 +960,11 @@ def poly_jacobi(a: Poly, m: Poly, F: Fq) -> int:
     value comes from a Euclid descent on two rules: a constant c gives
     chi(c)^deg(m), and monic coprime A and M satisfy the reciprocity law
     (A/M)(M/A) = (-1)^((q-1)/2 * deg A * deg M) (Rosen, Number Theory in
-    Function Fields, ch. 3).
+    Function Fields, ch. 3).  Modulo a degree-one m = t - r the symbol is
+    the character of the value a(r), read without the descent.
     """
+    if len(m) == 2:
+        return F.quad_char(poly_eval(a, F.neg(m[0]), F))
     sign = 1
     odd_half = F.q % 4 == 3  # whether (q-1)/2 is odd
     while True:

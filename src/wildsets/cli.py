@@ -230,17 +230,7 @@ def _random_function(model, rng: random.Random):
             coeffs = [rng.randrange(field.q) for _ in range(4)]
             if any(coeffs):
                 return coeffs
-    num, den = poly(), poly()
-    text = "(%s) / (%s)" % (_poly_text(num), _poly_text(den))
-    return model.parse(text)
-
-
-def _poly_text(coeffs) -> str:
-    terms = []
-    for i, c in enumerate(coeffs):
-        if c:
-            terms.append("%d t^%d" % (c, i))
-    return " + ".join(terms)
+    return model.from_poly(poly()) / model.from_poly(poly())
 
 
 def _selftest(seed: int) -> List[str]:

@@ -313,11 +313,7 @@ def construct_rank1(model, S, degree_cap: int = DEGREE_CAP
     if len(S) == 3:
         return construct_rank1_triple(model, S[0], S[1], S[2], degree_cap)
 
-    pair_rank = g_rank(model, S[:2]).rank
-    if pair_rank == 0:
-        head = construct_rank0(model, S[:2], degree_cap)
-    else:
-        head = construct_rank1_pair(model, S[0], S[1], degree_cap)
+    head = construct_rank1(model, S[:2], degree_cap)
     rest = [_track(head, P) for P in S[2:]]
     cert = compose(head, construct_rank1(model, rest, degree_cap),
                    degree_cap)
@@ -377,11 +373,8 @@ def construct_general(model, P, Q, degree_cap: int = DEGREE_CAP
     assert image_rank <= 1, (
         "the image pair spans rank %d; the inner certificate failed to "
         "absorb the dependence" % image_rank)
-    if image_rank == 1:
-        step = construct_rank1_pair(model, pm, qm, degree_cap)
-    else:
-        step = construct_rank0(model, (pm, qm), degree_cap)
-    cert = compose(inner, step, degree_cap)
+    cert = compose(inner, construct_rank1(model, (pm, qm), degree_cap),
+                   degree_cap)
     leftovers = [_track(cert, q) for q in Q[m:]]
     if leftovers:
         cert = compose(cert, construct_rank0(model, leftovers, degree_cap),

@@ -27,6 +27,9 @@ together with the sum, under the chord-and-tangent law, of the Galois
 orbits of the points below its places.  That finite group drives the
 principality test, 2-divisibility, halving, and the construction of a
 function with a prescribed principal divisor.
+
+The place and model bases of function_field hold the plumbing; the
+certificate header adds the curve to theirs.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .base_algebra import (
     rat_parse,
 )
 from .errors import HypothesisError
-from .function_field import Divisor, FactoredFunction
+from .function_field import Divisor, FactoredFunction, Model, ModelPlace
 
 Point = Optional[Tuple[int, int]]  # None is the point at infinity
 
@@ -114,7 +117,7 @@ def _point_add(K, zero, f4, P, Q):
     return (x3, y3)
 
 
-class CurvePlace:
+class CurvePlace(ModelPlace):
     """A place of the elliptic function field.
 
     Finite places carry their base irreducible and kind; split places
@@ -137,10 +140,6 @@ class CurvePlace:
         self.branch = branch
 
     @property
-    def field(self) -> Fq:
-        return self.model.field
-
-    @property
     def is_infinite(self) -> bool:
         return self.kind == "infinite"
 
@@ -157,18 +156,8 @@ class CurvePlace:
         return (1, self.degree, tuple(reversed(self.base)),
                 tuple(reversed(self.branch or ())))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CurvePlace)
-                and self.model.key == other.model.key
-                and self.kind == other.kind
-                and self.base == other.base
-                and self.branch == other.branch)
-
-    def __hash__(self) -> int:
-        return hash((self.model.key, self.kind, self.base, self.branch))
-
-    def __lt__(self, other: "CurvePlace") -> bool:
-        return self.sort_key() < other.sort_key()
+    def _identity(self):
+        return (self.model.key, self.kind, self.base, self.branch)
 
     def __str__(self) -> str:
         if self.kind == "infinite":
@@ -177,9 +166,6 @@ class CurvePlace:
         if self.kind == "split":
             return "(%s; split; %s)" % (base, poly_str(self.branch, "t", self.field))
         return "(%s; %s)" % (base, self.kind)
-
-    def __repr__(self) -> str:
-        return "CurvePlace(%s)" % self
 
 
 def _reduce_y(ydict, model: "EllipticModel"):
@@ -409,7 +395,20 @@ class CurveFunction(FactoredFunction):
         return rest.residue_char(self.model.infinity) == 1
 
 
-class EllipticModel:
+def _finite_places_of_degree(model: "EllipticModel", d: int) -> List[CurvePlace]:
+    """The split and ramified places over degree-d irreducibles and the
+    inert ones over degree-d/2 irreducibles, in sort-key order."""
+    out: List[CurvePlace] = []
+    for p in irreducibles_of_degree(model.field, d):
+        out.extend(P for P in model._places_over_irreducible(p) if P.kind != "inert")
+    if d % 2 == 0:
+        for p in irreducibles_of_degree(model.field, d // 2):
+            out.extend(P for P in model._places_over_irreducible(p) if P.kind == "inert")
+    out.sort(key=CurvePlace.sort_key)
+    return out
+
+
+class EllipticModel(Model):
     """The curve y^2 = f(t) for a squarefree cubic f, as a divisor backend.
 
     The cubic need not be monic; its leading coefficient enters the
@@ -419,6 +418,7 @@ class EllipticModel:
     """
 
     backend = "elliptic_curve"  # recorded in certificates
+    _function = CurveFunction
 
     def __init__(self, field: Fq, f: Poly):
         f = poly_norm(f)
@@ -426,12 +426,10 @@ class EllipticModel:
             raise ValueError("the defining polynomial must be a cubic")
         if poly_deg(poly_gcd(f, poly_deriv(f, field), field)) != 0:
             raise ValueError("the defining polynomial must be squarefree")
-        self.field = field
+        super().__init__(field, (field.q, f))
         self.f = f
-        self.key = (field.q, f)  # the model's identity
         self.infinity = CurvePlace(self, "infinite")
         self._above: Dict[Poly, Tuple[CurvePlace, ...]] = {}
-        self._of_degree: Dict[int, Tuple[CurvePlace, ...]] = {}
         self._points: Optional[List[Point]] = None
         self._doubles: Optional[frozenset] = None
         self._classes: Dict[CurvePlace, Point] = {}
@@ -473,26 +471,8 @@ class EllipticModel:
         return out
 
     def places_of_degree(self, d: int) -> List[CurvePlace]:
-        """All places of degree d, the infinite one first.
-
-        Each degree is enumerated once per model, next to the cache of
-        places_above; every call returns a fresh list, so callers may
-        mutate it.
-        """
-        got = self._of_degree.get(d)
-        if got is None:
-            out = [self.infinity] if d == 1 else []
-            finite: List[CurvePlace] = []
-            for p in irreducibles_of_degree(self.field, d):
-                finite.extend(P for P in self._places_over_irreducible(p)
-                              if P.kind != "inert")
-            if d % 2 == 0:
-                for p in irreducibles_of_degree(self.field, d // 2):
-                    finite.extend(P for P in self._places_over_irreducible(p)
-                                  if P.kind == "inert")
-            finite.sort(key=CurvePlace.sort_key)
-            got = self._of_degree[d] = tuple(out + finite)
-        return list(got)
+        """All places of degree d, the infinite one first, in a fresh list."""
+        return self._places_of_degree(d, _finite_places_of_degree)
 
     def parse_place(self, s: str) -> CurvePlace:
         """Parse 'inf' or '(base; kind)' / '(base; split; branch)'."""
@@ -529,30 +509,16 @@ class EllipticModel:
 
     # -- elements
 
-    def one(self) -> CurveFunction:
-        return CurveFunction.one(self)
-
-    def constant(self, c: int) -> CurveFunction:
-        return CurveFunction(self, c)
-
-    def from_poly(self, g: Poly) -> CurveFunction:
-        return CurveFunction.from_poly(self, g)
-
     def from_pair(self, a: Poly, b: Poly) -> CurveFunction:
         return CurveFunction.from_pair(self, a, b)
 
     def y(self) -> CurveFunction:
         return CurveFunction.from_pair(self, (), (1,))
 
-    def parse(self, s: str) -> CurveFunction:
-        return CurveFunction.parse(self, s)
-
     # -- certificates
 
     def header(self) -> dict:
-        """The certificate fields that name this model."""
-        return {"backend": self.backend, "q": self.field.q,
-                "curve": poly_str(self.f, "t", self.field)}
+        return dict(super().header(), curve=poly_str(self.f, "t", self.field))
 
     @classmethod
     def from_header(cls, field: Fq, data: dict) -> "EllipticModel":
@@ -812,9 +778,8 @@ class EllipticModel:
             if not big:
                 break
             P = max(big, key=lambda Q: Q.degree)
-            g = self.from_pair(poly_neg(P.branch, F), (1,))
-            assert g.divisor().get(P) == 1
-            apply(g, R.coeffs[P])
+            apply(self.from_pair(poly_neg(P.branch, F), (1,)), R.coeffs[P])
+            assert P not in R.coeffs, "the peel has a simple zero at P"
 
         # a lone higher ramified place with an odd coefficient needs one
         # factor of y; after that, even parts are powers of the base

@@ -110,10 +110,7 @@ class _PlaceMatching:
         self.places = tuple(places)
         self.images = tuple(images)
         self.local_maps = tuple(local_maps)
-        if not self.places:
-            raise ValueError("the removed set must contain at least one place")
-        if len(set(self.places)) != len(self.places):
-            raise ValueError("the removed set has repeated places")
+        _clean_places(self.places)
         if len(self.images) != len(self.places):
             raise ValueError("need exactly one image per removed place")
         if len(self.local_maps) != len(self.places):

@@ -7,6 +7,10 @@ function is the sum of e * ord(atom), and, since a character ignores
 squares, its residue character is chi(c)^(deg P) times the characters of
 the atoms with odd exponent.  Places and functions belong to a model,
 whose ``key`` is its identity: they compare and hash through it.
+
+``Model`` and ``ModelPlace`` are the bases of each backend's model and
+place classes: they hold the plumbing both backends share, and
+``Model``'s docstring is the contract the upper layers rely on.
 """
 
 from __future__ import annotations
@@ -187,3 +191,96 @@ class FactoredFunction:
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__name__, self)
+
+
+class ModelPlace:
+    """What every place shares: field, identity, order and printing.
+
+    A backend's place sets ``model`` and gives ``degree``, ``is_infinite``,
+    ``sort_key``, ``__str__`` and ``_identity``, the tuple of its model's
+    key and its data that it compares and hashes by.
+    """
+
+    __slots__ = ()
+
+    @property
+    def field(self):
+        return self.model.field
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
+    def __lt__(self, other) -> bool:
+        return self.sort_key() < other.sort_key()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+class Model:
+    """A curve over F_q as a divisor-theory backend: the contract.
+
+    The layers above the backends use a model through these names only,
+    and both backends provide each of them:
+
+    ``backend``, ``key``, ``field``, ``infinity``: the name recorded in
+        certificates, the model's identity, F_q, the place at infinity;
+    ``places_of_degree(d)``, ``parse_place(s)``: places, infinity first;
+    ``pic_mod2(P)``: the class of P in Pic/2Pic as a bitmask, bit 0 the
+        degree parity; ``two_divisible(D)``: whether D lies in 2 Pic;
+    ``halve_in_pic(D)``: some E with 2E ~ D, or None;
+    ``pic_zero_two_rank()``, ``punctured_pic_two_rank(S)``: F_2-ranks of
+        the 2-torsion of Pic^0 and of Pic modulo the classes of S;
+    ``two_torsion_witnesses()``: functions whose divisors are twice
+        independent 2-torsion classes;
+    ``function_with_divisor(D)``: a function with divisor exactly D;
+    ``one()``, ``constant(c)``, ``from_poly(f)``, ``parse(s)``: functions;
+    ``header()``, ``from_header(field, data)``: the certificate fields
+        that name the model, and back.
+
+    The base holds the last two rows and the per-degree place cache.  A
+    backend sets ``backend`` and ``_function``, its FactoredFunction
+    subclass, and ``infinity``; its ``places_of_degree`` hands its
+    enumeration of finite places to ``_places_of_degree``.
+    """
+
+    def __init__(self, field, key):
+        self.field = field
+        self.key = key  # the model's identity
+        self._of_degree: Dict[int, Tuple] = {}
+
+    def _places_of_degree(self, d: int, finite) -> List:
+        """All places of degree d, infinity first, then ``finite(self, d)``.
+
+        Each degree is enumerated once per model; every call returns a
+        fresh list, so callers may mutate it.
+        """
+        got = self._of_degree.get(d)
+        if got is None:
+            out = [self.infinity] if d == 1 else []
+            out.extend(finite(self, d))
+            got = self._of_degree[d] = tuple(out)
+        return list(got)
+
+    def one(self):
+        return self._function.one(self)
+
+    def constant(self, c: int):
+        return self._function(self, c)
+
+    def from_poly(self, f: Poly):
+        return self._function.from_poly(self, f)
+
+    def parse(self, s: str):
+        return self._function.parse(self, s)
+
+    def header(self) -> dict:
+        """The certificate fields that name this model."""
+        return {"backend": self.backend, "q": self.field.q}
+
+    @classmethod
+    def from_header(cls, field, data: dict):
+        return cls(field)

@@ -16,14 +16,15 @@ With these choices the unit-part residue of a factored function at
 infinity is simply its constant, because every monic factor tends to 1
 against the matching power of t.  Only the quadratic character of a
 residue is ever needed; at a finite place it is a product of Jacobi
-symbols of the factors -- at a degree-one place t - r, the characters of
-their values at r -- and the residue itself is never formed.
+symbols of the factors, and the residue itself is never formed.
+
+The place and model bases of function_field hold the plumbing.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from .base_algebra import (
     Fq,
@@ -31,7 +32,6 @@ from .base_algebra import (
     _quoted,
     irreducibles_of_degree,
     poly_deg,
-    poly_eval,
     poly_is_irreducible,
     poly_jacobi,
     poly_monic,
@@ -40,10 +40,10 @@ from .base_algebra import (
     poly_str,
     rat_parse,
 )
-from .function_field import Divisor, FactoredFunction
+from .function_field import Divisor, FactoredFunction, Model, ModelPlace
 
 
-class Place:
+class Place(ModelPlace):
     """A place of F_q(t): a monic irreducible polynomial, or infinity.
 
     Places compare and hash by their line's key and their polynomial
@@ -80,10 +80,6 @@ class Place:
         return place
 
     @property
-    def field(self) -> Fq:
-        return self.model.field
-
-    @property
     def is_infinite(self) -> bool:
         return self.poly is None
 
@@ -97,23 +93,13 @@ class Place:
         # high-digit-first tuples of equal length sort like integer codes
         return (poly_deg(self.poly), tuple(reversed(self.poly)))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Place) and self.model.key == other.model.key
-                and self.poly == other.poly)
-
-    def __hash__(self) -> int:
-        return hash((self.model.key, self.poly))
-
-    def __lt__(self, other: "Place") -> bool:
-        return self.sort_key() < other.sort_key()
+    def _identity(self):
+        return (self.model.key, self.poly)
 
     def __str__(self) -> str:
         if self.poly is None:
             return "inf"
         return poly_str(self.poly, "t", self.field)
-
-    def __repr__(self) -> str:
-        return "Place(%s)" % self
 
 
 def finite_places_of_degree(line: "ProjectiveLine", d: int) -> List[Place]:
@@ -137,17 +123,11 @@ class RationalFunction(FactoredFunction):
 
     @staticmethod
     def _atom_char(p: Poly, place: Place, line: "ProjectiveLine") -> int:
-        """The character of p's residue: 1 at infinity and at p itself.
-
-        At a place t - r the residue of p is the value p(r).
-        """
+        """The character of p's residue: 1 at infinity and at p itself."""
         m = place.poly
         if m is None or p == m:
             return 1
-        F = line.field
-        if len(m) == 2:
-            return F.quad_char(poly_eval(p, F.neg(m[0]), F))
-        return poly_jacobi(p, m, F)
+        return poly_jacobi(p, m, line.field)
 
     @staticmethod
     def _check_atom(p: Poly, F: Fq) -> None:
@@ -185,7 +165,7 @@ class RationalFunction(FactoredFunction):
         return self.model.field.quad_char(self.constant) == 1
 
 
-class ProjectiveLine:
+class ProjectiveLine(Model):
     """The projective line over a finite field, as a divisor-theory backend.
 
     The divisor class group is Z via the degree, so principality and
@@ -194,12 +174,11 @@ class ProjectiveLine:
     """
 
     backend = "projective_line"  # recorded in certificates
+    _function = RationalFunction
 
     def __init__(self, field: Fq):
-        self.field = field
-        self.key = field.q  # the model's identity
+        super().__init__(field, field.q)
         self.infinity = Place(self, None)
-        self._of_degree: Dict[int, Tuple[Place, ...]] = {}
 
     def __repr__(self) -> str:
         return "ProjectiveLine(GF(%d))" % self.field.q
@@ -207,17 +186,8 @@ class ProjectiveLine:
     # -- places
 
     def places_of_degree(self, d: int) -> List[Place]:
-        """All places of degree d, the infinite one first.
-
-        Each degree is enumerated once per model; every call returns a
-        fresh list, so callers may mutate it.
-        """
-        got = self._of_degree.get(d)
-        if got is None:
-            out = [self.infinity] if d == 1 else []
-            out.extend(finite_places_of_degree(self, d))
-            got = self._of_degree[d] = tuple(out)
-        return list(got)
+        """All places of degree d, the infinite one first, in a fresh list."""
+        return self._places_of_degree(d, finite_places_of_degree)
 
     def parse_place(self, s: str) -> Place:
         """Parse 'inf' or the text of an irreducible polynomial in t."""
@@ -225,30 +195,6 @@ class ProjectiveLine:
         if text == "inf":
             return self.infinity
         return Place(self, poly_parse(text, self.field))
-
-    # -- elements
-
-    def one(self) -> RationalFunction:
-        return RationalFunction.one(self)
-
-    def constant(self, c: int) -> RationalFunction:
-        return RationalFunction(self, c)
-
-    def from_poly(self, f: Poly) -> RationalFunction:
-        return RationalFunction.from_poly(self, f)
-
-    def parse(self, s: str) -> RationalFunction:
-        return RationalFunction.parse(self, s)
-
-    # -- certificates
-
-    def header(self) -> dict:
-        """The certificate fields that name this model."""
-        return {"backend": self.backend, "q": self.field.q}
-
-    @classmethod
-    def from_header(cls, field: Fq, data: dict) -> "ProjectiveLine":
-        return cls(field)
 
     # -- divisor class group facts
 

@@ -13,13 +13,33 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from wildsets.base_algebra import Poly, ResidueField, poly_deg, poly_divmod, poly_mul
+from wildsets.base_algebra import (
+    Poly,
+    ResidueField,
+    poly_deg,
+    poly_divmod,
+    poly_factor,
+    poly_mul,
+)
 from wildsets.elliptic_curve import (
     CurveFunction,
     CurvePlace,
     _pair_norm,
     _vp,
 )
+
+
+def euler_jacobi(a, m, F):
+    """(a/m) as the product of a^((|P|-1)/2) mod P over the factors P^e of m."""
+    out = 1
+    for P, e in poly_factor(m, F)[1]:
+        RF = ResidueField(F, P)
+        r = RF.reduce(a)
+        if not r:
+            return 0
+        chi = 1 if RF.pow(r, (RF.size - 1) // 2) == (1,) else -1
+        out *= chi ** e
+    return out
 
 
 class QuadExtField:

@@ -35,7 +35,7 @@ from wildsets.base_algebra import (
     rat_parse,
 )
 
-from residue_oracle import QuadExtField
+from residue_oracle import QuadExtField, euler_jacobi
 
 FIELDS = [3, 5, 7, 9, 13, 25, 27, 49]
 
@@ -336,19 +336,6 @@ def test_residue_field_f25_quad_char_enumeration():
         assert RF.quad_char(a) == expect
     # 2 is a square in F_25 (even-degree extension kills the constant class)
     assert RF.quad_char((2,)) == 1
-
-
-def euler_jacobi(a, m, F):
-    """(a/m) as the product of a^((|P|-1)/2) mod P over the factors P^e of m."""
-    out = 1
-    for P, e in poly_factor(m, F)[1]:
-        RF = ResidueField(F, P)
-        r = RF.reduce(a)
-        if not r:
-            return 0
-        chi = 1 if RF.pow(r, (RF.size - 1) // 2) == (1,) else -1
-        out *= chi ** e
-    return out
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 25, 27])

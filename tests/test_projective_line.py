@@ -11,7 +11,6 @@ from wildsets.base_algebra import (
     poly_deg,
     poly_divmod,
     poly_is_irreducible,
-    poly_jacobi,
     poly_mul,
     poly_norm,
     poly_parse,
@@ -25,7 +24,7 @@ from wildsets.projective_line import (
 )
 from wildsets.square_class_spaces import pic_complement_two_rank
 
-from residue_oracle import residue_field, unit_residue
+from residue_oracle import euler_jacobi, residue_field, unit_residue
 
 
 # -- independent oracles ------------------------------------------------------
@@ -347,7 +346,7 @@ def test_parse_place():
 @pytest.mark.parametrize("q", [3, 5, 9, 27, 243])
 def test_degree_one_characters_by_evaluation_match_jacobi(q):
     """At a place t - r the character of an atom p is read from p(r); it
-    must be the Jacobi symbol (p / (t - r))."""
+    must be the Jacobi symbol (p / (t - r)), here by the Euler criterion."""
     line = ProjectiveLine(GF(q))
     F = line.field
     rng = random.Random("degree one %d" % q)
@@ -360,5 +359,5 @@ def test_degree_one_characters_by_evaluation_match_jacobi(q):
             atoms.append(p)
     for place in rng.sample(places, min(len(places), 15)):
         for p in atoms + [place.poly, poly_mul(place.poly, atoms[0], F)]:
-            expected = 1 if p == place.poly else poly_jacobi(p, place.poly, F)
+            expected = 1 if p == place.poly else euler_jacobi(p, place.poly, F)
             assert RationalFunction._atom_char(p, place, line) == expected
