@@ -20,7 +20,10 @@ gcd(a, b) = 1), with integer exponents.  Orders and residue characters
 F_q[t]) come factor by factor from closed forms against the uniformizers
 above; nothing is ever expanded, lifted, or approximated.  The only identity
 used beyond bookkeeping is (a + b*y)(a - b*y) = a^2 - b^2 f, which turns
-every question about a pair into a question about polynomials.
+every question about a pair into a question about polynomials.  The
+divisor of a pair comes from factoring that norm, so each model computes
+it once per pair and keeps it: the same chord, tangent and peel lines
+recur in every halving witness.
 
 The divisor class group is Z (+) E(F_q): a divisor class is its degree
 together with the sum, under the chord-and-tangent law, of the Galois
@@ -34,7 +37,7 @@ certificate header adds the curve to theirs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base_algebra import (
     Fq,
@@ -353,25 +356,9 @@ class CurveFunction(FactoredFunction):
     def divisor(self) -> Divisor:
         model = self.model
         coeffs: Dict[CurvePlace, int] = {}
-
-        def bump(P, n):
-            if n:
-                coeffs[P] = coeffs.get(P, 0) + n
-
         for atom, e in self.factors.items():
-            kind, data = atom
-            if kind == "poly":
-                for P in model._places_over_irreducible(data):
-                    bump(P, e * (2 if P.kind == "ramified" else 1))
-                bump(model.infinity, -2 * poly_deg(data) * e)
-            else:
-                a, b = data
-                n = _pair_norm(a, b, model)
-                for p, _ in poly_factor(n, model.field)[1]:
-                    for P in model._places_over_irreducible(p):
-                        assert P.kind != "inert", "a primitive pair has no inert zeros"
-                        bump(P, e * _atom_ord(atom, P, model))
-                bump(model.infinity, e * _atom_ord(atom, model.infinity, model))
+            for P, n in model._atom_divisor(atom):
+                coeffs[P] = coeffs.get(P, 0) + e * n
         D = Divisor(coeffs)
         assert D.degree == 0
         return D
@@ -433,6 +420,7 @@ class EllipticModel(Model):
         self._points: Optional[List[Point]] = None
         self._doubles: Optional[frozenset] = None
         self._classes: Dict[CurvePlace, Point] = {}
+        self._pair_divisors: Dict[tuple, Tuple[Tuple[CurvePlace, int], ...]] = {}
         self._coset_bits: Optional[Dict[Point, int]] = None
 
     def __repr__(self) -> str:
@@ -469,6 +457,33 @@ class EllipticModel(Model):
             out = tuple(CurvePlace(self, "split", p, w) for w in branches)
         self._above[p] = out
         return out
+
+    def _atom_divisor(self, atom) -> Sequence[Tuple[CurvePlace, int]]:
+        """The divisor of one atom, as (place, coefficient) pairs.
+
+        A poly atom's is read off the places above it.  A pair atom's
+        needs its norm factored; it depends on the model and the atom
+        alone, so it is computed once per model and kept.  Poly atoms
+        are not kept: there are far more of them, and they are cheap.
+        """
+        kind, data = atom
+        if kind == "poly":
+            out = [(P, 2 if P.kind == "ramified" else 1)
+                   for P in self._places_over_irreducible(data)]
+            out.append((self.infinity, -2 * poly_deg(data)))
+            return out
+        got = self._pair_divisors.get(atom)
+        if got is None:
+            out = []
+            for p, _ in poly_factor(_pair_norm(data[0], data[1], self), self.field)[1]:
+                for P in self._places_over_irreducible(p):
+                    assert P.kind != "inert", "a primitive pair has no inert zeros"
+                    n = _atom_ord(atom, P, self)
+                    if n:
+                        out.append((P, n))
+            out.append((self.infinity, _atom_ord(atom, self.infinity, self)))
+            got = self._pair_divisors[atom] = tuple(out)
+        return got
 
     def places_of_degree(self, d: int) -> List[CurvePlace]:
         """All places of degree d, the infinite one first, in a fresh list."""

@@ -45,20 +45,36 @@ class Divisor:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "Divisor") -> "Divisor":
+    @classmethod
+    def _of(cls, coeffs: Dict) -> "Divisor":
+        """Wrap a fresh dict that already holds no zero coefficient."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    def _plus(self, other: "Divisor", sign: int) -> "Divisor":
         out = dict(self.coeffs)
         for P, n in other.coeffs.items():
-            out[P] = out.get(P, 0) + n
-        return Divisor(out)
+            m = out.get(P, 0) + sign * n
+            if m:
+                out[P] = m
+            else:
+                out.pop(P, None)
+        return Divisor._of(out)
 
-    def __neg__(self) -> "Divisor":
-        return Divisor({P: -n for P, n in self.coeffs.items()})
+    def __add__(self, other: "Divisor") -> "Divisor":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Divisor") -> "Divisor":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Divisor":
+        return Divisor._of({P: -n for P, n in self.coeffs.items()})
 
     def __rmul__(self, k: int) -> "Divisor":
-        return Divisor({P: k * n for P, n in self.coeffs.items()})
+        if not k:
+            return Divisor()
+        return Divisor._of({P: k * n for P, n in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Divisor) and self.coeffs == other.coeffs
@@ -198,10 +214,11 @@ class ModelPlace:
 
     A backend's place sets ``model`` and gives ``degree``, ``is_infinite``,
     ``sort_key``, ``__str__`` and ``_identity``, the tuple of its model's
-    key and its data that it compares and hashes by.
+    key and its data that it compares and hashes by.  A place is never
+    changed once built, so its hash is computed on first use and kept.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     @property
     def field(self):
@@ -211,7 +228,11 @@ class ModelPlace:
         return type(other) is type(self) and self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return hash(self._identity())
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._identity())
+            return self._hash
 
     def __lt__(self, other) -> bool:
         return self.sort_key() < other.sort_key()
