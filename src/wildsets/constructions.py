@@ -1,11 +1,14 @@
 """Constructions of wild-set certificates, one per sufficient condition.
 
-Each entry point either returns a verified WildSetCertificate whose wild
-set is exactly the requested one, or refuses with the violated
-hypothesis spelled out.  The refusals matter as much as the successes:
-every precondition checked here can be re-derived independently from
-the square-class space computations, so a refusal is a statement about
-the input, never about this module's limitations.
+Each public entry point is a gate that checks its input's hypotheses,
+refusing with the failed one spelled out, in front of a private builder
+that trusts them.  Builders call builders only on places a passed gate
+covers; a set tracked through a certificate's matching is gated again.
+Repeated places aside, a refusal proves S is not wild only when S is
+empty, has fewer than 2 rk G points, or has a point where -1 is not a
+local square; any other (a rank outside the route's range, dependent
+P, an indivisible q, the pairing condition, _sing_element,
+_fit_triple_images) says only that this route's hypothesis fails.
 
 The constructions bottom out in explicit pre-equivalences -- a handful
 of functions with known divisors and the Klein-four maps matching their
@@ -14,8 +17,6 @@ generic machinery.  Nothing returned here bypasses verification.
 """
 
 from __future__ import annotations
-
-from typing import Sequence, Tuple
 
 from .equivalence_core import (
     DEGREE_CAP,
@@ -61,20 +62,16 @@ def _single(P) -> Divisor:
     return Divisor({P: 1})
 
 
-def _sing_element(model, nonsquare_at: Sequence, square_at: Sequence = ()):
-    """The first everywhere-even-order element with prescribed classes."""
+def _sing_element(model, p):
+    """The first everywhere-even-order element that is a nonsquare at p."""
     for elem in _global_even_elements(model):
-        if all(local_square_class(elem, P) != ONE for P in nonsquare_at) and \
-                all(local_square_class(elem, P) == ONE for P in square_at):
+        if local_square_class(elem, p) != ONE:
             return elem
     raise HypothesisError(
-        "no everywhere-even-order element is a nonsquare at {%s}%s"
-        % (", ".join(str(P) for P in nonsquare_at),
-           " and a square at {%s}" % ", ".join(str(P) for P in square_at)
-           if square_at else ""))
+        "no everywhere-even-order element is a nonsquare at {%s}" % p)
 
 
-def _require_distinct(places) -> Tuple:
+def _require_distinct(places) -> tuple:
     places = tuple(places)
     if len(set(places)) != len(places):
         raise HypothesisError("the requested places are not distinct")
@@ -87,34 +84,51 @@ def _require_minus_one_square(places) -> None:
             raise HypothesisError("-1 is not a local square at %s" % P)
 
 
+def _require_rank_one(model, S) -> tuple:
+    """The gate of a pair or triple: distinct, rank exactly 1, -1 square."""
+    S = _require_distinct(S)
+    rank = g_rank(model, S).rank
+    if rank != 1:
+        raise HypothesisError("the classes of %s span rank %d, not 1" % (
+            "%s and %s" % S if len(S) == 2 else "the triple", rank))
+    _require_minus_one_square(S)
+    return S
+
+
 def _track(cert: WildSetCertificate, P):
     """The image of P under the certificate's matching, if recorded."""
     se = cert.equivalence
-    if P in se.places:
-        return se.image_of(P)
-    return P
+    return se.image_of(P) if P in se.places else P
 
 
 # -- rank 0: compositions of singletons
 
-def _singleton_certificate(model, q, degree_cap: int) -> WildSetCertificate:
-    """One 2-divisible place made wild while everything else stays tame.
+def _rank0(model, S, degree_cap: int) -> WildSetCertificate:
+    """Each 2-divisible place made wild on its own, the results composed.
 
-    The witness of the place's halving has odd order exactly there, so
+    The witness of a place's halving has odd order exactly there, so
     fixing its class while multiplying u by it is forced to break the
     order parity; the extension machinery supplies whatever auxiliary
     places the locally trivial classes need.
     """
-    lam = _even_class_witness(model, _single(q))
-    cls = local_square_class(lam, q)
-    lm = LocalMap.from_pairs([(cls, cls), (U, square_class_mul(U, cls))])
-    pe = PreEquivalence(model, (q,), (q,), (lam,), (lam,), (lm,))
-    return certify(extend_pre_equivalence(pe, degree_cap))
+    cert = None
+    for q in S:
+        lam = _even_class_witness(model, _single(q))
+        cls = local_square_class(lam, q)
+        lm = LocalMap.from_pairs([(cls, cls), (U, square_class_mul(U, cls))])
+        pe = PreEquivalence(model, (q,), (q,), (lam,), (lam,), (lm,))
+        one = certify(extend_pre_equivalence(pe, degree_cap))
+        cert = one if cert is None else compose(cert, one, degree_cap)
+    assert set(cert.wild_set) == set(S)
+    return cert
 
 
 def construct_rank0(model, S, degree_cap: int = DEGREE_CAP
                     ) -> WildSetCertificate:
-    """A certificate whose wild set is exactly the 2-divisible set S."""
+    """A certificate whose wild set is exactly the 2-divisible set S.
+
+    Gate: S is nonempty and distinct, and every class in it 2-divisible.
+    """
     S = _require_distinct(S)
     if not S:
         raise HypothesisError("an empty set cannot be a wild set")
@@ -123,12 +137,7 @@ def construct_rank0(model, S, degree_cap: int = DEGREE_CAP
             raise HypothesisError(
                 "the class of %s is not 2-divisible, so the set has "
                 "positive rank" % q)
-    cert = _singleton_certificate(model, S[0], degree_cap)
-    for q in S[1:]:
-        cert = compose(cert, _singleton_certificate(model, q, degree_cap),
-                       degree_cap)
-    assert set(cert.wild_set) == set(S)
-    return cert
+    return _rank0(model, S, degree_cap)
 
 
 # -- rank 1, two points
@@ -137,43 +146,39 @@ def construct_rank1_pair(model, p, q, degree_cap: int = DEGREE_CAP
                          ) -> WildSetCertificate:
     """A wild pair of class rank 1; both proof cases are constructive.
 
-    When one of the two classes is 2-divisible the matching exchanges
-    the places and the witness of the divisible one trades classes
-    with a global even-order nonsquare; when neither is, their sum is
-    2-divisible and its witness does the trading while the matching
-    stays put.
+    Gate: p != q, rank exactly 1, -1 a local square at both.  When one
+    of the two classes is 2-divisible the matching exchanges the places
+    and the witness of the divisible one trades classes with a global
+    even-order nonsquare; when neither is, their sum is 2-divisible and
+    its witness does the trading while the matching stays put.
     """
-    p, q = _require_distinct((p, q))
-    rank = g_rank(model, (p, q)).rank
-    if rank != 1:
-        raise HypothesisError(
-            "the classes of %s and %s span rank %d, not 1" % (p, q, rank))
-    _require_minus_one_square((p, q))
+    return _pair(model, _require_rank_one(model, (p, q)), degree_cap)
 
+
+def _pair(model, S, degree_cap: int) -> WildSetCertificate:
+    p, q = S
     if model.pic_mod2(p) == 0:
         p, q = q, p
+    lam = _sing_element(model, p)
     if model.pic_mod2(q) == 0:
         # one divisible class: swap construction across the two places
-        lam = _sing_element(model, nonsquare_at=(p,))
         assert local_square_class(lam, q) == ONE, \
             "reciprocity should make the global nonsquare a square at q"
         mu = _even_class_witness(model, _single(q))
         if local_square_class(mu, p) != ONE:
             mu = mu * lam
         w = local_square_class(mu, q)
-        pe = PreEquivalence(model, (p, q), (q, p), (lam, mu), (mu, lam),
-                            (LocalMap.from_pairs([(U, w)]),
-                             LocalMap.from_pairs([(w, U)])))
+        targets = (q, p)
+        maps = (LocalMap.from_pairs([(U, w)]), LocalMap.from_pairs([(w, U)]))
     else:
         # neither is divisible, but rank 1 makes their sum divisible
-        lam = _sing_element(model, nonsquare_at=(p,))
         assert local_square_class(lam, q) != ONE, \
             "reciprocity should spread the nonsquare to the other place"
         mu = _even_class_witness(model, _single(p) + _single(q))
+        targets = (p, q)
         maps = tuple(LocalMap.from_pairs([(U, c), (c, U)])
                      for c in (local_square_class(mu, r) for r in (p, q)))
-        pe = PreEquivalence(model, (p, q), (p, q), (lam, mu), (mu, lam),
-                            maps)
+    pe = PreEquivalence(model, (p, q), targets, (lam, mu), (mu, lam), maps)
     cert = certify(extend_pre_equivalence(pe, degree_cap))
     assert set(cert.wild_set) == {p, q}
     return cert
@@ -188,16 +193,15 @@ def _aux_point_and_witness(model, S, mu, degree_cap: int):
     witness, possibly corrected by a global even-order class, is a
     square at the first point and congruent to mu at the second.
     """
-    p1, p2 = S[0], S[1]
-    goal = local_square_class(mu, p2)
+    goal = local_square_class(mu, S[1])
     for P in _places_by_degree(model, degree_cap):
         if P in S or model.pic_mod2(P) != 0:
             continue
         base = _even_class_witness(model, _single(P))
         for sigma in _global_even_elements(model):
             nu = base * sigma
-            if local_square_class(nu, p1) == ONE and \
-                    local_square_class(nu, p2) == goal:
+            if local_square_class(nu, S[0]) == ONE and \
+                    local_square_class(nu, S[1]) == goal:
                 return P, nu
     raise SearchExhausted(
         "no point of degree <= %d admits the witness the three-point "
@@ -208,42 +212,35 @@ def construct_rank1_triple(model, p1, p2, p3, degree_cap: int = DEGREE_CAP
                            ) -> WildSetCertificate:
     """A wild triple of class rank 1.
 
+    Gate: distinct places, rank exactly 1, -1 a local square at each.
     With a 2-divisible member the problem splits into a singleton and
-    a pair glued together.  Otherwise all three pairwise sums halve;
-    their witnesses, one global nonsquare, and one auxiliary point
-    found by a bounded search assemble into a pre-equivalence that
-    sends the third point off to the auxiliary one.
+    a pair (tracked, so gated) glued together.  Otherwise all three
+    pairwise sums halve; their witnesses, one global nonsquare, and one
+    auxiliary point found by a bounded search assemble into a
+    pre-equivalence that sends the third point off to the auxiliary one.
     """
-    S = _require_distinct((p1, p2, p3))
-    rank = g_rank(model, S).rank
-    if rank != 1:
-        raise HypothesisError(
-            "the classes of the triple span rank %d, not 1" % rank)
-    _require_minus_one_square(S)
+    return _triple(model, _require_rank_one(model, (p1, p2, p3)), degree_cap)
 
+
+def _triple(model, S, degree_cap: int) -> WildSetCertificate:
+    p1, p2, p3 = S
     divisible = [P for P in S if model.pic_mod2(P) == 0]
     if divisible:
-        q = divisible[0]
-        rest = [P for P in S if P != q]
-        head = construct_rank0(model, (q,), degree_cap)
-        tail = construct_rank1_pair(model, _track(head, rest[0]),
-                                    _track(head, rest[1]), degree_cap)
-        cert = compose(head, tail, degree_cap)
-        assert set(cert.wild_set) == set(S)
-        return cert
-
-    lam12 = _even_class_witness(model, _single(p1) + _single(p2))
-    lam13 = _even_class_witness(model, _single(p1) + _single(p3))
-    lam23 = lam12 * lam13
-    mu = _sing_element(model, nonsquare_at=(p1,))
-    for r in (p2, p3):
-        assert local_square_class(mu, r) != ONE, \
-            "reciprocity should make mu a primary unit at %s" % r
-
-    p4, nu = _aux_point_and_witness(model, S, mu, degree_cap)
-    pe = _fit_triple_images(model, S, p4, (mu, lam12, lam23),
-                            (mu, lam12, nu))
-    cert = certify(extend_pre_equivalence(pe, degree_cap))
+        head = _rank0(model, divisible[:1], degree_cap)
+        rest = [_track(head, P) for P in S if P != divisible[0]]
+        cert = compose(head, construct_rank1_pair(model, *rest, degree_cap),
+                       degree_cap)
+    else:
+        lam12 = _even_class_witness(model, _single(p1) + _single(p2))
+        lam13 = _even_class_witness(model, _single(p1) + _single(p3))
+        mu = _sing_element(model, p1)
+        for r in (p2, p3):
+            assert local_square_class(mu, r) != ONE, \
+                "reciprocity should make mu a primary unit at %s" % r
+        p4, nu = _aux_point_and_witness(model, S, mu, degree_cap)
+        pe = _fit_triple_images(model, S, p4, (mu, lam12, lam12 * lam13),
+                                (mu, lam12, nu))
+        cert = certify(extend_pre_equivalence(pe, degree_cap))
     assert set(cert.wild_set) == set(S)
     return cert
 
@@ -257,7 +254,6 @@ def _fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
     combination works depends on the local unit classes of the
     witnesses, so solving beats transcribing any one case.
     """
-    places = tuple(S)
     targets = (S[0], S[1], p4)
     for code in range(1 << 9):
         rows = (code & 7, code >> 3 & 7, code >> 6 & 7)
@@ -265,7 +261,7 @@ def _fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
             continue
         images = tuple(_product(model, pool, row) for row in rows)
         maps = []
-        for P, Q in zip(places, targets):
+        for P, Q in zip(S, targets):
             pairs = [(local_square_class(b, P), local_square_class(g, Q))
                      for b, g in zip(basis, images)]
             lm = LocalMap.from_pairs(pairs)
@@ -273,8 +269,7 @@ def _fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
                 break
             maps.append(lm)
         else:
-            pe = PreEquivalence(model, places, targets, basis, images,
-                                tuple(maps))
+            pe = PreEquivalence(model, S, targets, basis, images, tuple(maps))
             if verify_pre_equivalence(pe)["passes"]:
                 return pe
     raise VerificationError(
@@ -289,31 +284,40 @@ def construct_rank1(model, S, degree_cap: int = DEGREE_CAP
                     ) -> WildSetCertificate:
     """A wild set of class rank at most 1, by induction on its size.
 
-    Rank 0 delegates to the 2-divisible construction.  At rank 1 a
-    pair or triple is handled directly; a larger set splits off its
-    first two points, whose certificate keeps them among themselves,
-    and the remaining points -- tracked through that matching -- are
-    handled recursively and glued on.
+    Gate: S nonempty and distinct, of rank at most 1; at rank 1, also
+    |S| >= 2 and -1 a local square throughout (rank 0 takes a singleton).
+    A rank-1 pair or triple is handled directly; a larger set splits off
+    its first two points, whose certificate keeps them among themselves,
+    and the remaining points -- tracked through that matching, so gated
+    -- are handled recursively and glued on.
     """
     S = _require_distinct(S)
-    rank = g_rank(model, S).rank
+    return _rank_at_most_one(model, S, g_rank(model, S).rank, degree_cap)
+
+
+def _rank_at_most_one(model, S, rank, degree_cap: int) -> WildSetCertificate:
+    """construct_rank1 past its distinctness check, given S's rank."""
     if rank == 0:
-        return construct_rank0(model, S, degree_cap)
+        return _rank0(model, S, degree_cap)
     if rank > 1:
         raise HypothesisError(
             "the classes of S span rank %d; this construction needs "
             "rank at most 1" % rank)
     _require_minus_one_square(S)
     if len(S) < 2:
-        raise HypothesisError(
-            "a wild set of rank 1 needs at least 2 points, got %d"
-            % len(S))
-    if len(S) == 2:
-        return construct_rank1_pair(model, S[0], S[1], degree_cap)
-    if len(S) == 3:
-        return construct_rank1_triple(model, S[0], S[1], S[2], degree_cap)
+        raise HypothesisError("a wild set of rank 1 needs at least 2 "
+                              "points, got %d" % len(S))
+    return _rank1(model, S, degree_cap)
 
-    head = construct_rank1(model, S[:2], degree_cap)
+
+def _rank1(model, S, degree_cap: int) -> WildSetCertificate:
+    if len(S) == 2:
+        return _pair(model, S, degree_cap)
+    if len(S) == 3:
+        return _triple(model, S, degree_cap)
+    # two points of a rank-1 set span rank 0 exactly when both rows vanish
+    split = _pair if model.pic_mod2(S[0]) or model.pic_mod2(S[1]) else _rank0
+    head = split(model, S[:2], degree_cap)
     rest = [_track(head, P) for P in S[2:]]
     cert = compose(head, construct_rank1(model, rest, degree_cap),
                    degree_cap)
@@ -327,16 +331,15 @@ def construct_general(model, P, Q, degree_cap: int = DEGREE_CAP
                       ) -> WildSetCertificate:
     """A wild set of rank m: m independent classes plus n >= m halving ones.
 
-    Follows the inductive proof: the first m-1 points of each kind
-    form the inner instance, the m-th pair -- whose image classes span
-    rank at most 1, asserted rather than proven here -- is made wild by
-    the pair construction, and any 2-divisible points left over join
-    through the rank-0 construction.  All preconditions are named when
-    they refuse.
+    Gate: P and Q distinct, 1 <= m <= n, P independent, Q 2-divisible,
+    -1 a local square throughout, Q smiling pairwise.  All of it holds
+    for prefixes, so the inductive proof runs unchecked from (P[0], Q[0])
+    on: each next pair, tracked through the certificate so far and gated
+    (its rank at most 1 asserted, not proven), is made wild and glued on;
+    the 2-divisible points left over join through the rank-0 route.
     """
-    P = _require_distinct(P)
-    Q = _require_distinct(Q)
-    _require_distinct(tuple(P) + tuple(Q))
+    P, Q = tuple(P), tuple(Q)
+    _require_distinct(P + Q)
     m, n = len(P), len(Q)
     if m < 1:
         raise HypothesisError("the construction needs at least one "
@@ -353,28 +356,24 @@ def construct_general(model, P, Q, degree_cap: int = DEGREE_CAP
     for q in Q:
         if model.pic_mod2(q) != 0:
             raise HypothesisError("the class of %s is not 2-divisible" % q)
-        # 2-divisibility forces even degree, where -1 is always a square
-        assert minus_one_is_square(q), \
-            "a 2-divisible place must have an even-degree residue field"
-    _require_minus_one_square(P)
+    # on Q it holds: 2-divisibility forces an even-degree residue field
+    _require_minus_one_square(P + Q)
     for i, qi in enumerate(Q):
         for qj in Q[i + 1:]:
             if not smile(model, qi, qj):
                 raise HypothesisError(
                     "the points %s and %s do not satisfy the pairing "
                     "condition" % (qi, qj))
-
-    if m == 1:
-        return construct_rank1(model, tuple(P) + tuple(Q), degree_cap)
-
-    inner = construct_general(model, P[:m - 1], Q[:m - 1], degree_cap)
-    pm, qm = _track(inner, P[m - 1]), _track(inner, Q[m - 1])
-    image_rank = g_rank(model, (pm, qm)).rank
-    assert image_rank <= 1, (
-        "the image pair spans rank %d; the inner certificate failed to "
-        "absorb the dependence" % image_rank)
-    cert = compose(inner, construct_rank1(model, (pm, qm), degree_cap),
-                   degree_cap)
+    if m == 1:  # P[0] has a nonzero pic_mod2 row, Q only zero ones
+        return _rank1(model, P + Q, degree_cap)
+    cert = _pair(model, (P[0], Q[0]), degree_cap)
+    for p, q in zip(P[1:], Q[1:]):
+        pair = _require_distinct((_track(cert, p), _track(cert, q)))
+        rank = g_rank(model, pair).rank
+        assert rank <= 1, "the image pair spans rank %d; the certificate " \
+            "so far failed to absorb the dependence" % rank
+        cert = compose(cert, _rank_at_most_one(model, pair, rank, degree_cap),
+                       degree_cap)
     leftovers = [_track(cert, q) for q in Q[m:]]
     if leftovers:
         cert = compose(cert, construct_rank0(model, leftovers, degree_cap),

@@ -805,8 +805,9 @@ class EllipticModel(Model):
             if P.kind == "ramified":
                 apply(self.from_poly(P.base), R.coeffs[P] // 2)
 
-        # now only degree-one places and infinity remain
-        while True:
+        # now only degree-one places and infinity remain; each chord step
+        # lowers the finite total, so no more steps than sum |n| are needed
+        for _ in range(1 + sum(map(abs, R.coeffs.values()))):
             # verticals: cancel conjugate branches against each other and
             # reduce ramified coefficients into {0, 1}
             for x in {self.point_of_place(P)[0]
@@ -839,6 +840,6 @@ class EllipticModel(Model):
             mu = F.sub(y1, F.mul(lam, x1))
             apply(self.from_pair(poly_neg(poly_norm((mu, lam)), F), (1,)), 1)
 
-        assert R.is_zero
+        assert R.is_zero, "the chord steps did not settle the divisor"
         assert acc.divisor() == D
         return acc

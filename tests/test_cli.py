@@ -192,6 +192,78 @@ def test_unusable_input_exits_two(capsys):
     capsys.readouterr()
 
 
+CURVE = ["--q", "5", "--curve", "t^3 + 4t"]
+RAMIFIED = "(t; ramified), (t + 1; ramified)"
+
+# Every construction refusal a `construct` command line reaches: the
+# arguments after `construct`, the exit code and the whole stderr line.
+CONSTRUCT_REFUSALS = [
+    (["--q", "5", "--rank", "1", "--places", ""], 2,
+     "error: the removed set must contain at least one place"),
+    (["--q", "5", "--rank", "0", "--places", ""], 3,
+     "refused: an empty set cannot be a wild set"),
+    (["--q", "5", "--rank", "general", "--places", "", "--aux", "t^2+2"], 3,
+     "refused: the construction needs at least one independent class"),
+    (["--q", "5", "--rank", "1", "--places", "t, t^2+2, t"], 3,
+     "refused: the requested places are not distinct"),
+    (["--q", "5", "--rank", "0", "--places", "t^2+2, t^2+2"], 3,
+     "refused: the requested places are not distinct"),
+    (["--q", "5", "--rank", "general", "--places", "t, t",
+      "--aux", "t^2+2, t^2+3"], 3,
+     "refused: the requested places are not distinct"),
+    (["--q", "5", "--rank", "general", "--places", "t",
+      "--aux", "t^2+2, t^2+2"], 3,
+     "refused: the requested places are not distinct"),
+    (["--q", "5", "--rank", "general", "--places", "t^2+2",
+      "--aux", "t^2+2"], 3,
+     "refused: the requested places are not distinct"),
+    (["--q", "5", "--rank", "0", "--places", "t"], 3,
+     "refused: the class of t is not 2-divisible, so the set has "
+     "positive rank"),
+    (["--q", "5", "--rank", "1", "--places", "t"], 3,
+     "refused: a wild set of rank 1 needs at least 2 points, got 1"),
+    (CURVE + ["--rank", "1", "--places", RAMIFIED], 3,
+     "refused: the classes of S span rank 2; this construction needs "
+     "rank at most 1"),
+    (CURVE + ["--rank", "1", "--places", RAMIFIED + ", (t^2 + 2; inert)"], 3,
+     "refused: the classes of S span rank 2; this construction needs "
+     "rank at most 1"),
+    (["--q", "3", "--rank", "1", "--places", "t, t+1"], 3,
+     "refused: -1 is not a local square at t"),
+    (["--q", "3", "--rank", "1", "--places", "t"], 3,
+     "refused: -1 is not a local square at t"),
+    (["--q", "3", "--rank", "general", "--places", "t",
+      "--aux", "t^2+1"], 3,
+     "refused: -1 is not a local square at t"),
+    (["--q", "5", "--rank", "general", "--places", "t"], 2,
+     "error: --rank general needs the 2-divisible points in --aux"),
+    (["--q", "5", "--rank", "general", "--places", "t", "--aux", ""], 2,
+     "error: --rank general needs the 2-divisible points in --aux"),
+    (CURVE + ["--rank", "general", "--places", RAMIFIED,
+              "--aux", "(t^2 + 2; inert)"], 3,
+     "refused: 2 independent classes need at least as many 2-divisible "
+     "points, got 1"),
+    (["--q", "5", "--rank", "general", "--places", "t, t+1",
+      "--aux", "t^2+2, t^2+3"], 3,
+     "refused: the classes of P span rank 1, not 2; they are dependent"),
+    (CURVE + ["--rank", "general", "--places", RAMIFIED,
+              "--aux", "(t^2 + 2; inert), (t + 4; ramified)"], 3,
+     "refused: the class of (t + 4; ramified) is not 2-divisible"),
+    (CURVE + ["--rank", "general", "--places", RAMIFIED, "--aux",
+              "(t^4 + t + 4; split; 2*t^2 + 4*t + 1), (t^2 + 3; inert)"], 3,
+     "refused: the points (t^4 + t + 4; split; 2*t^2 + 4*t + 1) and "
+     "(t^2 + 3; inert) do not satisfy the pairing condition"),
+]
+
+
+@pytest.mark.parametrize("args,code,line", CONSTRUCT_REFUSALS)
+def test_construct_refusals_are_pinned(capsys, args, code, line):
+    assert run(["construct"] + args) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == line + "\n"
+
+
 def test_tampered_certificate_fails_verification(tmp_path, capsys):
     cert = tmp_path / "c.json"
     run(["construct", "--q", "5", "--rank", "0", "--places", "t^2+2",

@@ -9,7 +9,7 @@ re-verified from scratch rather than trusted.
 
 import pytest
 
-from wildsets import equivalence_core
+from wildsets import constructions, equivalence_core
 from wildsets.base_algebra import GF, poly_parse
 from wildsets.constructions import (
     construct_general,
@@ -275,3 +275,53 @@ def test_general_refuses_indivisible_q(curve):
          curve.parse_place("(t + 4; ramified)"))
     with pytest.raises(HypothesisError, match="not 2-divisible"):
         construct_general(curve, P, Q)
+
+
+# -- each hypothesis is checked once
+
+GATE_CHECKS = ("g_rank", "smile", "_require_minus_one_square")
+
+
+def count_gate_checks(monkeypatch):
+    """Call counts of the checks the constructions' gates make."""
+    counts = dict.fromkeys(GATE_CHECKS, 0)
+    for name in GATE_CHECKS:
+        def counted(*args, _name=name, _check=getattr(constructions, name)):
+            counts[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(constructions, name, counted)
+    return counts
+
+
+def more_divisible_points(curve):
+    return (curve.parse_place("(t^4 + t + 4; split; 2*t^2 + 4*t + 1)"),
+            curve.parse_place("(t^4 + t + 4; split; 3*t^2 + t + 4)"),
+            curve.parse_place("(t^2 + 2; inert)"))
+
+
+@pytest.mark.parametrize("Q", [inert_pair, more_divisible_points])
+def test_general_ranks_once_per_gate(curve, monkeypatch, Q):
+    # the gate ranks P, then each tracked image pair is ranked once; the
+    # inner instance and the rank-1 base case trust the gate
+    P, Q = ramified_pair(curve), Q(curve)
+    counts = count_gate_checks(monkeypatch)
+    cert = construct_general(curve, P, Q)
+    assert set(cert.wild_set) == set(P) | set(Q)
+    assert counts["g_rank"] <= 2
+    assert counts["smile"] == len(Q) * (len(Q) - 1) // 2
+    assert counts["_require_minus_one_square"] <= counts["g_rank"]
+
+
+@pytest.mark.parametrize("names,bound", [
+    (("t", "t + 1", "t + 2", "t + 3"), 3),
+    (("t", "t + 4"), 1),
+    (("t", "t + 1", "t + 4"), 1),
+])
+def test_rank1_ranks_once_per_gate(line, monkeypatch, names, bound):
+    # four points: the whole set, then the tracked rest (the head pair is
+    # a part of the gated set); a pair or triple is ranked once
+    S = tuple(line.parse_place(s) for s in names)
+    counts = count_gate_checks(monkeypatch)
+    assert set(construct_rank1(line, S).wild_set) == set(S)
+    assert counts["g_rank"] <= bound
+    assert counts["_require_minus_one_square"] <= counts["g_rank"]

@@ -7,12 +7,19 @@ the lines function_with_divisor builds (chords, tangents and peels), y,
 other primitive pairs and poly atoms: with the table cold, warm, and on
 a second model with the same key.  The table must also be sealed (a
 caller's divisor is the caller's own) and bounded (pair atoms only, and
-no growth when the same rank questions are asked again).
+no growth when the same rank questions are asked again).  A table gone
+wrong must make function_with_divisor fail, not spin.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
+
+import wildsets
 
 from wildsets.base_algebra import (
     GF,
@@ -182,3 +189,49 @@ def test_the_table_holds_pair_atoms_and_stops_growing(text):
     assert model._pair_divisors == table
     # the table's entries are tuples, which no caller can change
     assert all(type(terms) is tuple for terms in table.values())
+
+
+# The table keyed by the y-coefficient alone: every line y - (lam*t + mu)
+# then gets the divisor of the first one asked for.
+CORRUPTED_TABLE_RUN = """
+from wildsets.base_algebra import GF, poly_neg, poly_norm, poly_parse
+from wildsets.elliptic_curve import EllipticModel
+
+
+class KeyedByB(dict):
+    def get(self, atom, default=None):
+        return super().get(atom[1][1], default)
+
+    def __setitem__(self, atom, value):
+        super().__setitem__(atom[1][1], value)
+
+
+F = GF(13)
+model = EllipticModel(F, poly_parse("t^3 - t", F))
+points = [P for P in model.rational_points() if P is not None]
+fn = model.one()
+for i, j in ((0, 3), (1, 4)):
+    (x1, y1), (x2, y2) = points[i], points[j]
+    lam = F.mul(F.sub(y2, y1), F.inv(F.sub(x2, x1)))
+    mu = F.sub(y1, F.mul(lam, x1))
+    fn = fn * model.from_pair(poly_neg(poly_norm((mu, lam)), F), (1,))
+D = fn.divisor()
+model._pair_divisors = KeyedByB()
+try:
+    model.function_with_divisor(D)
+except AssertionError:
+    print("AssertionError")
+"""
+
+
+def test_a_corrupted_pair_table_fails_instead_of_spinning():
+    # the chord-and-tangent loop is bounded by the total of |coefficients|,
+    # so a wrong divisor below it is an internal error within that many steps
+    source = str(pathlib.Path(wildsets.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (source, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", CORRUPTED_TABLE_RUN],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "AssertionError"

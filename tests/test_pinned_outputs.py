@@ -8,7 +8,9 @@ changed output, not a stale pin.  The cases are chosen to cross each
 route the constructions take: both backends, a compose that the rigid
 glue realizes, a compose that needs the second matching of the
 wild-union fallback, the swap and fixed-place pair constructions, a
-rank-1 triple through the fitted images, and the rank-2 general set.
+rank-1 triple through the fitted images, and the rank-2 and rank-3
+general sets (the rank-3 digest was recorded before the general
+construction's gate was split from its builder).
 """
 
 from __future__ import annotations
@@ -102,6 +104,16 @@ def curve_general():
         places(E, "(t^2 + 2; inert)", "(t^2 + 3; inert)"))
 
 
+def curve_general_rank_three():
+    # three steps of the general induction, with no leftover point
+    F = GF(13)
+    E = EllipticModel(F, poly_parse("t^3 - t", F))
+    return construct_general(
+        E, places(E, "inf", "(t + 1; ramified)", "(t + 5; split; 6)"),
+        places(E, "(t^2 + t + 12; split; 5*t)", "(t^2 + t + 12; split; 8*t)",
+               "(t + 2; inert)"))
+
+
 CERTIFICATES = {
     rank0_pair_by_rigid_glue:
         "0e8fd46e321dfb30d615e18c08010c80ad5d4a23f0051dd4836736250f39e418",
@@ -121,6 +133,8 @@ CERTIFICATES = {
         "6c2b9959c0b7906782a6cc2fd75fb28980482fb26a25686c4d211618af08299f",
     curve_general:
         "8c19077a056f820291ad18f34b01d26706cdf9ac9b5b77e326e6a2864f9ec0d6",
+    curve_general_rank_three:
+        "5ace23cbdac32ff6f3965cd1c3b18c80a7ec0d7c8f4796bfc5f9a8638dc7ab9e",
 }
 
 DEMO_STDOUT = {
