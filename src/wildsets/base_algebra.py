@@ -114,7 +114,8 @@ class Fq:
         self.k = k
         self.modulus: Optional[Poly] = None
         if k > 1:
-            self.modulus = self._find_modulus()
+            # the first monic irreducible of degree k over F_p
+            self.modulus = next(irreducibles_of_degree(GF(self.p), self.k))
             self._build_tables()
         else:
             # pair a with a^(q-2), so each power serves two codes
@@ -129,15 +130,6 @@ class Fq:
             self._chi[self.mul(a, a)] = 1
 
     # -- construction helpers ------------------------------------------------
-
-    def _find_modulus(self) -> Poly:
-        # First monic irreducible of degree k over F_p, canonical order.
-        Fp = GF(self.p)
-        for code in range(self.p ** self.k):
-            f = tuple(_digits(code, self.p, self.k)) + (1,)
-            if poly_is_irreducible(f, Fp):
-                return f
-        raise AssertionError("no irreducible modulus found")
 
     def _build_tables(self) -> None:
         # Addition and negation act digit by digit in base p, so their

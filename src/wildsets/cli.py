@@ -3,9 +3,11 @@
 One process, one command.  Symbol and rank queries print their value;
 `construct` emits a certificate (optionally to a file), `verify` and
 `wild` re-check one, and `selftest` runs the embedded invariant checks.
-Exit codes tell the four outcomes apart: 0 success, 2 unusable input,
-3 a mathematical refusal (the requested object provably does not
-exist or a certificate fails its checks), 4 a search budget ran out.
+Exit codes tell the four outcomes apart: 0 success; 2 unusable input,
+an empty or repeated place list included; 3 a refusal (a proof that the
+set is not wild, a failed certificate check, or a failed sufficient
+hypothesis of the chosen route); 4 undecided (a bounded search ran out
+or found nothing in its space).
 
 The argument parser is built once per process and reused by every call
 of run.  The environment is not: each run reads WILDSETS_DEGREE_CAP

@@ -4,11 +4,14 @@ Each public entry point is a gate that checks its input's hypotheses,
 refusing with the failed one spelled out, in front of a private builder
 that trusts them.  Builders call builders only on places a passed gate
 covers; a set tracked through a certificate's matching is gated again.
-Repeated places aside, a refusal proves S is not wild only when S is
-empty, has fewer than 2 rk G points, or has a point where -1 is not a
-local square; any other (a rank outside the route's range, dependent
-P, an indivisible q, the pairing condition, _sing_element,
-_fit_triple_images) says only that this route's hypothesis fails.
+Every gate reads its place list through _clean_places, so an empty or
+repeated list is unusable input (ValueError), not a refusal: the empty
+set is the wild set of every tame self-equivalence.  A refusal proves S
+is not wild only when S has fewer than 2 rk G points or a point where
+-1 is not a local square; any other (a rank outside the route's range,
+dependent P, an indivisible q, the pairing condition, _sing_element,
+_fit_triple_images) says only that this route's hypothesis fails.  A
+glue that compose cannot rebuild raises SearchExhausted: undecided.
 
 The constructions bottom out in explicit pre-equivalences -- a handful
 of functions with known divisors and the Klein-four maps matching their
@@ -39,6 +42,7 @@ from .local_symbols import (
 )
 from .function_field import Divisor
 from .square_class_spaces import (
+    _clean_places,
     _even_class_witness,
     _f2_rank,
     _global_even_elements,
@@ -71,13 +75,6 @@ def _sing_element(model, p):
         "no everywhere-even-order element is a nonsquare at {%s}" % p)
 
 
-def _require_distinct(places) -> tuple:
-    places = tuple(places)
-    if len(set(places)) != len(places):
-        raise HypothesisError("the requested places are not distinct")
-    return places
-
-
 def _require_minus_one_square(places) -> None:
     for P in places:
         if not minus_one_is_square(P):
@@ -86,7 +83,7 @@ def _require_minus_one_square(places) -> None:
 
 def _require_rank_one(model, S) -> tuple:
     """The gate of a pair or triple: distinct, rank exactly 1, -1 square."""
-    S = _require_distinct(S)
+    S = tuple(_clean_places(S))
     rank = g_rank(model, S).rank
     if rank != 1:
         raise HypothesisError("the classes of %s span rank %d, not 1" % (
@@ -127,11 +124,9 @@ def construct_rank0(model, S, degree_cap: int = DEGREE_CAP
                     ) -> WildSetCertificate:
     """A certificate whose wild set is exactly the 2-divisible set S.
 
-    Gate: S is nonempty and distinct, and every class in it 2-divisible.
+    Gate: S nonempty and distinct, and every class in it 2-divisible.
     """
-    S = _require_distinct(S)
-    if not S:
-        raise HypothesisError("an empty set cannot be a wild set")
+    S = _clean_places(S)
     for q in S:
         if model.pic_mod2(q) != 0:
             raise HypothesisError(
@@ -291,7 +286,7 @@ def construct_rank1(model, S, degree_cap: int = DEGREE_CAP
     and the remaining points -- tracked through that matching, so gated
     -- are handled recursively and glued on.
     """
-    S = _require_distinct(S)
+    S = tuple(_clean_places(S))
     return _rank_at_most_one(model, S, g_rank(model, S).rank, degree_cap)
 
 
@@ -339,7 +334,7 @@ def construct_general(model, P, Q, degree_cap: int = DEGREE_CAP
     the 2-divisible points left over join through the rank-0 route.
     """
     P, Q = tuple(P), tuple(Q)
-    _require_distinct(P + Q)
+    _clean_places(P + Q)
     m, n = len(P), len(Q)
     if m < 1:
         raise HypothesisError("the construction needs at least one "
@@ -368,7 +363,9 @@ def construct_general(model, P, Q, degree_cap: int = DEGREE_CAP
         return _rank1(model, P + Q, degree_cap)
     cert = _pair(model, (P[0], Q[0]), degree_cap)
     for p, q in zip(P[1:], Q[1:]):
-        pair = _require_distinct((_track(cert, p), _track(cert, q)))
+        pair = (_track(cert, p), _track(cert, q))
+        if pair[0] == pair[1]:
+            raise HypothesisError("the requested places are not distinct")
         rank = g_rank(model, pair).rank
         assert rank <= 1, "the image pair spans rank %d; the certificate " \
             "so far failed to absorb the dependence" % rank

@@ -36,14 +36,15 @@ prescribed local maps cannot be realized by any global basis map, tame
 twists -- which never change wildness -- are searched for by an F_2
 solve, and failing that the wild locus alone is rebuilt from the
 quotient level, since the tame bookkeeping of a composite is partly
-convention while its wild locus is not.
+convention while its wild locus is not.  A rebuild that finds nothing
+raises SearchExhausted, never a refusal: it searches one image pool, so
+coming up empty proves nothing about the set.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base_algebra import checked_field
@@ -91,8 +92,8 @@ __all__ = [
 ]
 
 # Budgets of the bounded searches behind extend and compose.  A search
-# that the budget cuts short raises SearchExhausted; only a complete
-# search may end in a refusal.
+# that the budget cuts short raises SearchExhausted, and so does
+# compose's fallback whenever it finds nothing.
 DEGREE_CAP = 6  # the default degree cap: auxiliary places up to this degree
 PERMUTATION_CAP = 40320  # matchings _wild_union_fallback tries (8!)
 TWIST_KERNEL_BITS = 20  # _sandwich_solve walks 2^min(kernel dim, this)
@@ -532,7 +533,8 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
     second untouched by the first map, composes local maps where the
     image of the first lands in the second's territory, and realizes
     the result from scratch; when that prescription is unsatisfiable
-    the wild locus alone is rebuilt and re-extended.  The wild loci
+    the wild locus alone is rebuilt and re-extended, and when no rebuild
+    is found SearchExhausted leaves the question open.  The wild loci
     must be disjoint -- two wild maps would compose to a tame one --
     and a place of the second set that the first set contains but does
     not map into the second has no consistent reading, so it is
@@ -574,14 +576,8 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
 
     try:
         se = _realize_small_equivalence(model, places, images, maps)
-    except (VerificationError, SearchExhausted) as first:
-        try:
-            se = _wild_union_fallback(model, places, images, maps,
-                                      degree_cap)
-        except VerificationError:
-            if isinstance(first, SearchExhausted):
-                raise first from None
-            raise
+    except (VerificationError, SearchExhausted):
+        se = _wild_union_fallback(model, places, images, maps, degree_cap)
     cert = certify(se)
     expected = set(c1.wild_set) | pulled_back
     if set(cert.wild_set) != expected:
@@ -603,39 +599,35 @@ def _wild_union_fallback(model, places, images, maps, degree_cap: int
     a pre-equivalence there with the composed wild maps, searching the
     injective matchings into the recorded image pool in a fixed order
     starting from the faithful one, and extend the first that solves.
-    Raises SearchExhausted rather than a refusal when the matchings run
-    past PERMUTATION_CAP or a twist solve runs past its own budget.
+    Raises SearchExhausted when none does, whether the walk finished,
+    stopped at PERMUTATION_CAP or met a twist solve past its budget:
+    the pool holds only the recorded images, so an empty search there
+    proves nothing.
     """
     keep = [j for j, m in enumerate(maps) if m.is_wild]
     if not keep:
-        raise VerificationError(
+        raise SearchExhausted(
             "the composite data cannot be realized and has no wild part "
             "to rebuild")
     wild_places = tuple(places[j] for j in keep)
     wild_maps = tuple(maps[j] for j in keep)
     pool = tuple(images[j] for j in keep)
     src_gens = quotient_basis(model, wild_places)
-    cut_short = math.factorial(len(pool)) > PERMUTATION_CAP
     for cand in itertools.islice(itertools.permutations(pool),
                                  PERMUTATION_CAP):
         dst_gens = quotient_basis(model, cand)
         try:
             final_maps, gen_images = _sandwich_solve(
                 model, wild_places, cand, wild_maps, src_gens, dst_gens)
-        except SearchExhausted:
-            cut_short = True
-            continue
-        except VerificationError:
+        except (VerificationError, SearchExhausted):
             continue
         pe = PreEquivalence(model, wild_places, cand, src_gens, gen_images,
                             final_maps)
         return extend_pre_equivalence(pe, degree_cap)
-    message = ("no matching of the wild locus {%s} into its image pool "
-               "realizes the composed local maps"
-               % ", ".join(str(P) for P in wild_places))
-    if cut_short:
-        raise SearchExhausted(message + " within the search budget")
-    raise VerificationError(message)
+    raise SearchExhausted(
+        "no matching of the wild locus {%s} into its image pool realizes "
+        "the composed local maps within the search budget"
+        % ", ".join(str(P) for P in wild_places))
 
 
 # -- extension of a pre-equivalence

@@ -2,9 +2,9 @@
 
 The split matters for callers: `HypothesisError` means the requested object
 provably cannot be built from the given data (a mathematical refusal, not a
-bug), `SearchExhausted` means a bounded search ran out of budget before
-finding a witness, and `VerificationError` means certificate data failed an
-explicit check.
+bug), `SearchExhausted` means a bounded search ended without a witness,
+out of budget or with nothing in its space, so the question stays open, and
+`VerificationError` means certificate data failed an explicit check.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class HypothesisError(WildSetsError):
 
 
 class SearchExhausted(WildSetsError):
-    """A bounded place/element search hit its degree budget."""
+    """A bounded search ended without a witness: undecided, not refused."""
 
 
 class VerificationError(WildSetsError):

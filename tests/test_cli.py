@@ -6,6 +6,7 @@ is the workflow the JSON format exists for.
 """
 
 import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -25,8 +26,9 @@ from wildsets.equivalence_core import (
     SmallEquivalence,
     certificate_to_json,
     certify,
+    check_necessary_condition,
 )
-from wildsets.local_symbols import LocalMap
+from wildsets.local_symbols import LocalMap, minus_one_is_square
 from wildsets.projective_line import ProjectiveLine
 from wildsets.square_class_spaces import sing_space
 
@@ -141,6 +143,30 @@ def test_twist_walk_exhaustion_exits_four(capsys, monkeypatch):
     assert "search exhausted" in capsys.readouterr().err
 
 
+def test_small_line_census_exits_three_only_on_a_proof(capsys, monkeypatch):
+    # every set of 1-3 distinct places of degree <= 2 on the F_5 line
+    monkeypatch.delenv("WILDSETS_DEGREE_CAP", raising=False)
+    L = ProjectiveLine(GF(5))
+    pool = L.places_of_degree(1) + L.places_of_degree(2)
+    assert len(pool) == 16
+    # q = 1 mod 4: the -1 condition holds everywhere, leaves |S| >= 2 rk G
+    assert all(minus_one_is_square(P) for P in pool)
+    sets = [S for size in (1, 2, 3)
+            for S in itertools.combinations(pool, size)]
+    assert len(sets) == 696
+    for S in sets:
+        code = run(["construct", "--q", "5", "--rank", "1",
+                    "--places", ", ".join(map(str, S))])
+        out, err = capsys.readouterr()
+        if code == 0:
+            wild = "wild set: {%s}" % ", ".join(sorted(map(str, S)))
+            assert wild in out.splitlines(), S
+        elif code == 3:
+            assert not check_necessary_condition(L, S), (S, err)
+        else:
+            assert code == 4, (S, code, err)
+
+
 def test_degree_cap_environment_override(capsys, monkeypatch):
     argv = ["construct", "--q", "5", "--rank", "1", "--places", "t,t-1,t-2"]
     monkeypatch.setenv("WILDSETS_DEGREE_CAP", "1")
@@ -200,23 +226,23 @@ RAMIFIED = "(t; ramified), (t + 1; ramified)"
 CONSTRUCT_REFUSALS = [
     (["--q", "5", "--rank", "1", "--places", ""], 2,
      "error: the removed set must contain at least one place"),
-    (["--q", "5", "--rank", "0", "--places", ""], 3,
-     "refused: an empty set cannot be a wild set"),
+    (["--q", "5", "--rank", "0", "--places", ""], 2,
+     "error: the removed set must contain at least one place"),
     (["--q", "5", "--rank", "general", "--places", "", "--aux", "t^2+2"], 3,
      "refused: the construction needs at least one independent class"),
-    (["--q", "5", "--rank", "1", "--places", "t, t^2+2, t"], 3,
-     "refused: the requested places are not distinct"),
-    (["--q", "5", "--rank", "0", "--places", "t^2+2, t^2+2"], 3,
-     "refused: the requested places are not distinct"),
+    (["--q", "5", "--rank", "1", "--places", "t, t^2+2, t"], 2,
+     "error: the removed set has repeated places"),
+    (["--q", "5", "--rank", "0", "--places", "t^2+2, t^2+2"], 2,
+     "error: the removed set has repeated places"),
     (["--q", "5", "--rank", "general", "--places", "t, t",
-      "--aux", "t^2+2, t^2+3"], 3,
-     "refused: the requested places are not distinct"),
+      "--aux", "t^2+2, t^2+3"], 2,
+     "error: the removed set has repeated places"),
     (["--q", "5", "--rank", "general", "--places", "t",
-      "--aux", "t^2+2, t^2+2"], 3,
-     "refused: the requested places are not distinct"),
+      "--aux", "t^2+2, t^2+2"], 2,
+     "error: the removed set has repeated places"),
     (["--q", "5", "--rank", "general", "--places", "t^2+2",
-      "--aux", "t^2+2"], 3,
-     "refused: the requested places are not distinct"),
+      "--aux", "t^2+2"], 2,
+     "error: the removed set has repeated places"),
     (["--q", "5", "--rank", "0", "--places", "t"], 3,
      "refused: the class of t is not 2-divisible, so the set has "
      "positive rank"),

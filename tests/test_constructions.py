@@ -101,7 +101,7 @@ def test_rank0_refuses_odd_degree(line):
 
 
 def test_rank0_refuses_empty(line):
-    with pytest.raises(HypothesisError, match="empty"):
+    with pytest.raises(ValueError, match="at least one place"):
         construct_rank0(line, ())
 
 

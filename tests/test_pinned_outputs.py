@@ -7,10 +7,11 @@ certificate and every demo line byte for byte, so a changed digest means
 changed output, not a stale pin.  The cases are chosen to cross each
 route the constructions take: both backends, a compose that the rigid
 glue realizes, a compose that needs the second matching of the
-wild-union fallback, the swap and fixed-place pair constructions, a
-rank-1 triple through the fitted images, and the rank-2 and rank-3
-general sets (the rank-3 digest was recorded before the general
-construction's gate was split from its builder).
+wild-union fallback, the swap pair (given in both orders) and the
+fixed-place pair constructions, a rank-1 triple through the fitted
+images, and the rank-2 and rank-3 general sets (the rank-3 digest was
+recorded before the general construction's gate was split from its
+builder).
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ def pair_swapping_its_places():
     return construct_rank1(L, places(L, "t", "t^2 + 2"))
 
 
+def pair_swapping_its_places_divisible_first():
+    # the pair builder puts the 2-divisible t^2 + 2 second again
+    L = line5()
+    return construct_rank1(L, places(L, "t^2 + 2", "t"))
+
+
 def triple_on_f5():
     L = line5()
     return construct_rank1_triple(L, *places(L, "t", "t + 1", "t + 4"))
@@ -120,6 +127,8 @@ CERTIFICATES = {
     pair_fixing_its_places:
         "b716c7a32fa132ea1116fa976173b89f733eaecabe87a5a97613e9391b50f822",
     pair_swapping_its_places:
+        "b503e9783db597a6f82467f54222fb45c14b3ab8d86653d71db17204ebfb219d",
+    pair_swapping_its_places_divisible_first:
         "b503e9783db597a6f82467f54222fb45c14b3ab8d86653d71db17204ebfb219d",
     triple_on_f5:
         "f6963cafd2f8343774ef8268e75397caaf6795d24a26df3939c639eca9b6e08e",
