@@ -34,6 +34,7 @@ denominator is a nonzero constant.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -503,6 +504,10 @@ def poly_to_int(f: Poly, F: Fq) -> int:
 
 # ---------------------------------------------------------------------------
 # irreducibility, enumeration, factorization
+#
+# A single polynomial (a parsed place, a factor) is tested by Rabin's test;
+# a whole degree is enumerated by a sieve over the codes, which runs no
+# such test; factorization is squarefree, distinct-degree, equal-degree.
 
 
 def _prime_divisors(n: int) -> List[int]:
@@ -538,11 +543,27 @@ def poly_is_irreducible(f: Poly, F: Fq) -> bool:
 
 
 def irreducibles_of_degree(F: Fq, d: int) -> Iterator[Poly]:
-    """Monic irreducibles of degree d, in canonical (integer code) order."""
-    for code in range(F.q ** d):
-        f = tuple(_digits(code, F.q, d)) + (1,)
-        if poly_is_irreducible(f, F):
-            yield f
+    """Monic irreducibles of degree d, in canonical (integer code) order.
+
+    A sieve, with no irreducibility test: by unique factorization every
+    reducible monic f of degree d is g*h with g monic irreducible of
+    degree k <= d/2 (from this same sieve at degree k) and h monic of
+    degree d - k.  Each such product is struck off a bytearray indexed
+    by the code of f's d low coefficients, the cofactors h streamed
+    from their coefficients, and the codes left standing are yielded in
+    increasing order.
+    """
+    if d < 1:
+        return
+    q, top = F.q, F.q ** d
+    struck = bytearray(top)
+    for k in range(1, d // 2 + 1):
+        for g in irreducibles_of_degree(F, k):
+            for low in itertools.product(range(q), repeat=d - k):
+                struck[poly_to_int(poly_mul(g, low + (1,), F), F) - top] = 1
+    for code in range(top):
+        if not struck[code]:
+            yield tuple(_digits(code, q, d)) + (1,)
 
 
 def _pth_root(f: Poly, F: Fq) -> Poly:

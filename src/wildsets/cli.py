@@ -165,11 +165,11 @@ def _cmd_construct(args) -> int:
     elif args.rank == "1":
         cert = construct_rank1(model, S, args.degree_cap)
     else:
-        if not args.aux:
+        aux = _places(model, args.aux or "")
+        if not aux:
             raise ValueError(
                 "--rank general needs the 2-divisible points in --aux")
-        cert = construct_general(model, S, _places(model, args.aux),
-                                 args.degree_cap)
+        cert = construct_general(model, S, aux, args.degree_cap)
     blob = certificate_to_json(cert)
     if args.out:
         with open(args.out, "w") as handle:

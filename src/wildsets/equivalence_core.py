@@ -43,6 +43,7 @@ coming up empty proves nothing about the set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -764,7 +765,7 @@ def _string(value, what: str) -> str:
     return value
 
 
-def _local_maps_from_json(model, places, entries) -> List[LocalMap]:
+def _local_maps_from_json(parse_place, places, entries) -> List[LocalMap]:
     """One local map per removed place, matched by the parsed place."""
     if not isinstance(entries, list):
         raise ValueError("certificate field 'local_maps' must be a list")
@@ -772,7 +773,7 @@ def _local_maps_from_json(model, places, entries) -> List[LocalMap]:
     for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError("a local map must be an object, got %r" % (entry,))
-        P = model.parse_place(_string(entry["place"], "a local map's place"))
+        P = parse_place(_string(entry["place"], "a local map's place"))
         if P in by_place:
             raise ValueError("the certificate has two local maps at %s" % P)
         by_place[P] = LocalMap(
@@ -815,12 +816,15 @@ def certificate_from_json(text: str) -> WildSetCertificate:
         if not isinstance(backend, str) or backend not in _BACKENDS:
             raise ValueError("unknown backend %r" % (backend,))
         model = _BACKENDS[backend].from_header(field, data)
-        places = [model.parse_place(s) for s in _strings(data, "S")]
-        images = [model.parse_place(s) for s in _strings(data, "T")]
+        # S, T, the local maps and the claimed wild set repeat the same
+        # place strings; a parse that raises is not cached
+        parse_place = functools.lru_cache(maxsize=None)(model.parse_place)
+        places = [parse_place(s) for s in _strings(data, "S")]
+        images = [parse_place(s) for s in _strings(data, "T")]
         basis = [model.parse(s) for s in _strings(data, "quotient_basis")]
         imaged = [model.parse(s) for s in _strings(data, "quotient_images")]
-        maps = _local_maps_from_json(model, places, data["local_maps"])
-        claimed = {model.parse_place(s)
+        maps = _local_maps_from_json(parse_place, places, data["local_maps"])
+        claimed = {parse_place(s)
                    for s in _strings(data, "claimed_wild_set")}
     except KeyError as missing:
         raise ValueError("certificate is missing the %s field" % missing)

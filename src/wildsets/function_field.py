@@ -276,8 +276,9 @@ class Model:
     def _places_of_degree(self, d: int, finite) -> List:
         """All places of degree d, infinity first, then ``finite(self, d)``.
 
-        Each degree is enumerated once per model; every call returns a
-        fresh list, so callers may mutate it.
+        Each degree is enumerated whole, once per model, from the sieve
+        ``irreducibles_of_degree`` (on the curve, of degrees d and d/2);
+        every call returns a fresh list, so callers may mutate it.
         """
         got = self._of_degree.get(d)
         if got is None:

@@ -279,6 +279,8 @@ CONSTRUCT_REFUSALS = [
               "(t^4 + t + 4; split; 2*t^2 + 4*t + 1), (t^2 + 3; inert)"], 3,
      "refused: the points (t^4 + t + 4; split; 2*t^2 + 4*t + 1) and "
      "(t^2 + 3; inert) do not satisfy the pairing condition"),
+    (["--q", "5", "--rank", "general", "--places", "t", "--aux", ","], 2,
+     "error: --rank general needs the 2-divisible points in --aux"),
 ]
 
 
