@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "GF",
@@ -603,14 +603,16 @@ def _ddf(f: Poly, F: Fq) -> List[Tuple[Poly, int]]:
     return out
 
 
-def _edf(f: Poly, d: int, F: Fq, rng: random.Random) -> List[Poly]:
-    # equal-degree splitting (Cantor-Zassenhaus, odd q)
+def _edf(f: Poly, d: int, F: Fq, rng: Callable[[], random.Random]) -> List[Poly]:
+    # equal-degree splitting (Cantor-Zassenhaus, odd q); rng() gives the
+    # generator, made only once a block has to be split
     n = poly_deg(f)
     if n == d:
         return [f]
     e = (F.q ** d - 1) // 2
+    draw = rng().randrange
     while True:
-        r = poly_norm(tuple(rng.randrange(F.q) for _ in range(n)))
+        r = poly_norm(tuple(draw(F.q) for _ in range(n)))
         if poly_deg(r) < 1:
             continue
         w = poly_pow_mod(r, e, f, F)
@@ -624,13 +626,21 @@ def poly_factor(f: Poly, F: Fq) -> Tuple[int, List[Tuple[Poly, int]]]:
     """Factor f as lc * prod(g_i^e_i); factors monic irreducible, sorted.
 
     The equal-degree stage is randomized but seeded from the input, so
-    the call is deterministic.
+    the call is deterministic.  The generator is seeded on the first
+    split it is asked for: most inputs need none.
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     lc = f[-1]
     f = poly_monic(f, F)
-    rng = random.Random(repr(("poly_factor", F.q, f)))
+    seed = ("poly_factor", F.q, f)
+    made: List[random.Random] = []
+
+    def rng() -> random.Random:
+        if not made:
+            made.append(random.Random(repr(seed)))
+        return made[0]
+
     found: dict = {}
     while poly_deg(f) > 0:
         s = _squarefree_part(f, F)

@@ -340,8 +340,8 @@ class CurveFunction(FactoredFunction):
         return out * cls._trusted(model, c, {("lin", pair): 1})
 
     @classmethod
-    def parse(cls, model: "EllipticModel", s: str) -> "CurveFunction":
-        """Parse an expression in t and y, e.g. ``(y - 1) / (t + y)^2``."""
+    def _parse_expression(cls, model: "EllipticModel", s: str) -> "CurveFunction":
+        """Parse any expression in t and y, e.g. ``(y - 1) / (t + y)^2``."""
         num, den = rat_parse(s, model.field, allow_y=True)
         num = _reduce_y(num, model)
         den = _reduce_y(den, model)

@@ -817,12 +817,14 @@ def certificate_from_json(text: str) -> WildSetCertificate:
             raise ValueError("unknown backend %r" % (backend,))
         model = _BACKENDS[backend].from_header(field, data)
         # S, T, the local maps and the claimed wild set repeat the same
-        # place strings; a parse that raises is not cached
+        # place strings, and the functions the same atoms; a parse that
+        # raises is not cached, and both memos die with this call
         parse_place = functools.lru_cache(maxsize=None)(model.parse_place)
+        parse = functools.partial(model.parse, atoms={})
         places = [parse_place(s) for s in _strings(data, "S")]
         images = [parse_place(s) for s in _strings(data, "T")]
-        basis = [model.parse(s) for s in _strings(data, "quotient_basis")]
-        imaged = [model.parse(s) for s in _strings(data, "quotient_images")]
+        basis = [parse(s) for s in _strings(data, "quotient_basis")]
+        imaged = [parse(s) for s in _strings(data, "quotient_images")]
         maps = _local_maps_from_json(parse_place, places, data["local_maps"])
         claimed = {parse_place(s)
                    for s in _strings(data, "claimed_wild_set")}

@@ -15,9 +15,14 @@ place classes: they hold the plumbing both backends share, and
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .base_algebra import Poly, const_str, poly_factor, poly_norm
+from .base_algebra import (MAX_PARSED_DEGREE, Poly, const_str, poly_factor,
+                           poly_norm, poly_parse)
+
+# one factor of the printed form: a parenthesized atom and its exponent
+_POWER = re.compile(r"(\(.*\))\^(-?[0-9]+)")
 
 
 class Divisor:
@@ -111,8 +116,10 @@ class FactoredFunction:
     static functions: ``_atom_ord`` and ``_atom_char`` (of atom, place,
     model), ``_check_atom`` and ``_atom_str`` (of atom, field),
     ``_atom_sort_key``, and ``_poly_atom``, the atom of a monic
-    irreducible polynomial in t.  A subclass whose atoms each have
-    order 1 at one place may replace ord_at by a lookup instead.
+    irreducible polynomial in t; and ``_parse_expression`` (of model,
+    text), which reads any expression the backend accepts.  A subclass
+    whose atoms each have order 1 at one place may replace ord_at by a
+    lookup instead.
     """
 
     __slots__ = ("model", "constant", "factors")
@@ -148,6 +155,66 @@ class FactoredFunction:
             raise ValueError("the zero element has no factored form")
         lc, factors = poly_factor(f, model.field)
         return cls._trusted(model, lc, {cls._poly_atom(p): m for p, m in factors})
+
+    @classmethod
+    def parse(cls, model, s: str, atoms: Optional[Dict] = None):
+        """Parse a function from text.
+
+        Text in the form ``str`` prints for polynomial atoms -- a nonzero
+        constant, then ``(atom)^e`` factors joined by `` * `` -- is read
+        factor by factor: each atom text is parsed, and each atom
+        checked, once for all calls that share the dict ``atoms``.  Any
+        other text, and such text that fails a check, goes to the
+        backend's ``_parse_expression``, which multiplies the whole
+        expression out and factors it, and raises its errors.
+        """
+        got = cls._read_printed(model, s, {} if atoms is None else atoms)
+        return cls._parse_expression(model, s) if got is None else got
+
+    @classmethod
+    def _read_printed(cls, model, s: str, atoms: Dict):
+        """The function s prints, or None where s is not read here.
+
+        ``atoms`` maps an atom text to its polynomial, or to None when
+        the text is no polynomial, and a polynomial to whether it passed
+        the atom check.  Every piece is a single parenthesized group or
+        a literal, so the expression parser reads s as the same product;
+        with the total degree within MAX_PARSED_DEGREE it accepts s and
+        gives this function.
+        """
+        if "y" in s:
+            return None
+        F = model.field
+        const, *pieces = s.split(" * ")
+        if const.isascii() and const.isdigit():
+            c = poly_parse(const, F)
+        else:
+            c = _read_poly(const, F)
+        if c is None or len(c) != 1:
+            return None
+        powers: Dict[Poly, int] = {}
+        degree = 0
+        for piece in pieces:
+            match = _POWER.fullmatch(piece)
+            if match is None:
+                return None
+            text, e = match.group(1), int(match.group(2))
+            if text not in atoms:
+                atoms[text] = _read_poly(text, F)
+            p = atoms[text]
+            if p is None:
+                return None
+            degree += abs(e) * (len(p) - 1)
+            powers[p] = powers.get(p, 0) + e
+        if degree > MAX_PARSED_DEGREE:
+            return None
+        for p in powers:
+            if p not in atoms:
+                atoms[p] = _passes(cls, p, F)
+            if not atoms[p]:
+                return None
+        return cls._trusted(model, c[0],
+                            {cls._poly_atom(p): e for p, e in powers.items()})
 
     @property
     def field(self):
@@ -207,6 +274,40 @@ class FactoredFunction:
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__name__, self)
+
+
+def _grouped(text: str) -> bool:
+    """Whether text is one parenthesized group: its first '(' closes last."""
+    if not text.startswith("("):
+        return False
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if not depth:
+                return i == len(text) - 1
+    return False
+
+
+def _read_poly(text: str, F) -> Optional[Poly]:
+    """The polynomial a parenthesized text denotes, or None."""
+    if not _grouped(text):
+        return None
+    try:
+        return poly_parse(text, F)
+    except ValueError:
+        return None
+
+
+def _passes(cls, p: Poly, F) -> bool:
+    """Whether p is an atom of cls: monic and irreducible."""
+    try:
+        cls._check_atom(cls._poly_atom(p), F)
+    except ValueError:
+        return False
+    return True
 
 
 class ModelPlace:
@@ -296,8 +397,9 @@ class Model:
     def from_poly(self, f: Poly):
         return self._function.from_poly(self, f)
 
-    def parse(self, s: str):
-        return self._function.parse(self, s)
+    def parse(self, s: str, atoms: Optional[Dict] = None):
+        """A function from text; ``atoms`` is FactoredFunction.parse's memo."""
+        return self._function.parse(self, s, atoms)
 
     def header(self) -> dict:
         """The certificate fields that name this model."""

@@ -135,8 +135,8 @@ class RationalFunction(FactoredFunction):
             raise ValueError("factors must be monic irreducibles, got %r" % (p,))
 
     @classmethod
-    def parse(cls, line: "ProjectiveLine", s: str) -> "RationalFunction":
-        """Parse an expression like ``2 * (t)^1 * (t - 1)^-1`` or ``t^2 + 2``."""
+    def _parse_expression(cls, line: "ProjectiveLine", s: str) -> "RationalFunction":
+        """Parse any expression in t, like ``t^2 + 2`` or ``(t + 1) / (t - 1)``."""
         num, den = rat_parse(s, line.field)
         n = num.get(0, ())
         if not n:

@@ -535,3 +535,49 @@ def test_mutated_certificates_never_escape(tmp_path, capsys,
                 target[key] = json.loads(json.dumps(rng.choice(values)))
         code, _ = verify_edited(tmp_path, capsys, data)
         assert code in (0, 2, 3), data
+
+
+def _edit_function_text(s, rng):
+    """s with one atom made reducible or non-monic, an exponent pushed
+    past the degree bound, an atom repeated, or the constant dropped."""
+    const, *pieces = s.split(" * ")
+    kind = rng.choice(["reducible", "non-monic", "exponent", "repeat",
+                       "no constant"])
+    if kind == "no constant":
+        return " * ".join(pieces or ["(t)^1"])
+    pieces = pieces or ["(t)^1"]
+    i = rng.randrange(len(pieces))
+    atom, e = pieces[i].rsplit("^", 1)
+    if kind == "reducible":
+        pieces[i] = "(t^2 + 4)^" + e
+    elif kind == "non-monic":
+        pieces[i] = "(2*t + 2)^" + e
+    elif kind == "exponent":
+        pieces[i] = "%s^%d" % (atom, rng.choice([4097, -4097, 5000]))
+    else:
+        pieces.insert(rng.randrange(len(pieces) + 1),
+                      "%s^%d" % (atom, rng.randint(-2, 2)))
+    return " * ".join([const] + pieces)
+
+
+def test_mutated_function_texts_verify_as_the_expression_parser_does(
+        tmp_path, capsys, monkeypatch, good_certificate):
+    # verify reads printed functions atom by atom; on edited ones it must
+    # answer exactly as the whole-expression parser alone would
+    from wildsets.function_field import Model
+
+    def whole(model, s, atoms=None):
+        return model._function._parse_expression(model, s)
+
+    rng = random.Random(2019)
+    for _ in range(30):
+        data = json.loads(json.dumps(good_certificate))
+        for _ in range(rng.randint(1, 2)):
+            texts = data[rng.choice(["quotient_basis", "quotient_images"])]
+            i = rng.randrange(len(texts))
+            texts[i] = _edit_function_text(texts[i], rng)
+        got = verify_edited(tmp_path, capsys, data)
+        with monkeypatch.context() as patch:
+            patch.setattr(Model, "parse", whole)
+            assert verify_edited(tmp_path, capsys, data) == got, data
+        assert got[0] in (0, 2, 3), data
