@@ -186,10 +186,7 @@ class FactoredFunction:
             return None
         F = model.field
         const, *pieces = s.split(" * ")
-        if const.isascii() and const.isdigit():
-            c = poly_parse(const, F)
-        else:
-            c = _read_poly(const, F)
+        c = _read_poly(const, F)
         if c is None or len(c) != 1:
             return None
         powers: Dict[Poly, int] = {}
@@ -198,7 +195,11 @@ class FactoredFunction:
             match = _POWER.fullmatch(piece)
             if match is None:
                 return None
-            text, e = match.group(1), int(match.group(2))
+            text = match.group(1)
+            try:
+                e = int(match.group(2))
+            except ValueError:  # more digits than int() converts
+                return None
             if text not in atoms:
                 atoms[text] = _read_poly(text, F)
             p = atoms[text]
@@ -210,7 +211,12 @@ class FactoredFunction:
             return None
         for p in powers:
             if p not in atoms:
-                atoms[p] = _passes(cls, p, F)
+                try:
+                    cls._check_atom(cls._poly_atom(p), F)
+                except ValueError:
+                    atoms[p] = False
+                else:
+                    atoms[p] = True
             if not atoms[p]:
                 return None
         return cls._trusted(model, c[0],
@@ -292,22 +298,13 @@ def _grouped(text: str) -> bool:
 
 
 def _read_poly(text: str, F) -> Optional[Poly]:
-    """The polynomial a parenthesized text denotes, or None."""
-    if not _grouped(text):
+    """The polynomial a literal or parenthesized text denotes, or None."""
+    if not (text.isascii() and text.isdigit() or _grouped(text)):
         return None
     try:
         return poly_parse(text, F)
     except ValueError:
         return None
-
-
-def _passes(cls, p: Poly, F) -> bool:
-    """Whether p is an atom of cls: monic and irreducible."""
-    try:
-        cls._check_atom(cls._poly_atom(p), F)
-    except ValueError:
-        return False
-    return True
 
 
 class ModelPlace:
@@ -359,7 +356,8 @@ class Model:
     ``two_torsion_witnesses()``: functions whose divisors are twice
         independent 2-torsion classes;
     ``function_with_divisor(D)``: a function with divisor exactly D;
-    ``one()``, ``constant(c)``, ``from_poly(f)``, ``parse(s)``: functions;
+    ``one()``, ``constant(c)``, ``from_poly(f)``, ``parse(s)``: functions
+        (``parse`` also takes a memo of atoms, see FactoredFunction.parse);
     ``header()``, ``from_header(field, data)``: the certificate fields
         that name the model, and back.
 

@@ -97,6 +97,9 @@ CRAFTED = [
     ("F5", "1 * (t^2100)^1 * (t^2000)^-1"),
     ("F5", "1 * (t^4097)^0"),
     ("F5", "1 * (t)^99999999"),
+    ("F5", "1 * (t)^" + "9" * 5000),            # more digits than int() reads
+    ("F5", "1 * (x)^" + "9" * 5000),
+    ("F5", "9" * 5000 + " * (t)^1"),
     ("F5", "0 * (t)^1"),                        # zero constant
     ("F5", "5 * (t)^1"),
     ("F5", "(t)^1 * (t + 1)^2"),                # no constant
@@ -145,7 +148,12 @@ CRAFTED = [
 ]
 
 
-@pytest.mark.parametrize("name,s", CRAFTED)
+def _case_id(case):
+    name, s = case
+    return "%s-%s" % (name, s if len(s) <= 40 else "%s...(%d)" % (s[:30], len(s)))
+
+
+@pytest.mark.parametrize("name,s", CRAFTED, ids=[_case_id(c) for c in CRAFTED])
 def test_crafted_texts_agree(name, s):
     assert_agrees(MODELS[name], s)
 
