@@ -28,6 +28,7 @@ from wildsets.equivalence_core import (
     certify,
     check_necessary_condition,
 )
+from wildsets.function_field import Model
 from wildsets.local_symbols import LocalMap, minus_one_is_square
 from wildsets.projective_line import ProjectiveLine
 from wildsets.square_class_spaces import sing_space
@@ -564,8 +565,6 @@ def test_mutated_function_texts_verify_as_the_expression_parser_does(
         tmp_path, capsys, monkeypatch, good_certificate):
     # verify reads printed functions atom by atom; on edited ones it must
     # answer exactly as the whole-expression parser alone would
-    from wildsets.function_field import Model
-
     def whole(model, s, atoms=None):
         return model._function._parse_expression(model, s)
 
