@@ -56,6 +56,7 @@ __all__ = [
     "poly_gcd",
     "poly_xgcd",
     "poly_pow_mod",
+    "poly_strip",
     "poly_jacobi",
     "poly_eval",
     "poly_deriv",
@@ -468,6 +469,16 @@ def poly_pow_mod(f: Poly, e: int, m: Poly, F: Fq) -> Poly:
     return r
 
 
+def poly_strip(f: Poly, g: Poly, F: Fq) -> Tuple[int, Poly]:
+    """(e, f / g^e) for the largest e with g^e dividing f; f != 0, deg g >= 1."""
+    e = 0
+    while True:
+        q, r = poly_divmod(f, g, F)
+        if r:
+            return e, f
+        f, e = q, e + 1
+
+
 def poly_eval(f: Poly, x: int, F: Fq) -> int:
     r = 0
     if F.k == 1:
@@ -505,41 +516,21 @@ def poly_to_int(f: Poly, F: Fq) -> int:
 # ---------------------------------------------------------------------------
 # irreducibility, enumeration, factorization
 #
-# A single polynomial (a parsed place, a factor) is tested by Rabin's test;
-# a whole degree is enumerated by a sieve over the codes, which runs no
-# such test; factorization is squarefree, distinct-degree, equal-degree.
-
-
-def _prime_divisors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+# Factorization is squarefree, distinct-degree, equal-degree.  A single
+# polynomial (a parsed place, a factor) is tested by the first block of
+# the distinct-degree stage (Ben-Or's test); a whole degree is enumerated
+# by a sieve over the codes, which runs no such test.
 
 
 def poly_is_irreducible(f: Poly, F: Fq) -> bool:
-    """Rabin's test: x^(q^d) = x mod f and no proper subfield fixes x."""
-    d = poly_deg(f)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    x = (0, 1)
-    h = poly_pow_mod(x, F.q ** d, f, F)
-    if h != poly_mod(x, f, F):
-        return False
-    for ell in _prime_divisors(d):
-        h = poly_pow_mod(x, F.q ** (d // ell), f, F)
-        if poly_gcd(poly_sub(h, x, F), f, F) != (1,):
-            return False
-    return True
+    """Ben-Or's test: f has no factor of degree at most deg f / 2.
+
+    The distinct-degree stage meets the first such factor, repeated or
+    not, within deg f / 2 Frobenius steps; an irreducible f is its own
+    first block.
+    """
+    f = poly_monic(f, F)
+    return poly_deg(f) >= 1 and next(_ddf(f, F)) == (f, poly_deg(f))
 
 
 def irreducibles_of_degree(F: Fq, d: int) -> Iterator[Poly]:
@@ -584,23 +575,23 @@ def _squarefree_part(f: Poly, F: Fq) -> Poly:
         f = _pth_root(f, F)
 
 
-def _ddf(f: Poly, F: Fq) -> List[Tuple[Poly, int]]:
-    # distinct-degree: [(product of factors of degree d, d)], f squarefree monic
-    out = []
+def _ddf(f: Poly, F: Fq) -> Iterator[Tuple[Poly, int]]:
+    # distinct-degree: yields (product of the factors of degree d, d) by
+    # increasing d, f squarefree monic; for any monic f of degree >= 1 the
+    # first block holds the distinct factors of its least degree
     h = (0, 1)
     d = 0
     while poly_deg(f) > 0:
         d += 1
         if 2 * d > poly_deg(f):
-            out.append((f, poly_deg(f)))
-            break
+            yield f, poly_deg(f)
+            return
         h = poly_pow_mod(h, F.q, f, F)
         g = poly_gcd(poly_sub(h, (0, 1), F), f, F)
         if poly_deg(g) > 0:
-            out.append((g, d))
+            yield g, d
             f = poly_divmod(f, g, F)[0]
             h = poly_mod(h, f, F)
-    return out
 
 
 def _edf(f: Poly, d: int, F: Fq, rng: Callable[[], random.Random]) -> List[Poly]:
@@ -646,13 +637,7 @@ def poly_factor(f: Poly, F: Fq) -> Tuple[int, List[Tuple[Poly, int]]]:
         s = _squarefree_part(f, F)
         for block, d in _ddf(s, F):
             for g in _edf(block, d, F, rng):
-                e = 0
-                while True:
-                    q, r = poly_divmod(f, g, F)
-                    if r:
-                        break
-                    f = q
-                    e += 1
+                e, f = poly_strip(f, g, F)
                 found[g] = found.get(g, 0) + e
     out = sorted(found.items(), key=lambda it: (poly_deg(it[0]), poly_to_int(it[0], F)))
     return lc, out

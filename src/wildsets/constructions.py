@@ -326,19 +326,20 @@ def construct_general(model, P, Q, degree_cap: int = DEGREE_CAP
                       ) -> WildSetCertificate:
     """A wild set of rank m: m independent classes plus n >= m halving ones.
 
-    Gate: P and Q distinct, 1 <= m <= n, P independent, Q 2-divisible,
-    -1 a local square throughout, Q smiling pairwise.  All of it holds
-    for prefixes, so the inductive proof runs unchecked from (P[0], Q[0])
-    on: each next pair, tracked through the certificate so far and gated
-    (its rank at most 1 asserted, not proven), is made wild and glued on;
-    the 2-divisible points left over join through the rank-0 route.
+    With m = 0 the set is Q alone, and this is the rank-0 route:
+    construct_rank0(model, Q), gate included.  Otherwise the gate: P and
+    Q distinct, m <= n, P independent, Q 2-divisible, -1 a local square
+    throughout, Q smiling pairwise.  All of it holds for prefixes, so
+    the inductive proof runs unchecked from (P[0], Q[0]) on: each next
+    pair, tracked through the certificate so far and gated (its rank at
+    most 1 asserted, not proven), is made wild and glued on; the
+    2-divisible points left over join through the rank-0 route.
     """
     P, Q = tuple(P), tuple(Q)
+    if not P:
+        return construct_rank0(model, Q, degree_cap)
     _clean_places(P + Q)
     m, n = len(P), len(Q)
-    if m < 1:
-        raise HypothesisError("the construction needs at least one "
-                              "independent class")
     if m > n:
         raise HypothesisError(
             "%d independent classes need at least as many 2-divisible "

@@ -61,6 +61,7 @@ from .base_algebra import (
     poly_parse,
     poly_scalar,
     poly_str,
+    poly_strip,
     poly_sub,
     poly_to_int,
     rat_parse,
@@ -75,14 +76,7 @@ _KINDS = ("infinite", "split", "inert", "ramified")
 
 def _vp(g: Poly, p: Poly, F: Fq) -> int:
     """Exact power of p dividing g, with a huge sentinel when g = 0."""
-    if not g:
-        return 10 ** 9
-    v = 0
-    while True:
-        q, r = poly_divmod(g, p, F)
-        if r:
-            return v
-        g, v = q, v + 1
+    return poly_strip(g, p, F)[0] if g else 10 ** 9
 
 
 def _point_key(P: Point):
@@ -262,12 +256,7 @@ def _atom_char(atom, place: CurvePlace, model: "EllipticModel") -> int:
     if chi:
         return chi
     # the residue of the norm splits across the two branches
-    n = _pair_norm(a, b, model)
-    while True:
-        q, r = poly_divmod(n, p, F)
-        if r:
-            break
-        n = q
+    n = poly_strip(_pair_norm(a, b, model), p, F)[1]
     conj = poly_sub(a, poly_mul(b, place.branch, F), F)
     return poly_jacobi(n, p, F) * poly_jacobi(conj, p, F)
 
@@ -418,7 +407,7 @@ class EllipticModel(Model):
         self.infinity = CurvePlace(self, "infinite")
         self._above: Dict[Poly, Tuple[CurvePlace, ...]] = {}
         self._points: Optional[List[Point]] = None
-        self._doubles: Optional[frozenset] = None
+        self._halves_of: Optional[Dict[Point, Point]] = None
         self._classes: Dict[CurvePlace, Point] = {}
         self._pair_divisors: Dict[tuple, Tuple[Tuple[CurvePlace, int], ...]] = {}
         self._coset_bits: Optional[Dict[Point, int]] = None
@@ -581,11 +570,14 @@ class EllipticModel(Model):
             n >>= 1
         return R
 
-    def _doubles_set(self) -> frozenset:
-        if self._doubles is None:
-            self._doubles = frozenset(
-                self.add_points(P, P) for P in self.rational_points())
-        return self._doubles
+    def _halves(self) -> Dict[Point, Point]:
+        """{2H: the first such H in rational_points order}, over all doubles."""
+        if self._halves_of is None:
+            halves: Dict[Point, Point] = {}
+            for H in self.rational_points():
+                halves.setdefault(self.add_points(H, H), H)
+            self._halves_of = halves
+        return self._halves_of
 
     # -- divisor classes: Pic = Z (+) E(F_q)
 
@@ -651,7 +643,7 @@ class EllipticModel(Model):
         exactly the doubles.
         """
         if self._coset_bits is None:
-            bits = dict.fromkeys(self._doubles_set(), 0)
+            bits = dict.fromkeys(self._halves(), 0)
             new = 1
             for P in sorted(self.rational_points(), key=_point_key):
                 if P not in bits:
@@ -689,21 +681,19 @@ class EllipticModel(Model):
     def two_divisible(self, D: Divisor) -> bool:
         """Whether the class of D lies in 2 Pic."""
         deg, pt = self.pic_class(D)
-        return deg % 2 == 0 and pt in self._doubles_set()
+        return deg % 2 == 0 and pt in self._halves()
 
     def halve_in_pic(self, D: Divisor) -> Optional[Divisor]:
         """Some divisor E with 2E ~ D, or None when no class halves D."""
         deg, pt = self.pic_class(D)
-        if deg % 2:
+        halves = self._halves()
+        if deg % 2 or pt not in halves:
             return None
-        for H in self.rational_points():
-            if self.add_points(H, H) == pt:
-                k = deg // 2
-                if H is None:
-                    return Divisor({self.infinity: k})
-                return Divisor({self.place_of_rational_point(H): 1,
-                                self.infinity: k - 1})
-        return None
+        H, k = halves[pt], deg // 2
+        if H is None:
+            return Divisor({self.infinity: k})
+        return Divisor({self.place_of_rational_point(H): 1,
+                        self.infinity: k - 1})
 
     def punctured_pic_two_rank(self, S) -> int:
         """F_2-rank of Pic modulo the classes of S, without pic_mod2.

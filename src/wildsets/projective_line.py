@@ -51,7 +51,8 @@ class Place(ModelPlace):
     then in the same order the irreducible-enumeration produces them.
 
     ``Place(line, poly)`` normalizes the polynomial and proves it
-    irreducible with Rabin's test; text goes through the same check via
+    irreducible with ``poly_is_irreducible`` (the first block of the
+    distinct-degree stage); text goes through the same check via
     ``ProjectiveLine.parse_place``.  Inside the package, polynomials
     that are irreducible by construction -- enumerated irreducibles,
     factors from poly_factor, factors of a RationalFunction -- become

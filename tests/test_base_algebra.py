@@ -29,6 +29,7 @@ from wildsets.base_algebra import (
     poly_pow_mod,
     poly_scalar,
     poly_str,
+    poly_strip,
     poly_sub,
     poly_to_int,
     poly_xgcd,
@@ -319,6 +320,22 @@ def test_factor_with_multiplicity():
     lc, factors = poly_factor(f, F)
     assert lc == 1
     assert factors == [((0, 1), 2), ((1, 1), 1)]
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_strip_returns_the_exponent_and_the_cofactor(q):
+    F = GF(q)
+    rng = random.Random(5150 + q)
+    for d in (1, 2, 3):
+        for g in list(irreducibles_of_degree(F, d))[:4]:
+            for e in range(5):
+                h = poly_norm(_rand_poly(rng, F, rng.randrange(6)))
+                if not h or not poly_divmod(h, g, F)[1]:
+                    continue
+                f = h
+                for _ in range(e):
+                    f = poly_mul(f, g, F)
+                assert poly_strip(f, g, F) == (e, h)
 
 
 # -- residue fields -----------------------------------------------------------

@@ -229,8 +229,6 @@ CONSTRUCT_REFUSALS = [
      "error: the removed set must contain at least one place"),
     (["--q", "5", "--rank", "0", "--places", ""], 2,
      "error: the removed set must contain at least one place"),
-    (["--q", "5", "--rank", "general", "--places", "", "--aux", "t^2+2"], 3,
-     "refused: the construction needs at least one independent class"),
     (["--q", "5", "--rank", "1", "--places", "t, t^2+2, t"], 2,
      "error: the removed set has repeated places"),
     (["--q", "5", "--rank", "0", "--places", "t^2+2, t^2+2"], 2,
@@ -285,12 +283,22 @@ CONSTRUCT_REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("args,code,line", CONSTRUCT_REFUSALS)
+@pytest.mark.parametrize("args,code,line", CONSTRUCT_REFUSALS,
+                         ids=[shlex.join(row[0]) for row in CONSTRUCT_REFUSALS])
 def test_construct_refusals_are_pinned(capsys, args, code, line):
     assert run(["construct"] + args) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert err == line + "\n"
+
+
+def test_rank_general_without_independent_places_is_the_rank0_route(tmp_path):
+    general, rank0 = tmp_path / "general.json", tmp_path / "rank0.json"
+    assert run(["construct", "--q", "5", "--rank", "general", "--places", "",
+                "--aux", "t^2+2", "--out", str(general)]) == 0
+    assert run(["construct", "--q", "5", "--rank", "0", "--places", "t^2+2",
+                "--out", str(rank0)]) == 0
+    assert general.read_bytes() == rank0.read_bytes()
 
 
 def test_tampered_certificate_fails_verification(tmp_path, capsys):

@@ -216,7 +216,7 @@ def test_running_example_group_table():
     assert group_invariants(model) == (2, 4)
     assert model.pic_zero_two_rank() == 2
     assert model.add_points((2, 1), (2, 1)) == (0, 0)
-    assert model._doubles_set() == {None, (0, 0)}
+    assert model._halves() == {None: None, (0, 0): (2, 1)}
 
 
 # -- places
@@ -592,6 +592,11 @@ def test_two_divisible_and_halving():
         if pt in doubles:
             assert half is not None
             assert model.is_principal(D - 2 * half)
+            # the half is the first point in rational_points order
+            first = next(H for H in model.rational_points()
+                         if model.add_points(H, H) == pt)
+            assert half.coeffs == {model.place_of_rational_point(first): 1,
+                                   model.infinity: -1}
         else:
             assert half is None
         # odd total degree is never 2-divisible

@@ -313,7 +313,7 @@ def curve_complement_rank_oracle(model, S):
     A class is a (degree parity, coset of doubles) pair, the coset named
     by its least point; the span of S is enumerated by closure.
     """
-    doubles = sorted(model._doubles_set(), key=_point_key)
+    doubles = sorted(model._halves(), key=_point_key)
 
     def rep(P):
         return min((model.add_points(P, d) for d in doubles), key=_point_key)
