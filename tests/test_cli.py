@@ -283,8 +283,17 @@ CONSTRUCT_REFUSALS = [
 ]
 
 
+def _argv_id(args):
+    """The argv of a refusal row as its test id: the options in reverse
+    order and the spaces dropped from each value, so that --aux and
+    --places, where the rows differ, open the id."""
+    pairs = list(zip(args[::2], args[1::2]))
+    return shlex.join(word.replace(" ", "")
+                      for pair in reversed(pairs) for word in pair)
+
+
 @pytest.mark.parametrize("args,code,line", CONSTRUCT_REFUSALS,
-                         ids=[shlex.join(row[0]) for row in CONSTRUCT_REFUSALS])
+                         ids=[_argv_id(row[0]) for row in CONSTRUCT_REFUSALS])
 def test_construct_refusals_are_pinned(capsys, args, code, line):
     assert run(["construct"] + args) == code
     out, err = capsys.readouterr()
