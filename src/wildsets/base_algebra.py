@@ -14,10 +14,12 @@ one of two regimes.  Over a prime field the codes are plain ints:
 products and differences accumulate unreduced and are reduced mod p
 once, when a coefficient is read as a pivot and at the end.  Over an
 extension field they are read from the field's tables, one row of the
-multiplication table per scalar.  Inverses come from a table of q
-entries built with the field: from the logarithm tables on extension
-fields, and by pairing a with a^(q-2) on prime fields, which build no
-table of q^2 entries.
+multiplication table per scalar.  Remainders come from one reduction
+loop, which writes a quotient only for poly_divmod; poly_mulmod hands
+it a product that is neither reduced nor normalized.  Inverses come
+from a table of q entries built with the field: from the logarithm
+tables on extension fields, and by pairing a with a^(q-2) on prime
+fields, which build no table of q^2 entries.
 
 Quadratic characters modulo a polynomial come from one kernel,
 ``poly_jacobi``: the Jacobi symbol of F_q[t], computed by a Euclid
@@ -53,6 +55,7 @@ __all__ = [
     "poly_scalar",
     "poly_divmod",
     "poly_mod",
+    "poly_mulmod",
     "poly_gcd",
     "poly_xgcd",
     "poly_pow_mod",
@@ -171,7 +174,7 @@ class Fq:
             out, power = [], (1,)
             while True:
                 out.append(poly_to_int(power, Fp))
-                power = poly_mod(poly_mul(power, g, Fp), self.modulus, Fp)
+                power = poly_mulmod(power, g, self.modulus, Fp)
                 if power == (1,):
                     break
             if len(out) == self.q - 1:
@@ -363,70 +366,100 @@ def poly_scalar(f: Poly, c: int, F: Fq) -> Poly:
     return poly_norm([row[a] for a in f])
 
 
-def poly_mul(f: Poly, g: Poly, F: Fq) -> Poly:
-    if not f or not g:
-        return ()
+def _product(f: Poly, g: Poly, F: Fq) -> List[int]:
+    """The coefficients of f * g for nonzero f and g, not normalized;
+    on prime fields plain unreduced integer sums of products."""
     out = [0] * (len(f) + len(g) - 1)
     if F.k == 1:
-        # accumulate plain products; reduce once at the end
         for i, a in enumerate(f):
             if a:
                 for j, b in enumerate(g, i):
                     out[j] += a * b
-        p = F.p
-        return poly_norm([c % p for c in out])
+        return out
     add, mul = F._add, F._mul
     for i, a in enumerate(f):
         if a:
             row = mul[a]
             for j, b in enumerate(g, i):
                 out[j] = add[out[j]][row[b]]
+    return out
+
+
+def poly_mul(f: Poly, g: Poly, F: Fq) -> Poly:
+    if not f or not g:
+        return ()
+    out = _product(f, g, F)
+    if F.k == 1:
+        p = F.p
+        return poly_norm([c % p for c in out])
     return poly_norm(out)
+
+
+def _reduce(r: List[int], g: Poly, F: Fq,
+            quotient: Optional[List[int]] = None) -> Poly:
+    """The remainder of r modulo a nonzero g; r is consumed.
+
+    On prime fields r may hold unreduced integers: a coefficient is
+    reduced when it becomes a pivot, and the remainder once at the end.
+    Given a list of len(r) - deg g zeros, the quotient is written into it.
+    """
+    dg = len(g) - 1
+    # monic divisors (irreducibles, residue-field moduli) need no inverse
+    inv_lc = 1 if g[-1] == 1 else F.inv(g[-1])
+    low = g[:-1]
+    if F.k == 1:
+        p = F.p
+        for i in range(len(r) - 1, dg - 1, -1):
+            c = r[i] % p
+            if c:
+                if inv_lc != 1:
+                    c = c * inv_lc % p
+                if quotient is not None:
+                    quotient[i - dg] = c
+                for j, b in enumerate(low, i - dg):
+                    r[j] -= c * b
+        return poly_norm([c % p for c in r[:dg]])
+    # extension fields: subtract c*g as c*(-g), one table row per pivot
+    add, mul, neg = F._add, F._mul, F._neg
+    low = [neg[b] for b in low]
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i]
+        if c:
+            if inv_lc != 1:
+                c = mul[c][inv_lc]
+            if quotient is not None:
+                quotient[i - dg] = c
+            row = mul[c]
+            for j, b in enumerate(low, i - dg):
+                r[j] = add[r[j]][row[b]]
+    return poly_norm(r[:dg])
 
 
 def poly_divmod(f: Poly, g: Poly, F: Fq) -> Tuple[Poly, Poly]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    dg = len(g) - 1
-    # monic divisors (irreducibles, residue-field moduli) need no inverse
-    inv_lc = 1 if g[-1] == 1 else F.inv(g[-1])
-    if len(f) <= dg:
+    if len(f) < len(g):
         return (), poly_norm(f)
-    r = list(f)
-    q = [0] * (len(f) - dg)
-    low = g[:-1]
-    if F.k == 1:
-        # r holds unreduced integers; a coefficient is reduced when it
-        # becomes a pivot, and the remainder once at the end
-        p = F.p
-        for i in range(len(f) - 1, dg - 1, -1):
-            c = r[i] % p
-            if c == 0:
-                continue
-            if inv_lc != 1:
-                c = c * inv_lc % p
-            q[i - dg] = c
-            for j, b in enumerate(low, i - dg):
-                r[j] -= c * b
-        return poly_norm(q), poly_norm([c % p for c in r[:dg]])
-    # extension fields: subtract c*g as c*(-g), one table row per pivot
-    add, mul, neg = F._add, F._mul, F._neg
-    low = [neg[b] for b in low]
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = r[i]
-        if c == 0:
-            continue
-        if inv_lc != 1:
-            c = mul[c][inv_lc]
-        q[i - dg] = c
-        row = mul[c]
-        for j, b in enumerate(low, i - dg):
-            r[j] = add[r[j]][row[b]]
-    return poly_norm(q), poly_norm(r[:dg])
+    q = [0] * (len(f) - len(g) + 1)
+    r = _reduce(list(f), g, F, q)
+    return poly_norm(q), r
 
 
 def poly_mod(f: Poly, g: Poly, F: Fq) -> Poly:
-    return poly_divmod(f, g, F)[1]
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(f) < len(g):
+        return poly_norm(f)
+    return _reduce(list(f), g, F)
+
+
+def poly_mulmod(f: Poly, g: Poly, m: Poly, F: Fq) -> Poly:
+    """f * g mod m, the product reduced before it is normalized."""
+    if not m:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not f or not g:
+        return ()
+    return _reduce(_product(f, g, F), m, F)
 
 
 def poly_monic(f: Poly, F: Fq) -> Poly:
@@ -460,23 +493,46 @@ def poly_xgcd(f: Poly, g: Poly, F: Fq) -> Tuple[Poly, Poly, Poly]:
 
 
 def poly_pow_mod(f: Poly, e: int, m: Poly, F: Fq) -> Poly:
-    r, b = (1,), poly_mod(f, m, F)
-    while e:
-        if e & 1:
-            r = poly_mod(poly_mul(r, b, F), m, F)
-        b = poly_mod(poly_mul(b, b, F), m, F)
-        e >>= 1
+    """f^e mod m for e >= 0, by left-to-right square-and-multiply."""
+    if e < 0:
+        raise ValueError("poly_pow_mod needs an exponent >= 0, got %d" % e)
+    if e == 0:
+        return (1,)
+    b = poly_mod(f, m, F)
+    r = b
+    for bit in bin(e)[3:]:
+        r = poly_mulmod(r, r, m, F)
+        if bit == "1":
+            r = poly_mulmod(r, b, m, F)
     return r
 
 
 def poly_strip(f: Poly, g: Poly, F: Fq) -> Tuple[int, Poly]:
-    """(e, f / g^e) for the largest e with g^e dividing f; f != 0, deg g >= 1."""
-    e = 0
-    while True:
-        q, r = poly_divmod(f, g, F)
+    """(e, f / g^e) for the largest e with g^e dividing f; f != 0, deg g >= 1.
+
+    After the first division by g, it divides by g^e while that is
+    exact, doubling e, then by the lower powers g^(e/2), ..., g where
+    each still divides: e is read off in binary in about 2 log2(e)
+    divisions, and a factor of multiplicity one costs two.
+    """
+    q, r = poly_divmod(f, g, F)
+    if r:
+        return 0, f
+    f, e = q, 1
+    powers = [g]  # g, g^2, g^4, ..., g^e
+    while len(powers[-1]) <= len(f):
+        q, r = poly_divmod(f, powers[-1], F)
         if r:
-            return e, f
-        f, e = q, e + 1
+            break
+        f, e = q, 2 * e
+        powers.append(poly_mul(powers[-1], powers[-1], F))
+    k = e
+    for h in reversed(powers[:-1]):  # g^e does not divide f here
+        k //= 2
+        q, r = poly_divmod(f, h, F)
+        if not r:
+            f, e = q, e + k
+    return e, f
 
 
 def poly_eval(f: Poly, x: int, F: Fq) -> int:
@@ -519,7 +575,10 @@ def poly_to_int(f: Poly, F: Fq) -> int:
 # Factorization is squarefree, distinct-degree, equal-degree.  A single
 # polynomial (a parsed place, a factor) is tested by the first block of
 # the distinct-degree stage (Ben-Or's test); a whole degree is enumerated
-# by a sieve over the codes, which runs no such test.
+# by a sieve over the codes, which runs no such test.  The distinct-degree
+# stage raises x to the q-th power once; every later x^(q^d) is one
+# product with the Frobenius rows x^(iq) mod f (von zur Gathen and Shoup,
+# 1992), so a step costs about deg(f)^2 coefficient products whatever q.
 
 
 def poly_is_irreducible(f: Poly, F: Fq) -> bool:
@@ -571,22 +630,61 @@ def _squarefree_part(f: Poly, F: Fq) -> Poly:
     while True:
         fp = poly_deriv(f, F)
         if fp:
-            return poly_divmod(f, poly_gcd(f, fp, F), F)[0]
+            g = poly_gcd(f, fp, F)
+            return f if g == (1,) else poly_divmod(f, g, F)[0]
         f = _pth_root(f, F)
+
+
+def _frobenius_rows(h: Poly, f: Poly, F: Fq) -> List[Poly]:
+    # the rows x^(iq) mod f, i < deg f, from h = x^q mod f
+    rows = [(1,), h]
+    for _ in range(poly_deg(f) - 2):
+        rows.append(poly_mulmod(h, rows[-1], f, F))
+    return rows
+
+
+def _frobenius(h: Poly, rows: List[Poly], F: Fq) -> Poly:
+    # h^q mod f = h(x^q) mod f = sum of h_i * x^(iq) mod f, as h_i^q = h_i
+    out = [0] * len(rows)
+    if F.k == 1:
+        for c, row in zip(h, rows):
+            if c:
+                for j, b in enumerate(row):
+                    out[j] += c * b
+        p = F.p
+        return poly_norm([c % p for c in out])
+    add, mul = F._add, F._mul
+    for c, row in zip(h, rows):
+        if c:
+            m = mul[c]
+            for j, b in enumerate(row):
+                out[j] = add[out[j]][m[b]]
+    return poly_norm(out)
 
 
 def _ddf(f: Poly, F: Fq) -> Iterator[Tuple[Poly, int]]:
     # distinct-degree: yields (product of the factors of degree d, d) by
     # increasing d, f squarefree monic; for any monic f of degree >= 1 the
-    # first block holds the distinct factors of its least degree
+    # first block holds the distinct factors of its least degree.  h is
+    # x^(q^d) mod f: one power for d = 1, then each step applies the
+    # Frobenius map through the rows x^(iq) mod f, built at d = 2 and
+    # reduced mod f when a block divides out.
     h = (0, 1)
+    rows: List[Poly] = []
     d = 0
     while poly_deg(f) > 0:
         d += 1
         if 2 * d > poly_deg(f):
             yield f, poly_deg(f)
             return
-        h = poly_pow_mod(h, F.q, f, F)
+        if d == 1:
+            h = poly_pow_mod(h, F.q, f, F)
+        else:
+            if not rows:
+                rows = _frobenius_rows(h, f, F)
+            elif len(rows) > poly_deg(f):
+                rows = [poly_mod(r, f, F) for r in rows[:poly_deg(f)]]
+            h = _frobenius(h, rows, F)
         g = poly_gcd(poly_sub(h, (0, 1), F), f, F)
         if poly_deg(g) > 0:
             yield g, d
@@ -1017,7 +1115,7 @@ class ResidueField:
         return poly_neg(a, self.F)
 
     def mul(self, a: Poly, b: Poly) -> Poly:
-        return self.reduce(poly_mul(a, b, self.F))
+        return poly_mulmod(a, b, self.modulus, self.F)
 
     def inv(self, a: Poly) -> Poly:
         if not a:

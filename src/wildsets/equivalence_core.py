@@ -817,10 +817,21 @@ def certificate_from_json(text: str) -> WildSetCertificate:
             raise ValueError("unknown backend %r" % (backend,))
         model = _BACKENDS[backend].from_header(field, data)
         # S, T, the local maps and the claimed wild set repeat the same
-        # place strings, and the functions the same atoms; a parse that
-        # raises is not cached, and both memos die with this call
-        parse_place = functools.lru_cache(maxsize=None)(model.parse_place)
-        parse = functools.partial(model.parse, atoms={})
+        # place strings, and the functions the same atoms, mostly the
+        # places' own polynomials: each finite place enters its base in
+        # the atom memo as checked, since parsing the place proved it
+        # monic irreducible.  A parse that raises is not cached, and both
+        # memos die with this call.
+        atoms: Dict = {}
+
+        @functools.lru_cache(maxsize=None)
+        def parse_place(s: str):
+            P = model.parse_place(s)
+            if not P.is_infinite:
+                atoms[P.base] = True
+            return P
+
+        parse = functools.partial(model.parse, atoms=atoms)
         places = [parse_place(s) for s in _strings(data, "S")]
         images = [parse_place(s) for s in _strings(data, "T")]
         basis = [parse(s) for s in _strings(data, "quotient_basis")]

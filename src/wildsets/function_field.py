@@ -311,9 +311,11 @@ class ModelPlace:
     """What every place shares: field, identity, order and printing.
 
     A backend's place sets ``model`` and gives ``degree``, ``is_infinite``,
-    ``sort_key``, ``__str__`` and ``_identity``, the tuple of its model's
-    key and its data that it compares and hashes by.  A place is never
-    changed once built, so its hash is computed on first use and kept.
+    ``base`` (the monic irreducible of F_q[t] under a finite place, None
+    at infinity), ``sort_key``, ``__str__`` and ``_identity``, the tuple
+    of its model's key and its data that it compares and hashes by.  A
+    place is never changed once built, so its hash is computed on first
+    use and kept.
     """
 
     __slots__ = ("_hash",)

@@ -85,6 +85,10 @@ class Place(ModelPlace):
         return self.poly is None
 
     @property
+    def base(self) -> Optional[Poly]:
+        return self.poly
+
+    @property
     def degree(self) -> int:
         return 1 if self.poly is None else poly_deg(self.poly)
 

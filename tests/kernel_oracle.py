@@ -4,14 +4,20 @@ The package's polynomial helpers work on plain ints over prime fields
 and on table rows over extension fields, and Fq.inv reads a table.  This
 module keeps the route they replaced: every coefficient operation is a
 call of an Fq method, and an inverse is the power a^(q-2) by
-square-and-multiply.  `install` swaps these functions into
-`wildsets.base_algebra`, so that the higher helpers built on them
-(gcd, xgcd, pow_mod, factor, jacobi) can be run on the old kernel too.
+square-and-multiply.  Above the coefficient loops it keeps the plain
+forms of the modular helpers: a remainder read off a division that
+builds the quotient too, a product reduced only after it is formed, a
+power that starts from 1 and squares once past its top bit, a
+distinct-degree stage that raises to the q-th power at every degree,
+and a strip that divides out one power at a time.  `install` swaps
+these functions into `wildsets.base_algebra`, so that the higher
+helpers built on them (gcd, xgcd, factor, jacobi, irreducibility,
+residue fields) can be run on the old route too.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from wildsets import base_algebra
 from wildsets.base_algebra import Fq, Poly, poly_deg
@@ -106,8 +112,55 @@ def poly_eval(f: Poly, x: int, F: Fq) -> int:
     return r
 
 
+def poly_mod(f: Poly, g: Poly, F: Fq) -> Poly:
+    return poly_divmod(f, g, F)[1]
+
+
+def poly_mulmod(f: Poly, g: Poly, m: Poly, F: Fq) -> Poly:
+    return poly_mod(poly_mul(f, g, F), m, F)
+
+
+def poly_pow_mod(f: Poly, e: int, m: Poly, F: Fq) -> Poly:
+    # never returns for e < 0, since -1 >> 1 is -1
+    r, b = (1,), poly_mod(f, m, F)
+    while e:
+        if e & 1:
+            r = poly_mod(poly_mul(r, b, F), m, F)
+        b = poly_mod(poly_mul(b, b, F), m, F)
+        e >>= 1
+    return r
+
+
+def poly_strip(f: Poly, g: Poly, F: Fq) -> Tuple[int, Poly]:
+    """(e, f / g^e) for the largest e with g^e dividing f; f != 0, deg g >= 1."""
+    e = 0
+    while True:
+        q, r = poly_divmod(f, g, F)
+        if r:
+            return e, f
+        f, e = q, e + 1
+
+
+def _ddf(f: Poly, F: Fq) -> Iterator[Tuple[Poly, int]]:
+    # distinct-degree, x^(q^d) mod f as a fresh q-th power at every d
+    h = (0, 1)
+    d = 0
+    while poly_deg(f) > 0:
+        d += 1
+        if 2 * d > poly_deg(f):
+            yield f, poly_deg(f)
+            return
+        h = poly_pow_mod(h, F.q, f, F)
+        g = base_algebra.poly_gcd(poly_sub(h, (0, 1), F), f, F)
+        if poly_deg(g) > 0:
+            yield g, d
+            f = poly_divmod(f, g, F)[0]
+            h = poly_mod(h, f, F)
+
+
 KERNEL = ("poly_norm", "poly_add", "poly_neg", "poly_sub", "poly_scalar",
-          "poly_mul", "poly_divmod", "poly_eval")
+          "poly_mul", "poly_divmod", "poly_eval", "poly_mod", "poly_mulmod",
+          "poly_pow_mod", "poly_strip", "_ddf")
 
 
 def install(monkeypatch) -> None:

@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 import wildsets
-from wildsets.base_algebra import GF, poly_parse
+from wildsets.base_algebra import GF, poly_is_irreducible, poly_parse
 from wildsets.elliptic_curve import CurvePlace, EllipticModel
 from wildsets.function_field import Model, ModelPlace
 from wildsets.projective_line import Place, ProjectiveLine
@@ -49,6 +49,17 @@ def test_every_contract_name_exists_on_both_backends(model):
         assert hasattr(model, name), (model.backend, name)
     for name in METHODS:
         assert callable(getattr(type(model), name)), (model.backend, name)
+
+
+@pytest.mark.parametrize("model", models(), ids=lambda m: m.backend)
+def test_every_place_names_the_irreducible_under_it(model):
+    assert model.infinity.base is None
+    for d in (1, 2):
+        for P in model.places_of_degree(d):
+            if not P.is_infinite:
+                assert P.base[-1] == 1
+                assert poly_is_irreducible(P.base, model.field)
+                assert model.parse_place(str(P)).base == P.base
 
 
 def test_plumbing_lives_in_the_bases_only():

@@ -234,6 +234,13 @@ def test_pow_mod_fermat():
     assert poly_pow_mod((0, 1), 25, f, F) == (0, 1)
 
 
+def test_pow_mod_refuses_a_negative_exponent():
+    F = GF(5)
+    for e in (-1, -2, -25):
+        with pytest.raises(ValueError, match="exponent"):
+            poly_pow_mod((0, 1), e, poly_parse("t^2 + 2", F), F)
+
+
 # -- irreducibles: necklace-count oracle -------------------------------------
 
 
@@ -336,6 +343,19 @@ def test_strip_returns_the_exponent_and_the_cofactor(q):
                 for _ in range(e):
                     f = poly_mul(f, g, F)
                 assert poly_strip(f, g, F) == (e, h)
+
+
+@pytest.mark.parametrize("e", [500, 1023, 1024, 4000])
+def test_factor_reads_a_large_multiplicity(e):
+    F = GF(5)
+    for g in ((0, 1), (1, 1), poly_parse("t^2 + 2", F)):
+        f = (1,)
+        for bit in bin(e)[2:]:
+            f = poly_mul(f, f, F)
+            if bit == "1":
+                f = poly_mul(f, g, F)
+        assert poly_factor(poly_scalar(f, 3, F), F) == (3, [(g, e)])
+        assert poly_strip(poly_mul(f, (1, 1, 1), F), g, F) == (e, (1, 1, 1))
 
 
 # -- residue fields -----------------------------------------------------------

@@ -14,7 +14,8 @@ from typing import Dict, Tuple
 
 import pytest
 
-from wildsets import cli, constructions, equivalence_core
+from wildsets import (cli, constructions, elliptic_curve, equivalence_core,
+                      projective_line)
 from wildsets.base_algebra import GF, poly_parse
 from wildsets.constructions import (
     construct_general,
@@ -447,6 +448,31 @@ def test_json_round_trip_on_a_curve():
     back = certificate_from_json(text)
     assert back.wild_set == cert.wild_set == ()
     assert [str(P) for P in back.equivalence.places] == list(data["S"])
+
+
+@pytest.mark.parametrize("backend", ["line", "curve"])
+def test_reading_a_certificate_tests_each_polynomial_once(backend, monkeypatch):
+    """A polynomial that is both a place and an atom of a function is
+    tested for irreducibility once, when the place is parsed."""
+    if backend == "line":
+        L = line(5)
+        text = certificate_to_json(compose(wild_pair(L, 0, 4), wild_pair(L, 3, 2)))
+    else:
+        model = EllipticModel(GF(5), poly_parse("t^3 + 4t", GF(5)))
+        text = certificate_to_json(identity_certificate(
+            model, ["(t; ramified)", "(t + 1; ramified)", "(t + 3; split; 1)"]))
+    tested = []
+    test = projective_line.poly_is_irreducible
+
+    def counted(f, F):
+        tested.append(f)
+        return test(f, F)
+
+    for module in (projective_line, elliptic_curve):
+        monkeypatch.setattr(module, "poly_is_irreducible", counted)
+    certificate_from_json(text)
+    assert tested
+    assert len(tested) == len(set(tested))
 
 
 def test_tampered_wild_claims_are_caught():

@@ -2,8 +2,10 @@
 
 Each case draws seeded polynomials over prime and extension fields,
 small and large, and requires the kernel and the oracle to give equal
-tuples; then the helpers built on the kernel are run twice, once on
-each, and must agree too.
+tuples; the modular helpers (remainder, fused multiply-reduce, power,
+distinct-degree stage, strip) are held to their plain forms the same
+way; then the helpers built on the kernel are run twice, once on each,
+and must agree too.
 """
 
 from __future__ import annotations
@@ -12,20 +14,27 @@ import random
 
 import pytest
 
+from wildsets import base_algebra
 from wildsets.base_algebra import (
     GF,
+    ResidueField,
+    irreducibles_of_degree,
     poly_add,
     poly_divmod,
     poly_eval,
     poly_factor,
     poly_gcd,
+    poly_is_irreducible,
     poly_jacobi,
+    poly_mod,
     poly_monic,
     poly_mul,
+    poly_mulmod,
     poly_neg,
     poly_norm,
     poly_pow_mod,
     poly_scalar,
+    poly_strip,
     poly_sub,
     poly_xgcd,
 )
@@ -86,10 +95,109 @@ def test_kernel_matches_the_method_call_oracle(q):
         F.inv(0)
 
 
+def repeated_product(rng, q, degree):
+    """A monic product of random monic factors of total degree up to
+    degree, some of them repeated."""
+    F = GF(q)
+    out, parts = (1,), []
+    while True:
+        if parts and rng.random() < 0.4:
+            g = rng.choice(parts)
+        else:
+            g = random_poly(rng, q, rng.randrange(1, 6), monic=True)
+        if len(out) + len(g) - 2 > degree:
+            return out
+        parts.append(g)
+        out = poly_mul(out, g, F)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_modular_helpers_match_their_plain_forms(q):
+    """Remainders, fused products and powers modulo m of degree 0 to 40,
+    monic or not, against a division that builds the quotient, a product
+    reduced after it is formed, and a power that starts from 1."""
+    F = GF(q)
+    o = kernel_oracle
+    rng = random.Random("modular %d" % q)
+    for dm in (0, 1, 2, 3, 5, 8, 13, 21, 40):
+        m = random_poly(rng, q, dm, monic=rng.random() < 0.3)
+        for df in (-1, 0, dm - 1, dm, 2 * dm + 1, 40):
+            f = random_poly(rng, q, df)
+            g = random_poly(rng, q, rng.randrange(-1, 41))
+            assert poly_mod(f, m, F) == o.poly_mod(f, m, F)
+            assert poly_mulmod(f, g, m, F) == o.poly_mulmod(f, g, m, F)
+        f = random_poly(rng, q, rng.randrange(0, 41))
+        for e in (0, 1, 2, q, q * q - 1):
+            assert poly_pow_mod(f, e, m, F) == o.poly_pow_mod(f, e, m, F)
+    with pytest.raises(ZeroDivisionError):
+        poly_mod((1, 1), (), F)
+    with pytest.raises(ZeroDivisionError):
+        poly_mulmod((1, 1), (1,), (), F)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_distinct_degree_stage_matches_per_step_powering(q):
+    """The Frobenius rows give the blocks a fresh q-th power per degree
+    gives, on random monic inputs and on products with repeated factors."""
+    F = GF(q)
+    rng = random.Random("ddf %d" % q)
+    inputs = [random_poly(rng, q, d, monic=True) for d in (1, 4, 7, 12, 40)]
+    inputs += [repeated_product(rng, q, d) for d in (8, 16, 24)]
+    for f in inputs:
+        assert (list(base_algebra._ddf(f, F))
+                == list(kernel_oracle._ddf(f, F)))
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_strip_matches_the_one_power_oracle(q):
+    F = GF(q)
+    rng = random.Random("strip %d" % q)
+    for _ in range(12):
+        g = random_poly(rng, q, rng.randrange(1, 4), monic=rng.random() < 0.5)
+        f = random_poly(rng, q, rng.randrange(0, 6))
+        for _ in range(rng.choice([0, 1, 2, 3, 5, 8, 13])):
+            f = poly_mul(f, g, F)
+        assert poly_strip(f, g, F) == kernel_oracle.poly_strip(f, g, F)
+
+
+def test_a_distinct_degree_stage_raises_to_the_q_th_power_once(monkeypatch):
+    """x^q mod f is the one power; each later step is a Frobenius step,
+    in a factorization and in Ben-Or's test alike."""
+    F = GF(3)
+    powers = []
+    power = base_algebra.poly_pow_mod
+
+    def counted(f, e, m, F):
+        powers.append(e)
+        return power(f, e, m, F)
+
+    monkeypatch.setattr(base_algebra, "poly_pow_mod", counted)
+    f = (1,)
+    for d in (1, 2, 3, 4, 5):
+        f = poly_mul(f, next(irreducibles_of_degree(F, d)), F)
+    assert [d for _, d in base_algebra._ddf(f, F)] == [1, 2, 3, 4, 5]
+    assert powers == [F.q]
+    del powers[:]
+    assert poly_is_irreducible(next(irreducibles_of_degree(F, 7)), F)
+    assert powers == [F.q]
+
+
 def helper_outputs(q, rng):
-    """gcd, xgcd, pow_mod, factor and jacobi on seeded inputs over F_q."""
+    """gcd, xgcd, pow_mod, factor, jacobi, irreducibility and residue
+    field products and powers on seeded inputs over F_q."""
     F = GF(q)
     out = []
+    for d in (2, 8, 20):
+        f = repeated_product(rng, q, d)
+        out.append(poly_factor(poly_scalar(f, rng.randrange(1, q), F), F))
+        out.append(poly_is_irreducible(f, F))
+        m = random_poly(rng, q, d, monic=False)
+        for e in (0, 1, 2, q, q * q - 1):
+            out.append(poly_pow_mod(f, e, m, F))
+        rf = ResidueField(F, random_poly(rng, q, d, monic=True))
+        a, b = (random_poly(rng, q, d - 1) for _ in range(2))
+        out.append(rf.mul(a, b))
+        out.append(rf.frobenius(a))
     for _ in range(10):
         f = random_poly(rng, q, rng.randrange(1, 7))
         g = random_poly(rng, q, rng.randrange(0, 5))
