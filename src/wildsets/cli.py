@@ -10,8 +10,10 @@ hypothesis of the chosen route); 4 undecided (a bounded search ran out
 or found nothing in its space).
 
 The argument parser is built once per process and reused by every call
-of run.  The environment is not: each run reads WILDSETS_DEGREE_CAP
-afresh, and a --degree-cap flag, when given, wins over it.
+of run.  Each subcommand accepts only the options it reads.  The
+environment is read by `construct` alone: each run reads
+WILDSETS_DEGREE_CAP afresh, and a --degree-cap flag, when given, wins
+over it (a malformed variable is unusable input all the same).
 
 Places and elements are written as polynomials in t (reduced mod p),
 `inf` for the infinite place, and `(base; kind; branch)` for places of
@@ -67,18 +69,10 @@ __all__ = ["MAX_FIELD_SIZE", "run", "main"]
 DEGREE_CAP_VAR = "WILDSETS_DEGREE_CAP"
 
 
-def _field(args):
-    """Check --q and the degree cap of a field command; return GF(q)."""
+def _model(args):
     if args.q is None:
         raise ValueError("--q is required for this command")
     field = checked_field(args.q)
-    if args.degree_cap < 1:
-        raise ValueError("the degree cap must be positive")
-    return field
-
-
-def _model(args):
-    field = _field(args)
     if args.curve is None:
         return ProjectiveLine(field)
     return EllipticModel(field, poly_parse(args.curve, field))
@@ -158,18 +152,30 @@ def _cmd_smile(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    text = os.environ.get(DEGREE_CAP_VAR, str(DEGREE_CAP))
+    try:
+        cap = int(text)
+    except ValueError:
+        raise ValueError("%s must be an integer, got %r"
+                         % (DEGREE_CAP_VAR, text)) from None
     model = _model(args)
+    if args.degree_cap is not None:
+        cap = args.degree_cap
+    if cap < 1:
+        raise ValueError("the degree cap must be positive")
+    if args.aux is not None and args.rank != "general":
+        raise ValueError("--aux is read only by --rank general")
     S = _places(model, args.places)
     if args.rank == "0":
-        cert = construct_rank0(model, S, args.degree_cap)
+        cert = construct_rank0(model, S, cap)
     elif args.rank == "1":
-        cert = construct_rank1(model, S, args.degree_cap)
+        cert = construct_rank1(model, S, cap)
     else:
         aux = _places(model, args.aux or "")
         if not aux:
             raise ValueError(
                 "--rank general needs the 2-divisible points in --aux")
-        cert = construct_general(model, S, aux, args.degree_cap)
+        cert = construct_general(model, S, aux, cap)
     blob = certificate_to_json(cert)
     if args.out:
         with open(args.out, "w") as handle:
@@ -301,9 +307,6 @@ def _selftest(seed: int) -> List[str]:
 
 
 def _cmd_selftest(args) -> int:
-    if args.q is None:
-        args.q = 5
-    _field(args)
     failures = _selftest(args.seed)
     payload = {"failures": failures, "passes": not failures}
     if failures:
@@ -314,15 +317,6 @@ def _cmd_selftest(args) -> int:
 
 
 # -- argument plumbing
-
-def _env_degree_cap() -> int:
-    text = os.environ.get(DEGREE_CAP_VAR, str(DEGREE_CAP))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError("%s must be an integer, got %r"
-                         % (DEGREE_CAP_VAR, text)) from None
-
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
@@ -340,11 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--curve", default=None,
                            help="cubic f(t) for the model y^2 = f(t); "
                                 "omit for the projective line")
-            # when absent, the cap run read from the environment stays
-            p.add_argument("--degree-cap", type=int,
-                           default=argparse.SUPPRESS,
-                           help="search budget for auxiliary places "
-                                "(env %s)" % DEGREE_CAP_VAR)
 
     p = sub.add_parser("hilbert", help="one local Hilbert symbol")
     common(p)
@@ -379,6 +368,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aux", default=None,
                    help="rank general only: the 2-divisible points")
     p.add_argument("--out", default=None, help="file for the certificate")
+    p.add_argument("--degree-cap", type=int, default=None,
+                   help="search budget for auxiliary places "
+                        "(env %s)" % DEGREE_CAP_VAR)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("verify", help="re-check a certificate file")
@@ -392,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_wild)
 
     p = sub.add_parser("selftest", help="run the embedded invariant checks")
-    common(p)
+    common(p, with_field=False)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the random reciprocity battery")
     p.set_defaults(fn=_cmd_selftest)
@@ -403,8 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Parse argv, dispatch, and map errors to documented exit codes."""
     try:
-        env = argparse.Namespace(degree_cap=_env_degree_cap())
-        args = _build_parser().parse_args(argv, env)
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except (HypothesisError, VerificationError) as exc:
         print("refused: %s" % exc, file=sys.stderr)

@@ -189,11 +189,12 @@ def _aux_point_and_witness(model, S, mu, degree_cap: int):
     square at the first point and congruent to mu at the second.
     """
     goal = local_square_class(mu, S[1])
+    corrections = _global_even_elements(model)
     for P in _places_by_degree(model, degree_cap):
         if P in S or model.pic_mod2(P) != 0:
             continue
         base = _even_class_witness(model, _single(P))
-        for sigma in _global_even_elements(model):
+        for sigma in corrections:
             nu = base * sigma
             if local_square_class(nu, S[0]) == ONE and \
                     local_square_class(nu, S[1]) == goal:

@@ -583,9 +583,8 @@ class EllipticModel(Model):
 
     def pic_zero_two_rank(self) -> int:
         """F_2-dimension of the 2-torsion of the degree-zero class group."""
-        roots = sum(1 for x in self.field.elements()
-                    if poly_eval(self.f, x, self.field) == 0)
-        return {1: 0, 2: 1, 4: 2}[1 + roots]
+        points = self.rational_points()[1:]
+        return {0: 0, 1: 1, 3: 2}[sum(y == 0 for _, y in points)]
 
     def two_torsion_witnesses(self) -> List["CurveFunction"]:
         """Functions whose divisors are twice an independent 2-torsion class.
@@ -593,12 +592,11 @@ class EllipticModel(Model):
         Each root x0 of f gives the vertical line t - x0 with divisor
         2(x0, 0) - 2*infinity, so its class halves to the 2-torsion point
         (x0, 0).  With full 2-torsion the three verticals multiply to
-        f = y^2 times a constant, so only the first two are kept.
+        f = y^2 times a constant, so only the first two are kept.  The
+        roots are read off the rational points, in increasing order.
         """
-        roots = sorted(x for x in self.field.elements()
-                       if poly_eval(self.f, x, self.field) == 0)
-        return [self.from_poly((self.field.neg(x), 1))
-                for x in roots[:self.pic_zero_two_rank()]]
+        roots = [x for x, y in self.rational_points()[1:] if y == 0]
+        return [self.from_poly((self.field.neg(x), 1)) for x in roots[:2]]
 
     def pic_class_of_place(self, place: CurvePlace) -> Point:
         """The class of place - deg(place)*infinity, as a rational point.

@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .base_algebra import checked_field
 from .elliptic_curve import EllipticModel
@@ -69,6 +69,7 @@ from .square_class_spaces import (
     _pack,
     _product,
     _reduce,
+    _sing_relations,
     _xor_insert,
     delta_space,
     g_rank,
@@ -212,22 +213,20 @@ class WildSetCertificate:
 def quotient_basis(model, S) -> Tuple:
     """Even-order classes spanning them modulo the locally trivial ones.
 
-    Greedy over the generators of the enclosing space: keep each one
-    whose local data at the removed places is not already spanned.  The
-    quotient has one dimension per removed place, so the result always
-    has exactly len(S) elements.
+    The generators of the enclosing space whose local data at the
+    removed places is not spanned by that of the generators before
+    them: those whose index is the top bit of no relation among the
+    local data.  The quotient has one dimension per removed place, so
+    the result always has exactly len(S) elements.
     """
-    S = _clean_places(S)
-    space = sing_space(model, S)
-    seen: Dict[int, int] = {}
-    out = []
-    for g in space.generators:
-        if _xor_insert(seen, _pack(local_square_class(g, P) for P in S)):
-            out.append(g)
-    if len(out) != len(S):
+    space, relations = _sing_relations(model, S)
+    closed = {r.bit_length() - 1 for r in relations}
+    out = tuple(g for i, g in enumerate(space.generators) if i not in closed)
+    if len(out) != len(space.removed):
         raise VerificationError(
-            "quotient of rank %d over %d removed places" % (len(out), len(S)))
-    return tuple(out)
+            "quotient of rank %d over %d removed places"
+            % (len(out), len(space.removed)))
+    return out
 
 
 # -- verification
@@ -712,7 +711,6 @@ def extend_pre_equivalence(pe: PreEquivalence, degree_cap: int = DEGREE_CAP
 
     src_delta = delta_space(model, pe.places)
     dst_delta = delta_space(model, pe.images)
-    assert src_delta.rank == dst_delta.rank
     if src_delta.rank == 0:
         return SmallEquivalence(model, pe.places, pe.images, pe.quotient_basis,
                                 pe.quotient_images, pe.local_maps)

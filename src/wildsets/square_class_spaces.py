@@ -28,14 +28,16 @@ of the tests.
 
 Independence of square classes is established by their local data
 (order parity and residue character) at a finite separating set of
-places, with an exact fallback through is_square when the local
-fingerprints alone are inconclusive.  The fingerprint starts with the
-order parities, read off the generators' divisors, and then adds
+places, with an exact fallback through is_square when the local data
+alone is inconclusive.  Only a product whose local data vanishes can be
+a square, so the test keeps a basis of the relations among the
+generators' local data: it starts from the relations among the order
+parities, read off the generators' divisors, and cuts them by the
 residue characters one place at a time -- removed places first, then
 the supports of the generators, then the places of degree one and two.
-It stops at the first prefix that separates the generators: more local
-data can only raise the rank, so the verdict is the one the full
-fingerprint would give.
+It stops as soon as no relation is left, and walks the span of what is
+left when the places run out.  The local data of sing_space(S) at S is
+eliminated once, for delta_space and the quotient basis alike.
 """
 
 from __future__ import annotations
@@ -130,17 +132,6 @@ def _clean_places(S) -> List:
     return places
 
 
-def _dependency_masks(model, S: Sequence) -> List[int]:
-    """A basis of the subsets of S whose class sum is divisible by 2.
-
-    These are the F_2 linear relations among the classes of the places
-    of S in the class group modulo doubles, read off as the kernel of
-    their pic_mod2 coordinates: for each place that closes a relation,
-    the least subset that it closes.
-    """
-    return _kernel_basis([model.pic_mod2(P) for P in S])
-
-
 def _global_even_generators(model) -> List:
     """Classes of even order at every place, independent modulo squares.
 
@@ -200,31 +191,37 @@ def _separating_places(model, divisors, removed) -> Iterator:
 def _independent_modulo_squares(model, gens, divisors, places) -> bool:
     """Whether no nonempty product of the functions is a global square.
 
-    Local data decides most cases.  The order parities come first: they
-    vanish off the supports of the divisors, so all of them are read
-    there for free.  Residue characters follow one place at a time, and
-    as soon as the local data seen so far has full rank the functions
-    are independent -- more data can only raise the rank.  When the
-    places run out first, the answer comes from the exact square test
-    on the subset products whose local data cancels: the span of the
-    relations among the fingerprints.
+    One basis of the relations among the local data is kept (bit i
+    selects gens[i]), starting from the kernel of the order parities,
+    which vanish off the supports of the divisors.  Each place cuts it
+    by the residue characters of the generators a relation still
+    selects: one relation on which they do not cancel is added to the
+    others on which they do not, and dropped.  With no relation left the
+    functions are independent, and no further place is drawn; when the
+    places run out first, is_square decides on the span of the rest.
     """
-    vectors = [0] * len(gens)
-    for P in {P for D in divisors for P in D.coeffs}:
-        for i, D in enumerate(divisors):
-            vectors[i] = vectors[i] << 1 | D.get(P) & 1
-    if _f2_rank(vectors) == len(gens):
+    support = list({P for D in divisors for P in D.coeffs})
+    relations = _kernel_basis([
+        sum((D.get(P) & 1) << j for j, P in enumerate(support))
+        for D in divisors])
+    if not relations:
         return True
     for P in places:
+        selected = 0
+        for r in relations:
+            selected |= r
+        chars = 0
         for i, g in enumerate(gens):
-            vectors[i] = vectors[i] << 1 | local_square_class(g, P)[1]
-        if _f2_rank(vectors) == len(gens):
+            if selected >> i & 1:
+                chars |= local_square_class(g, P)[1] << i
+        odd = [r for r in relations if (r & chars).bit_count() % 2]
+        relations = [r for r in relations if r not in odd] + \
+            [r ^ odd[0] for r in odd[1:]]
+        if not relations:
             return True
-    # only products whose local data vanishes can be squares
-    kernel = _kernel_basis(vectors)
-    for pick in range(1, 1 << len(kernel)):
+    for pick in range(1, 1 << len(relations)):
         mask = 0
-        for k, relation in enumerate(kernel):
+        for k, relation in enumerate(relations):
             if pick >> k & 1:
                 mask ^= relation
         if _product(model, gens, mask).is_square():
@@ -300,10 +297,24 @@ def sing_space(model, S) -> SquareClassSpace:
     """
     S = _clean_places(S)
     gens = _global_even_generators(model)
-    for mask in _dependency_masks(model, S):
+    for mask in _kernel_basis([model.pic_mod2(P) for P in S]):
         D = Divisor({P: 1 for i, P in enumerate(S) if mask >> i & 1})
         gens.append(_even_class_witness(model, D))
     return SquareClassSpace(model, S, gens)
+
+
+def _sing_relations(model, S) -> Tuple[SquareClassSpace, List[int]]:
+    """sing_space(S) and the relations among its local data at S.
+
+    Bit i of a relation selects generator i; the packed local classes
+    of the selected generators at the places of S cancel.  The
+    relations are the _kernel_basis of those rows, so each one's top
+    bit marks a generator whose row the earlier rows already span.
+    """
+    space = sing_space(model, S)
+    rows = [_pack(local_square_class(g, P) for P in space.removed)
+            for g in space.generators]
+    return space, _kernel_basis(rows)
 
 
 def delta_space(model, S) -> SquareClassSpace:
@@ -313,12 +324,9 @@ def delta_space(model, S) -> SquareClassSpace:
     enclosing space: a subset product lands in the subspace exactly
     when its packed local bits over S cancel.
     """
-    S = _clean_places(S)
-    base = sing_space(model, S)
-    rows = [_pack(local_square_class(g, P) for P in S)
-            for g in base.generators]
-    gens = [_product(model, base.generators, mask)
-            for mask in _kernel_basis(rows)]
+    base, relations = _sing_relations(model, S)
+    S = base.removed
+    gens = [_product(model, base.generators, mask) for mask in relations]
     space = SquareClassSpace(model, S, gens)
     for g in space.generators:
         for P in S:

@@ -179,12 +179,15 @@ def test_degree_cap_environment_override(capsys, monkeypatch):
 
 def test_malformed_degree_cap_environment_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("WILDSETS_DEGREE_CAP", "abc")
-    assert run(["ranks", "--q", "5", "--places", "t"]) == 2
+    argv = ["construct", "--q", "5", "--rank", "1", "--places", "t, t-1"]
+    assert run(argv) == 2
     assert "WILDSETS_DEGREE_CAP" in capsys.readouterr().err
     # a given flag does not excuse a malformed environment
-    assert run(["ranks", "--q", "5", "--places", "t",
-                "--degree-cap", "3"]) == 2
+    assert run(argv + ["--degree-cap", "3"]) == 2
     assert "WILDSETS_DEGREE_CAP" in capsys.readouterr().err
+    # only construct reads the variable
+    assert run(["ranks", "--q", "5", "--places", "t"]) == 0
+    capsys.readouterr()
 
 
 def test_parser_is_built_at_most_once_per_process(capsys, monkeypatch):
@@ -212,10 +215,19 @@ def test_unusable_input_exits_two(capsys):
     assert run(["construct", "--q", "5", "--rank", "general",
                 "--places", "t"]) == 2
     assert run(["verify", "--cert", "/nonexistent/path.json"]) == 2
-    # only selftest reads a seed; elsewhere it is a usage error
-    with pytest.raises(SystemExit) as usage:
-        run(["ranks", "--seed", "1", "--q", "5", "--places", "t"])
-    assert usage.value.code == 2
+    # --aux is read by --rank general alone
+    assert run(["construct", "--q", "5", "--rank", "1",
+                "--places", "t, t-1", "--aux", "t"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: --aux is read only by --rank general"
+    # an option the subcommand does not read is a usage error: a seed
+    # outside selftest, a degree cap outside construct, a field in selftest
+    for argv in (["ranks", "--seed", "1", "--q", "5", "--places", "t"],
+                 ["ranks", "--q", "5", "--places", "t", "--degree-cap", "3"],
+                 ["selftest", "--q", "5"]):
+        with pytest.raises(SystemExit) as usage:
+            run(argv)
+        assert usage.value.code == 2, argv
     capsys.readouterr()
 
 

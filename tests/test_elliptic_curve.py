@@ -208,6 +208,18 @@ def test_group_invariants_structure():
         assert sum(1 for d in inv if d % 2 == 0) == model.pic_zero_two_rank()
 
 
+def test_two_torsion_matches_the_root_scan():
+    # the roots of f by evaluation at every element, in increasing order
+    for q, text in CURVES:
+        model = make(q, text)
+        F = model.field
+        roots = [x for x in F.elements() if poly_eval(model.f, x, F) == 0]
+        rank = {0: 0, 1: 1, 3: 2}[len(roots)]
+        assert model.pic_zero_two_rank() == rank
+        assert model.two_torsion_witnesses() == \
+            [model.from_poly((F.neg(x), 1)) for x in roots[:rank]]
+
+
 def test_running_example_group_table():
     model = make(5, "t^3 + 4t")
     assert model.rational_points() == [

@@ -25,7 +25,6 @@ from wildsets.local_symbols import local_square_class
 from wildsets.projective_line import Place, ProjectiveLine
 from wildsets.square_class_spaces import (
     SquareClassSpace,
-    _dependency_masks,
     _f2_rank,
     _independent_modulo_squares,
     _kernel_basis,
@@ -39,6 +38,8 @@ from wildsets.square_class_spaces import (
     sing_space,
     smile,
 )
+
+from square_class_oracle import random_generators
 
 
 def line(q):
@@ -480,30 +481,6 @@ def full_fingerprint_independent(model, gens, places):
     return True
 
 
-def _random_generators(model, rng):
-    atoms = [model.constant(model.field.nonsquare())]
-    atoms += [model.from_poly(P.poly if hasattr(P, "poly") else P.base)
-              for d in (1, 2) for P in model.places_of_degree(d)
-              if not P.is_infinite]
-    if hasattr(model, "y"):
-        atoms.append(model.y())
-        atoms += [model.from_pair((rng.randrange(5), 1), (1,))
-                  for _ in range(3)]
-    gens = []
-    for _ in range(rng.randint(1, 3)):
-        g = model.one()
-        for atom in rng.sample(atoms, rng.randint(1, 3)):
-            g = g * atom ** rng.randint(1, 3)
-        gens.append(g)
-    shape = rng.randrange(3)
-    if shape == 1:  # a product of two members, times a square
-        extra = gens[0] * gens[-1] * rng.choice(atoms) ** 2
-        gens.insert(rng.randrange(len(gens) + 1), extra)
-    elif shape == 2:  # a square on its own
-        gens.append(rng.choice(atoms) ** 2)
-    return gens
-
-
 def fallback_walk_bound(gens, divisors, places):
     """2^dim K - 1, K the relations among the fingerprints the exact
     fallback starts from: order parities on the supports, then residue
@@ -534,7 +511,7 @@ def test_early_stop_independence_matches_full_fingerprint(which, monkeypatch):
     monkeypatch.setattr(type(model.one()), "is_square",
                         lambda g: squares_tested.append(g) or exact(g))
     for _ in range(12):
-        gens = _random_generators(model, rng)
+        gens = random_generators(model, rng)
         divisors = [g.divisor() for g in gens]
         S = rng.sample(pool, rng.randint(1, 3))
         full = list(_separating_places(model, divisors, S))
@@ -696,7 +673,8 @@ def test_elimination_matches_the_subset_walk(which):
     for k in range(5):
         S = rng.sample(pool, rng.randint(1, 10))
         walked = walked_dependencies(model, S)
-        assert _dependency_masks(model, S) == mask_basis(walked)
+        assert _kernel_basis([model.pic_mod2(P) for P in S]) == \
+            mask_basis(walked)
         info = g_rank(model, S)
         assert (info.rank, info.independent) == greedy_independent(S, walked)
         if k < 2:  # the spaces themselves, on fewer sets: they cost more
