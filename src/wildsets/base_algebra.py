@@ -28,9 +28,11 @@ Residue fields F_q[t]/(m) are a small wrapper class over the same tuple
 representation, with the arithmetic that square roots and Frobenius
 orbits need.
 
-Text is read by one recursive-descent parser of quotient expressions
-(rat_parse); poly_parse is that parser plus the check that the
-denominator is a nonzero constant.
+Text is read by one recursive-descent parser of quotient expressions,
+which hands back the product at the top of an expression as (base,
+exponent) factors, so a caller that factors each base never multiplies
+the product out.  rat_parse multiplies the factors out, and poly_parse
+is rat_parse plus the check that the denominator is a nonzero constant.
 """
 
 from __future__ import annotations
@@ -262,8 +264,8 @@ def checked_field(q) -> Fq:
     if isinstance(q, bool) or not isinstance(q, int) or q % 2 == 0 \
             or q > MAX_FIELD_SIZE:
         raise ValueError(
-            "the field size must be an odd prime power up to %d, got %r"
-            % (MAX_FIELD_SIZE, q))
+            "the field size must be an odd prime power up to %d, got %s"
+            % (MAX_FIELD_SIZE, _quoted(q)))
     return GF(q)
 
 
@@ -856,11 +858,14 @@ def _ydict_neg(a, F: Fq):
     return {k: poly_neg(c, F) for k, c in a.items()}
 
 
-def _quoted(text: str) -> str:
-    """Input text for an error message: its repr, cut after 60 characters."""
+def _quoted(value) -> str:
+    """An input value for an error message: its repr, cut after 60
+    characters (a string's after 60 of its own)."""
+    text = value if isinstance(value, str) else repr(value)
     if len(text) <= 60:
-        return repr(text)
-    return "%r... (%d characters)" % (text[:60], len(text))
+        return repr(value)
+    cut = repr(text[:60]) if text is value else text[:60]
+    return "%s... (%d characters)" % (cut, len(text))
 
 
 class _RatParser:
@@ -868,17 +873,26 @@ class _RatParser:
 
     Values are fractions, i.e. pairs (numerator, denominator) of y-degree
     dicts; nothing is ever inverted during parsing, so the result is exact
-    over any coefficient field.
+    over any coefficient field.  ``parse`` returns the product at the top
+    of the text as (base, exponent) factors, base^exponent each; a sum or
+    a minus sign there makes it one base.  A product is multiplied out
+    only where a sum, a sign or the parentheses around it need its value,
+    and its degree is bounded from those of its factors.  Parsers with
+    the same field and allow_y that share the dict ``groups`` parse each
+    parenthesized group with no group inside once: it maps their texts
+    to their values.
     """
 
     ONE = {0: (1,)}
 
-    def __init__(self, s: str, F: Fq, allow_y: bool = False):
+    def __init__(self, s: str, F: Fq, allow_y: bool = False,
+                 groups: Optional[Dict] = None):
         self.s = s.replace(" ", "")
         self.i = 0
         self.depth = 0
         self.F = F
         self.allow_y = allow_y
+        self.groups = {} if groups is None else groups
 
     def error(self, msg: str):
         raise ValueError("bad polynomial %s: %s (at index %d)"
@@ -892,64 +906,58 @@ class _RatParser:
         return bool(c) and c in chars
 
     def parse(self):
-        v = self.expr()
+        factors = self.expr()
         if self.i != len(self.s):
             self.error("trailing input")
-        return v
+        return factors
 
     def expr(self):
+        """The factors of a lone term; a sum or a negated term is one base."""
         sign = 1
         if self.at("+-"):
             sign = -1 if self.peek() == "-" else 1
             self.i += 1
-        v = self.term()
+        factors = self.term()
+        if sign > 0 and not self.at("+-"):
+            return factors
+        v = _multiplied(factors, self.F)
         if sign < 0:
             v = (_ydict_neg(v[0], self.F), v[1])
         while self.at("+-"):
             op = self.peek()
             self.i += 1
-            w = self.term()
+            w = _multiplied(self.term(), self.F)
             if op == "-":
                 w = (_ydict_neg(w[0], self.F), w[1])
             n = _ydict_add(_ydict_mul(v[0], w[1], self.F),
                            _ydict_mul(w[0], v[1], self.F), self.F)
             v = (n, _ydict_mul(v[1], w[1], self.F))
             self.bound_product(max(map(_ydict_degree, v)))
-        return v
+        return [(v, 1)]
 
     def term(self):
         """A product of atoms, each checked against the degree bound as it
-        is read and all multiplied at the end."""
-        v = self.atom()
-        nums = None
+        is read."""
+        factors = [self.atom()]
         while True:
-            if self.peek() == "*":
+            op = self.peek()
+            if op in ("*", "/"):
                 self.i += 1
-                w = self.atom()
-            elif self.peek() == "/":
-                self.i += 1
-                w = self.atom()
-                if not w[0]:
+            elif not self.at("t(yg"):
+                return factors
+            base, e = self.atom()
+            if op == "/":
+                if e > 0 and not base[0]:
                     self.error("division by zero")
-                w = (w[1], w[0])
-            elif self.at("t(yg"):
-                w = self.atom()
-            else:
-                break
-            if nums is None:
-                nums, dens = [v[0]], [v[1]]
-                num_deg, den_deg = map(_ydict_degrees, v)  # dens are nonzero
-            nums.append(w[0])
-            dens.append(w[1])
-            e = _ydict_degrees(w[0])
+                e = -e
+            if len(factors) == 1:
+                num_deg, den_deg = _power_degrees(*factors[0])  # dens are nonzero
+            factors.append((base, e))
+            n, d = _power_degrees(base, e)
             # zero times anything is zero, of degree 0
-            num_deg = num_deg and e and (num_deg[0] + e[0], num_deg[1] + e[1])
-            e = _ydict_degrees(w[1])
-            den_deg = (den_deg[0] + e[0], den_deg[1] + e[1])
+            num_deg = num_deg and n and (num_deg[0] + n[0], num_deg[1] + n[1])
+            den_deg = (den_deg[0] + d[0], den_deg[1] + d[1])
             self.bound_product(max(den_deg + (num_deg or ())))
-        if nums is None:
-            return v
-        return (_ydict_product(nums, self.F), _ydict_product(dens, self.F))
 
     def bound_product(self, degree: int) -> None:
         """Refuse a product whose degree is above MAX_PARSED_DEGREE."""
@@ -958,17 +966,26 @@ class _RatParser:
                        % (degree, MAX_PARSED_DEGREE))
 
     def atom(self):
+        """One atom with its exponent, as a (base, exponent) factor."""
         c = self.peek()
         if c == "(":
             self.depth += 1
             if self.depth > MAX_PARSED_NESTING:
                 self.error("parentheses nested deeper than %d"
                            % MAX_PARSED_NESTING)
-            self.i += 1
-            v = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.i += 1
+            end = self.s.find(")", self.i) + 1
+            group = self.s[self.i:end]
+            v = self.groups.get(group)
+            if v is None:
+                self.i += 1
+                v = _multiplied(self.expr(), self.F)
+                if self.peek() != ")":
+                    self.error("expected ')'")
+                self.i += 1
+                if self.i == end:  # no group nested inside
+                    self.groups[group] = v
+            else:
+                self.i = end
             self.depth -= 1
             return self.power(v)
         if c == "t":
@@ -997,14 +1014,13 @@ class _RatParser:
 
     def power(self, v):
         if self.peek() != "^":
-            return v
+            return v, 1
         e, negative = self.exponent(max(map(_ydict_degree, v)))
-        num, den = (_ydict_pow(half, e, self.F) for half in v)
         if negative:
-            if not num:
+            if e and not v[0]:
                 self.error("division by zero")
-            num, den = den, num
-        return (num, den)
+            e = -e
+        return v, e
 
     def exponent(self, degree: int) -> Tuple[int, bool]:
         """The exponent after '^', and whether a minus sign preceded it.
@@ -1029,6 +1045,26 @@ class _RatParser:
         return e, negative
 
 
+def _power_degrees(base, e: int):
+    """The _ydict_degrees of the numerator and the denominator of base^e."""
+    if e < 0:
+        base, e = base[::-1], -e
+    if not e:
+        return (0, 0), (0, 0)
+    return tuple(d and (d[0] * e, d[1] * e) for d in map(_ydict_degrees, base))
+
+
+def _multiplied(factors: List, F: Fq):
+    """The fraction that (base, exponent) factors multiply out to."""
+    if len(factors) == 1 and factors[0][1] == 1:
+        return factors[0][0]
+    halves: Tuple[List, List] = ([], [])
+    for base, e in factors:
+        for half, out in zip(base if e >= 0 else base[::-1], halves):
+            out.append(_ydict_pow(half, abs(e), F))
+    return tuple(_ydict_product(out, F) for out in halves)
+
+
 def rat_parse(s: str, F: Fq, allow_y: bool = False):
     """Parse a quotient expression into a (numerator, denominator) pair.
 
@@ -1036,7 +1072,7 @@ def rat_parse(s: str, F: Fq, allow_y: bool = False):
     default allow_y=False only y-degree 0 can appear.  The denominator is
     guaranteed nonzero, the numerator may be zero (an empty dict).
     """
-    return _RatParser(s, F, allow_y).parse()
+    return _multiplied(_RatParser(s, F, allow_y).parse(), F)
 
 
 def poly_parse(s: str, F: Fq) -> Poly:

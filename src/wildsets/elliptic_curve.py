@@ -64,7 +64,6 @@ from .base_algebra import (
     poly_strip,
     poly_sub,
     poly_to_int,
-    rat_parse,
 )
 from .errors import HypothesisError
 from .function_field import Divisor, FactoredFunction, Model, ModelPlace
@@ -289,6 +288,7 @@ class CurveFunction(FactoredFunction):
     _atom_char = staticmethod(_atom_char)
     _atom_sort_key = staticmethod(_atom_sort_key)
     _poly_atom = staticmethod(lambda p: ("poly", p))
+    _allow_y = True
 
     @staticmethod
     def _atom_str(atom, F: Fq) -> str:
@@ -329,18 +329,10 @@ class CurveFunction(FactoredFunction):
         return out * cls._trusted(model, c, {("lin", pair): 1})
 
     @classmethod
-    def _parse_expression(cls, model: "EllipticModel", s: str) -> "CurveFunction":
-        """Parse any expression in t and y, e.g. ``(y - 1) / (t + y)^2``."""
-        num, den = rat_parse(s, model.field, allow_y=True)
-        num = _reduce_y(num, model)
-        den = _reduce_y(den, model)
-        if not den:
-            raise ValueError("denominator vanishes on the curve: %s" % _quoted(s))
-        if not num:
-            raise ValueError("the zero element has no factored form: %s" % _quoted(s))
-        top = cls.from_pair(model, num.get(0, ()), num.get(1, ()))
-        bot = cls.from_pair(model, den.get(0, ()), den.get(1, ()))
-        return top / bot
+    def _from_half(cls, model: "EllipticModel", half) -> Optional["CurveFunction"]:
+        """The half with y^2 folded to f, as a + b*y; None where that is 0."""
+        r = _reduce_y(half, model)
+        return cls.from_pair(model, r.get(0, ()), r.get(1, ())) if r else None
 
     def divisor(self) -> Divisor:
         model = self.model
@@ -528,7 +520,7 @@ class EllipticModel(Model):
     def from_header(cls, field: Fq, data: dict) -> "EllipticModel":
         curve = data["curve"]
         if not isinstance(curve, str):
-            raise ValueError("the curve must be a string, got %r" % (curve,))
+            raise ValueError("the curve must be a string, got %s" % _quoted(curve))
         return cls(field, poly_parse(curve, field))
 
     # -- the Mordell-Weil group over F_q

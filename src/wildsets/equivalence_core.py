@@ -48,7 +48,7 @@ import itertools
 import json
 from typing import Dict, List, Optional, Tuple
 
-from .base_algebra import checked_field
+from .base_algebra import _quoted, checked_field
 from .elliptic_curve import EllipticModel
 from .errors import HypothesisError, SearchExhausted, VerificationError
 from .local_symbols import (
@@ -560,19 +560,22 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
     if overlap:
         raise ValueError("wild sets overlap at %s" % sorted(overlap)[0])
 
+    second = dict(zip(se2.places, zip(se2.images, se2.local_maps)))
     places, images, maps = [], [], []
     for P, Q, lm in zip(se1.places, se1.images, se1.local_maps):
         places.append(P)
-        if Q in set(se2.places):
-            images.append(se2.image_of(Q))
-            maps.append(se2.local_map_at(Q).compose(lm))
+        if Q in second:
+            image, lm2 = second[Q]
+            images.append(image)
+            maps.append(lm2.compose(lm))
         else:
             images.append(Q)
             maps.append(lm)
     for Q in extra:
         places.append(Q)
-        images.append(se2.image_of(Q))
-        maps.append(se2.local_map_at(Q))
+        image, lm2 = second[Q]
+        images.append(image)
+        maps.append(lm2)
 
     try:
         se = _realize_small_equivalence(model, places, images, maps)
@@ -759,7 +762,7 @@ def _strings(data: dict, key: str) -> List[str]:
 
 def _string(value, what: str) -> str:
     if not isinstance(value, str):
-        raise ValueError("%s must be a string, got %r" % (what, value))
+        raise ValueError("%s must be a string, got %s" % (what, _quoted(value)))
     return value
 
 
@@ -770,7 +773,8 @@ def _local_maps_from_json(parse_place, places, entries) -> List[LocalMap]:
     by_place = {}
     for entry in entries:
         if not isinstance(entry, dict):
-            raise ValueError("a local map must be an object, got %r" % (entry,))
+            raise ValueError("a local map must be an object, got %s"
+                             % _quoted(entry))
         P = parse_place(_string(entry["place"], "a local map's place"))
         if P in by_place:
             raise ValueError("the certificate has two local maps at %s" % P)
@@ -812,14 +816,14 @@ def certificate_from_json(text: str) -> WildSetCertificate:
         backend = data["backend"]
         field = checked_field(data["q"])
         if not isinstance(backend, str) or backend not in _BACKENDS:
-            raise ValueError("unknown backend %r" % (backend,))
+            raise ValueError("unknown backend %s" % _quoted(backend))
         model = _BACKENDS[backend].from_header(field, data)
         # S, T, the local maps and the claimed wild set repeat the same
-        # place strings, and the functions the same atoms, mostly the
-        # places' own polynomials: each finite place enters its base in
-        # the atom memo as checked, since parsing the place proved it
-        # monic irreducible.  A parse that raises is not cached, and both
-        # memos die with this call.
+        # place strings, and the functions the same texts, groups and
+        # atoms, mostly the places' own polynomials: each finite place
+        # enters its base in the function memo as checked, since parsing
+        # the place proved it monic irreducible.  A parse that raises is
+        # not cached, and both memos die with this call.
         atoms: Dict = {}
 
         @functools.lru_cache(maxsize=None)

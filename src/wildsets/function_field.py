@@ -8,6 +8,12 @@ squares, its residue character is chi(c)^(deg P) times the characters of
 the atoms with odd exponent.  Places and functions belong to a model,
 whose ``key`` is its identity: they compare and hash through it.
 
+Text has one route in, ``FactoredFunction.parse``: the expression
+parser hands back the product at the top of the text factor by factor,
+and the backend factors the numerator and the denominator of each
+factor.  A product is never multiplied out to be factored again, so
+``parse`` undoes ``str`` on both backends, pair atoms included.
+
 ``Model`` and ``ModelPlace`` are the bases of each backend's model and
 place classes: they hold the plumbing both backends share, and
 ``Model``'s docstring is the contract the upper layers rely on.
@@ -15,14 +21,10 @@ place classes: they hold the plumbing both backends share, and
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .base_algebra import (MAX_PARSED_DEGREE, Poly, const_str, poly_factor,
-                           poly_norm, poly_parse)
-
-# one factor of the printed form: a parenthesized atom and its exponent
-_POWER = re.compile(r"(\(.*\))\^(-?[0-9]+)")
+from .base_algebra import (Poly, _quoted, _RatParser, const_str, poly_factor,
+                           poly_norm)
 
 
 class Divisor:
@@ -116,13 +118,16 @@ class FactoredFunction:
     static functions: ``_atom_ord`` and ``_atom_char`` (of atom, place,
     model), ``_check_atom`` and ``_atom_str`` (of atom, field),
     ``_atom_sort_key``, and ``_poly_atom``, the atom of a monic
-    irreducible polynomial in t; and ``_parse_expression`` (of model,
-    text), which reads any expression the backend accepts.  A subclass
+    irreducible polynomial in t; ``_allow_y``, whether texts may name y;
+    and ``_from_half`` (of model and a polynomial as the expression
+    parser gives it, a dict {y_degree: coefficient polynomial}), its
+    factored form, or None where it vanishes on the model.  A subclass
     whose atoms each have order 1 at one place may replace ord_at by a
     lookup instead.
     """
 
     __slots__ = ("model", "constant", "factors")
+    _allow_y = False
 
     def __init__(self, model, constant: int, factors: Optional[Mapping] = None):
         for atom, e in (factors or {}).items():
@@ -160,67 +165,53 @@ class FactoredFunction:
     def parse(cls, model, s: str, atoms: Optional[Dict] = None):
         """Parse a function from text.
 
-        Text in the form ``str`` prints for polynomial atoms -- a nonzero
-        constant, then ``(atom)^e`` factors joined by `` * `` -- is read
-        factor by factor: each atom text is parsed, and each atom
-        checked, once for all calls that share the dict ``atoms``.  Any
-        other text, and such text that fails a check, goes to the
-        backend's ``_parse_expression``, which multiplies the whole
-        expression out and factors it, and raises its errors.
+        The expression parser hands back the product at the top of the
+        text as (base, exponent) factors; the backend's ``_from_half``
+        factors the numerator and the denominator of each base.  So a
+        product stays factored as written, and ``parse(str(h)) == h``.
+
+        ``atoms`` is a memo shared by the calls of one certificate.  It
+        maps each text s read, as the key (s,), to its function; the
+        parser's groups by their texts to their values; and each half by
+        its key (a polynomial in t by its tuple) to its factored form,
+        or None where it vanishes.  A monic irreducible entered as True,
+        as a place's base is, stands for its own atom unchecked.
         """
-        got = cls._read_printed(model, s, {} if atoms is None else atoms)
-        return cls._parse_expression(model, s) if got is None else got
+        memo = {} if atoms is None else atoms
+        got = memo.get((s,))
+        if got is not None:
+            return got
+        F = model.field
+        const, powers, zeros = 1, {}, []
+        for base, e in _RatParser(s, F, cls._allow_y, memo).parse():
+            if not e:
+                continue
+            for half, k in zip(base, (e, -e)):
+                h = cls._half(model, half, memo)
+                if h is None:
+                    zeros.append(k)
+                    continue
+                const = F.mul(const, F.pow(h.constant, k))
+                for atom, n in h.factors.items():
+                    powers[atom] = powers.get(atom, 0) + k * n
+        # as for the fraction multiplied out: its denominator first
+        if any(k < 0 for k in zeros):
+            raise ValueError("denominator vanishes on the curve: %s" % _quoted(s))
+        if zeros:
+            raise ValueError("the zero element has no factored form: %s" % _quoted(s))
+        got = memo[(s,)] = cls._trusted(model, const, powers)
+        return got
 
     @classmethod
-    def _read_printed(cls, model, s: str, atoms: Dict):
-        """The function s prints, or None where s is not read here.
-
-        ``atoms`` maps an atom text to its polynomial, or to None when
-        the text is no polynomial, and a polynomial to whether it passed
-        the atom check.  Every piece is a single parenthesized group or
-        a literal, so the expression parser reads s as the same product;
-        with the total degree within MAX_PARSED_DEGREE it accepts s and
-        gives this function.
-        """
-        if "y" in s:
-            return None
-        F = model.field
-        const, *pieces = s.split(" * ")
-        c = _read_poly(const, F)
-        if c is None or len(c) != 1:
-            return None
-        powers: Dict[Poly, int] = {}
-        degree = 0
-        for piece in pieces:
-            match = _POWER.fullmatch(piece)
-            if match is None:
-                return None
-            text = match.group(1)
-            try:
-                e = int(match.group(2))
-            except ValueError:  # more digits than int() converts
-                return None
-            if text not in atoms:
-                atoms[text] = _read_poly(text, F)
-            p = atoms[text]
-            if p is None:
-                return None
-            degree += abs(e) * (len(p) - 1)
-            powers[p] = powers.get(p, 0) + e
-        if degree > MAX_PARSED_DEGREE:
-            return None
-        for p in powers:
-            if p not in atoms:
-                try:
-                    cls._check_atom(cls._poly_atom(p), F)
-                except ValueError:
-                    atoms[p] = False
-                else:
-                    atoms[p] = True
-            if not atoms[p]:
-                return None
-        return cls._trusted(model, c[0],
-                            {cls._poly_atom(p): e for p, e in powers.items()})
+    def _half(cls, model, half: Dict, memo: Dict):
+        """``_from_half`` of one half of a base, once per memo."""
+        key = half[0] if len(half) == 1 and 0 in half else tuple(sorted(half.items()))
+        got = memo.get(key)
+        if got is True:
+            got = memo[key] = cls._trusted(model, 1, {cls._poly_atom(key): 1})
+        elif key not in memo:
+            got = memo[key] = cls._from_half(model, half)
+        return got
 
     @property
     def field(self):
@@ -280,31 +271,6 @@ class FactoredFunction:
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__name__, self)
-
-
-def _grouped(text: str) -> bool:
-    """Whether text is one parenthesized group: its first '(' closes last."""
-    if not text.startswith("("):
-        return False
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if not depth:
-                return i == len(text) - 1
-    return False
-
-
-def _read_poly(text: str, F) -> Optional[Poly]:
-    """The polynomial a literal or parenthesized text denotes, or None."""
-    if not (text.isascii() and text.isdigit() or _grouped(text)):
-        return None
-    try:
-        return poly_parse(text, F)
-    except ValueError:
-        return None
 
 
 class ModelPlace:

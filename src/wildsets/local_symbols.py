@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from .base_algebra import _quoted
+
 SquareClass = Tuple[int, int]
 
 ONE: SquareClass = (0, 0)
@@ -43,7 +45,8 @@ def square_class_parse(s: str) -> SquareClass:
     try:
         return _CLASS_BY_NAME[s.strip().replace(" ", "")]
     except KeyError:
-        raise ValueError("unknown square class %r; expected one of 1, u, pi, u*pi" % s)
+        raise ValueError("unknown square class %s; expected one of 1, u, pi, u*pi"
+                         % _quoted(s))
 
 
 def residue_field_size(place) -> int:

@@ -38,7 +38,6 @@ from .base_algebra import (
     poly_norm,
     poly_parse,
     poly_str,
-    rat_parse,
 )
 from .function_field import Divisor, FactoredFunction, Model, ModelPlace
 
@@ -140,13 +139,9 @@ class RationalFunction(FactoredFunction):
             raise ValueError("factors must be monic irreducibles, got %r" % (p,))
 
     @classmethod
-    def _parse_expression(cls, line: "ProjectiveLine", s: str) -> "RationalFunction":
-        """Parse any expression in t, like ``t^2 + 2`` or ``(t + 1) / (t - 1)``."""
-        num, den = rat_parse(s, line.field)
-        n = num.get(0, ())
-        if not n:
-            raise ValueError("the zero element has no factored form: %s" % _quoted(s))
-        return cls.from_poly(line, n) / cls.from_poly(line, den.get(0, ()))
+    def _from_half(cls, line: "ProjectiveLine", half) -> Optional["RationalFunction"]:
+        """The half's polynomial in t, factored; None where it is 0."""
+        return cls.from_poly(line, half[0]) if half else None
 
     def ord_at(self, place: Place) -> int:
         """The valuation at a place: an atom has order 1 at its own place

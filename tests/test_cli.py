@@ -19,6 +19,7 @@ import time
 import pytest
 
 import wildsets
+from expression_oracle import parse_whole
 from wildsets import equivalence_core
 from wildsets.base_algebra import GF
 from wildsets.cli import MAX_FIELD_SIZE, run
@@ -495,6 +496,36 @@ def test_field_size_must_be_an_odd_bounded_int(tmp_path, capsys,
     assert verify_edited(tmp_path, capsys, data)[0] == 2
 
 
+def _with_local_map(data, **entry):
+    first = dict(data["local_maps"][0], **entry)
+    return dict(data, local_maps=[first] + data["local_maps"][1:])
+
+
+# (edit of a good certificate, words its error line must hold)
+LONG_VALUES = [
+    (lambda d: _with_local_map(d, image_of_u="u" * 100000),
+     "unknown square class"),
+    (lambda d: _with_local_map(d, image_of_u=[0] * 30000),
+     "image_of_u must be a string"),
+    (lambda d: dict(d, local_maps=[[0] * 30000] + d["local_maps"][1:]),
+     "a local map must be an object"),
+    (lambda d: dict(d, backend="b" * 50000), "unknown backend"),
+    (lambda d: dict(d, q=10 ** 4000), "the field size must be"),
+    (lambda d: dict(d, backend="elliptic_curve", curve=[0] * 30000),
+     "the curve must be a string"),
+]
+
+
+@pytest.mark.parametrize("edit,words", LONG_VALUES,
+                         ids=[words for _, words in LONG_VALUES])
+def test_long_certificate_values_are_echoed_in_short(
+        tmp_path, capsys, good_certificate, edit, words):
+    code, err = verify_edited(tmp_path, capsys, edit(good_certificate))
+    assert code == 2
+    assert words in err
+    assert len(err) < 200, err[:300]
+
+
 def test_duplicate_local_maps_are_rejected(tmp_path, capsys, good_certificate):
     data = dict(good_certificate)
     first = data["local_maps"][0]
@@ -592,10 +623,11 @@ def _edit_function_text(s, rng):
 
 def test_mutated_function_texts_verify_as_the_expression_parser_does(
         tmp_path, capsys, monkeypatch, good_certificate):
-    # verify reads printed functions atom by atom; on edited ones it must
-    # answer exactly as the whole-expression parser alone would
+    # verify reads a function's top-level product factor by factor; on
+    # edited texts it must answer exactly as multiplying each text out
+    # whole would
     def whole(model, s, atoms=None):
-        return model._function._parse_expression(model, s)
+        return parse_whole(model, s)
 
     rng = random.Random(2019)
     for _ in range(30):

@@ -28,6 +28,7 @@ from wildsets.function_field import Divisor
 from wildsets.local_symbols import local_square_class, reciprocity_product
 from wildsets.square_class_spaces import pic_complement_two_rank
 
+from expression_oracle import parse_whole
 from residue_oracle import residue_field, unit_residue
 
 # a mix of shapes: fully split, mixed ramification, irreducible cubics,
@@ -512,25 +513,28 @@ def test_reciprocity_on_the_curve():
 # -- parsing and printing
 
 
+def assert_same_function(g, h):
+    assert g.divisor() == h.divisor()
+    for P in g.model.places_of_degree(1):
+        assert unit_residue(g, P) == unit_residue(h, P)
+
+
 def test_parse_and_str_of_functions():
     model = make(5, "t^3 + 4t")
-    assert model.parse("y^2") == model.from_poly(model.f)
+    # a product stays factored as it is written: y^2 is the function f,
+    # kept as the square of the pair atom y
+    assert model.parse("y^2") == model.y() ** 2
+    assert_same_function(model.parse("y^2"), model.from_poly(model.f))
     assert model.parse("y / t") == model.y() / model.from_poly((0, 1))
-    # the curve relation rewrites y^2, so this equals y as a function
-    # while the stored factorizations differ
-    h = model.parse("y^2 / y")
-    assert h != model.y()
-    assert h.divisor() == model.y().divisor()
+    assert model.parse("y^2 / y") == model.y()
     h = model.parse("(y - 1) / (t + y)^2")
     assert h.divisor().degree == 0
-    assert model.parse(str(h)).divisor() == h.divisor()
+    assert model.parse(str(h)) == h
     rng = random.Random(25)
     for _ in range(6):
         h = random_function(model, rng)
-        again = model.parse(str(h))
-        assert again.divisor() == h.divisor()
-        for P in model.places_of_degree(1):
-            assert unit_residue(again, P) == unit_residue(h, P)
+        assert model.parse(str(h)) == h
+        assert_same_function(parse_whole(model, str(h)), h)
 
 
 def test_parse_rejects_degenerate_input():

@@ -15,7 +15,7 @@ from typing import Dict, Tuple
 import pytest
 
 from wildsets import (cli, constructions, elliptic_curve, equivalence_core,
-                      projective_line)
+                      function_field, projective_line)
 from wildsets.base_algebra import GF, poly_parse
 from wildsets.constructions import (
     construct_general,
@@ -453,7 +453,8 @@ def test_json_round_trip_on_a_curve():
 @pytest.mark.parametrize("backend", ["line", "curve"])
 def test_reading_a_certificate_tests_each_polynomial_once(backend, monkeypatch):
     """A polynomial that is both a place and an atom of a function is
-    tested for irreducibility once, when the place is parsed."""
+    tested for irreducibility once, when the place is parsed, and not
+    factored; any other polynomial is factored at most once."""
     if backend == "line":
         L = line(5)
         text = certificate_to_json(compose(wild_pair(L, 0, 4), wild_pair(L, 3, 2)))
@@ -461,18 +462,26 @@ def test_reading_a_certificate_tests_each_polynomial_once(backend, monkeypatch):
         model = EllipticModel(GF(5), poly_parse("t^3 + 4t", GF(5)))
         text = certificate_to_json(identity_certificate(
             model, ["(t; ramified)", "(t + 1; ramified)", "(t + 3; split; 1)"]))
-    tested = []
-    test = projective_line.poly_is_irreducible
+    tested, factored = [], []
+    test, factor = projective_line.poly_is_irreducible, function_field.poly_factor
 
     def counted(f, F):
         tested.append(f)
         return test(f, F)
 
+    def counted_factor(f, F):
+        factored.append(f)
+        return factor(f, F)
+
     for module in (projective_line, elliptic_curve):
         monkeypatch.setattr(module, "poly_is_irreducible", counted)
+    for module in (function_field, elliptic_curve):
+        monkeypatch.setattr(module, "poly_factor", counted_factor)
     certificate_from_json(text)
-    assert tested
+    assert tested and factored
     assert len(tested) == len(set(tested))
+    assert len(factored) == len(set(factored))
+    assert not set(tested) & set(factored)
 
 
 def test_tampered_wild_claims_are_caught():

@@ -1,20 +1,26 @@
-"""The printed-form reader of ``Model.parse`` against the expression parser.
+"""``Model.parse`` against the whole-text route it replaced.
 
-``FactoredFunction.parse`` reads text in the form ``str`` prints -- a
-nonzero constant, then ``(atom)^e`` factors -- atom by atom, and hands
-any other text to the backend's ``_parse_expression``, which multiplies
-the expression out and factors it.  The reader may never give anything
-that path would not: on every text here both give the same element
-(constant and factors) or the same ValueError text.
+``FactoredFunction.parse`` reads the top-level product of a text factor
+by factor and factors each base once per memo.  The oracle
+(expression_oracle) multiplies the whole text out and factors the
+numerator and the denominator.  On the line both must give the same
+element (constant and factors) or the same ValueError text on every
+text here.  On the curve a product of pair atoms, multiplied out,
+factors into other atoms, so there they must give the same function
+(divisor and unit residues) or the same ValueError text, and ``parse``
+must undo ``str``.
 """
 
 import random
 
 import pytest
 
+from expression_oracle import parse_whole
+from residue_oracle import unit_residue
 from wildsets.base_algebra import (
     GF,
     MAX_PARSED_NESTING,
+    const_str,
     irreducibles_of_degree,
     poly_parse,
 )
@@ -29,6 +35,7 @@ def _models():
         "F9": ProjectiveLine(GF(9)),
         "F13": ProjectiveLine(GF(13)),
         "curve": EllipticModel(F5, poly_parse("t^3 + 4t", F5)),
+        "curve9": EllipticModel(GF(9), poly_parse("t^3 + 2t + g", GF(9))),
     }
 
 
@@ -36,32 +43,51 @@ MODELS = _models()
 
 
 def outcome(parse, model, s):
+    """The element parse gives, in the form the oracle must match, or
+    its ValueError text."""
     try:
         h = parse(model, s)
     except ValueError as exc:
         return ("error", str(exc))
-    return ("element", h.constant, h.factors)
-
-
-def whole(model, s):
-    return model._function._parse_expression(model, s)
+    if isinstance(model, ProjectiveLine):
+        return ("element", h.constant, h.factors)
+    places = [model.infinity] + model.places_of_degree(1)
+    return ("function", h.divisor(), [unit_residue(h, P) for P in places])
 
 
 def assert_agrees(model, s, atoms=None):
     got = outcome(lambda m, text: m.parse(text, atoms), model, s)
-    assert got == outcome(whole, model, s), s
+    assert got == outcome(parse_whole, model, s), s
     return got
 
 
-def random_text(model, rng):
+def random_atom(model, rng, pairs):
+    """A monic irreducible in t or, on the curve and with pairs set, as
+    often a primitive pair a + b*y."""
+    if pairs and isinstance(model, EllipticModel) and rng.random() < 0.5:
+        return random_pair(model, rng)
+    atoms = list(irreducibles_of_degree(model.field, rng.choice([1, 1, 2, 3])))
+    return model.from_poly(atoms[rng.randrange(len(atoms))])
+
+
+def random_pair(model, rng):
+    """A pair atom a + b*y, a of degree below 3 and b of degree below 2."""
+    q = model.field.q
+    while True:
+        a = tuple(rng.randrange(q) for _ in range(rng.randrange(3)))
+        b = tuple(rng.randrange(q) for _ in range(rng.randrange(2))) + (1,)
+        h = model.from_pair(a, b)
+        if len(h.factors) == 1:
+            return h
+
+
+def random_text(model, rng, pairs=False):
     """A factored element in printed form, with its atoms in random order,
     some repeated and some with exponent 0."""
     F = model.field
     pieces = []
     for _ in range(rng.randrange(5)):
-        d = rng.choice([1, 1, 2, 3])
-        atoms = list(irreducibles_of_degree(F, d))
-        atom = model.from_poly(atoms[rng.randrange(len(atoms))])
+        atom = random_atom(model, rng, pairs)
         text = str(atom).split(" * ", 1)[1].rsplit("^", 1)[0]
         for _ in range(rng.choice([1, 1, 2])):
             pieces.append("%s^%d" % (text, rng.randint(-3, 3)))
@@ -76,11 +102,53 @@ def test_printed_elements_are_read_directly(name):
     rng = random.Random("reader " + name)
     atoms = {}
     for _ in range(60):
-        s = random_text(model, rng)
-        h = whole(model, s)
+        s = random_text(model, rng, pairs=True)
+        h = model.parse(s)
+        assert model.parse(str(h)) == h, s
         for text in (s, str(h)):
-            assert model._function._read_printed(model, text, atoms) == h, text
             assert_agrees(model, text, atoms)
+
+
+def random_expression(model, rng, depth=2):
+    """Text a user may type: sums, quotients, powers and parentheses,
+    with y on the curve and g over an extension field."""
+    F = model.field
+    letters = ["t", "t", str(rng.randrange(F.q))]
+    if isinstance(model, EllipticModel):
+        letters.append("y")
+    if F.k > 1:
+        letters.append(const_str(rng.randrange(F.p, F.q), F))
+    terms = []
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        factors = []
+        for _ in range(rng.choice([1, 2, 3])):
+            if depth and rng.random() < 0.4:
+                atom = "(%s)" % random_expression(model, rng, depth - 1)
+            else:
+                atom = rng.choice(letters)
+            if rng.random() < 0.4:
+                atom += "^%d" % rng.randint(-2, 3)
+            if factors:
+                # a space is dropped, so it joins no literal to a number
+                ops = ["*", " * ", " / ", "/"] + [" "] * (atom[0] in "(ty")
+                atom = rng.choice(ops) + atom
+            factors.append(atom)
+        terms.append("".join(factors))
+    text = terms[0]
+    for term in terms[1:]:
+        text += rng.choice([" + ", " - "]) + term
+    return rng.choice(["", "-", "+"]) + text if rng.random() < 0.2 else text
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_user_style_expressions_agree(name):
+    model = MODELS[name]
+    rng = random.Random("expressions " + name)
+    atoms, kinds = {}, set()
+    for _ in range(150):
+        s = random_expression(model, rng)
+        kinds.add(assert_agrees(model, s, atoms)[0])
+    assert len(kinds) == 2, kinds
 
 
 # (model, text): what a hand-edited or hostile certificate may hold
@@ -135,6 +203,10 @@ CRAFTED = [
     ("F5", "1 * (t)^1\n"),
     ("F5", "t^2 + 2"),                          # input a user types
     ("F5", "(t + 1) / (t - 1)"),
+    ("F5", "-(t)^2 * (t + 1)^-1"),              # a sign at the top
+    ("F5", "1 * (0)^0 / (0)^0"),
+    ("F5", "2^99999999 * (t)^1"),               # a huge power of a constant
+    ("F5", "1 * (t - t + 1)^99999999"),
     ("F9", "(g + 2) * (t + (g))^1 * (t^2 + (g)*t + (2*g + 1))^-1"),
     ("F9", "(g + 2) * (t + g)^2"),
     ("F9", "(g - g) * (t)^1"),
@@ -145,6 +217,14 @@ CRAFTED = [
     ("curve", "1 * (y)^2"),
     ("curve", "3 * (t)^1 * (t^2 + 2)^-1"),
     ("curve", "1 * (t^2 + 1)^1"),
+    ("curve", "1 * (2*t + 2*y)^1"),             # a pair that is not primitive
+    ("curve", "1 * (t^2 + t*y)^1 * (t + y)^-1"),
+    ("curve", "1 * (y^2 - t^3 - 4*t)^1"),       # zero on the curve
+    ("curve", "1 * (y^2 - t^3 - 4*t)^0"),
+    ("curve", "1 / (y^2 - t^3 - 4t)"),
+    ("curve", "0 * (y^2 - t^3 - 4*t)^-1"),      # zero over a vanishing denominator
+    ("curve", "(1 / (y^2 - t^3 - 4*t))^-1"),
+    ("curve", "(t + y) * (t - y) / (t^2 - t^3 - 4*t)"),
 ]
 
 
@@ -161,16 +241,28 @@ def test_crafted_texts_agree(name, s):
 def test_a_shared_memo_keeps_every_answer():
     # one memo across texts that reuse atoms, as a certificate's do, reads
     # each text as a fresh memo does (which the tests above hold to the
-    # expression parser)
+    # oracle)
+    def read(model, s, atoms):
+        try:
+            return model.parse(s, atoms)
+        except ValueError as exc:
+            return str(exc)
+
     for name, model in MODELS.items():
-        read, atoms = model._function._read_printed, {}
+        atoms = {}
         texts = [s for n, s in CRAFTED if n == name]
         for s in texts + texts[::-1]:
             assert read(model, s, atoms) == read(model, s, {}), s
 
 
-def test_pair_atoms_are_left_to_the_expression_parser():
-    model = MODELS["curve"]
-    h = model.from_pair((1,), (1,)) * model.from_poly((0, 1))
-    assert model._function._read_printed(model, str(h), {}) is None
-    assert model.parse(str(h)) == h
+@pytest.mark.parametrize("name", ["curve", "curve9"])
+def test_str_and_parse_are_inverse_on_pair_atoms(name):
+    model = MODELS[name]
+    rng = random.Random("pairs " + name)
+    for n in [1, 2, 3, 4] * 10:
+        h = model.constant(rng.randrange(1, model.field.q))
+        for _ in range(n):
+            h = h * random_pair(model, rng) ** rng.choice([-2, -1, 1, 3])
+        for _ in range(rng.randrange(3)):
+            h = h * random_atom(model, rng, pairs=False) ** rng.choice([-1, 2])
+        assert model.parse(str(h)) == h, str(h)

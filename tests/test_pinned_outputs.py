@@ -11,7 +11,8 @@ wild-union fallback, the swap pair (given in both orders) and the
 fixed-place pair constructions, a rank-1 triple through the fitted
 images, and the rank-2 and rank-3 general sets (the rank-3 digest was
 recorded before the general construction's gate was split from its
-builder).
+builder).  Each pinned certificate must also read back through
+certificate_from_json and print to the same text.
 """
 
 from __future__ import annotations
@@ -33,7 +34,11 @@ from wildsets.constructions import (
     construct_rank1_triple,
 )
 from wildsets.elliptic_curve import EllipticModel
-from wildsets.equivalence_core import certificate_to_json, compose
+from wildsets.equivalence_core import (
+    certificate_from_json,
+    certificate_to_json,
+    compose,
+)
 from wildsets.projective_line import ProjectiveLine
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
@@ -160,6 +165,14 @@ DEMO_STDOUT = {
                          ids=lambda fn: fn.__name__)
 def test_certificate_text_is_pinned(build):
     assert sha(certificate_to_json(build())) == CERTIFICATES[build]
+
+
+@pytest.mark.parametrize("build", list(CERTIFICATES),
+                         ids=lambda fn: fn.__name__)
+def test_certificate_text_reads_back_byte_for_byte(build):
+    # verify reads each function back as it is printed, pair atoms too
+    text = certificate_to_json(build())
+    assert certificate_to_json(certificate_from_json(text)) == text
 
 
 @pytest.mark.parametrize("demo", sorted(DEMO_STDOUT))
