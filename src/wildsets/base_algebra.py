@@ -858,14 +858,21 @@ def _ydict_neg(a, F: Fq):
     return {k: poly_neg(c, F) for k, c in a.items()}
 
 
+def _cut(text: str) -> str:
+    """Text for an error message, cut after 60 characters."""
+    if len(text) <= 60:
+        return text
+    return "%s... (%d characters)" % (text[:60], len(text))
+
+
 def _quoted(value) -> str:
     """An input value for an error message: its repr, cut after 60
     characters (a string's after 60 of its own)."""
-    text = value if isinstance(value, str) else repr(value)
-    if len(text) <= 60:
+    if not isinstance(value, str):
+        return _cut(repr(value))
+    if len(value) <= 60:
         return repr(value)
-    cut = repr(text[:60]) if text is value else text[:60]
-    return "%s... (%d characters)" % (cut, len(text))
+    return "%r... (%d characters)" % (value[:60], len(value))
 
 
 class _RatParser:

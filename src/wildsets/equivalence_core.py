@@ -48,7 +48,7 @@ import itertools
 import json
 from typing import Dict, List, Optional, Tuple
 
-from .base_algebra import _quoted, checked_field
+from .base_algebra import _cut, _quoted, checked_field
 from .elliptic_curve import EllipticModel
 from .errors import HypothesisError, SearchExhausted, VerificationError
 from .local_symbols import (
@@ -503,26 +503,6 @@ def _sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
     return tuple(final_maps), tuple(basis_images)
 
 
-def _realize_small_equivalence(model, places, images, local_maps
-                               ) -> SmallEquivalence:
-    """Solve for basis images matching the prescribed local maps.
-
-    The even-order classes inject into the product of local square
-    class groups over a removed set of rank zero, so the prescribed
-    local data determines a small equivalence when the tame-twist
-    solve succeeds.  Both sets contain a certified removed set, so
-    they have rank zero, which certify checks.
-    """
-    places = tuple(places)
-    images = tuple(images)
-    src = sing_space(model, places)
-    dst = sing_space(model, images)
-    final_maps, basis_images = _sandwich_solve(
-        model, places, images, local_maps, src.generators, dst.generators)
-    return SmallEquivalence(model, places, images, src.generators,
-                            basis_images, final_maps)
-
-
 # -- composition
 
 def compose(c1: WildSetCertificate, c2: WildSetCertificate,
@@ -577,8 +557,17 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
         images.append(image)
         maps.append(lm2)
 
+    # Both sets contain a certified removed set, so they have rank zero
+    # (certify checks it), the even-order classes inject into the local
+    # square classes, and a successful solve determines the equivalence.
+    places, images = tuple(places), tuple(images)
     try:
-        se = _realize_small_equivalence(model, places, images, maps)
+        src = sing_space(model, places).generators
+        dst = src if images == places else sing_space(model, images).generators
+        final_maps, basis_images = _sandwich_solve(
+            model, places, images, maps, src, dst)
+        se = SmallEquivalence(model, places, images, src, basis_images,
+                              final_maps)
     except (VerificationError, SearchExhausted):
         se = _wild_union_fallback(model, places, images, maps, degree_cap)
     cert = certify(se)
@@ -671,34 +660,22 @@ def _auxiliary_places(model, lams, forbidden, degree_cap) -> Tuple:
         "raise the degree cap" % (degree_cap, len(lams)))
 
 
-def _make_locally_trivial(mus, lams, spots):
-    """Multiply by the matching basis element wherever one is seen.
-
-    Each of the given functions may be a nonsquare at some of the
-    spots; the spot's own basis element is a nonsquare exactly there,
-    so multiplying repairs that spot without disturbing the others.
-    """
-    out = []
-    for mu in mus:
-        for lam, P in zip(lams, spots):
-            if local_square_class(mu, P) != ONE:
-                mu = mu * lam
-        out.append(mu)
-    return out
-
-
 def extend_pre_equivalence(pe: PreEquivalence, degree_cap: int = DEGREE_CAP
                            ) -> SmallEquivalence:
     """Complete a pre-equivalence to a small equivalence, literally.
 
     Requires the class ranks of the two removed sets to coincide; then
-    the locally trivial subspaces have a common rank m, and attaching
-    one auxiliary place per basis element on each side -- the place
-    seeing exactly that element -- kills the punctured class group.
-    The auxiliary places join the removed set carrying the identity
-    local map, and the quotient basis is patched to be locally trivial
-    at them.  The input is verified; the returned small equivalence is
-    data until certify verifies it.
+    their locally trivial subspaces Delta have a common rank, read off
+    the class-group formula pic_complement_two_rank, and at rank 0 the
+    pre-equivalence already is a small equivalence.  Otherwise one
+    auxiliary place per basis element of Delta on each side -- the
+    place seeing exactly that element -- kills the punctured class
+    group.  The places join the removed set carrying the identity local
+    map, and the quotient basis is patched to be locally trivial at
+    them by the element each place sees.  Delta and its places depend
+    on the removed set alone, so an equal side is built once.  The
+    input is verified; the returned small equivalence is data until
+    certify verifies it.
     """
     report = verify_pre_equivalence(pe)
     if not report["passes"]:
@@ -711,27 +688,34 @@ def extend_pre_equivalence(pe: PreEquivalence, degree_cap: int = DEGREE_CAP
         raise HypothesisError(
             "removed classes span ranks %d and %d; extension needs them "
             "equal" % (src_rank, dst_rank))
-
-    src_delta = delta_space(model, pe.places)
-    dst_delta = delta_space(model, pe.images)
-    if src_delta.rank == 0:
+    if pic_complement_two_rank(model, pe.places) == 0:
         return SmallEquivalence(model, pe.places, pe.images, pe.quotient_basis,
                                 pe.quotient_images, pe.local_maps)
-    spots = _auxiliary_places(model, src_delta.generators,
-                              set(pe.places), degree_cap)
-    spots2 = _auxiliary_places(model, dst_delta.generators,
-                               set(pe.images), degree_cap)
-    mus = _make_locally_trivial(pe.quotient_basis,
-                                src_delta.generators, spots)
-    mus2 = _make_locally_trivial(pe.quotient_images,
-                                 dst_delta.generators, spots2)
-    return SmallEquivalence(
-        model,
-        pe.places + spots,
-        pe.images + spots2,
-        tuple(src_delta.generators) + tuple(mus),
-        tuple(dst_delta.generators) + tuple(mus2),
-        pe.local_maps + (LocalMap.identity(),) * len(spots))
+
+    attached: Dict[Tuple, Tuple] = {}
+
+    def attach(removed, basis):
+        if removed not in attached:
+            lams = delta_space(model, removed).generators
+            attached[removed] = lams, _auxiliary_places(
+                model, lams, set(removed), degree_cap)
+        lams, spots = attached[removed]
+        patched = []
+        for mu in basis:
+            for lam, P in zip(lams, spots):
+                if local_square_class(mu, P) != ONE:
+                    mu = mu * lam
+            patched.append(mu)
+        return removed + spots, lams + tuple(patched)
+
+    places, basis = attach(pe.places, pe.quotient_basis)
+    if (pe.images, pe.quotient_images) == (pe.places, pe.quotient_basis):
+        images, imaged = places, basis
+    else:
+        images, imaged = attach(pe.images, pe.quotient_images)
+    identities = (LocalMap.identity(),) * (len(places) - len(pe.places))
+    return SmallEquivalence(model, places, images, basis, imaged,
+                            pe.local_maps + identities)
 
 
 # -- serialization
@@ -777,17 +761,19 @@ def _local_maps_from_json(parse_place, places, entries) -> List[LocalMap]:
                              % _quoted(entry))
         P = parse_place(_string(entry["place"], "a local map's place"))
         if P in by_place:
-            raise ValueError("the certificate has two local maps at %s" % P)
+            raise ValueError("the certificate has two local maps at %s"
+                             % _cut(str(P)))
         by_place[P] = LocalMap(
             square_class_parse(_string(entry["image_of_u"], "image_of_u")),
             square_class_parse(_string(entry["image_of_pi"], "image_of_pi")))
     for P in places:
         if P not in by_place:
-            raise ValueError("the certificate has no local map at %s" % P)
+            raise ValueError("the certificate has no local map at %s"
+                             % _cut(str(P)))
     stray = set(by_place) - set(places)
     if stray:
         raise ValueError("the certificate has a local map at %s, which is "
-                         "not a removed place" % min(stray))
+                         "not a removed place" % _cut(str(min(stray))))
     return [by_place[P] for P in places]
 
 

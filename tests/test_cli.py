@@ -6,6 +6,8 @@ is the workflow the JSON format exists for.
 """
 
 import argparse
+import functools
+import hashlib
 import itertools
 import json
 import os
@@ -21,7 +23,7 @@ import pytest
 import wildsets
 from expression_oracle import parse_whole
 from wildsets import equivalence_core
-from wildsets.base_algebra import GF
+from wildsets.base_algebra import GF, poly_is_irreducible, poly_str
 from wildsets.cli import MAX_FIELD_SIZE, run
 from wildsets.equivalence_core import (
     SmallEquivalence,
@@ -145,8 +147,16 @@ def test_twist_walk_exhaustion_exits_four(capsys, monkeypatch):
     assert "search exhausted" in capsys.readouterr().err
 
 
+# SHA-256 of the census transcript: (exit code, stdout, stderr) of every
+# set, recorded before the extension and glue stopped rebuilding spaces
+CENSUS_TRANSCRIPT = \
+    "d2d46f7a8aecb8743e1d4a541c7ac93fdcec5a292cc92dd25508fe9df497c260"
+
+
 def test_small_line_census_exits_three_only_on_a_proof(capsys, monkeypatch):
-    # every set of 1-3 distinct places of degree <= 2 on the F_5 line
+    # every set of 1-3 distinct places of degree <= 2 on the F_5 line;
+    # without --out construct prints the certificate, so the transcript
+    # pins every certificate and refusal line byte for byte
     monkeypatch.delenv("WILDSETS_DEGREE_CAP", raising=False)
     L = ProjectiveLine(GF(5))
     pool = L.places_of_degree(1) + L.places_of_degree(2)
@@ -156,10 +166,12 @@ def test_small_line_census_exits_three_only_on_a_proof(capsys, monkeypatch):
     sets = [S for size in (1, 2, 3)
             for S in itertools.combinations(pool, size)]
     assert len(sets) == 696
+    transcript = hashlib.sha256()
     for S in sets:
         code = run(["construct", "--q", "5", "--rank", "1",
                     "--places", ", ".join(map(str, S))])
         out, err = capsys.readouterr()
+        transcript.update(json.dumps([code, out, err]).encode() + b"\n")
         if code == 0:
             wild = "wild set: {%s}" % ", ".join(sorted(map(str, S)))
             assert wild in out.splitlines(), S
@@ -167,6 +179,7 @@ def test_small_line_census_exits_three_only_on_a_proof(capsys, monkeypatch):
             assert not check_necessary_condition(L, S), (S, err)
         else:
             assert code == 4, (S, code, err)
+    assert transcript.hexdigest() == CENSUS_TRANSCRIPT
 
 
 def test_degree_cap_environment_override(capsys, monkeypatch):
@@ -501,8 +514,26 @@ def _with_local_map(data, **entry):
     return dict(data, local_maps=[first] + data["local_maps"][1:])
 
 
+@functools.lru_cache(maxsize=None)
+def long_place() -> str:
+    """A place of degree 60 on the F_5 line: 384 characters of text."""
+    F, rng = GF(5), random.Random("long place")
+    while True:
+        f = tuple(rng.randrange(5) for _ in range(60)) + (1,)
+        if poly_is_irreducible(f, F):
+            return poly_str(f, "t", F)
+
+
+def _with_long_place(data, count):
+    extra = dict(data["local_maps"][0], place=long_place())
+    return dict(data, local_maps=data["local_maps"] + [extra] * count)
+
+
 # (edit of a good certificate, words its error line must hold)
 LONG_VALUES = [
+    (lambda d: _with_long_place(d, 1), "which is not a removed place"),
+    (lambda d: _with_long_place(d, 2), "two local maps at"),
+    (lambda d: dict(d, S=d["S"] + [long_place()]), "no local map at"),
     (lambda d: _with_local_map(d, image_of_u="u" * 100000),
      "unknown square class"),
     (lambda d: _with_local_map(d, image_of_u=[0] * 30000),

@@ -14,13 +14,15 @@ from typing import Dict, Tuple
 
 import pytest
 
+from test_pinned_outputs import curve_general_rank_three
 from wildsets import (cli, constructions, elliptic_curve, equivalence_core,
-                      function_field, projective_line)
-from wildsets.base_algebra import GF, poly_parse
+                      function_field, projective_line, square_class_spaces)
+from wildsets.base_algebra import GF, poly_deg, poly_parse
 from wildsets.constructions import (
     construct_general,
     construct_rank0,
     construct_rank1,
+    construct_rank1_pair,
 )
 from wildsets.elliptic_curve import EllipticModel
 from wildsets.equivalence_core import (
@@ -385,6 +387,40 @@ def test_composition_is_associative_on_disjoint_singletons():
         ["t^2 + 2", "t^2 + 3", "t^2 + t + 1"]
 
 
+def count_builds(monkeypatch):
+    """Count sing_space and delta_space calls at every module binding."""
+    counts = {"sing_space": 0, "delta_space": 0}
+    for name in counts:
+        original = getattr(square_class_spaces, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in (square_class_spaces, equivalence_core, constructions):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_extension_and_glue_build_each_space_once(monkeypatch):
+    L = line(5)
+    c1, c2 = (construct_rank0(L, [lplace(L, s)])
+              for s in ("t^2 + 2", "t^2 + 3"))
+    counts = count_builds(monkeypatch)
+    # rk Delta = 0: nothing to attach, so no Delta is built
+    construct_rank1_pair(L, lplace(L, "t"), lplace(L, "t + 4"))
+    assert counts == {"sing_space": 0, "delta_space": 0}
+    # both sides remove the same places: one Delta for the two
+    construct_rank0(L, [lplace(L, "t^2 + 2")])
+    assert counts["delta_space"] == 1
+    # a glue whose images are its places: one sing_space for the two
+    counts.update(sing_space=0, delta_space=0)
+    glued = compose(c1, c2)
+    assert glued.equivalence.images == glued.equivalence.places
+    assert counts == {"sing_space": 1, "delta_space": 0}
+
+
 def test_certificates_over_different_fields_do_not_compose():
     with pytest.raises(ValueError, match="different fields"):
         compose(wild_singleton(line(5), "t^2 + 2"),
@@ -450,18 +486,22 @@ def test_json_round_trip_on_a_curve():
     assert [str(P) for P in back.equivalence.places] == list(data["S"])
 
 
-@pytest.mark.parametrize("backend", ["line", "curve"])
+@pytest.mark.parametrize("backend", ["line", "curve", "curve_rank_three"])
 def test_reading_a_certificate_tests_each_polynomial_once(backend, monkeypatch):
     """A polynomial that is both a place and an atom of a function is
     tested for irreducibility once, when the place is parsed, and not
-    factored; any other polynomial is factored at most once."""
+    factored; any other polynomial is factored at most once, and a
+    constant not at all."""
     if backend == "line":
         L = line(5)
         text = certificate_to_json(compose(wild_pair(L, 0, 4), wild_pair(L, 3, 2)))
-    else:
+    elif backend == "curve":
         model = EllipticModel(GF(5), poly_parse("t^3 + 4t", GF(5)))
         text = certificate_to_json(identity_certificate(
             model, ["(t; ramified)", "(t + 1; ramified)", "(t + 3; split; 1)"]))
+    else:
+        # its functions carry pair atoms, and pairs whose gcd is 1
+        text = certificate_to_json(curve_general_rank_three())
     tested, factored = [], []
     test, factor = projective_line.poly_is_irreducible, function_field.poly_factor
 
@@ -478,10 +518,14 @@ def test_reading_a_certificate_tests_each_polynomial_once(backend, monkeypatch):
     for module in (function_field, elliptic_curve):
         monkeypatch.setattr(module, "poly_factor", counted_factor)
     certificate_from_json(text)
-    assert tested and factored
+    assert tested
+    # the line certificate's functions are products of its places'
+    # polynomials and constants, so nothing is left to factor there
+    assert bool(factored) == (backend != "line")
     assert len(tested) == len(set(tested))
     assert len(factored) == len(set(factored))
     assert not set(tested) & set(factored)
+    assert all(poly_deg(f) >= 1 for f in factored)
 
 
 def test_tampered_wild_claims_are_caught():

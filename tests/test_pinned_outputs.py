@@ -12,7 +12,8 @@ fixed-place pair constructions, a rank-1 triple through the fitted
 images, and the rank-2 and rank-3 general sets (the rank-3 digest was
 recorded before the general construction's gate was split from its
 builder).  Each pinned certificate must also read back through
-certificate_from_json and print to the same text.
+certificate_from_json and print to the same text, on the fast paths and
+again with the kernel, residue and divisor oracles of tests/ installed.
 """
 
 from __future__ import annotations
@@ -22,9 +23,13 @@ import hashlib
 import io
 import pathlib
 import runpy
+import sys
 
 import pytest
 
+import kernel_oracle
+from divisor_oracle import oracle_divisor
+from residue_oracle import euler_square_class
 from wildsets.base_algebra import GF, poly_parse
 from wildsets.constructions import (
     construct_general,
@@ -33,12 +38,13 @@ from wildsets.constructions import (
     construct_rank1_pair,
     construct_rank1_triple,
 )
-from wildsets.elliptic_curve import EllipticModel
+from wildsets.elliptic_curve import CurveFunction, EllipticModel
 from wildsets.equivalence_core import (
     certificate_from_json,
     certificate_to_json,
     compose,
 )
+from wildsets.local_symbols import local_square_class
 from wildsets.projective_line import ProjectiveLine
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
@@ -172,6 +178,22 @@ def test_certificate_text_is_pinned(build):
 def test_certificate_text_reads_back_byte_for_byte(build):
     # verify reads each function back as it is printed, pair atoms too
     text = certificate_to_json(build())
+    assert certificate_to_json(certificate_from_json(text)) == text
+
+
+@pytest.mark.parametrize("build", list(CERTIFICATES),
+                         ids=lambda fn: fn.__name__)
+def test_certificate_text_reads_back_on_the_slow_paths(build, monkeypatch):
+    # the kernel, residue and divisor oracles keep the routes the fast
+    # paths replaced; verify must read the same certificate through them
+    text = certificate_to_json(build())
+    kernel_oracle.install(monkeypatch)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wildsets") and \
+                getattr(module, "local_square_class", None) is local_square_class:
+            monkeypatch.setattr(module, "local_square_class",
+                                euler_square_class)
+    monkeypatch.setattr(CurveFunction, "divisor", oracle_divisor)
     assert certificate_to_json(certificate_from_json(text)) == text
 
 
