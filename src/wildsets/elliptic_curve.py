@@ -444,10 +444,8 @@ class EllipticModel(Model):
 
         A poly atom's is read off the places above it.  A pair atom's
         needs its norm factored; it depends on the model and the atom
-        alone, so it is computed once per model and kept, with that of
-        the conjugate -a + b*y, whose norm is the same.  A pair atom has
-        a pole at infinity.  Poly atoms are not kept: there are far more
-        of them, and they are cheap.
+        alone, so it is computed once per model and kept.  Poly atoms
+        are not kept: there are far more of them, and they are cheap.
         """
         kind, data = atom
         if kind == "poly":
@@ -457,17 +455,15 @@ class EllipticModel(Model):
             return out
         got = self._pair_divisors.get(atom)
         if got is None:
-            a, b = data
-            support = [P for p, _ in poly_factor(_pair_norm(a, b, self),
-                                                 self.field)[1]
-                       for P in self._places_over_irreducible(p)]
-            assert all(P.kind != "inert" for P in support), \
-                "a primitive pair has no inert zeros"
-            # the conjugate first, so that got ends as the atom's own
-            for pair in (("lin", (poly_neg(a, self.field), b)), atom):
-                got = self._pair_divisors[pair] = tuple(
-                    (P, n) for P in support + [self.infinity]
-                    if (n := _atom_ord(pair, P, self)))
+            out = []
+            for p, _ in poly_factor(_pair_norm(data[0], data[1], self), self.field)[1]:
+                for P in self._places_over_irreducible(p):
+                    assert P.kind != "inert", "a primitive pair has no inert zeros"
+                    n = _atom_ord(atom, P, self)
+                    if n:
+                        out.append((P, n))
+            out.append((self.infinity, _atom_ord(atom, self.infinity, self)))
+            got = self._pair_divisors[atom] = tuple(out)
         return got
 
     def places_of_degree(self, d: int) -> List[CurvePlace]:

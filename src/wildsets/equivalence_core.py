@@ -557,9 +557,8 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
         images.append(image)
         maps.append(lm2)
 
-    # Both sets contain a certified removed set, so they have rank zero
-    # (certify checks it), the even-order classes inject into the local
-    # square classes, and a successful solve determines the equivalence.
+    # Both sets have rank zero (certify checks it): the even-order classes
+    # inject into local square classes, so a solve fixes the equivalence.
     places, images = tuple(places), tuple(images)
     try:
         src = sing_space(model, places).generators
@@ -660,20 +659,34 @@ def _auxiliary_places(model, lams, forbidden, degree_cap) -> Tuple:
         "raise the degree cap" % (degree_cap, len(lams)))
 
 
+def _make_locally_trivial(mus, lams, spots) -> Tuple:
+    """Multiply by the matching basis element wherever one is seen.
+
+    Each of the given functions may be a nonsquare at some of the
+    spots; the spot's own basis element is a nonsquare exactly there,
+    so multiplying repairs that spot without disturbing the others.
+    """
+    out = []
+    for mu in mus:
+        for lam, P in zip(lams, spots):
+            if local_square_class(mu, P) != ONE:
+                mu = mu * lam
+        out.append(mu)
+    return tuple(out)
+
+
 def extend_pre_equivalence(pe: PreEquivalence, degree_cap: int = DEGREE_CAP
                            ) -> SmallEquivalence:
     """Complete a pre-equivalence to a small equivalence, literally.
 
     Requires the class ranks of the two removed sets to coincide; then
-    their locally trivial subspaces Delta have a common rank, read off
-    the class-group formula pic_complement_two_rank, and at rank 0 the
-    pre-equivalence already is a small equivalence.  Otherwise one
-    auxiliary place per basis element of Delta on each side -- the
+    the locally trivial subspaces Delta have a common rank, read off the
+    class-group formula; at 0 there is nothing to attach.  Otherwise
+    one auxiliary place per basis element of Delta on each side -- the
     place seeing exactly that element -- kills the punctured class
     group.  The places join the removed set carrying the identity local
     map, and the quotient basis is patched to be locally trivial at
-    them by the element each place sees.  Delta and its places depend
-    on the removed set alone, so an equal side is built once.  The
+    them; two equal removed sets share their Delta and places.  The
     input is verified; the returned small equivalence is data until
     certify verifies it.
     """
@@ -691,31 +704,17 @@ def extend_pre_equivalence(pe: PreEquivalence, degree_cap: int = DEGREE_CAP
     if pic_complement_two_rank(model, pe.places) == 0:
         return SmallEquivalence(model, pe.places, pe.images, pe.quotient_basis,
                                 pe.quotient_images, pe.local_maps)
-
-    attached: Dict[Tuple, Tuple] = {}
-
-    def attach(removed, basis):
-        if removed not in attached:
-            lams = delta_space(model, removed).generators
-            attached[removed] = lams, _auxiliary_places(
-                model, lams, set(removed), degree_cap)
-        lams, spots = attached[removed]
-        patched = []
-        for mu in basis:
-            for lam, P in zip(lams, spots):
-                if local_square_class(mu, P) != ONE:
-                    mu = mu * lam
-            patched.append(mu)
-        return removed + spots, lams + tuple(patched)
-
-    places, basis = attach(pe.places, pe.quotient_basis)
-    if (pe.images, pe.quotient_images) == (pe.places, pe.quotient_basis):
-        images, imaged = places, basis
-    else:
-        images, imaged = attach(pe.images, pe.quotient_images)
-    identities = (LocalMap.identity(),) * (len(places) - len(pe.places))
-    return SmallEquivalence(model, places, images, basis, imaged,
-                            pe.local_maps + identities)
+    lams = delta_space(model, pe.places).generators
+    spots = _auxiliary_places(model, lams, set(pe.places), degree_cap)
+    lams2, spots2 = lams, spots
+    if pe.images != pe.places:
+        lams2 = delta_space(model, pe.images).generators
+        spots2 = _auxiliary_places(model, lams2, set(pe.images), degree_cap)
+    return SmallEquivalence(
+        model, pe.places + spots, pe.images + spots2,
+        lams + _make_locally_trivial(pe.quotient_basis, lams, spots),
+        lams2 + _make_locally_trivial(pe.quotient_images, lams2, spots2),
+        pe.local_maps + (LocalMap.identity(),) * len(spots))
 
 
 # -- serialization

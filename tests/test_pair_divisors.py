@@ -121,10 +121,6 @@ def test_divisors_match_the_oracle_cold_warm_and_on_a_twin(q, text):
         same(fn)
     size = len(model._pair_divisors)
     assert size
-    # entries kept for conjugates that were never asked for hold too
-    for atom in list(model._pair_divisors):
-        same(CurveFunction._trusted(model, 1, {atom: 1}))
-    assert len(model._pair_divisors) == size
     for fn in fns:
         same(fn)
     assert len(model._pair_divisors) == size
