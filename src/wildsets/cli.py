@@ -10,10 +10,7 @@ hypothesis of the chosen route); 4 undecided (a bounded search ran out
 or found nothing in its space).
 
 The argument parser is built once per process and reused by every call
-of run.  Each subcommand accepts only the options it reads.  The
-environment is read by `construct` alone: each run reads
-WILDSETS_DEGREE_CAP afresh, and a --degree-cap flag, when given, wins
-over it (a malformed variable is unusable input all the same).
+of run.  Each subcommand accepts only the options it reads.
 
 Places and elements are written as polynomials in t (reduced mod p),
 `inf` for the infinite place, and `(base; kind; branch)` for places of
@@ -26,7 +23,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 from typing import List, Sequence
@@ -65,8 +61,6 @@ from .square_class_spaces import (
 )
 
 __all__ = ["MAX_FIELD_SIZE", "run", "main"]
-
-DEGREE_CAP_VAR = "WILDSETS_DEGREE_CAP"
 
 
 def _model(args):
@@ -152,30 +146,22 @@ def _cmd_smile(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    text = os.environ.get(DEGREE_CAP_VAR, str(DEGREE_CAP))
-    try:
-        cap = int(text)
-    except ValueError:
-        raise ValueError("%s must be an integer, got %r"
-                         % (DEGREE_CAP_VAR, text)) from None
     model = _model(args)
-    if args.degree_cap is not None:
-        cap = args.degree_cap
-    if cap < 1:
+    if args.degree_cap < 1:
         raise ValueError("the degree cap must be positive")
     if args.aux is not None and args.rank != "general":
         raise ValueError("--aux is read only by --rank general")
     S = _places(model, args.places)
     if args.rank == "0":
-        cert = construct_rank0(model, S, cap)
+        cert = construct_rank0(model, S, args.degree_cap)
     elif args.rank == "1":
-        cert = construct_rank1(model, S, cap)
+        cert = construct_rank1(model, S, args.degree_cap)
     else:
         aux = _places(model, args.aux or "")
         if not aux:
             raise ValueError(
                 "--rank general needs the 2-divisible points in --aux")
-        cert = construct_general(model, S, aux, cap)
+        cert = construct_general(model, S, aux, args.degree_cap)
     blob = certificate_to_json(cert)
     if args.out:
         with open(args.out, "w") as handle:
@@ -368,9 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aux", default=None,
                    help="rank general only: the 2-divisible points")
     p.add_argument("--out", default=None, help="file for the certificate")
-    p.add_argument("--degree-cap", type=int, default=None,
+    p.add_argument("--degree-cap", type=int, default=DEGREE_CAP,
                    help="search budget for auxiliary places "
-                        "(env %s)" % DEGREE_CAP_VAR)
+                        "(default %d)" % DEGREE_CAP)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("verify", help="re-check a certificate file")

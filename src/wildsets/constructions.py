@@ -9,9 +9,9 @@ repeated list is unusable input (ValueError), not a refusal: the empty
 set is the wild set of every tame self-equivalence.  A refusal proves S
 is not wild only when S has fewer than 2 rk G points or a point where
 -1 is not a local square; any other (a rank outside the route's range,
-dependent P, an indivisible q, the pairing condition, _sing_element,
-_fit_triple_images) says only that this route's hypothesis fails.  A
-glue that compose cannot rebuild raises SearchExhausted: undecided.
+dependent P, an indivisible q, the pairing condition, _sing_element)
+says only that this route's hypothesis fails.  A glue compose cannot
+rebuild, or a triple no image fits, raises SearchExhausted: undecided.
 
 The constructions bottom out in explicit pre-equivalences -- a handful
 of functions with known divisors and the Klein-four maps matching their
@@ -31,7 +31,7 @@ from .equivalence_core import (
     extend_pre_equivalence,
     verify_pre_equivalence,
 )
-from .errors import HypothesisError, SearchExhausted, VerificationError
+from .errors import HypothesisError, SearchExhausted
 from .local_symbols import (
     ONE,
     U,
@@ -268,7 +268,7 @@ def _fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
             pe = PreEquivalence(model, S, targets, basis, images, tuple(maps))
             if verify_pre_equivalence(pe)["passes"]:
                 return pe
-    raise VerificationError(
+    raise SearchExhausted(
         "no combination of the witnesses realizes a wild triple; the "
         "search space is complete, so a hypothesis must have failed "
         "undetected")

@@ -34,11 +34,11 @@ WildSetCertificate is the verified type.
 Composition glues two certificates with disjoint wild loci; when the
 prescribed local maps cannot be realized by any global basis map, tame
 twists -- which never change wildness -- are searched for by an F_2
-solve, and failing that the wild locus alone is rebuilt from the
-quotient level, since the tame bookkeeping of a composite is partly
-convention while its wild locus is not.  A rebuild that finds nothing
-raises SearchExhausted, never a refusal: it searches one image pool, so
-coming up empty proves nothing about the set.
+solve on the class tables of both sides.  Failing that, the wild locus
+alone is rebuilt from the quotient level (the tame bookkeeping of a
+composite is partly convention, its wild locus is not), one class
+table serving every matching tried.  A rebuild that finds nothing raises
+SearchExhausted, never a refusal: one image pool proves nothing.
 """
 
 from __future__ import annotations
@@ -124,9 +124,6 @@ class _PlaceMatching:
 
     def image_of(self, place):
         return self.images[self.places.index(place)]
-
-    def local_map_at(self, place):
-        return self.local_maps[self.places.index(place)]
 
 
 class PreEquivalence(_PlaceMatching):
@@ -231,6 +228,10 @@ def quotient_basis(model, S) -> Tuple:
 
 # -- verification
 
+def _class_table(elements, places) -> List[List]:
+    return [[local_square_class(b, P) for P in places] for b in elements]
+
+
 def _require_rank_zero(model, removed, which: str) -> None:
     """Raise HypothesisError unless removing the set kills Pic/2Pic.
 
@@ -266,7 +267,7 @@ def _side_classes(places, elements, failures, side):
                                 % (side, b, P))
                 ok = False
                 break
-    table = [[local_square_class(b, P) for P in places] for b in elements]
+    table = _class_table(elements, places)
     if _f2_rank([_pack(row) for row in table]) != len(elements):
         failures.append("%s basis is dependent modulo the locally trivial "
                         "classes" % side)
@@ -393,45 +394,44 @@ def certify(se: SmallEquivalence) -> WildSetCertificate:
 
 # -- realizing prescribed local maps
 
-def _sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
+def _sandwich_solve(model, local_maps, src_table, dst_table, dst_gens):
     """Match prescribed local data to the embedded target, up to twists.
 
-    Pushing the local classes of each source generator through the
-    prescribed maps dictates where it must land -- provided the
-    prescription stays inside the span of the target generators' local
-    data.  When it does not, sandwiching a map between tame twists can
-    repair it: neither side of the sandwich moves the parity of the
-    image of u, so no wildness changes.  With x, y the pre- and
+    Row i of src_table holds the classes of the i-th source generator,
+    row k of dst_table those of dst_gens[k], and column j of both is the
+    place of local_maps[j].  Pushing a source row through the maps
+    dictates where its generator must land, provided that stays inside
+    the span of the target rows.  When it does not, sandwiching a map
+    between tame twists can repair it: neither side moves the parity of
+    the image of u, so no wildness changes.  With x, y the pre- and
     post-twist bits at a place, a prescribed vector shifts linearly in
-    x, y and the product xy, so the patterns solve an F_2 linear
-    system with one extra consistency constraint, checked over the
-    solution set in a fixed order.  The system is solved by the shared
-    kernel: the relations among the residual columns of the unknowns,
-    listed highest unknown first, and of the prescription, listed last.
-    The least relation through the last column is the solution with
-    every free unknown zero; the other relations, lowest unknown first,
-    span the twist patterns that keep it a solution.  Returns the
-    adjusted maps and the generator images; raises VerificationError
-    when no pattern works, and SearchExhausted when the solution set was
-    too large to walk.
+    x, y and xy: the patterns solve an F_2 system with one consistency
+    constraint, checked over the solutions in a fixed order.  The shared
+    kernel finds the relations among the columns of the unknowns,
+    highest first, and of the prescription, last, each reduced against
+    the target span and so free of its basis: the least relation through
+    the last column is the solution with every free unknown zero, and
+    the others, lowest unknown first, span the twist patterns that keep
+    it one.  Returns the adjusted maps and the generator images, the
+    products of dst_gens, the one output the basis changes; raises
+    VerificationError when no pattern works, and SearchExhausted when
+    the solution set was too large to walk.
     """
     # the embedded target, each row tagged with its generator's bit
     shift = len(dst_gens)
     target: Dict[int, int] = {}
-    for k, c in enumerate(dst_gens):
-        row = _pack(local_square_class(c, Q) for Q in images)
-        if not _xor_insert(target, row << shift | 1 << k) >> shift:
+    for k, row in enumerate(dst_table):
+        if not _xor_insert(target, _pack(row) << shift | 1 << k) >> shift:
             raise VerificationError("the target generators are dependent "
                                     "in their local data")
 
     # unknowns per place j: pre-twist 3j, post-twist 3j+1, product 3j+2
     prescribed = []
     twist_flips = []
-    for b in src_gens:
+    for row in src_table:
         images_of_b = []
         flips = []
-        for j, (P, lm) in enumerate(zip(places, local_maps)):
-            start = local_square_class(b, P)
+        for j, (start, lm) in enumerate(zip(row, local_maps)):
             image = lm.apply(start)
             images_of_b.append(image)
             # pre-twist feeds the map u times the class instead
@@ -444,11 +444,11 @@ def _sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
         twist_flips.append(flips)
 
     # column nvars-1-k stacks every generator's residual for unknown k
-    nvars = 3 * len(places)
+    nvars = 3 * len(local_maps)
     columns = [0] * (nvars + 1)
     for v, flips in zip(prescribed, twist_flips):
         for i, w in enumerate(flips[::-1] + [v]):
-            columns[i] = (columns[i] << 2 * len(images)
+            columns[i] = (columns[i] << 2 * len(local_maps)
                           | _reduce(target, w << shift) >> shift)
     no_pattern = VerificationError(
         "the prescribed local maps cannot be realized, even after "
@@ -465,7 +465,7 @@ def _sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
     def consistent(assign: int) -> bool:
         return all(unknown(assign, 3 * j + 2)
                    == unknown(assign, 3 * j) & unknown(assign, 3 * j + 1)
-                   for j in range(len(places)))
+                   for j in range(len(local_maps)))
 
     twists = None
     walked = min(len(kernel), TWIST_KERNEL_BITS)
@@ -563,8 +563,10 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
     try:
         src = sing_space(model, places).generators
         dst = src if images == places else sing_space(model, images).generators
+        src_table = _class_table(src, places)
+        dst_table = src_table if dst is src else _class_table(dst, images)
         final_maps, basis_images = _sandwich_solve(
-            model, places, images, maps, src, dst)
+            model, maps, src_table, dst_table, dst)
         se = SmallEquivalence(model, places, images, src, basis_images,
                               final_maps)
     except (VerificationError, SearchExhausted):
@@ -586,14 +588,17 @@ def _wild_union_fallback(model, places, images, maps, degree_cap: int
     A certificate says nothing about its extension off the stored
     domain, so the composite matching at a tame place -- and even the
     assumption that an unmatched place stays put -- can be collectively
-    unsatisfiable as written.  Only the wild locus is binding: rebuild
-    a pre-equivalence there with the composed wild maps, searching the
+    unsatisfiable as written.  Only the wild locus is binding: rebuild a
+    pre-equivalence there with the composed wild maps, searching the
     injective matchings into the recorded image pool in a fixed order
     starting from the faithful one, and extend the first that solves.
-    Raises SearchExhausted when none does, whether the walk finished,
-    stopped at PERMUTATION_CAP or met a twist solve past its budget:
-    the pool holds only the recorded images, so an empty search there
-    proves nothing.
+    Every ordering permutes the columns of one class table, the source's
+    when the pool holds the wild places and else the pool's, since only
+    its row span decides the solve; a winner in another order is solved
+    again on its own quotient_basis.  Raises SearchExhausted when none
+    solves, whether the walk finished, stopped at PERMUTATION_CAP or met
+    a twist solve past its budget: the pool holds only the recorded
+    images, so an empty search proves nothing.
     """
     keep = [j for j, m in enumerate(maps) if m.is_wild]
     if not keep:
@@ -604,14 +609,23 @@ def _wild_union_fallback(model, places, images, maps, degree_cap: int
     wild_maps = tuple(maps[j] for j in keep)
     pool = tuple(images[j] for j in keep)
     src_gens = quotient_basis(model, wild_places)
+    src_table = _class_table(src_gens, wild_places)
+    base, gens, table = wild_places, src_gens, src_table
+    if set(pool) != set(wild_places):
+        base, gens = pool, quotient_basis(model, pool)
+        table = _class_table(gens, pool)
     for cand in itertools.islice(itertools.permutations(pool),
                                  PERMUTATION_CAP):
-        dst_gens = quotient_basis(model, cand)
+        dst_table = [[row[base.index(Q)] for Q in cand] for row in table]
         try:
             final_maps, gen_images = _sandwich_solve(
-                model, wild_places, cand, wild_maps, src_gens, dst_gens)
+                model, wild_maps, src_table, dst_table, gens)
         except (VerificationError, SearchExhausted):
             continue
+        if cand != base:
+            gens = quotient_basis(model, cand)
+            final_maps, gen_images = _sandwich_solve(
+                model, wild_maps, src_table, _class_table(gens, cand), gens)
         pe = PreEquivalence(model, wild_places, cand, src_gens, gen_images,
                             final_maps)
         return extend_pre_equivalence(pe, degree_cap)

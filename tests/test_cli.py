@@ -22,7 +22,7 @@ import pytest
 
 import wildsets
 from expression_oracle import parse_whole
-from wildsets import equivalence_core
+from wildsets import constructions, equivalence_core
 from wildsets.base_algebra import GF, poly_is_irreducible, poly_str
 from wildsets.cli import MAX_FIELD_SIZE, run
 from wildsets.equivalence_core import (
@@ -147,6 +147,50 @@ def test_twist_walk_exhaustion_exits_four(capsys, monkeypatch):
     assert "search exhausted" in capsys.readouterr().err
 
 
+def _quotient_bases_built(monkeypatch, argv, out=None):
+    """Exit code of argv and the quotient_basis calls it made."""
+    calls = []
+    real = equivalence_core.quotient_basis
+
+    def counting(model, S):
+        calls.append(S)
+        return real(model, S)
+
+    monkeypatch.setattr(equivalence_core, "quotient_basis", counting)
+    return run(argv + (["--out", str(out)] if out else [])), len(calls)
+
+
+# six degree-1 places over F_13: the fallback's winner is ordering 121
+# of 720, out of the pool's order.  A walk that builds a quotient basis
+# per ordering builds 123 of them here, and 25 for FALLBACK_ARGV
+SIX_POINT_ARGV = ["construct", "--q", "13", "--rank", "1", "--places",
+                  "t, t + 1, t + 2, t + 3, t + 4, t + 5"]
+SIX_POINT_SHA256 = \
+    "d6698b9c0022941fbcb60b06ccc3059b3a3576496c69febc17b455a273f067e7"
+
+
+def test_fallback_builds_one_basis_per_side(capsys, monkeypatch, tmp_path):
+    cert = tmp_path / "six.json"
+    code, built = _quotient_bases_built(monkeypatch, SIX_POINT_ARGV, cert)
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == SIX_POINT_SHA256
+    assert built <= 3
+    # every ordering of the pool fails here
+    code, built = _quotient_bases_built(monkeypatch, FALLBACK_ARGV)
+    assert "within the search budget" in capsys.readouterr().err
+    assert code == 4 and built <= 2
+
+
+def test_triple_without_fitting_images_exits_four(capsys, monkeypatch):
+    # the witness search is complete; when it still finds nothing, a
+    # hypothesis failed undetected, which proves nothing about the set
+    monkeypatch.setattr(constructions, "verify_pre_equivalence",
+                        lambda pe: {"passes": False})
+    assert run(["construct", "--q", "5", "--rank", "1",
+                "--places", "t, t + 1, t + 4"]) == 4
+    assert "no combination of the witnesses" in capsys.readouterr().err
+
+
 # SHA-256 of the census transcript: (exit code, stdout, stderr) of every
 # set, recorded before the extension and glue stopped rebuilding spaces
 CENSUS_TRANSCRIPT = \
@@ -157,7 +201,6 @@ def test_small_line_census_exits_three_only_on_a_proof(capsys, monkeypatch):
     # every set of 1-3 distinct places of degree <= 2 on the F_5 line;
     # without --out construct prints the certificate, so the transcript
     # pins every certificate and refusal line byte for byte
-    monkeypatch.delenv("WILDSETS_DEGREE_CAP", raising=False)
     L = ProjectiveLine(GF(5))
     pool = L.places_of_degree(1) + L.places_of_degree(2)
     assert len(pool) == 16
@@ -180,28 +223,6 @@ def test_small_line_census_exits_three_only_on_a_proof(capsys, monkeypatch):
         else:
             assert code == 4, (S, code, err)
     assert transcript.hexdigest() == CENSUS_TRANSCRIPT
-
-
-def test_degree_cap_environment_override(capsys, monkeypatch):
-    argv = ["construct", "--q", "5", "--rank", "1", "--places", "t,t-1,t-2"]
-    monkeypatch.setenv("WILDSETS_DEGREE_CAP", "1")
-    assert run(argv) == 4
-    monkeypatch.delenv("WILDSETS_DEGREE_CAP")
-    assert run(argv) == 0
-    capsys.readouterr()
-
-
-def test_malformed_degree_cap_environment_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("WILDSETS_DEGREE_CAP", "abc")
-    argv = ["construct", "--q", "5", "--rank", "1", "--places", "t, t-1"]
-    assert run(argv) == 2
-    assert "WILDSETS_DEGREE_CAP" in capsys.readouterr().err
-    # a given flag does not excuse a malformed environment
-    assert run(argv + ["--degree-cap", "3"]) == 2
-    assert "WILDSETS_DEGREE_CAP" in capsys.readouterr().err
-    # only construct reads the variable
-    assert run(["ranks", "--q", "5", "--places", "t"]) == 0
-    capsys.readouterr()
 
 
 def test_parser_is_built_at_most_once_per_process(capsys, monkeypatch):

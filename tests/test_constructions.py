@@ -60,7 +60,8 @@ def test_rank0_singleton(line):
     cert = construct_rank0(line, (q,))
     assert_sound(line, cert, {q})
     # the wild map fixes the uniformizer class and twists the unit
-    lm = cert.equivalence.local_map_at(q)
+    se = cert.equivalence
+    lm = dict(zip(se.places, se.local_maps))[q]
     assert lm == LocalMap(U_PI, PI)
     # everything away from q is an identity
     for P, m in zip(cert.equivalence.places, cert.equivalence.local_maps):
@@ -115,8 +116,9 @@ def test_pair_with_no_divisible_member(line):
     # the matching stays put and both maps swap u with pi
     assert cert.equivalence.image_of(p) == p
     assert cert.equivalence.image_of(q) == q
-    assert cert.equivalence.local_map_at(p) == LocalMap(PI, U)
-    assert cert.equivalence.local_map_at(q) == LocalMap(PI, U)
+    se = cert.equivalence
+    assert dict(zip(se.places, se.local_maps))[p] == LocalMap(PI, U)
+    assert dict(zip(se.places, se.local_maps))[q] == LocalMap(PI, U)
 
 
 def test_pair_with_divisible_member_swaps_places(line):
@@ -162,7 +164,8 @@ def test_triple_without_divisible_member(line):
     moved = cert.equivalence.image_of(S[2])
     assert moved not in S
     assert line.two_divisible(Divisor({moved: 1}))
-    assert all(cert.equivalence.local_map_at(P).is_wild for P in S)
+    se = cert.equivalence
+    assert all(dict(zip(se.places, se.local_maps))[P].is_wild for P in S)
 
 
 def test_triple_with_divisible_member_delegates(line):

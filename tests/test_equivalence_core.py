@@ -14,6 +14,7 @@ from typing import Dict, Tuple
 
 import pytest
 
+from fallback_oracle import place_solve
 from wildsets import (cli, constructions, elliptic_curve, equivalence_core,
                       function_field, projective_line, square_class_spaces)
 from wildsets.base_algebra import GF, poly_parse
@@ -30,7 +31,6 @@ from wildsets.equivalence_core import (
     PreEquivalence,
     SmallEquivalence,
     WildSetCertificate,
-    _sandwich_solve,
     _side_classes,
     certificate_from_json,
     certificate_to_json,
@@ -545,6 +545,8 @@ def test_unknown_backend_and_missing_fields_are_rejected():
 # The solve below is the earlier implementation of _sandwich_solve, kept
 # verbatim as the oracle: it ran its own triangular basis, Gauss-Jordan
 # pass and free-variable extraction instead of the shared F_2 kernel.
+# It reads the classes at the places itself; the package's solve reads
+# class tables, which place_solve tabulates for it.
 
 def _oracle_sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
     """Match prescribed local data to the embedded target, up to twists.
@@ -760,7 +762,7 @@ def test_twist_solve_matches_the_triangular_solve(monkeypatch):
             monkeypatch.setattr(core, "TWIST_KERNEL_BITS", bits)
             monkeypatch.setitem(globals(), "TWIST_KERNEL_BITS", bits)
             del seen[:]
-            new = _solve_outcome(core._sandwich_solve, *args)
+            new = _solve_outcome(place_solve, *args)
             assert new == _solve_outcome(_oracle_sandwich_solve, *args)
             if bits == 0 and new[0] is SearchExhausted:
                 tally["exhausted"] += 1
@@ -947,7 +949,7 @@ def _doctored(cert, rng):
     # solve for images matching the local maps on the new targets, so
     # that only the conditions on the target set itself can fail
     try:
-        maps, images = _sandwich_solve(
+        maps, images = place_solve(
             model, se.places, targets, se.local_maps, se.sing_basis,
             quotient_basis(model, targets))
     except (VerificationError, SearchExhausted):
