@@ -389,7 +389,7 @@ def run(argv=None) -> int:
     except SearchExhausted as exc:
         print("search exhausted: %s" % exc, file=sys.stderr)
         return 4
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

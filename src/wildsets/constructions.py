@@ -45,7 +45,7 @@ from .square_class_spaces import (
     _clean_places,
     _even_class_witness,
     _f2_rank,
-    _global_even_elements,
+    _global_even_generators,
     _product,
     g_rank,
     smile,
@@ -67,12 +67,21 @@ def _single(P) -> Divisor:
 
 
 def _sing_element(model, p):
-    """The first everywhere-even-order element that is a nonsquare at p."""
-    for elem in _global_even_elements(model):
+    """The first global even generator that is a nonsquare at p."""
+    for elem in _global_even_generators(model):
         if local_square_class(elem, p) != ONE:
             return elem
     raise HypothesisError(
         "no everywhere-even-order element is a nonsquare at {%s}" % p)
+
+
+def _classes_by_mask(elements, places) -> list:
+    """The classes at the places of each _product(model, elements, mask)."""
+    out = [(ONE,) * len(places)]
+    for g in elements:
+        row = [local_square_class(g, P) for P in places]
+        out += [tuple(map(square_class_mul, v, row)) for v in out]
+    return out
 
 
 def _require_minus_one_square(places) -> None:
@@ -188,17 +197,17 @@ def _aux_point_and_witness(model, S, mu, degree_cap: int):
     witness, possibly corrected by a global even-order class, is a
     square at the first point and congruent to mu at the second.
     """
+    gens = _global_even_generators(model)
     goal = local_square_class(mu, S[1])
-    corrections = _global_even_elements(model)
+    corrections = _classes_by_mask(gens, S[:2])
     for P in _places_by_degree(model, degree_cap):
         if P in S or model.pic_mod2(P) != 0:
             continue
         base = _even_class_witness(model, _single(P))
-        for sigma in corrections:
-            nu = base * sigma
-            if local_square_class(nu, S[0]) == ONE and \
-                    local_square_class(nu, S[1]) == goal:
-                return P, nu
+        want = (local_square_class(base, S[0]),
+                square_class_mul(goal, local_square_class(base, S[1])))
+        if want in corrections:
+            return P, base * _product(model, gens, corrections.index(want))
     raise SearchExhausted(
         "no point of degree <= %d admits the witness the three-point "
         "construction needs; raise the degree cap" % degree_cap)
@@ -245,27 +254,24 @@ def _fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
     """The first all-wild pre-equivalence between the two spanned bases.
 
     The target basis images are searched among the invertible
-    combinations of the pool in a fixed order; reciprocity guarantees
-    a commuting, everywhere-wild assignment exists, but which
-    combination works depends on the local unit classes of the
-    witnesses, so solving beats transcribing any one case.
+    combinations of the pool in a fixed order, by class tables, and only
+    all-wild ones are formed; reciprocity guarantees a commuting one,
+    but which depends on the local unit classes of the witnesses, so
+    solving beats transcribing any one case.
     """
     targets = (S[0], S[1], p4)
+    src = [[local_square_class(b, P) for P in S] for b in basis]
+    dst = _classes_by_mask(pool, targets)
     for code in range(1 << 9):
         rows = (code & 7, code >> 3 & 7, code >> 6 & 7)
         if _f2_rank(rows) != 3:
             continue
-        images = tuple(_product(model, pool, row) for row in rows)
-        maps = []
-        for P, Q in zip(S, targets):
-            pairs = [(local_square_class(b, P), local_square_class(g, Q))
-                     for b, g in zip(basis, images)]
-            lm = LocalMap.from_pairs(pairs)
-            if lm is None or not lm.is_wild:
-                break
-            maps.append(lm)
-        else:
-            pe = PreEquivalence(model, S, targets, basis, images, tuple(maps))
+        maps = tuple(LocalMap.from_pairs([(c[j], dst[row][j])
+                                          for c, row in zip(src, rows)])
+                     for j in range(3))
+        if all(lm is not None and lm.is_wild for lm in maps):
+            images = tuple(_product(model, pool, row) for row in rows)
+            pe = PreEquivalence(model, S, targets, basis, images, maps)
             if verify_pre_equivalence(pe)["passes"]:
                 return pe
     raise SearchExhausted(

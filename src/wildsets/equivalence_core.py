@@ -34,11 +34,12 @@ WildSetCertificate is the verified type.
 Composition glues two certificates with disjoint wild loci; when the
 prescribed local maps cannot be realized by any global basis map, tame
 twists -- which never change wildness -- are searched for by an F_2
-solve on the class tables of both sides.  Failing that, the wild locus
-alone is rebuilt from the quotient level (the tame bookkeeping of a
-composite is partly convention, its wild locus is not), one class
-table serving every matching tried.  A rebuild that finds nothing raises
-SearchExhausted, never a refusal: one image pool proves nothing.
+solve on the class tables that come with the bases of both sides.
+Failing that, or on a repeated image, the wild locus alone is rebuilt
+from the quotient level (the tame bookkeeping of a composite is partly
+convention, its wild locus is not), one class table serving every
+matching tried.  A rebuild that finds nothing raises SearchExhausted,
+never a refusal: one image pool proves nothing.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from .square_class_spaces import (
     delta_space,
     g_rank,
     pic_complement_two_rank,
-    sing_space,
 )
 
 __all__ = [
@@ -207,30 +207,27 @@ class WildSetCertificate:
 
 # -- bases of the quotient
 
-def quotient_basis(model, S) -> Tuple:
+def quotient_basis(model, S) -> Tuple[Tuple, List[List]]:
     """Even-order classes spanning them modulo the locally trivial ones.
 
     The generators of the enclosing space whose local data at the
     removed places is not spanned by that of the generators before
     them: those whose index is the top bit of no relation among the
-    local data.  The quotient has one dimension per removed place, so
-    the result always has exactly len(S) elements.
+    local data, with their rows of the class table it read.  The
+    quotient has one dimension per removed place, so the basis always
+    has exactly len(S) elements.
     """
-    space, relations = _sing_relations(model, S)
+    space, table, relations = _sing_relations(model, S)
     closed = {r.bit_length() - 1 for r in relations}
-    out = tuple(g for i, g in enumerate(space.generators) if i not in closed)
-    if len(out) != len(space.removed):
+    kept = [i for i in range(len(table)) if i not in closed]
+    if len(kept) != len(space.removed):
         raise VerificationError(
             "quotient of rank %d over %d removed places"
-            % (len(out), len(space.removed)))
-    return out
+            % (len(kept), len(space.removed)))
+    return tuple(space.generators[i] for i in kept), [table[i] for i in kept]
 
 
 # -- verification
-
-def _class_table(elements, places) -> List[List]:
-    return [[local_square_class(b, P) for P in places] for b in elements]
-
 
 def _require_rank_zero(model, removed, which: str) -> None:
     """Raise HypothesisError unless removing the set kills Pic/2Pic.
@@ -267,7 +264,7 @@ def _side_classes(places, elements, failures, side):
                                 % (side, b, P))
                 ok = False
                 break
-    table = _class_table(elements, places)
+    table = [[local_square_class(b, P) for P in places] for b in elements]
     if _f2_rank([_pack(row) for row in table]) != len(elements):
         failures.append("%s basis is dependent modulo the locally trivial "
                         "classes" % side)
@@ -561,14 +558,16 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
     # inject into local square classes, so a solve fixes the equivalence.
     places, images = tuple(places), tuple(images)
     try:
-        src = sing_space(model, places).generators
-        dst = src if images == places else sing_space(model, images).generators
-        src_table = _class_table(src, places)
-        dst_table = src_table if dst is src else _class_table(dst, images)
+        if len(set(images)) != len(images):
+            raise VerificationError("the composite repeats an image")
+        src, src_table, _ = _sing_relations(model, places)
+        dst, dst_table = src, src_table
+        if images != places:
+            dst, dst_table, _ = _sing_relations(model, images)
         final_maps, basis_images = _sandwich_solve(
-            model, maps, src_table, dst_table, dst)
-        se = SmallEquivalence(model, places, images, src, basis_images,
-                              final_maps)
+            model, maps, src_table, dst_table, dst.generators)
+        se = SmallEquivalence(model, places, images, src.generators,
+                              basis_images, final_maps)
     except (VerificationError, SearchExhausted):
         se = _wild_union_fallback(model, places, images, maps, degree_cap)
     cert = certify(se)
@@ -592,13 +591,14 @@ def _wild_union_fallback(model, places, images, maps, degree_cap: int
     pre-equivalence there with the composed wild maps, searching the
     injective matchings into the recorded image pool in a fixed order
     starting from the faithful one, and extend the first that solves.
-    Every ordering permutes the columns of one class table, the source's
-    when the pool holds the wild places and else the pool's, since only
-    its row span decides the solve; a winner in another order is solved
-    again on its own quotient_basis.  Raises SearchExhausted when none
-    solves, whether the walk finished, stopped at PERMUTATION_CAP or met
-    a twist solve past its budget: the pool holds only the recorded
-    images, so an empty search proves nothing.
+    Every ordering permutes the columns of one class table, the source
+    basis's when the pool holds the wild places and else the pool's,
+    since only its row span decides the solve; a winner in another order
+    is solved again on its own quotient_basis.  Raises SearchExhausted
+    when none solves, whether the walk finished, stopped at
+    PERMUTATION_CAP or met a twist solve past its budget, or when the
+    pool repeats a place: it holds only the recorded images, so an empty
+    search proves nothing.
     """
     keep = [j for j, m in enumerate(maps) if m.is_wild]
     if not keep:
@@ -608,12 +608,16 @@ def _wild_union_fallback(model, places, images, maps, degree_cap: int
     wild_places = tuple(places[j] for j in keep)
     wild_maps = tuple(maps[j] for j in keep)
     pool = tuple(images[j] for j in keep)
-    src_gens = quotient_basis(model, wild_places)
-    src_table = _class_table(src_gens, wild_places)
-    base, gens, table = wild_places, src_gens, src_table
+    exhausted = SearchExhausted(
+        "no matching of the wild locus {%s} into its image pool realizes "
+        "the composed local maps within the search budget"
+        % ", ".join(str(P) for P in wild_places))
+    if len(set(pool)) != len(pool):
+        raise exhausted
+    src_gens, src_table = quotient_basis(model, wild_places)
+    base, (gens, table) = wild_places, (src_gens, src_table)
     if set(pool) != set(wild_places):
-        base, gens = pool, quotient_basis(model, pool)
-        table = _class_table(gens, pool)
+        base, (gens, table) = pool, quotient_basis(model, pool)
     for cand in itertools.islice(itertools.permutations(pool),
                                  PERMUTATION_CAP):
         dst_table = [[row[base.index(Q)] for Q in cand] for row in table]
@@ -623,16 +627,13 @@ def _wild_union_fallback(model, places, images, maps, degree_cap: int
         except (VerificationError, SearchExhausted):
             continue
         if cand != base:
-            gens = quotient_basis(model, cand)
+            gens, dst_table = quotient_basis(model, cand)
             final_maps, gen_images = _sandwich_solve(
-                model, wild_maps, src_table, _class_table(gens, cand), gens)
+                model, wild_maps, src_table, dst_table, gens)
         pe = PreEquivalence(model, wild_places, cand, src_gens, gen_images,
                             final_maps)
         return extend_pre_equivalence(pe, degree_cap)
-    raise SearchExhausted(
-        "no matching of the wild locus {%s} into its image pool realizes "
-        "the composed local maps within the search budget"
-        % ", ".join(str(P) for P in wild_places))
+    raise exhausted
 
 
 # -- extension of a pre-equivalence

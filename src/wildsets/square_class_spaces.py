@@ -36,8 +36,8 @@ parities, read off the generators' divisors, and cuts them by the
 residue characters one place at a time -- removed places first, then
 the supports of the generators, then the places of degree one and two.
 It stops as soon as no relation is left, and walks the span of what is
-left when the places run out.  The local data of sing_space(S) at S is
-eliminated once, for delta_space and the quotient basis alike.
+left when the places run out.  The class table of Sing(S) at S is read
+and eliminated once, for delta_space and the quotient basis with its rows.
 """
 
 from __future__ import annotations
@@ -148,17 +148,6 @@ def _product(model, gens: Sequence, mask: int):
         if mask >> i & 1:
             out = out * g
     return out
-
-
-def _global_even_elements(model) -> List:
-    """Every class of even order at every single place, 1 first.
-
-    The products of the global even-order generators in the order of
-    their selection masks, so that every scan over them is
-    deterministic.
-    """
-    gens = _global_even_generators(model)
-    return [_product(model, gens, mask) for mask in range(1 << len(gens))]
 
 
 def _pack(classes, first: int = 0) -> int:
@@ -303,18 +292,18 @@ def sing_space(model, S) -> SquareClassSpace:
     return SquareClassSpace(model, S, gens)
 
 
-def _sing_relations(model, S) -> Tuple[SquareClassSpace, List[int]]:
-    """sing_space(S) and the relations among its local data at S.
+def _sing_relations(model, S) -> Tuple[SquareClassSpace, List, List[int]]:
+    """sing_space(S), its class table at S and the relations among it.
 
-    Bit i of a relation selects generator i; the packed local classes
-    of the selected generators at the places of S cancel.  The
-    relations are the _kernel_basis of those rows, so each one's top
-    bit marks a generator whose row the earlier rows already span.
+    Row i of the table holds generator i's classes at S.  Bit i of a
+    relation selects generator i, and the selected rows, packed, cancel.
+    The relations are the _kernel_basis of the packed rows, so each one's
+    top bit marks a generator whose row the earlier rows already span.
     """
     space = sing_space(model, S)
-    rows = [_pack(local_square_class(g, P) for P in space.removed)
-            for g in space.generators]
-    return space, _kernel_basis(rows)
+    table = [[local_square_class(g, P) for P in space.removed]
+             for g in space.generators]
+    return space, table, _kernel_basis([_pack(row) for row in table])
 
 
 def delta_space(model, S) -> SquareClassSpace:
@@ -324,7 +313,7 @@ def delta_space(model, S) -> SquareClassSpace:
     enclosing space: a subset product lands in the subspace exactly
     when its packed local bits over S cancel.
     """
-    base, relations = _sing_relations(model, S)
+    base, _, relations = _sing_relations(model, S)
     S = base.removed
     gens = [_product(model, base.generators, mask) for mask in relations]
     space = SquareClassSpace(model, S, gens)
@@ -432,8 +421,10 @@ def smile(model, q1, q2) -> bool:
 
     Removing a single 2-divisible place q1 enlarges the even-order
     classes of the complete curve by one coset; the relation holds when
-    every member of that coset is a local square at q2.  Defined only
-    for distinct places with 2-divisible classes, and symmetric there.
+    every member of that coset -- q1's witness lam times the global even
+    classes -- is a local square at q2, that is when lam and each global
+    even generator is.  Defined only for distinct places with 2-divisible
+    classes, and symmetric there.
     """
     if q1 == q2:
         raise ValueError("the relation compares two distinct places")
@@ -443,5 +434,5 @@ def smile(model, q1, q2) -> bool:
                 "the class of %s is not 2-divisible, so the relation is "
                 "undefined" % P)
     lam = _even_class_witness(model, Divisor({q1: 1}))
-    return all(local_square_class(elem * lam, q2) == (0, 0)
-               for elem in _global_even_elements(model))
+    return all(local_square_class(f, q2) == (0, 0)
+               for f in [lam] + _global_even_generators(model))

@@ -16,18 +16,22 @@ import itertools
 from wildsets import equivalence_core
 from wildsets.equivalence_core import (
     PreEquivalence,
-    _class_table,
     _sandwich_solve,
     extend_pre_equivalence,
     quotient_basis,
 )
 from wildsets.errors import SearchExhausted, VerificationError
+from wildsets.local_symbols import local_square_class
+
+
+def class_table(elements, places) -> list:
+    return [[local_square_class(b, P) for P in places] for b in elements]
 
 
 def place_solve(model, places, images, local_maps, src_gens, dst_gens):
     """_sandwich_solve on the local classes of both generator lists."""
-    return _sandwich_solve(model, local_maps, _class_table(src_gens, places),
-                           _class_table(dst_gens, images), dst_gens)
+    return _sandwich_solve(model, local_maps, class_table(src_gens, places),
+                           class_table(dst_gens, images), dst_gens)
 
 
 def wild_union_fallback(model, places, images, maps, degree_cap: int):
@@ -40,10 +44,10 @@ def wild_union_fallback(model, places, images, maps, degree_cap: int):
     wild_places = tuple(places[j] for j in keep)
     wild_maps = tuple(maps[j] for j in keep)
     pool = tuple(images[j] for j in keep)
-    src_gens = quotient_basis(model, wild_places)
+    src_gens = quotient_basis(model, wild_places)[0]
     for cand in itertools.islice(itertools.permutations(pool),
                                  equivalence_core.PERMUTATION_CAP):
-        dst_gens = quotient_basis(model, cand)
+        dst_gens = quotient_basis(model, cand)[0]
         try:
             final_maps, gen_images = place_solve(
                 model, wild_places, cand, wild_maps, src_gens, dst_gens)

@@ -181,6 +181,32 @@ def test_fallback_builds_one_basis_per_side(capsys, monkeypatch, tmp_path):
     assert code == 4 and built <= 2
 
 
+# five degree-1 places over F_13: the fallback's image pool is not the
+# wild locus, so every ordering permutes the pool's own class table
+FIVE_POINT_ARGV = ["construct", "--q", "13", "--rank", "1", "--places",
+                   "t, t + 1, t + 2, t + 3, t + 4"]
+FIVE_POINT_SHA256 = \
+    "fa56529a4b56e4af6eea3f543d36814250d7cabdd73f895c3dce0293ed83ea1d"
+
+
+def test_fallback_on_another_pool_is_pinned(capsys, tmp_path):
+    cert = tmp_path / "five.json"
+    assert run(FIVE_POINT_ARGV + ["--out", str(cert)]) == 0
+    assert capsys.readouterr().err == ""
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == FIVE_POINT_SHA256
+
+
+@pytest.mark.parametrize("q", ["5", "13"])
+def test_composite_repeating_an_image_exits_four(capsys, q):
+    # the head pair swaps t^2 + 2 and t; the tail triple sends t + 3 to
+    # its auxiliary point t^2 + 2, so the composite sends t and t + 3 to
+    # t^2 + 2, and no injective matching into that image pool exists
+    assert run(["construct", "--q", q, "--rank", "1", "--places",
+                "t^2 + 2, t, t + 1, t + 2, t + 3"]) == 4
+    assert capsys.readouterr().err.startswith(
+        "search exhausted: no matching of the wild locus")
+
+
 def test_triple_without_fitting_images_exits_four(capsys, monkeypatch):
     # the witness search is complete; when it still finds nothing, a
     # hypothesis failed undetected, which proves nothing about the set

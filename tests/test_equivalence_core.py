@@ -112,8 +112,9 @@ def test_quotient_basis_has_one_element_per_place():
     L = line(5)
     for texts in (["t"], ["t", "t + 1"], ["t^2 + 2"], ["t", "t^2 + 2", "inf"]):
         S = [L.parse_place(s) for s in texts]
-        basis = quotient_basis(L, S)
+        basis, table = quotient_basis(L, S)
         assert len(basis) == len(S)
+        assert table == [[local_square_class(b, P) for P in S] for b in basis]
         for b in basis:
             for P, n in b.divisor().items():
                 assert P in set(S) or n % 2 == 0
@@ -734,8 +735,8 @@ def _twist_cases(rng, count):
             dst = sing_space(model, images).generators
         else:
             try:
-                src = quotient_basis(model, places)
-                dst = quotient_basis(model, images)
+                src = quotient_basis(model, places)[0]
+                dst = quotient_basis(model, images)[0]
             except VerificationError:
                 continue
         yield model, places, images, maps, src, dst
@@ -951,7 +952,7 @@ def _doctored(cert, rng):
     try:
         maps, images = place_solve(
             model, se.places, targets, se.local_maps, se.sing_basis,
-            quotient_basis(model, targets))
+            quotient_basis(model, targets)[0])
     except (VerificationError, SearchExhausted):
         return kind + " unsolved", SmallEquivalence(
             model, se.places, targets, se.sing_basis, se.sing_images,

@@ -61,7 +61,8 @@ def test_quotient_basis_matches_the_greedy_insertion(which):
     model = MODELS[which]()
     rng = random.Random("quotient " + which)
     for S in removed_sets(model, rng, 16):
-        assert quotient_basis(model, S) == oracle.quotient_basis(model, S), S
+        basis, _ = quotient_basis(model, S)
+        assert basis == oracle.quotient_basis(model, S), S
 
 
 def decide_both(model, gens, places):
