@@ -31,15 +31,15 @@ preservation on all basis pairs are all read off those two tables; the
 fate of -1 is checked at every place.  A small equivalence is data
 until certify verifies it, once, and reads off its wild set; a
 WildSetCertificate is the verified type.
-Composition glues two certificates with disjoint wild loci; when the
-prescribed local maps cannot be realized by any global basis map, tame
-twists -- which never change wildness -- are searched for by an F_2
-solve on the class tables that come with the bases of both sides.
-Failing that, or on a repeated image, the wild locus alone is rebuilt
-from the quotient level (the tame bookkeeping of a composite is partly
-convention, its wild locus is not), one class table serving every
-matching tried.  A rebuild that finds nothing raises SearchExhausted,
-never a refusal: one image pool proves nothing.
+Composition glues two certificates with disjoint wild loci through one
+matching route, tried on the whole domain and then on the wild locus
+alone (the tame bookkeeping of a composite is partly convention, its
+wild locus is not).  Where the prescribed local maps cannot be realized
+by any global basis map, tame twists -- which never change wildness --
+are searched for by an F_2 solve on the class tables that come with the
+bases of both sides, one table serving every ordering of an image pool.
+A search that finds nothing raises SearchExhausted, never a refusal:
+one image pool proves nothing.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ __all__ = [
 
 # Budgets of the bounded searches behind extend and compose.  A search
 # that the budget cuts short raises SearchExhausted, and so does
-# compose's fallback whenever it finds nothing.
+# compose's matching route whenever it finds nothing.
 DEGREE_CAP = 6  # the default degree cap: auxiliary places up to this degree
-PERMUTATION_CAP = 40320  # matchings _wild_union_fallback tries (8!)
+PERMUTATION_CAP = 40320  # orderings of a wild locus's pool compose tries (8!)
 TWIST_KERNEL_BITS = 20  # _sandwich_solve walks 2^min(kernel dim, this)
 
 
@@ -509,14 +509,17 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
     The composite removes the first set together with the part of the
     second untouched by the first map, composes local maps where the
     image of the first lands in the second's territory, and realizes
-    the result from scratch; when that prescription is unsatisfiable
-    the wild locus alone is rebuilt and re-extended, and when no rebuild
-    is found SearchExhausted leaves the question open.  The wild loci
-    must be disjoint -- two wild maps would compose to a tame one --
-    and a place of the second set that the first set contains but does
-    not map into the second has no consistent reading, so it is
-    rejected as misaligned.  degree_cap is the search budget for the
-    auxiliary places of that re-extension, as in extend_pre_equivalence.
+    the result from scratch, images in their recorded order.  A
+    certificate says nothing about its extension off the stored domain,
+    so that can be unsatisfiable as written; only the wild locus is
+    binding, and it is rebuilt over the first PERMUTATION_CAP orderings
+    of its image pool and re-extended.  When no rebuild is found
+    SearchExhausted leaves the question open.  The wild loci must be
+    disjoint -- two wild maps would compose to a tame one -- and a place
+    of the second set that the first set contains but does not map into
+    the second has no consistent reading, so it is rejected as
+    misaligned.  degree_cap is the search budget for the auxiliary
+    places of that re-extension, as in extend_pre_equivalence.
     """
     se1, se2 = c1.equivalence, c2.equivalence
     if se1.model.key != se2.model.key:
@@ -554,22 +557,21 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
         images.append(image)
         maps.append(lm2)
 
-    # Both sets have rank zero (certify checks it): the even-order classes
-    # inject into local square classes, so a solve fixes the equivalence.
     places, images = tuple(places), tuple(images)
     try:
-        if len(set(images)) != len(images):
-            raise VerificationError("the composite repeats an image")
-        src, src_table, _ = _sing_relations(model, places)
-        dst, dst_table = src, src_table
-        if images != places:
-            dst, dst_table, _ = _sing_relations(model, images)
-        final_maps, basis_images = _sandwich_solve(
-            model, maps, src_table, dst_table, dst.generators)
-        se = SmallEquivalence(model, places, images, src.generators,
-                              basis_images, final_maps)
-    except (VerificationError, SearchExhausted):
-        se = _wild_union_fallback(model, places, images, maps, degree_cap)
+        se = _realize(model, places, maps, images, [images], degree_cap)
+    except SearchExhausted:
+        keep = [j for j, m in enumerate(maps) if m.is_wild]
+        if not keep:
+            raise SearchExhausted(
+                "the composite data cannot be realized and has no wild part "
+                "to rebuild")
+        pool = tuple(images[j] for j in keep)
+        se = _realize(model, tuple(places[j] for j in keep),
+                      tuple(maps[j] for j in keep), pool,
+                      itertools.islice(itertools.permutations(pool),
+                                       PERMUTATION_CAP),
+                      degree_cap)
     cert = certify(se)
     expected = set(c1.wild_set) | pulled_back
     if set(cert.wild_set) != expected:
@@ -580,60 +582,49 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
     return cert
 
 
-def _wild_union_fallback(model, places, images, maps, degree_cap: int
-                         ) -> SmallEquivalence:
-    """Fresh certificate on the wild part when the rigid glue fails.
+def _realize(model, places, maps, pool, orderings, degree_cap: int
+             ) -> SmallEquivalence:
+    """The first ordering of pool that realizes maps on places, solved.
 
-    A certificate says nothing about its extension off the stored
-    domain, so the composite matching at a tame place -- and even the
-    assumption that an unmatched place stays put -- can be collectively
-    unsatisfiable as written.  Only the wild locus is binding: rebuild a
-    pre-equivalence there with the composed wild maps, searching the
-    injective matchings into the recorded image pool in a fixed order
-    starting from the faithful one, and extend the first that solves.
     Every ordering permutes the columns of one class table, the source
-    basis's when the pool holds the wild places and else the pool's,
-    since only its row span decides the solve; a winner in another order
-    is solved again on its own quotient_basis.  Raises SearchExhausted
-    when none solves, whether the walk finished, stopped at
-    PERMUTATION_CAP or met a twist solve past its budget, or when the
-    pool repeats a place: it holds only the recorded images, so an empty
-    search proves nothing.
+    basis's when the pool holds the places and else the pool's, since
+    only its row span decides the twist solve; a winner in another order
+    is solved again on its own quotient_basis.  Where removing the places
+    kills the class group modulo doubles the solve is a small
+    equivalence; elsewhere extend_pre_equivalence completes it within
+    degree_cap.  Raises SearchExhausted when the pool repeats a place or
+    no ordering solves, whether the orderings ran out or a twist solve
+    met its budget: one pool proves nothing.  The text names the places
+    as the wild locus, which they are in the one call whose failure
+    compose reports.
     """
-    keep = [j for j, m in enumerate(maps) if m.is_wild]
-    if not keep:
-        raise SearchExhausted(
-            "the composite data cannot be realized and has no wild part "
-            "to rebuild")
-    wild_places = tuple(places[j] for j in keep)
-    wild_maps = tuple(maps[j] for j in keep)
-    pool = tuple(images[j] for j in keep)
-    exhausted = SearchExhausted(
-        "no matching of the wild locus {%s} into its image pool realizes "
-        "the composed local maps within the search budget"
-        % ", ".join(str(P) for P in wild_places))
+    message = ("no matching of the wild locus {%s} into its image pool "
+               "realizes the composed local maps within the search budget"
+               % ", ".join(str(P) for P in places))
     if len(set(pool)) != len(pool):
-        raise exhausted
-    src_gens, src_table = quotient_basis(model, wild_places)
-    base, (gens, table) = wild_places, (src_gens, src_table)
-    if set(pool) != set(wild_places):
+        raise SearchExhausted(message)
+    src_gens, src_table = quotient_basis(model, places)
+    base, (gens, table) = places, (src_gens, src_table)
+    if set(pool) != set(places):
         base, (gens, table) = pool, quotient_basis(model, pool)
-    for cand in itertools.islice(itertools.permutations(pool),
-                                 PERMUTATION_CAP):
+    for cand in orderings:
         dst_table = [[row[base.index(Q)] for Q in cand] for row in table]
         try:
             final_maps, gen_images = _sandwich_solve(
-                model, wild_maps, src_table, dst_table, gens)
+                model, maps, src_table, dst_table, gens)
         except (VerificationError, SearchExhausted):
             continue
         if cand != base:
             gens, dst_table = quotient_basis(model, cand)
             final_maps, gen_images = _sandwich_solve(
-                model, wild_maps, src_table, dst_table, gens)
-        pe = PreEquivalence(model, wild_places, cand, src_gens, gen_images,
+                model, maps, src_table, dst_table, gens)
+        if pic_complement_two_rank(model, places) == 0:
+            return SmallEquivalence(model, places, cand, src_gens, gen_images,
+                                    final_maps)
+        pe = PreEquivalence(model, places, cand, src_gens, gen_images,
                             final_maps)
         return extend_pre_equivalence(pe, degree_cap)
-    raise exhausted
+    raise SearchExhausted(message)
 
 
 # -- extension of a pre-equivalence

@@ -158,6 +158,8 @@ class FactoredFunction:
         f = poly_norm(f)
         if not f:
             raise ValueError("the zero element has no factored form")
+        if len(f) == 1:
+            return cls._trusted(model, f[0])
         lc, factors = poly_factor(f, model.field)
         return cls._trusted(model, lc, {cls._poly_atom(p): m for p, m in factors})
 

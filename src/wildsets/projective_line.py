@@ -63,11 +63,12 @@ class Place(ModelPlace):
     def __init__(self, model: "ProjectiveLine", poly: Optional[Poly] = None):
         if poly is not None:
             field = model.field
-            poly = poly_monic(poly_norm(poly), field)
+            given = poly_norm(poly)
+            poly = poly_monic(given, field)
             if poly_deg(poly) < 1 or not poly_is_irreducible(poly, field):
                 raise ValueError("a finite place needs a monic irreducible "
                                  "polynomial, got %s"
-                                 % _quoted(poly_str(poly, "t", field)))
+                                 % _quoted(poly_str(given, "t", field)))
         self.model = model
         self.poly = poly
 

@@ -2,9 +2,11 @@
 searches on class tables.
 
 The package reads each function's local classes once and combines
-classes by mask, multiplying out only the answer.  This module keeps
-the walks that multiplied out every candidate first and then read its
-classes: `smile` over the whole coset of the new even classes,
+classes by mask, multiplying out only the answer; `smile` reads the
+witness alone, since every global even generator is a local square at
+a 2-divisible place.  This module keeps the walks that multiplied out
+every candidate first and then read its classes: `smile` over the whole
+coset of the new even classes,
 `sing_element` and `aux_point_and_witness` over every product of the
 global even generators in mask order, and `fit_triple_images` over the
 images of every invertible combination of the pool.

@@ -22,7 +22,7 @@ import pytest
 
 import wildsets
 from expression_oracle import parse_whole
-from wildsets import constructions, equivalence_core
+from wildsets import constructions, equivalence_core, square_class_spaces
 from wildsets.base_algebra import GF, poly_is_irreducible, poly_str
 from wildsets.cli import MAX_FIELD_SIZE, run
 from wildsets.equivalence_core import (
@@ -147,16 +147,21 @@ def test_twist_walk_exhaustion_exits_four(capsys, monkeypatch):
     assert "search exhausted" in capsys.readouterr().err
 
 
-def _quotient_bases_built(monkeypatch, argv, out=None):
-    """Exit code of argv and the quotient_basis calls it made."""
+def _sing_eliminations(monkeypatch, argv, out=None):
+    """Exit code of argv and the eliminations of Sing(S) it made.
+
+    Every quotient_basis and every delta_space eliminates the class table
+    of Sing(S) through _sing_relations, so the count covers both.
+    """
     calls = []
-    real = equivalence_core.quotient_basis
+    real = square_class_spaces._sing_relations
 
     def counting(model, S):
         calls.append(S)
         return real(model, S)
 
-    monkeypatch.setattr(equivalence_core, "quotient_basis", counting)
+    for module in (square_class_spaces, equivalence_core):
+        monkeypatch.setattr(module, "_sing_relations", counting)
     return run(argv + (["--out", str(out)] if out else [])), len(calls)
 
 
@@ -171,14 +176,14 @@ SIX_POINT_SHA256 = \
 
 def test_fallback_builds_one_basis_per_side(capsys, monkeypatch, tmp_path):
     cert = tmp_path / "six.json"
-    code, built = _quotient_bases_built(monkeypatch, SIX_POINT_ARGV, cert)
+    code, built = _sing_eliminations(monkeypatch, SIX_POINT_ARGV, cert)
     assert (code, capsys.readouterr().err) == (0, "")
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == SIX_POINT_SHA256
-    assert built <= 3
+    assert built <= 4
     # every ordering of the pool fails here
-    code, built = _quotient_bases_built(monkeypatch, FALLBACK_ARGV)
+    code, built = _sing_eliminations(monkeypatch, FALLBACK_ARGV)
     assert "within the search budget" in capsys.readouterr().err
-    assert code == 4 and built <= 2
+    assert code == 4 and built <= 5
 
 
 # five degree-1 places over F_13: the fallback's image pool is not the
@@ -281,6 +286,10 @@ def test_unusable_input_exits_two(capsys):
                 "--places", "t, t-1", "--aux", "t"]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == \
         "error: --aux is read only by --rank general"
+    # a place that is no polynomial of positive degree is quoted as given
+    assert run(["ranks", "--q", "5", "--places", "2"]) == 2
+    assert capsys.readouterr().err == "error: a finite place needs a " \
+        "monic irreducible polynomial, got '2'\n"
     # an option the subcommand does not read is a usage error: a seed
     # outside selftest, a degree cap outside construct, a field in selftest
     for argv in (["ranks", "--seed", "1", "--q", "5", "--places", "t"],

@@ -1,9 +1,15 @@
-"""The compose fallback against the per-ordering walk it replaced.
+"""Compose's matching route against the two glues it replaced.
 
 Seeded `construct` runs on the F_5 and F_13 lines and on the curve
-y^2 = t^3 + 4t over F_5 record every call of the fallback; each call is
-then replayed through both walks, which must give the same certificate
-text, or the same exception with the same message.
+y^2 = t^3 + 4t over F_5 record every call of `_realize`, grouped by
+the compose that made it: the first call solves the whole domain, a
+second one the wild locus.  Each call is replayed through `_realize`
+and through the old route for it, the rigid glue or the per-ordering
+walk.  The wild-locus walks must give the same certificate text, or
+the same exception with the same message.  On the whole domain the
+glues must give the same certificate text, or both fail: the old glue
+raised the solve's own error there, and compose went on to the wild
+locus either way.
 """
 
 from __future__ import annotations
@@ -11,13 +17,13 @@ from __future__ import annotations
 import json
 import random
 
-from fallback_oracle import wild_union_fallback
-from wildsets import equivalence_core
+from fallback_oracle import rigid_glue, wild_union_fallback
+from wildsets import constructions, equivalence_core
 from wildsets.base_algebra import GF, poly_parse
 from wildsets.cli import run
 from wildsets.elliptic_curve import EllipticModel
 from wildsets.equivalence_core import certificate_to_json, certify
-from wildsets.errors import SearchExhausted, VerificationError
+from wildsets.errors import HypothesisError, SearchExhausted, VerificationError
 from wildsets.projective_line import ProjectiveLine
 from wildsets.square_class_spaces import g_rank
 
@@ -52,36 +58,65 @@ def _argvs(rng):
                "--rank", rank, "--places", ", ".join(map(str, S))]
 
 
-def _outcome(fallback, args):
+def _outcome(realize, *args):
+    """Certificate text of realize(*args), or its exception and message."""
     try:
-        return certificate_to_json(certify(fallback(*args)))
-    except (VerificationError, SearchExhausted) as exc:
+        return certificate_to_json(certify(realize(*args)))
+    except (HypothesisError, SearchExhausted, VerificationError) as exc:
         return type(exc), str(exc)
 
 
-def test_fallback_matches_the_per_ordering_walk(capsys, monkeypatch):
-    fallback = equivalence_core._wild_union_fallback
-    calls = []
+def _glued(realize, *args):
+    """Certificate text of a whole-domain glue, or "falls through"."""
+    try:
+        se = realize(*args)
+    except (SearchExhausted, VerificationError):
+        return "falls through"
+    return certificate_to_json(certify(se))
 
-    def recording(*args):
-        calls.append(args)
-        return fallback(*args)
 
-    monkeypatch.setattr(equivalence_core, "_wild_union_fallback", recording)
+def test_realize_matches_the_old_glues(capsys, monkeypatch):
+    realize, compose = equivalence_core._realize, constructions.compose
+    composes = []
+
+    def composing(*args):
+        composes.append([])
+        return compose(*args)
+
+    def recording(model, places, maps, pool, orderings, degree_cap):
+        args = (model, places, maps, pool, list(orderings), degree_cap)
+        composes[-1].append(args)
+        return realize(*args)
+
+    monkeypatch.setattr(constructions, "compose", composing)
+    monkeypatch.setattr(equivalence_core, "_realize", recording)
     for argv in _argvs(random.Random(5)):
         run(argv)
     capsys.readouterr()
-    tally = {"in order": 0, "out of order": 0, "exhausted": 0, "curve": 0}
-    for args in calls:
-        new = _outcome(fallback, args)
-        assert new == _outcome(wild_union_fallback, args), args[1:3]
-        model, _, images, maps, _ = args
+    tally = {"glued": 0, "falls through": 0, "in order": 0,
+             "out of order": 0, "exhausted": 0, "curve": 0}
+    for calls in composes:
+        assert 1 <= len(calls) <= 2, calls
+        model, places, maps, images, orderings, _ = calls[0]
+        assert orderings == [images]
+        new = _glued(realize, *calls[0])
+        assert new == _glued(rigid_glue, model, places, images, maps), \
+            (places, images)
+        tally["falls through" if new == "falls through" else "glued"] += 1
+        if len(calls) == 1:
+            continue
+        assert new == "falls through"
+        model, places, maps, pool, _, degree_cap = calls[1]
+        new = _outcome(realize, *calls[1])
+        assert new == _outcome(wild_union_fallback, model, places, pool,
+                               maps, degree_cap), (places, pool)
         tally["curve"] += isinstance(model, EllipticModel)
         if isinstance(new, tuple):
             tally["exhausted"] += new[0] is SearchExhausted
             continue
-        pool = [str(Q) for Q, m in zip(images, maps) if m.is_wild]
         matched = json.loads(new)["T"][:len(pool)]
-        tally["in order" if matched == pool else "out of order"] += 1
+        tally["in order" if matched == list(map(str, pool))
+              else "out of order"] += 1
+    assert tally["glued"] >= 10 and tally["falls through"] >= 10, tally
     assert tally["in order"] >= 1 and tally["out of order"] >= 5, tally
     assert tally["exhausted"] >= 5 and tally["curve"] >= 5, tally

@@ -30,6 +30,7 @@ import pytest
 import kernel_oracle
 from divisor_oracle import oracle_divisor
 from residue_oracle import euler_square_class
+from wildsets import base_algebra, elliptic_curve, function_field
 from wildsets.base_algebra import GF, poly_parse
 from wildsets.constructions import (
     construct_general,
@@ -195,6 +196,23 @@ def test_certificate_text_reads_back_on_the_slow_paths(build, monkeypatch):
                                 euler_square_class)
     monkeypatch.setattr(CurveFunction, "divisor", oracle_divisor)
     assert certificate_to_json(certificate_from_json(text)) == text
+
+
+def test_reading_a_certificate_factors_no_constant(monkeypatch):
+    # a constant half, and the gcd 1 of a pair a + b*y, have nothing to
+    # factor; what is left are the polynomials of the places and pairs
+    text = certificate_to_json(curve_general_rank_three())
+    factored = []
+    real = base_algebra.poly_factor
+
+    def counting(f, F):
+        factored.append(f)
+        return real(f, F)
+
+    for module in (function_field, elliptic_curve):
+        monkeypatch.setattr(module, "poly_factor", counting)
+    certificate_from_json(text)
+    assert len(factored) == 6, factored
 
 
 @pytest.mark.parametrize("demo", sorted(DEMO_STDOUT))

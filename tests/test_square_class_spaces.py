@@ -26,6 +26,7 @@ from wildsets.projective_line import Place, ProjectiveLine
 from wildsets.square_class_spaces import (
     SquareClassSpace,
     _f2_rank,
+    _global_even_generators,
     _independent_modulo_squares,
     _kernel_basis,
     _pack,
@@ -440,6 +441,30 @@ def test_smile_on_the_curve():
     for i, p in enumerate(divisible[:4]):
         for q in divisible[i + 1:4]:
             assert smile(model, p, q) == smile(model, q, p)
+
+
+@pytest.mark.parametrize("q, f, degrees", [
+    (3, None, (2, 4)), (5, None, (2, 4)), (9, None, (2, 4)),
+    (13, None, (2, 4)), (5, "t^3 + 4t", (2, 4)), (5, "t^3 + 2", (2, 4)),
+    (13, "t^3 - t", (2,)),
+])
+def test_global_even_generators_are_squares_at_two_divisible_places(
+        q, f, degrees):
+    # smile reads only the witness lam at q2 because of this fact: the
+    # constant is a square at an even-degree place, and a vertical
+    # t - x0 through a 2-torsion point pairs trivially with 2E(F_q)
+    model = line(q) if f is None else curve(q, f)
+    rng = random.Random(11)
+    gens = _global_even_generators(model)
+    divisible = [P for d in degrees for P in model.places_of_degree(d)
+                 if model.two_divisible(Divisor({P: 1}))]
+    assert len(divisible) >= 6
+    for P in rng.sample(divisible, min(len(divisible), 200)):
+        for g in gens:
+            assert local_square_class(g, P) == (0, 0), (g, P)
+    # the constant is no square at odd degree, so the fact needs q2
+    odd = model.places_of_degree(1)[-1]
+    assert local_square_class(gens[0], odd) != (0, 0)
 
 
 # -- the independence machinery itself
