@@ -51,6 +51,8 @@ from .local_symbols import (
 )
 from .projective_line import ProjectiveLine
 from .square_class_spaces import (
+    _delta_of,
+    _sing_relations,
     check_lin_dep_lemma,
     check_pic_rank_formula,
     delta_space,
@@ -120,9 +122,10 @@ def _cmd_ranks(args) -> int:
     model = _model(args)
     S = _places(model, args.places)
     g = g_rank(model, S).rank
+    sing, _, relations = _sing_relations(model, S)
     ranks = {
-        "sing": sing_space(model, S).rank,
-        "delta": delta_space(model, S).rank,
+        "sing": sing.rank,
+        "delta": _delta_of(model, sing, relations).rank,
         "g": g,
         "pic_y": pic_complement_two_rank(model, S),
     }

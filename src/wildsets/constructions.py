@@ -39,6 +39,7 @@ from .local_symbols import (
     local_square_class,
     minus_one_is_square,
     square_class_mul,
+    square_class_table,
 )
 from .function_field import Divisor
 from .square_class_spaces import (
@@ -78,8 +79,7 @@ def _sing_element(model, p):
 def _classes_by_mask(elements, places) -> list:
     """The classes at the places of each _product(model, elements, mask)."""
     out = [(ONE,) * len(places)]
-    for g in elements:
-        row = [local_square_class(g, P) for P in places]
+    for row in square_class_table(elements, places):
         out += [tuple(map(square_class_mul, v, row)) for v in out]
     return out
 
@@ -260,7 +260,7 @@ def _fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
     solving beats transcribing any one case.
     """
     targets = (S[0], S[1], p4)
-    src = [[local_square_class(b, P) for P in S] for b in basis]
+    src = square_class_table(basis, S)
     dst = _classes_by_mask(pool, targets)
     for code in range(1 << 9):
         rows = (code & 7, code >> 3 & 7, code >> 6 & 7)

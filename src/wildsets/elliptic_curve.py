@@ -66,7 +66,7 @@ from .base_algebra import (
     poly_to_int,
 )
 from .errors import HypothesisError
-from .function_field import Divisor, FactoredFunction, Model, ModelPlace
+from .function_field import Divisor, FactoredFunction, Model, ModelPlace, base_fault
 
 Point = Optional[Tuple[int, int]]  # None is the point at infinity
 
@@ -335,6 +335,9 @@ class CurveFunction(FactoredFunction):
         return cls.from_pair(model, r.get(0, ()), r.get(1, ())) if r else None
 
     def divisor(self) -> Divisor:
+        return self._kept_divisor().copy()
+
+    def _atoms_divisor(self) -> Divisor:
         model = self.model
         coeffs: Dict[CurvePlace, int] = {}
         for atom, e in self.factors.items():
@@ -411,12 +414,17 @@ class EllipticModel(Model):
     # -- places
 
     def places_above(self, p: Poly) -> List[CurvePlace]:
-        """The places over a monic irreducible p, by the character of f mod p."""
-        p = poly_monic(poly_norm(p), self.field)
-        if p not in self._above and (
-                poly_deg(p) < 1 or not poly_is_irreducible(p, self.field)):
-            raise ValueError("finite places sit over monic irreducibles, got %s"
-                             % _quoted(poly_str(p, "t", self.field)))
+        """The places over an irreducible p, by the character of f mod p.
+
+        p is made monic first; a constant or reducible p is refused by
+        that name.
+        """
+        given = poly_norm(p)
+        p = poly_monic(given, self.field)
+        fault = None if p in self._above else base_fault(p, self.field)
+        if fault:
+            raise ValueError("finite places sit over irreducibles, but %s is %s"
+                             % (_quoted(poly_str(given, "t", self.field)), fault))
         return list(self._places_over_irreducible(p))
 
     def _places_over_irreducible(self, p: Poly) -> Tuple[CurvePlace, ...]:
@@ -511,6 +519,11 @@ class EllipticModel(Model):
     def y(self) -> CurveFunction:
         return CurveFunction.from_pair(self, (), (1,))
 
+    def _irreducible(self, p: Poly) -> CurveFunction:
+        """The function p, for a monic p known to be irreducible: its own atom,
+        as from_poly would factor it."""
+        return CurveFunction._trusted(self, 1, {("poly", p): 1})
+
     # -- certificates
 
     def header(self) -> dict:
@@ -588,7 +601,7 @@ class EllipticModel(Model):
         roots are read off the rational points, in increasing order.
         """
         roots = [x for x, y in self.rational_points()[1:] if y == 0]
-        return [self.from_poly((self.field.neg(x), 1)) for x in roots[:2]]
+        return [self._irreducible((self.field.neg(x), 1)) for x in roots[:2]]
 
     def pic_class_of_place(self, place: CurvePlace) -> Point:
         """The class of place - deg(place)*infinity, as a rational point.
@@ -764,7 +777,7 @@ class EllipticModel(Model):
         # inert places come from their base polynomials, with no side effects
         for P in list(R.coeffs):
             if P.kind == "inert":
-                apply(self.from_poly(P.base), R.coeffs[P])
+                apply(self._irreducible(P.base), R.coeffs[P])
 
         # peel split places of degree >= 2, largest first; each peel only
         # disturbs places of strictly smaller degree
@@ -783,7 +796,7 @@ class EllipticModel(Model):
                 apply(self.y(), 1)
         for P in list(R.coeffs):
             if P.kind == "ramified":
-                apply(self.from_poly(P.base), R.coeffs[P] // 2)
+                apply(self._irreducible(P.base), R.coeffs[P] // 2)
 
         # now only degree-one places and infinity remain; each chord step
         # lowers the finite total, so no more steps than sum |n| are needed
@@ -792,12 +805,13 @@ class EllipticModel(Model):
             # reduce ramified coefficients into {0, 1}
             for x in {self.point_of_place(P)[0]
                       for P in R.coeffs if P.kind != "infinite"}:
-                fiber = [P for P in self.places_above((F.neg(x), 1))]
+                vertical = (F.neg(x), 1)
+                fiber = self._places_over_irreducible(vertical)
                 if fiber[0].kind == "ramified":
                     k = R.get(fiber[0]) // 2
                 else:
                     k = min(R.get(fiber[0]), R.get(fiber[1]))
-                apply(self.from_poly((F.neg(x), 1)), k)
+                apply(self._irreducible(vertical), k)
             finite = [(P, n) for P, n in R.items() if P.kind != "infinite"]
             assert all(n > 0 for _, n in finite)
             total = sum(n for _, n in finite)

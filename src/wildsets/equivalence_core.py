@@ -61,6 +61,7 @@ from .local_symbols import (
     square_class_hilbert,
     square_class_parse,
     square_class_str,
+    square_class_table,
 )
 from .projective_line import ProjectiveLine
 from .square_class_spaces import (
@@ -264,7 +265,7 @@ def _side_classes(places, elements, failures, side):
                                 % (side, b, P))
                 ok = False
                 break
-    table = [[local_square_class(b, P) for P in places] for b in elements]
+    table = square_class_table(elements, places)
     if _f2_rank([_pack(row) for row in table]) != len(elements):
         failures.append("%s basis is dependent modulo the locally trivial "
                         "classes" % side)

@@ -14,6 +14,10 @@ and the backend factors the numerator and the denominator of each
 factor.  A product is never multiplied out to be factored again, so
 ``parse`` undoes ``str`` on both backends, pair atoms included.
 
+A function never changes once built, so it computes its divisor on the
+first call of ``divisor()`` and keeps it; every call hands out a fresh
+copy, which the caller may change freely.
+
 ``Model`` and ``ModelPlace`` are the bases of each backend's model and
 place classes: they hold the plumbing both backends share, and
 ``Model``'s docstring is the contract the upper layers rely on.
@@ -23,8 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .base_algebra import (Poly, _quoted, _RatParser, const_str, poly_factor,
-                           poly_norm)
+from .base_algebra import (Poly, _quoted, _RatParser, const_str, poly_deg,
+                           poly_factor, poly_is_irreducible, poly_norm)
 
 
 class Divisor:
@@ -44,6 +48,9 @@ class Divisor:
 
     def items(self) -> List[Tuple]:
         return [(P, self.coeffs[P]) for P in self.support()]
+
+    def copy(self) -> "Divisor":
+        return Divisor._of(dict(self.coeffs))
 
     def get(self, place) -> int:
         return self.coeffs.get(place, 0)
@@ -123,10 +130,12 @@ class FactoredFunction:
     parser gives it, a dict {y_degree: coefficient polynomial}), its
     factored form, or None where it vanishes on the model.  A subclass
     whose atoms each have order 1 at one place may replace ord_at by a
-    lookup instead.
+    lookup instead.  Its ``divisor()`` returns a copy of
+    ``_kept_divisor()``, which computes ``_atoms_divisor()`` on first use
+    and keeps it.
     """
 
-    __slots__ = ("model", "constant", "factors")
+    __slots__ = ("model", "constant", "factors", "_divisor")
     _allow_y = False
 
     def __init__(self, model, constant: int, factors: Optional[Mapping] = None):
@@ -141,6 +150,7 @@ class FactoredFunction:
         self.model = model
         self.constant = constant
         self.factors: Dict = {atom: e for atom, e in (factors or {}).items() if e}
+        self._divisor: Optional[Divisor] = None
 
     @classmethod
     def _trusted(cls, model, constant: int, factors: Optional[Mapping] = None):
@@ -250,18 +260,30 @@ class FactoredFunction:
     def __hash__(self) -> int:
         return hash((self.model.key, self.constant, frozenset(self.factors.items())))
 
+    def _kept_divisor(self) -> Divisor:
+        """The divisor, computed once and shared: read it, never change it."""
+        D = self._divisor
+        if D is None:
+            D = self._divisor = self._atoms_divisor()
+        return D
+
     def ord_at(self, place) -> int:
         """The valuation at a place."""
         model, atom_ord = self.model, self._atom_ord
         return sum(e * atom_ord(atom, place, model) for atom, e in self.factors.items())
 
-    def residue_char(self, place) -> int:
-        """The quadratic character (+1 or -1) of the unit-part residue."""
+    def residue_char(self, place, atom_char=None) -> int:
+        """The quadratic character (+1 or -1) of the unit-part residue.
+
+        ``atom_char`` stands in for ``_atom_char`` (same arguments), so a
+        caller reading many functions at one place can pass a memo.
+        """
         model = self.model
+        atom_char = atom_char or self._atom_char
         sign = model.field.quad_char(self.constant) if place.degree & 1 else 1
         for atom, e in self.factors.items():
             if e & 1:
-                sign *= self._atom_char(atom, place, model)
+                sign *= atom_char(atom, place, model)
         return sign
 
     def __str__(self) -> str:
@@ -273,6 +295,14 @@ class FactoredFunction:
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__name__, self)
+
+
+def base_fault(p: Poly, field) -> Optional[str]:
+    """Why a monic polynomial in t is no base of a finite place: "constant"
+    or "reducible"; None when it is irreducible."""
+    if poly_deg(p) < 1:
+        return "constant"
+    return None if poly_is_irreducible(p, field) else "reducible"
 
 
 class ModelPlace:

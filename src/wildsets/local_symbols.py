@@ -13,12 +13,15 @@ their wildness -- is bookkeeping on these pairs.
 
 The second bit is the backend's ``residue_char``: the quadratic
 character of the unit-part residue, which both backends assemble from
-Jacobi symbols in F_q[t] without forming the residue itself.
+Jacobi symbols in F_q[t] without forming the residue itself.  A table
+of many functions at many places goes through ``square_class_table``,
+which reads each atom's character at each place once per call, however
+many functions share the atom, and keeps nothing once it returns.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base_algebra import _quoted
 
@@ -62,6 +65,31 @@ def minus_one_is_square(place) -> bool:
 def local_square_class(elem, place) -> SquareClass:
     """The square class of a function in the completion at a place."""
     return (elem.ord_at(place) & 1, int(elem.residue_char(place) < 0))
+
+
+def square_class_table(elements: Sequence, places: Sequence) -> List[List[SquareClass]]:
+    """Row i holds local_square_class(elements[i], P) for each P in places.
+
+    The functions of one table share atoms (the witnesses of a removed
+    set are products of its places' polynomials), so each (atom, place)
+    character is read once per call, and each entry is combined from
+    those characters, the constant's character and the order parity by
+    the function's own residue_char.  The functions share one model.
+    """
+    if not elements:
+        return []
+    read = elements[0]._atom_char
+    chars: Dict = {}
+
+    def atom_char(atom, place, model):
+        key = atom, place
+        got = chars.get(key)
+        if got is None:
+            got = chars[key] = read(atom, place, model)
+        return got
+
+    return [[(elem.ord_at(P) & 1, int(elem.residue_char(P, atom_char) < 0))
+             for P in places] for elem in elements]
 
 
 def square_class_hilbert(a: SquareClass, b: SquareClass,

@@ -39,7 +39,7 @@ from .base_algebra import (
     poly_parse,
     poly_str,
 )
-from .function_field import Divisor, FactoredFunction, Model, ModelPlace
+from .function_field import Divisor, FactoredFunction, Model, ModelPlace, base_fault
 
 
 class Place(ModelPlace):
@@ -49,9 +49,10 @@ class Place(ModelPlace):
     (None for infinity), and sort with infinity first, then by degree,
     then in the same order the irreducible-enumeration produces them.
 
-    ``Place(line, poly)`` normalizes the polynomial and proves it
+    ``Place(line, poly)`` makes the polynomial monic and proves it
     irreducible with ``poly_is_irreducible`` (the first block of the
-    distinct-degree stage); text goes through the same check via
+    distinct-degree stage), refusing a constant or a reducible one by
+    that name; text goes through the same check via
     ``ProjectiveLine.parse_place``.  Inside the package, polynomials
     that are irreducible by construction -- enumerated irreducibles,
     factors from poly_factor, factors of a RationalFunction -- become
@@ -65,10 +66,11 @@ class Place(ModelPlace):
             field = model.field
             given = poly_norm(poly)
             poly = poly_monic(given, field)
-            if poly_deg(poly) < 1 or not poly_is_irreducible(poly, field):
-                raise ValueError("a finite place needs a monic irreducible "
-                                 "polynomial, got %s"
-                                 % _quoted(poly_str(given, "t", field)))
+            fault = base_fault(poly, field)
+            if fault:
+                raise ValueError("a finite place needs an irreducible "
+                                 "polynomial, but %s is %s"
+                                 % (_quoted(poly_str(given, "t", field)), fault))
         self.model = model
         self.poly = poly
 
@@ -152,6 +154,9 @@ class RationalFunction(FactoredFunction):
         return self.factors.get(place.poly, 0)
 
     def divisor(self) -> Divisor:
+        return self._kept_divisor().copy()
+
+    def _atoms_divisor(self) -> Divisor:
         line = self.model
         coeffs = {Place._proven(line, p): e for p, e in self.factors.items()}
         n = self.ord_at(line.infinity)

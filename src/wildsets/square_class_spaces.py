@@ -38,6 +38,12 @@ the supports of the generators, then the places of degree one and two.
 It stops as soon as no relation is left, and walks the span of what is
 left when the places run out.  The class table of Sing(S) at S is read
 and eliminated once, for delta_space and the quotient basis with its rows.
+
+Every class table here comes from local_symbols.square_class_table, which
+reads each atom's character at each place once per call; the witnesses
+of one removed set share their atoms, the polynomials of its places.
+Generators keep their divisors, so the checks read each one once.  No
+table, character or space is kept once a call returns.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import itertools
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import HypothesisError, VerificationError
-from .local_symbols import local_square_class
+from .local_symbols import local_square_class, square_class_table
 from .function_field import Divisor
 
 __all__ = [
@@ -182,27 +188,31 @@ def _independent_modulo_squares(model, gens, divisors, places) -> bool:
 
     One basis of the relations among the local data is kept (bit i
     selects gens[i]), starting from the kernel of the order parities,
-    which vanish off the supports of the divisors.  Each place cuts it
-    by the residue characters of the generators a relation still
-    selects: one relation on which they do not cancel is added to the
-    others on which they do not, and dropped.  With no relation left the
+    read in one pass over each divisor.  Each place cuts it by the
+    residue characters of the generators a relation still selects: one
+    relation on which they do not cancel is added to the others on which
+    they do not, and dropped.  With no relation left the
     functions are independent, and no further place is drawn; when the
     places run out first, is_square decides on the span of the rest.
     """
-    support = list({P for D in divisors for P in D.coeffs})
-    relations = _kernel_basis([
-        sum((D.get(P) & 1) << j for j, P in enumerate(support))
-        for D in divisors])
+    bit: Dict = {}  # each odd-order place's bit, in order of first sight
+    parities = []
+    for D in divisors:
+        row = 0
+        for P, n in D.coeffs.items():
+            if n & 1:
+                row |= 1 << bit.setdefault(P, len(bit))
+        parities.append(row)
+    relations = _kernel_basis(parities)
     if not relations:
         return True
     for P in places:
         selected = 0
         for r in relations:
             selected |= r
-        chars = 0
-        for i, g in enumerate(gens):
-            if selected >> i & 1:
-                chars |= local_square_class(g, P)[1] << i
+        picked = [i for i in range(len(gens)) if selected >> i & 1]
+        column = square_class_table([gens[i] for i in picked], [P])
+        chars = sum(row[0][1] << i for i, row in zip(picked, column))
         odd = [r for r in relations if (r & chars).bit_count() % 2]
         relations = [r for r in relations if r not in odd] + \
             [r ^ odd[0] for r in odd[1:]]
@@ -237,11 +247,11 @@ class SquareClassSpace:
         outside = set(self.removed)
         divisors = [g.divisor() for g in self.generators]
         for g, D in zip(self.generators, divisors):
-            for P, n in D.items():
-                if P not in outside and n % 2:
-                    raise VerificationError(
-                        "generator %s has odd order at the retained place %s"
-                        % (g, P))
+            odd = [P for P, n in D.coeffs.items() if n & 1 and P not in outside]
+            if odd:
+                raise VerificationError(
+                    "generator %s has odd order at the retained place %s"
+                    % (g, min(odd, key=lambda P: P.sort_key())))
         places = _separating_places(model, divisors, self.removed)
         if not _independent_modulo_squares(model, self.generators, divisors,
                                            places):
@@ -301,8 +311,7 @@ def _sing_relations(model, S) -> Tuple[SquareClassSpace, List, List[int]]:
     top bit marks a generator whose row the earlier rows already span.
     """
     space = sing_space(model, S)
-    table = [[local_square_class(g, P) for P in space.removed]
-             for g in space.generators]
+    table = square_class_table(space.generators, space.removed)
     return space, table, _kernel_basis([_pack(row) for row in table])
 
 
@@ -314,12 +323,17 @@ def delta_space(model, S) -> SquareClassSpace:
     when its packed local bits over S cancel.
     """
     base, _, relations = _sing_relations(model, S)
+    return _delta_of(model, base, relations)
+
+
+def _delta_of(model, base: SquareClassSpace, relations) -> SquareClassSpace:
+    """delta_space from the Sing(S) and relations _sing_relations gave."""
     S = base.removed
     gens = [_product(model, base.generators, mask) for mask in relations]
     space = SquareClassSpace(model, S, gens)
-    for g in space.generators:
-        for P in S:
-            if local_square_class(g, P) != (0, 0):
+    for g, row in zip(space.generators, square_class_table(space.generators, S)):
+        for P, cls in zip(S, row):
+            if cls != (0, 0):
                 raise VerificationError(
                     "generator %s is not a local square at %s" % (g, P))
     expected = pic_complement_two_rank(model, S)

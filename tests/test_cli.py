@@ -286,10 +286,24 @@ def test_unusable_input_exits_two(capsys):
                 "--places", "t, t-1", "--aux", "t"]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == \
         "error: --aux is read only by --rank general"
-    # a place that is no polynomial of positive degree is quoted as given
+    # a place that is no polynomial of positive degree is quoted as given,
+    # and so is a reducible one, each with the fault found
     assert run(["ranks", "--q", "5", "--places", "2"]) == 2
-    assert capsys.readouterr().err == "error: a finite place needs a " \
-        "monic irreducible polynomial, got '2'\n"
+    assert capsys.readouterr().err == "error: a finite place needs an " \
+        "irreducible polynomial, but '2' is constant\n"
+    assert run(["ranks", "--q", "5", "--places", "2t^2+2"]) == 2
+    assert capsys.readouterr().err == "error: a finite place needs an " \
+        "irreducible polynomial, but '2*t^2 + 2' is reducible\n"
+    assert run(["ranks", "--q", "5", "--curve", "t^3 + 4t",
+                "--places", "(2t^2 - 2; split)"]) == 2
+    assert capsys.readouterr().err == "error: finite places sit over " \
+        "irreducibles, but '2*t^2 + 3' is reducible\n"
+    # a non-monic irreducible is the place of its monic multiple
+    outputs = []
+    for text in ("2t+4", "t+2"):
+        assert run(["ranks", "--q", "5", "--places", text]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
     # an option the subcommand does not read is a usage error: a seed
     # outside selftest, a degree cap outside construct, a field in selftest
     for argv in (["ranks", "--seed", "1", "--q", "5", "--places", "t"],

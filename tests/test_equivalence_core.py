@@ -509,7 +509,7 @@ def test_reading_a_certificate_tests_each_polynomial_once(backend, monkeypatch):
         factored.append(f)
         return factor(f, F)
 
-    for module in (projective_line, elliptic_curve):
+    for module in (projective_line, elliptic_curve, function_field):
         monkeypatch.setattr(module, "poly_is_irreducible", counted)
     for module in (function_field, elliptic_curve):
         monkeypatch.setattr(module, "poly_factor", counted_factor)

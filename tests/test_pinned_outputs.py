@@ -45,7 +45,7 @@ from wildsets.equivalence_core import (
     certificate_to_json,
     compose,
 )
-from wildsets.local_symbols import local_square_class
+from wildsets.local_symbols import local_square_class, square_class_table
 from wildsets.projective_line import ProjectiveLine
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
@@ -182,18 +182,30 @@ def test_certificate_text_reads_back_byte_for_byte(build):
     assert certificate_to_json(certificate_from_json(text)) == text
 
 
+def euler_table(elements, places):
+    """square_class_table entry by entry, through the Euler criterion."""
+    return [[euler_square_class(b, P) for P in places] for b in elements]
+
+
+def never_entered(*args, **kwargs):
+    raise AssertionError("the fast class table ran on the slow paths")
+
+
 @pytest.mark.parametrize("build", list(CERTIFICATES),
                          ids=lambda fn: fn.__name__)
 def test_certificate_text_reads_back_on_the_slow_paths(build, monkeypatch):
     # the kernel, residue and divisor oracles keep the routes the fast
-    # paths replaced; verify must read the same certificate through them
+    # paths replaced; verify must read the same certificate through them,
+    # every class table included, and never reach the fast table
     text = certificate_to_json(build())
     kernel_oracle.install(monkeypatch)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("wildsets") and \
-                getattr(module, "local_square_class", None) is local_square_class:
-            monkeypatch.setattr(module, "local_square_class",
-                                euler_square_class)
+    for fast, slow in ((local_square_class, euler_square_class),
+                       (square_class_table, euler_table)):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("wildsets") and \
+                    getattr(module, fast.__name__, None) is fast:
+                monkeypatch.setattr(module, fast.__name__, slow)
+    monkeypatch.setattr(square_class_table, "__code__", never_entered.__code__)
     monkeypatch.setattr(CurveFunction, "divisor", oracle_divisor)
     assert certificate_to_json(certificate_from_json(text)) == text
 
