@@ -574,7 +574,10 @@ def poly_to_int(f: Poly, F: Fq) -> int:
 # ---------------------------------------------------------------------------
 # irreducibility, enumeration, factorization
 #
-# Factorization is squarefree, distinct-degree, equal-degree.  A single
+# Factorization is squarefree, distinct-degree, equal-degree; on fields of
+# at most _ROOT_SCAN_MAX_Q elements a root stage reads the linear factors
+# off F_q first, and only a rootless cofactor of degree >= 4 goes on to
+# the distinct-degree stage, so a cubic needs no x^q power.  A single
 # polynomial (a parsed place, a factor) is tested by the first block of
 # the distinct-degree stage (Ben-Or's test); a whole degree is enumerated
 # by a sieve over the codes, which runs no such test.  The distinct-degree
@@ -713,12 +716,68 @@ def _edf(f: Poly, d: int, F: Fq, rng: Callable[[], random.Random]) -> List[Poly]
             return _edf(g, d, F, rng) + _edf(rest, d, F, rng)
 
 
+# The root stage runs on fields of at most this many elements.  Above it,
+# scanning F_q costs more than the distinct-degree stage it saves, first
+# for the longer polynomials: see the crossover table in BENCH_29.json.
+_ROOT_SCAN_MAX_Q = 31
+
+
+def _deflated(f: Poly, a: int, F: Fq) -> Poly:
+    # the quotient of f by t - a for a root a of f, by synthetic division
+    acc, out = 0, []
+    if F.k == 1:
+        p = F.p
+        for c in reversed(f):
+            acc = (acc * a + c) % p
+            out.append(acc)
+    else:
+        add, row = F._add, F._mul[a]
+        for c in reversed(f):
+            acc = add[row[acc]][c]
+            out.append(acc)
+    out.pop()  # the remainder f(a) = 0
+    return tuple(reversed(out))
+
+
+def _root_stage(f: Poly, F: Fq, found: Dict[Poly, int]) -> Poly:
+    # Divides monic f by every power of t - a that divides it, for each
+    # root a in F_q in code order, and adds t - a with that multiplicity
+    # to found.  A simple root costs one synthetic division; a repeated
+    # one is stripped by poly_strip.  The scan stops once the cofactor has
+    # degree <= 1.  A cofactor of degree 1, 2 or 3 is then irreducible and
+    # is added too.  Returns what is left to factor: (1,), or a cofactor
+    # of degree >= 4 with no root.
+    for a in range(F.q):
+        if len(f) <= 2:
+            break
+        if poly_eval(f, a, F):
+            continue
+        g = (F.neg(a), 1)
+        f, e = _deflated(f, a, F), 1
+        if not poly_eval(f, a, F):
+            k, f = poly_strip(f, g, F)
+            e += k
+        found[g] = e
+    if len(f) > 4:
+        return f
+    if len(f) > 1:
+        found[f] = 1
+    return (1,)
+
+
 def poly_factor(f: Poly, F: Fq) -> Tuple[int, List[Tuple[Poly, int]]]:
     """Factor f as lc * prod(g_i^e_i); factors monic irreducible, sorted.
 
-    The equal-degree stage is randomized but seeded from the input, so
-    the call is deterministic.  The generator is seeded on the first
-    split it is asked for: most inputs need none.
+    On fields of at most _ROOT_SCAN_MAX_Q elements a root stage runs
+    first: it evaluates f at each element a of F_q in code order and, at
+    a root, divides out t - a by synthetic division (poly_strip takes
+    the rest of a repeated root), until the cofactor has degree <= 1.
+    A cofactor of degree 2 or 3 with no root is irreducible, since any
+    factorization of it has a factor of degree 1.  A longer one, and
+    every f over a larger field, goes through the squarefree,
+    distinct-degree and equal-degree stages.  The equal-degree stage is randomized but seeded from the
+    input, so the call is deterministic.  The generator is seeded on the
+    first split it is asked for: most inputs need none.
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
@@ -732,7 +791,9 @@ def poly_factor(f: Poly, F: Fq) -> Tuple[int, List[Tuple[Poly, int]]]:
             made.append(random.Random(repr(seed)))
         return made[0]
 
-    found: dict = {}
+    found: Dict[Poly, int] = {}
+    if F.q <= _ROOT_SCAN_MAX_Q:
+        f = _root_stage(f, F, found)
     while poly_deg(f) > 0:
         s = _squarefree_part(f, F)
         for block, d in _ddf(s, F):

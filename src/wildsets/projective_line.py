@@ -221,9 +221,10 @@ class ProjectiveLine(Model):
 
     def halve_in_pic(self, D: Divisor) -> Optional[Divisor]:
         """Some divisor E with 2E ~ D, or None when the class is odd."""
-        if D.degree % 2:
+        d = D.degree
+        if d % 2:
             return None
-        return Divisor({self.infinity: D.degree // 2})
+        return Divisor({self.infinity: d // 2})
 
     def pic_zero_two_rank(self) -> int:
         """F_2-rank of the degree-zero class group (trivial here)."""

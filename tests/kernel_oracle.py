@@ -7,17 +7,24 @@ call of an Fq method, and an inverse is the power a^(q-2) by
 square-and-multiply.  Above the coefficient loops it keeps the plain
 forms of the modular helpers: a remainder read off a division that
 builds the quotient too, a product reduced only after it is formed, a
-power that starts from 1 and squares once past its top bit, a
-distinct-degree stage that raises to the q-th power at every degree,
-and a strip that divides out one power at a time.  `install` swaps
+power that starts from 1 and squares once past its top bit, a quotient
+by t - a read off a long division, a distinct-degree stage that raises
+to the q-th power at every degree, and a strip that divides out one
+power at a time.  `install` swaps
 these functions into `wildsets.base_algebra`, so that the higher
 helpers built on them (gcd, xgcd, factor, jacobi, irreducibility,
 residue fields) can be run on the old route too.
+
+`poly_factor` is the factorization with no root stage: every input goes
+through the squarefree, distinct-degree and equal-degree stages of
+`wildsets.base_algebra`, on small fields as on large ones.  It is the
+reference the root stage is held to, and `install` leaves it out.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+import random
+from typing import Iterator, List, Sequence, Tuple
 
 from wildsets import base_algebra
 from wildsets.base_algebra import Fq, Poly, poly_deg
@@ -141,6 +148,11 @@ def poly_strip(f: Poly, g: Poly, F: Fq) -> Tuple[int, Poly]:
         f, e = q, e + 1
 
 
+def _deflated(f: Poly, a: int, F: Fq) -> Poly:
+    # the quotient by t - a from a long division
+    return poly_divmod(f, (F.neg(a), 1), F)[0]
+
+
 def _ddf(f: Poly, F: Fq) -> Iterator[Tuple[Poly, int]]:
     # distinct-degree, x^(q^d) mod f as a fresh q-th power at every d
     h = (0, 1)
@@ -158,9 +170,36 @@ def _ddf(f: Poly, F: Fq) -> Iterator[Tuple[Poly, int]]:
             h = poly_mod(h, f, F)
 
 
+def poly_factor(f: Poly, F: Fq) -> Tuple[int, List[Tuple[Poly, int]]]:
+    """poly_factor by the distinct-degree route alone, on every field."""
+    if not f:
+        raise ValueError("cannot factor the zero polynomial")
+    ba = base_algebra
+    lc = f[-1]
+    f = ba.poly_monic(f, F)
+    seed = ("poly_factor", F.q, f)
+    made: List[random.Random] = []
+
+    def rng() -> random.Random:
+        if not made:
+            made.append(random.Random(repr(seed)))
+        return made[0]
+
+    found: dict = {}
+    while poly_deg(f) > 0:
+        s = ba._squarefree_part(f, F)
+        for block, d in ba._ddf(s, F):
+            for g in ba._edf(block, d, F, rng):
+                e, f = ba.poly_strip(f, g, F)
+                found[g] = found.get(g, 0) + e
+    out = sorted(found.items(),
+                 key=lambda it: (poly_deg(it[0]), ba.poly_to_int(it[0], F)))
+    return lc, out
+
+
 KERNEL = ("poly_norm", "poly_add", "poly_neg", "poly_sub", "poly_scalar",
           "poly_mul", "poly_divmod", "poly_eval", "poly_mod", "poly_mulmod",
-          "poly_pow_mod", "poly_strip", "_ddf")
+          "poly_pow_mod", "poly_strip", "_deflated", "_ddf")
 
 
 def install(monkeypatch) -> None:

@@ -160,6 +160,17 @@ def test_strip_matches_the_one_power_oracle(q):
         assert poly_strip(f, g, F) == kernel_oracle.poly_strip(f, g, F)
 
 
+@pytest.mark.parametrize("q", FIELDS)
+def test_deflation_matches_the_long_division(q):
+    F = GF(q)
+    rng = random.Random("deflate %d" % q)
+    for _ in range(12):
+        a = rng.randrange(q)
+        f = poly_mul(random_poly(rng, q, rng.randrange(0, 12)), (F.neg(a), 1), F)
+        assert (base_algebra._deflated(f, a, F)
+                == kernel_oracle._deflated(f, a, F))
+
+
 def test_a_distinct_degree_stage_raises_to_the_q_th_power_once(monkeypatch):
     """x^q mod f is the one power; each later step is a Frobenius step,
     in a factorization and in Ben-Or's test alike."""
@@ -184,7 +195,8 @@ def test_a_distinct_degree_stage_raises_to_the_q_th_power_once(monkeypatch):
 
 def helper_outputs(q, rng):
     """gcd, xgcd, pow_mod, factor, jacobi, irreducibility and residue
-    field products and powers on seeded inputs over F_q."""
+    field products and powers on seeded inputs over F_q; over F_5 and
+    F_9 also factors of degree 2 to 6, which the root stage reads."""
     F = GF(q)
     out = []
     for d in (2, 8, 20):
@@ -212,6 +224,11 @@ def helper_outputs(q, rng):
         out.append(poly_factor(poly_mul(h, h, F), F))
         out.append(poly_jacobi(f, m, F))
         out.append(poly_jacobi(g, poly_monic(h, F), F))
+    if q in (5, 9):  # the root stage, on a prime and an extension field
+        for d in (2, 3, 4, 5, 6):
+            out.append(poly_factor(random_poly(rng, q, d), F))
+            out.append(poly_factor(poly_scalar(repeated_product(rng, q, d),
+                                               rng.randrange(1, q), F), F))
     return out
 
 
