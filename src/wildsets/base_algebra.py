@@ -59,7 +59,6 @@ __all__ = [
     "poly_mod",
     "poly_mulmod",
     "poly_gcd",
-    "poly_xgcd",
     "poly_pow_mod",
     "poly_strip",
     "poly_jacobi",
@@ -476,24 +475,6 @@ def poly_gcd(f: Poly, g: Poly, F: Fq) -> Poly:
     return poly_monic(f, F)
 
 
-def poly_xgcd(f: Poly, g: Poly, F: Fq) -> Tuple[Poly, Poly, Poly]:
-    """Monic gcd d and cofactors (d, a, b) with a*f + b*g = d."""
-    r0, r1 = f, g
-    a0, a1 = (1,), ()
-    b0, b1 = (), (1,)
-    while r1:
-        q, r = poly_divmod(r0, r1, F)
-        r0, r1 = r1, r
-        a0, a1 = a1, poly_sub(a0, poly_mul(q, a1, F), F)
-        b0, b1 = b1, poly_sub(b0, poly_mul(q, b1, F), F)
-    if r0:
-        c = F.inv(r0[-1])
-        r0 = poly_scalar(r0, c, F)
-        a0 = poly_scalar(a0, c, F)
-        b0 = poly_scalar(b0, c, F)
-    return r0, a0, b0
-
-
 def poly_pow_mod(f: Poly, e: int, m: Poly, F: Fq) -> Poly:
     """f^e mod m for e >= 0, by left-to-right square-and-multiply."""
     if e < 0:
@@ -722,27 +703,10 @@ def _edf(f: Poly, d: int, F: Fq, rng: Callable[[], random.Random]) -> List[Poly]
 _ROOT_SCAN_MAX_Q = 31
 
 
-def _deflated(f: Poly, a: int, F: Fq) -> Poly:
-    # the quotient of f by t - a for a root a of f, by synthetic division
-    acc, out = 0, []
-    if F.k == 1:
-        p = F.p
-        for c in reversed(f):
-            acc = (acc * a + c) % p
-            out.append(acc)
-    else:
-        add, row = F._add, F._mul[a]
-        for c in reversed(f):
-            acc = add[row[acc]][c]
-            out.append(acc)
-    out.pop()  # the remainder f(a) = 0
-    return tuple(reversed(out))
-
-
 def _root_stage(f: Poly, F: Fq, found: Dict[Poly, int]) -> Poly:
     # Divides monic f by every power of t - a that divides it, for each
     # root a in F_q in code order, and adds t - a with that multiplicity
-    # to found.  A simple root costs one synthetic division; a repeated
+    # to found.  A simple root costs one division by t - a; a repeated
     # one is stripped by poly_strip.  The scan stops once the cofactor has
     # degree <= 1.  A cofactor of degree 1, 2 or 3 is then irreducible and
     # is added too.  Returns what is left to factor: (1,), or a cofactor
@@ -753,7 +717,7 @@ def _root_stage(f: Poly, F: Fq, found: Dict[Poly, int]) -> Poly:
         if poly_eval(f, a, F):
             continue
         g = (F.neg(a), 1)
-        f, e = _deflated(f, a, F), 1
+        f, e = poly_divmod(f, g, F)[0], 1
         if not poly_eval(f, a, F):
             k, f = poly_strip(f, g, F)
             e += k
@@ -770,8 +734,8 @@ def poly_factor(f: Poly, F: Fq) -> Tuple[int, List[Tuple[Poly, int]]]:
 
     On fields of at most _ROOT_SCAN_MAX_Q elements a root stage runs
     first: it evaluates f at each element a of F_q in code order and, at
-    a root, divides out t - a by synthetic division (poly_strip takes
-    the rest of a repeated root), until the cofactor has degree <= 1.
+    a root, divides out t - a (poly_strip takes the rest of a repeated
+    root), until the cofactor has degree <= 1.
     A cofactor of degree 2 or 3 with no root is irreducible, since any
     factorization of it has a factor of degree 1.  A longer one, and
     every f over a larger field, goes through the squarefree,
@@ -1222,12 +1186,11 @@ class ResidueField:
         return poly_mulmod(a, b, self.modulus, self.F)
 
     def inv(self, a: Poly) -> Poly:
+        """a^(Q - 2) for Q = size: the inverse, by Fermat."""
+        a = self.reduce(a)
         if not a:
             raise ZeroDivisionError("inverse of zero in residue field")
-        d, u, _ = poly_xgcd(a, self.modulus, self.F)
-        if d != (1,):
-            raise ZeroDivisionError("element not invertible")
-        return self.reduce(u)
+        return poly_pow_mod(a, self.size - 2, self.modulus, self.F)
 
     def pow(self, a: Poly, e: int) -> Poly:
         if e < 0:

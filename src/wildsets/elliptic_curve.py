@@ -15,15 +15,16 @@ at split and inert places, y at ramified places, and t/y at infinity.
 
 Nonzero functions are kept in factored form: a constant times a product
 of monic irreducibles in t and of primitive pairs a + b*y (b monic,
-gcd(a, b) = 1), with integer exponents.  Orders and residue characters
-(quadratic characters of the unit-part residues, by Jacobi symbols in
-F_q[t]) come factor by factor from closed forms against the uniformizers
-above; nothing is ever expanded, lifted, or approximated.  The only identity
-used beyond bookkeeping is (a + b*y)(a - b*y) = a^2 - b^2 f, which turns
-every question about a pair into a question about polynomials.  The
-divisor of a pair comes from factoring that norm, so each model computes
-it once per pair and keeps it: the same chord, tangent and peel lines
-recur in every halving witness.
+gcd(a, b) = 1), with integer exponents.  Residue characters (quadratic
+characters of the unit-part residues, by Jacobi symbols in F_q[t]) come
+factor by factor from closed forms against the uniformizers above, and
+orders are read off divisors; nothing is ever expanded, lifted, or
+approximated.  The only identity used beyond bookkeeping is
+(a + b*y)(a - b*y) = a^2 - b^2 f, which turns every question about a pair
+into a question about polynomials.  The divisor of a pair comes from
+factoring that norm, so each model computes it once per pair and keeps
+it: the same chord, tangent and peel lines recur in every halving
+witness.
 
 The divisor class group is Z (+) E(F_q): a divisor class is its degree
 together with the sum, under the chord-and-tangent law, of the Galois
@@ -54,6 +55,7 @@ from .base_algebra import (
     poly_gcd,
     poly_is_irreducible,
     poly_jacobi,
+    poly_mod,
     poly_monic,
     poly_mul,
     poly_neg,
@@ -71,11 +73,6 @@ from .function_field import Divisor, FactoredFunction, Model, ModelPlace, base_f
 Point = Optional[Tuple[int, int]]  # None is the point at infinity
 
 _KINDS = ("infinite", "split", "inert", "ramified")
-
-
-def _vp(g: Poly, p: Poly, F: Fq) -> int:
-    """Exact power of p dividing g, with a huge sentinel when g = 0."""
-    return poly_strip(g, p, F)[0] if g else 10 ** 9
 
 
 def _point_key(P: Point):
@@ -186,30 +183,6 @@ def _pair_norm(a: Poly, b: Poly, model: "EllipticModel") -> Poly:
                     poly_mul(poly_mul(b, b, F), model.f, F), F)
 
 
-def _atom_ord(atom, place: CurvePlace, model: "EllipticModel") -> int:
-    kind, data = atom
-    F = model.field
-    if kind == "poly":
-        g = data
-        if place.kind == "infinite":
-            return -2 * poly_deg(g)
-        hit = 1 if g == place.base else 0
-        return 2 * hit if place.kind == "ramified" else hit
-    a, b = data
-    if place.kind == "infinite":
-        vb = -2 * poly_deg(b) - 3
-        return vb if not a else min(-2 * poly_deg(a), vb)
-    p = place.base
-    if place.kind == "inert":
-        return min(_vp(a, p, F), _vp(b, p, F))
-    if place.kind == "ramified":
-        return min(2 * _vp(a, p, F), 2 * _vp(b, p, F) + 1)
-    rf = ResidueField(F, p)
-    if rf.add(rf.reduce(a), rf.mul(rf.reduce(b), place.branch)):
-        return 0
-    return _vp(_pair_norm(a, b, model), p, F)
-
-
 def _atom_char(atom, place: CurvePlace, model: "EllipticModel") -> int:
     """The quadratic character of an atom's unit-part residue at a place.
 
@@ -284,7 +257,6 @@ class CurveFunction(FactoredFunction):
 
     __slots__ = ()
 
-    _atom_ord = staticmethod(_atom_ord)
     _atom_char = staticmethod(_atom_char)
     _atom_sort_key = staticmethod(_atom_sort_key)
     _poly_atom = staticmethod(lambda p: ("poly", p))
@@ -454,6 +426,13 @@ class EllipticModel(Model):
         needs its norm factored; it depends on the model and the atom
         alone, so it is computed once per model and kept.  Poly atoms
         are not kept: there are far more of them, and they are cheap.
+
+        A primitive a + b*y meets exactly one place over each factor p of
+        its norm, with p's multiplicity: p cannot divide both conjugates,
+        and no inert place divides the norm.  That place is the ramified
+        one, or the split one whose branch w has a + b*w = 0 mod p.  At
+        infinity the order is minus the norm's degree, max(2 deg a,
+        2 deg b + 3).
         """
         kind, data = atom
         if kind == "poly":
@@ -463,14 +442,16 @@ class EllipticModel(Model):
             return out
         got = self._pair_divisors.get(atom)
         if got is None:
+            F = self.field
+            a, b = data
             out = []
-            for p, _ in poly_factor(_pair_norm(data[0], data[1], self), self.field)[1]:
-                for P in self._places_over_irreducible(p):
-                    assert P.kind != "inert", "a primitive pair has no inert zeros"
-                    n = _atom_ord(atom, P, self)
-                    if n:
-                        out.append((P, n))
-            out.append((self.infinity, _atom_ord(atom, self.infinity, self)))
+            for p, m in poly_factor(_pair_norm(a, b, self), F)[1]:
+                P, *other = self._places_over_irreducible(p)
+                assert P.kind != "inert", "a primitive pair has no inert zeros"
+                if other and poly_mod(poly_add(a, poly_mul(b, P.branch, F), F), p, F):
+                    P = other[0]
+                out.append((P, m))
+            out.append((self.infinity, -max(2 * poly_deg(a), 2 * poly_deg(b) + 3)))
             got = self._pair_divisors[atom] = tuple(out)
         return got
 
@@ -733,10 +714,8 @@ class EllipticModel(Model):
         F = self.field
         if F.mul(yv, yv) != poly_eval(self.f, x, F):
             raise ValueError("(%d, %d) does not lie on the curve" % (x, yv))
-        base = (F.neg(x), 1)
-        if yv == 0:
-            return CurvePlace(self, "ramified", poly_norm(base))
-        return CurvePlace(self, "split", poly_norm(base), (yv,))
+        return next(Q for Q in self._places_over_irreducible((F.neg(x), 1))
+                    if Q.kind == "ramified" or Q.branch == (yv,))
 
     def point_of_place(self, place: CurvePlace) -> Point:
         if place.kind == "infinite":

@@ -1,12 +1,13 @@
 """Divisors and factored functions, shared by both backends.
 
 A nonzero function is kept as a constant times a product of integer
-powers of atoms, irreducible pieces whose order and residue character at
-every place the backend knows in closed form.  So the order of the whole
-function is the sum of e * ord(atom), and, since a character ignores
-squares, its residue character is chi(c)^(deg P) times the characters of
-the atoms with odd exponent.  Places and functions belong to a model,
-whose ``key`` is its identity: they compare and hash through it.
+powers of atoms, irreducible pieces whose divisor and residue character
+at every place the backend knows.  So the divisor of the whole function
+is the sum of e * div(atom), its order at a place is read off that
+divisor, and, since a character ignores squares, its residue character
+is chi(c)^(deg P) times the characters of the atoms with odd exponent.
+Places and functions belong to a model, whose ``key`` is its identity:
+they compare and hash through it.
 
 Text has one route in, ``FactoredFunction.parse``: the expression
 parser hands back the product at the top of the text factor by factor,
@@ -122,17 +123,18 @@ class FactoredFunction:
     The public constructor checks every atom and raises ValueError on a
     bad one; ``_trusted`` skips the check for atoms that hold by
     construction.  A backend's subclass gives the rules for one atom as
-    static functions: ``_atom_ord`` and ``_atom_char`` (of atom, place,
-    model), ``_check_atom`` and ``_atom_str`` (of atom, field),
-    ``_atom_sort_key``, and ``_poly_atom``, the atom of a monic
-    irreducible polynomial in t; ``_allow_y``, whether texts may name y;
-    and ``_from_half`` (of model and a polynomial as the expression
-    parser gives it, a dict {y_degree: coefficient polynomial}), its
-    factored form, or None where it vanishes on the model.  A subclass
-    whose atoms each have order 1 at one place may replace ord_at by a
-    lookup instead.  Its ``divisor()`` returns a copy of
-    ``_kept_divisor()``, which computes ``_atoms_divisor()`` on first use
-    and keeps it.
+    static functions: ``_atom_char`` (of atom, place, model),
+    ``_check_atom`` and ``_atom_str`` (of atom, field), ``_atom_sort_key``,
+    and ``_poly_atom``, the atom of a monic irreducible polynomial in t;
+    ``_allow_y``, whether texts may name y; ``_from_half`` (of model and
+    a polynomial as the expression parser gives it, a dict {y_degree:
+    coefficient polynomial}), its factored form, or None where it
+    vanishes on the model.  Its ``_atoms_divisor()`` sums the atoms'
+    divisors, and its ``divisor()`` returns a copy of ``_kept_divisor()``,
+    which computes ``_atoms_divisor()`` on first use and keeps it;
+    ``ord_at`` reads the kept divisor's coefficients.  A subclass whose
+    atoms each have order 1 at one place may replace ord_at by a lookup
+    instead.
     """
 
     __slots__ = ("model", "constant", "factors", "_divisor")
@@ -268,9 +270,8 @@ class FactoredFunction:
         return D
 
     def ord_at(self, place) -> int:
-        """The valuation at a place."""
-        model, atom_ord = self.model, self._atom_ord
-        return sum(e * atom_ord(atom, place, model) for atom, e in self.factors.items())
+        """The valuation at a place: its coefficient in the divisor."""
+        return self._kept_divisor().coeffs.get(place, 0)
 
     def residue_char(self, place, atom_char=None) -> int:
         """The quadratic character (+1 or -1) of the unit-part residue.

@@ -156,32 +156,16 @@ class LocalMap:
 
     @classmethod
     def from_pairs(cls, pairs) -> Optional["LocalMap"]:
-        """The deterministic map sending each source class to its image.
+        """The first map of _AUTOMORPHISMS sending each source to its image.
 
         Returns None when no automorphism fits: a trivial class paired
         with a nontrivial one, conflicting images, or a collapse of two
-        distinct sources.  Each nontrivial class left unconstrained, in
-        the order u, pi, u*pi, takes the first image in that order not
-        yet taken.
+        distinct sources.
         """
-        vals = {}
-        for s, d in pairs:
-            if (s == ONE) != (d == ONE):
-                return None
-            if s == ONE:
-                continue
-            if vals.setdefault(s, d) != d:
-                return None
-        if len(set(vals.values())) != len(vals):
-            return None
-        taken = set(vals.values())
-        for s in (U, PI, U_PI):
-            if s not in vals:
-                vals[s] = next(d for d in (U, PI, U_PI) if d not in taken)
-                taken.add(vals[s])
-        # an injective assignment of the three nontrivial classes is
-        # automatically multiplicative, so no closing check is needed
-        return cls(vals[U], vals[PI])
+        for lm, graph in _AUTOMORPHISMS:
+            if graph.issuperset(pairs):
+                return lm
+        return None
 
     def apply(self, a: SquareClass) -> SquareClass:
         e, s = a
@@ -214,3 +198,11 @@ class LocalMap:
     def __repr__(self) -> str:
         return "LocalMap(u -> %s, pi -> %s)" % (square_class_str(self.image_of_u),
                                                 square_class_str(self.image_of_pi))
+
+
+# The six automorphisms by image of u, then by image of pi, each in the
+# order u, pi, u*pi; each with its graph, the set of (class, image).
+_AUTOMORPHISMS = tuple(
+    (lm, frozenset((c, lm.apply(c)) for c in (ONE, U, PI, U_PI)))
+    for lm in (LocalMap(iu, ip) for iu in (U, PI, U_PI) for ip in (U, PI, U_PI)
+               if iu != ip))

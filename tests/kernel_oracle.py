@@ -7,13 +7,12 @@ call of an Fq method, and an inverse is the power a^(q-2) by
 square-and-multiply.  Above the coefficient loops it keeps the plain
 forms of the modular helpers: a remainder read off a division that
 builds the quotient too, a product reduced only after it is formed, a
-power that starts from 1 and squares once past its top bit, a quotient
-by t - a read off a long division, a distinct-degree stage that raises
-to the q-th power at every degree, and a strip that divides out one
-power at a time.  `install` swaps
+power that starts from 1 and squares once past its top bit, a
+distinct-degree stage that raises to the q-th power at every degree,
+and a strip that divides out one power at a time.  `install` swaps
 these functions into `wildsets.base_algebra`, so that the higher
-helpers built on them (gcd, xgcd, factor, jacobi, irreducibility,
-residue fields) can be run on the old route too.
+helpers built on them (gcd, factor, jacobi, irreducibility, residue
+fields) can be run on the old route too.
 
 `poly_factor` is the factorization with no root stage: every input goes
 through the squarefree, distinct-degree and equal-degree stages of
@@ -148,11 +147,6 @@ def poly_strip(f: Poly, g: Poly, F: Fq) -> Tuple[int, Poly]:
         f, e = q, e + 1
 
 
-def _deflated(f: Poly, a: int, F: Fq) -> Poly:
-    # the quotient by t - a from a long division
-    return poly_divmod(f, (F.neg(a), 1), F)[0]
-
-
 def _ddf(f: Poly, F: Fq) -> Iterator[Tuple[Poly, int]]:
     # distinct-degree, x^(q^d) mod f as a fresh q-th power at every d
     h = (0, 1)
@@ -199,7 +193,7 @@ def poly_factor(f: Poly, F: Fq) -> Tuple[int, List[Tuple[Poly, int]]]:
 
 KERNEL = ("poly_norm", "poly_add", "poly_neg", "poly_sub", "poly_scalar",
           "poly_mul", "poly_divmod", "poly_eval", "poly_mod", "poly_mulmod",
-          "poly_pow_mod", "poly_strip", "_deflated", "_ddf")
+          "poly_pow_mod", "poly_strip", "_ddf")
 
 
 def install(monkeypatch) -> None:

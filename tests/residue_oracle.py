@@ -20,13 +20,14 @@ from wildsets.base_algebra import (
     poly_divmod,
     poly_factor,
     poly_mul,
+    poly_strip,
 )
-from wildsets.elliptic_curve import (
-    CurveFunction,
-    CurvePlace,
-    _pair_norm,
-    _vp,
-)
+from wildsets.elliptic_curve import CurveFunction, CurvePlace, _pair_norm
+
+
+def _vp(g: Poly, p: Poly, F) -> int:
+    """Exact power of p dividing g, with a huge sentinel when g = 0."""
+    return poly_strip(g, p, F)[0] if g else 10 ** 9
 
 
 def euler_jacobi(a, m, F):

@@ -32,7 +32,6 @@ from wildsets.base_algebra import (
     poly_strip,
     poly_sub,
     poly_to_int,
-    poly_xgcd,
     rat_parse,
 )
 
@@ -202,20 +201,21 @@ def test_gf_shares_contexts_and_rejects_even_sizes():
             GF(q)
 
 
-def test_gcd_and_xgcd():
+def test_gcd_is_monic_and_leaves_coprime_cofactors():
     F = GF(5)
     rng = random.Random(99)
     for _ in range(100):
-        from wildsets.base_algebra import poly_norm
-
-        f = poly_norm(_rand_poly(rng, F, rng.randrange(5)))
-        g = poly_norm(_rand_poly(rng, F, rng.randrange(5)))
+        h = poly_monic(poly_norm(_rand_poly(rng, F, rng.randrange(3))) or (1,), F)
+        f = poly_mul(poly_norm(_rand_poly(rng, F, rng.randrange(5))), h, F)
+        g = poly_mul(poly_norm(_rand_poly(rng, F, rng.randrange(5))), h, F)
         if not f or not g:
             continue
-        d, a, b = poly_xgcd(f, g, F)
-        assert d == poly_gcd(f, g, F)
-        lhs = poly_add(poly_mul(a, f, F), poly_mul(b, g, F), F)
-        assert lhs == d
+        d = poly_gcd(f, g, F)
+        assert d[-1] == 1
+        (f1, rf), (g1, rg) = poly_divmod(f, d, F), poly_divmod(g, d, F)
+        assert rf == rg == ()
+        assert poly_divmod(d, h, F)[1] == ()
+        assert poly_gcd(f1, g1, F) == (1,)
 
 
 def test_eval_and_deriv():
@@ -407,6 +407,28 @@ def test_residue_field_inverse_and_sqrt():
         sq = RF.mul(a, a)
         r = RF.sqrt(sq)
         assert RF.mul(r, r) == sq
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 13])
+def test_residue_field_inverse_by_fermat(q):
+    """inv(a) * a == 1 for every nonzero element of F_q[t]/(m), m the
+    first irreducible of degree 1 to 3 (300 of them, sampled, in a field
+    of more); 0 and a nonzero multiple of m have no inverse."""
+    F = GF(q)
+    rng = random.Random("inverse %d" % q)
+    for d in (1, 2, 3):
+        m = next(irreducibles_of_degree(F, d))
+        RF = ResidueField(F, m)
+        codes = range(1, RF.size)
+        if len(codes) > 300:
+            codes = rng.sample(codes, 300)
+        for code in codes:
+            a = poly_from_int(code, F)
+            assert RF.mul(a, RF.inv(a)) == (1,)
+        for zero in ((), poly_mul(m, (rng.randrange(1, q), 1), F)):
+            with pytest.raises(ZeroDivisionError,
+                               match="inverse of zero in residue field"):
+                RF.inv(zero)
 
 
 def test_quad_ext_char_against_enumeration():

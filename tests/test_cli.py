@@ -22,7 +22,7 @@ import pytest
 
 import wildsets
 from expression_oracle import parse_whole
-from wildsets import constructions, equivalence_core, square_class_spaces
+from wildsets import cli, constructions, equivalence_core, square_class_spaces
 from wildsets.base_algebra import GF, poly_is_irreducible, poly_str
 from wildsets.cli import MAX_FIELD_SIZE, run
 from wildsets.equivalence_core import (
@@ -376,6 +376,8 @@ CONSTRUCT_REFUSALS = [
      "(t^2 + 3; inert) do not satisfy the pairing condition"),
     (["--q", "5", "--rank", "general", "--places", "t", "--aux", ","], 2,
      "error: --rank general needs the 2-divisible points in --aux"),
+    (["--q", "5", "--rank", "0", "--places", "t^2+2", "--degree-cap", "0"], 2,
+     "error: the degree cap must be positive"),
 ]
 
 
@@ -422,6 +424,52 @@ def test_selftest_passes(capsys):
     assert "all checks passed" in capsys.readouterr().out
     assert run(["selftest", "--seed", "3"]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    def planted(model, S):
+        raise AssertionError("planted")
+
+    monkeypatch.setattr(cli, "check_lin_dep_lemma", planted)
+    assert run(["selftest"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "FAIL rank identities: planted\n"
+    assert err == ""
+
+
+# Usage errors past the parser: the arguments, and the whole stderr line.
+UNUSABLE_ARGUMENTS = [
+    (["ranks", "--places", "t"],
+     "error: --q is required for this command"),
+    (["smile", "--q", "5", "--places", "t, t+1, t+2"],
+     "error: smile expects exactly two places, got 3"),
+    (["ranks"] + CURVE + ["--places", "(t)"],
+     "error: expected '(base; kind[; branch])', got '(t)'"),
+    (["ranks"] + CURVE + ["--places", "(t; bogus)"],
+     "error: unknown place kind 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("argv,line", UNUSABLE_ARGUMENTS,
+                         ids=[" ".join(row[0][:1] + row[0][-1:])
+                              for row in UNUSABLE_ARGUMENTS])
+def test_unusable_arguments_are_pinned(capsys, argv, line):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == line + "\n"
+
+
+def test_construct_json_without_out_prints_the_certificate(tmp_path, capsys):
+    cert = tmp_path / "c.json"
+    args = ["construct", "--q", "5", "--rank", "0", "--places", "t^2+2"]
+    assert run(args + ["--out", str(cert)]) == 0
+    capsys.readouterr()
+    assert run(args + ["--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == cert.read_text()
+    assert json.loads(out)["claimed_wild_set"] == ["t^2 + 2"]
 
 
 # -- the verify command, pinned

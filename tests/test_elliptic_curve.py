@@ -26,8 +26,10 @@ from wildsets.base_algebra import (
 from wildsets.elliptic_curve import CurveFunction, CurvePlace, EllipticModel
 from wildsets.function_field import Divisor
 from wildsets.local_symbols import local_square_class, reciprocity_product
+from wildsets.projective_line import ProjectiveLine
 from wildsets.square_class_spaces import pic_complement_two_rank
 
+from divisor_oracle import oracle_ord
 from expression_oracle import parse_whole
 from residue_oracle import residue_field, unit_residue
 
@@ -371,7 +373,7 @@ def test_conjugate_pair_matches_polynomial_norm():
             assert h.divisor() == g.divisor()
             places = set(g.divisor().coeffs) | set(model.places_of_degree(1))
             for P in places:
-                assert h.ord_at(P) == g.ord_at(P)
+                assert h.ord_at(P) == oracle_ord(h, P) == g.ord_at(P)
                 assert unit_residue(h, P) == unit_residue(g, P)
 
 
@@ -383,21 +385,25 @@ def test_y_squared_is_f():
         assert ysq.divisor() == g.divisor()
         for d in (1, 2):
             for P in model.places_of_degree(d):
-                assert ysq.ord_at(P) == g.ord_at(P)
+                assert ysq.ord_at(P) == oracle_ord(ysq, P) == g.ord_at(P)
                 assert unit_residue(ysq, P) == unit_residue(g, P)
 
 
 def test_divisor_matches_ord_at_everywhere():
+    """ord_at reads the divisor, where a pair's order comes from its
+    norm's factors; the oracle sums each atom's closed form per kind of
+    place, at every place of the divisor and every place of degree 1."""
     rng = random.Random(21)
-    for q, text in CURVES[:6]:
+    for q, text in CURVES:
         model = make(q, text)
-        h = random_function(model, rng)
-        D = h.divisor()
-        assert D.degree == 0
-        for P, n in D.items():
-            assert h.ord_at(P) == n
-        for P in model.places_of_degree(1):
-            assert h.ord_at(P) == D.get(P)
+        for natoms in (3, 4, 4):
+            h = random_function(model, rng, natoms)
+            D = h.divisor()
+            assert D.degree == 0
+            for P, n in D.items():
+                assert h.ord_at(P) == oracle_ord(h, P) == n
+            for P in model.places_of_degree(1):
+                assert h.ord_at(P) == oracle_ord(h, P) == D.get(P)
 
 
 def test_unit_residue_by_evaluation_at_rational_points():
@@ -463,6 +469,33 @@ def test_running_example_hand_values():
     Pconj = model.place_of_rational_point((2, 4))
     assert h.ord_at(Pconj) == 0
     assert unit_residue(h, Pconj) == (3,)  # direct evaluation: 4 - 1
+
+
+def test_rational_points_and_degree_one_places_refuse_the_rest():
+    model = make(5, "t^3 + 4t")
+    with pytest.raises(ValueError, match=r"\(2, 2\) does not lie on the curve"):
+        model.place_of_rational_point((2, 2))
+    inert = model.parse_place("(t^2 + 2; inert)")
+    with pytest.raises(ValueError, match="only degree-one places"):
+        model.point_of_place(inert)
+    for q, text in CURVES:
+        model = make(q, text)
+        for pt in model.rational_points():
+            P = model.place_of_rational_point(pt)
+            assert P in model.places_of_degree(1)
+            assert model.point_of_place(P) == pt
+
+
+def test_equal_functions_and_divisors_hash_equal():
+    for model in (make(5, "t^3 + 4t"), ProjectiveLine(GF(5))):
+        g = model.parse("t^2 - 1")
+        h = model.parse("(t + 1) * (t - 1)")
+        assert g is not h and g == h and hash(g) == hash(h)
+        D = g.divisor()
+        E = Divisor(dict(reversed(list(D.coeffs.items()))))
+        assert list(D.coeffs) != list(E.coeffs)
+        assert D == E and hash(D) == hash(E)
+        assert len({g, h}) == len({D, E}) == 1
 
 
 def test_infinity_with_nonmonic_leading_coefficient():

@@ -151,6 +151,19 @@ def test_degenerate_local_map_is_rejected_outright():
         LocalMap(ONE, PI)
 
 
+def test_place_matchings_need_one_image_and_one_local_map_per_place():
+    L = line(5)
+    p, q = lplace(L, "t"), lplace(L, "t + 1")
+    basis = (L.constant(2),)
+    for cls in (PreEquivalence, SmallEquivalence):
+        with pytest.raises(ValueError, match="one image per removed place"):
+            cls(L, (p, q), (p,), basis, basis, (SWAP, SWAP))
+        with pytest.raises(ValueError, match="one local map per removed place"):
+            cls(L, (p, q), (p, q), basis, basis, (SWAP,))
+        with pytest.raises(TypeError, match="must be LocalMap instances"):
+            cls(L, (p, q), (p, q), basis, basis, (SWAP, (PI, U)))
+
+
 # -- small equivalences and wild sets
 
 def test_wild_pair_certificate_end_to_end():

@@ -36,7 +36,6 @@ from wildsets.base_algebra import (
     poly_scalar,
     poly_strip,
     poly_sub,
-    poly_xgcd,
 )
 
 import kernel_oracle
@@ -160,17 +159,6 @@ def test_strip_matches_the_one_power_oracle(q):
         assert poly_strip(f, g, F) == kernel_oracle.poly_strip(f, g, F)
 
 
-@pytest.mark.parametrize("q", FIELDS)
-def test_deflation_matches_the_long_division(q):
-    F = GF(q)
-    rng = random.Random("deflate %d" % q)
-    for _ in range(12):
-        a = rng.randrange(q)
-        f = poly_mul(random_poly(rng, q, rng.randrange(0, 12)), (F.neg(a), 1), F)
-        assert (base_algebra._deflated(f, a, F)
-                == kernel_oracle._deflated(f, a, F))
-
-
 def test_a_distinct_degree_stage_raises_to_the_q_th_power_once(monkeypatch):
     """x^q mod f is the one power; each later step is a Frobenius step,
     in a factorization and in Ben-Or's test alike."""
@@ -194,7 +182,7 @@ def test_a_distinct_degree_stage_raises_to_the_q_th_power_once(monkeypatch):
 
 
 def helper_outputs(q, rng):
-    """gcd, xgcd, pow_mod, factor, jacobi, irreducibility and residue
+    """gcd, pow_mod, factor, jacobi, irreducibility and residue
     field products and powers on seeded inputs over F_q; over F_5 and
     F_9 also factors of degree 2 to 6, which the root stage reads."""
     F = GF(q)
@@ -217,8 +205,6 @@ def helper_outputs(q, rng):
         m = random_poly(rng, q, rng.randrange(1, 5), monic=True)
         out.append(poly_gcd(f, g, F))
         out.append(poly_gcd(h, f, F))
-        out.append(poly_xgcd(f, g, F))
-        out.append(poly_xgcd(h, poly_monic(f, F), F))
         out.append(poly_pow_mod(f, rng.randrange(q * q), m, F))
         out.append(poly_factor(f, F))
         out.append(poly_factor(poly_mul(h, h, F), F))

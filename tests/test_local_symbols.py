@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import itertools
 import random
 
 import pytest
@@ -279,6 +280,39 @@ def test_from_pairs_refuses_what_no_automorphism_fits():
                 pairs = [(a, m.apply(a)), (b, m.apply(b))]
                 got = LocalMap.from_pairs(pairs)
                 assert all(got.apply(s) == d for s, d in pairs)
+
+
+def greedy_from_pairs(pairs):
+    """LocalMap.from_pairs as it was written before it became a search of
+    the six automorphisms, kept verbatim as the oracle for it."""
+    vals = {}
+    for s, d in pairs:
+        if (s == ONE) != (d == ONE):
+            return None
+        if s == ONE:
+            continue
+        if vals.setdefault(s, d) != d:
+            return None
+    if len(set(vals.values())) != len(vals):
+        return None
+    taken = set(vals.values())
+    for s in (U, PI, U_PI):
+        if s not in vals:
+            vals[s] = next(d for d in (U, PI, U_PI) if d not in taken)
+            taken.add(vals[s])
+    # an injective assignment of the three nontrivial classes is
+    # automatically multiplicative, so no closing check is needed
+    return LocalMap(vals[U], vals[PI])
+
+
+def test_from_pairs_matches_the_greedy_fill_on_every_short_list():
+    pairs = [(s, d) for s in CLASSES for d in CLASSES]
+    checked = 0
+    for n in range(5):
+        for chosen in itertools.product(pairs, repeat=n):
+            assert LocalMap.from_pairs(chosen) == greedy_from_pairs(chosen)
+            checked += 1
+    assert checked == 69905
 
 
 def test_square_class_hilbert_matches_element_level():

@@ -565,10 +565,15 @@ def test_early_stop_independence_matches_full_fingerprint(which, monkeypatch):
 def test_space_constructor_rejects_bad_generators():
     L = line(5)
     P = lplace(L, "t")
-    with pytest.raises(VerificationError):
-        SquareClassSpace(L, [P], [L.from_poly((1, 1))])  # odd order off S
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="odd order at the retained"):
+        SquareClassSpace(L, [P], [L.from_poly((1, 1))])
+    with pytest.raises(VerificationError, match="odd order at the retained"):
         SquareClassSpace(L, [P], [L.from_poly((0, 1)), L.from_poly((0, 1))])
+    # t and t^3 differ by a square, with even order off {inf, t}
+    with pytest.raises(VerificationError,
+                       match="generators are dependent modulo squares"):
+        SquareClassSpace(L, [L.infinity, P],
+                         [L.from_poly((0, 1)), L.from_poly((0, 0, 0, 1))])
 
 
 # -- the F_2 kernel against span enumeration
