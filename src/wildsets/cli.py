@@ -193,22 +193,20 @@ def _load_certificate(path: str):
 
 
 def _cmd_verify(args) -> int:
-    # loading runs certify, whose report already holds every check
+    # loading runs certify, which raises on a failed check or a wild set
+    # below the necessary size, so a loaded certificate passes them all
     cert = _load_certificate(args.cert)
-    report = cert.report
     payload = {
-        "passes": report["passes"],
-        "checks": {k: report[k] for k in sorted(SMALL_EQUIVALENCE_CHECKS)},
+        "passes": True,
+        "checks": dict.fromkeys(sorted(SMALL_EQUIVALENCE_CHECKS), True),
         "wild_set": sorted(str(P) for P in cert.wild_set),
-        # a WildSetCertificate cannot exist without it
         "necessary_condition": True,
     }
-    lines = ["%s: %s" % (k, "pass" if v else "FAIL")
-             for k, v in payload["checks"].items()]
+    lines = ["%s: pass" % k for k in payload["checks"]]
     lines.append("wild set: {%s}" % ", ".join(payload["wild_set"]))
-    lines.append("verdict: %s" % ("pass" if report["passes"] else "FAIL"))
+    lines.append("verdict: pass")
     _emit(args.format, payload, lines)
-    return 0 if report["passes"] else 3
+    return 0
 
 
 def _cmd_wild(args) -> int:

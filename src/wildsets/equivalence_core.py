@@ -38,8 +38,8 @@ wild locus is not).  Where the prescribed local maps cannot be realized
 by any global basis map, tame twists -- which never change wildness --
 are searched for by an F_2 solve on the class tables that come with the
 bases of both sides, one table serving every ordering of an image pool.
-A search that finds nothing raises SearchExhausted, never a refusal:
-one image pool proves nothing.
+A search that finds nothing, or that MATCHING_ALLOWANCE cuts, raises
+SearchExhausted, never a refusal: one image pool proves nothing.
 """
 
 from __future__ import annotations
@@ -94,12 +94,10 @@ __all__ = [
     "certificate_from_json",
 ]
 
-# Budgets of the bounded searches behind extend and compose.  A search
-# that the budget cuts short raises SearchExhausted, and so does
-# compose's matching route whenever it finds nothing.
+# Budgets of the bounded searches behind extend and compose; a search
+# that its budget cuts short raises SearchExhausted.
 DEGREE_CAP = 6  # the default degree cap: auxiliary places up to this degree
-PERMUTATION_CAP = 40320  # orderings of a wild locus's pool compose tries (8!)
-TWIST_KERNEL_BITS = 20  # _sandwich_solve walks 2^min(kernel dim, this)
+MATCHING_ALLOWANCE = 40320  # orderings plus twist patterns one search tries
 
 
 # -- certificate data types
@@ -392,7 +390,7 @@ def certify(se: SmallEquivalence) -> WildSetCertificate:
 
 # -- realizing prescribed local maps
 
-def _sandwich_solve(model, local_maps, src_table, dst_table, dst_gens):
+def _sandwich_solve(model, local_maps, src_table, dst_table, dst_gens, charge):
     """Match prescribed local data to the embedded target, up to twists.
 
     Row i of src_table holds the classes of the i-th source generator,
@@ -410,10 +408,10 @@ def _sandwich_solve(model, local_maps, src_table, dst_table, dst_gens):
     the target span and so free of its basis: the least relation through
     the last column is the solution with every free unknown zero, and
     the others, lowest unknown first, span the twist patterns that keep
-    it one.  Returns the adjusted maps and the generator images, the
-    products of dst_gens, the one output the basis changes; raises
-    VerificationError when no pattern works, and SearchExhausted when
-    the solution set was too large to walk.
+    it one; charge() runs before each pattern examined and may raise to
+    end the walk.  Returns the adjusted maps and the generator images,
+    the products of dst_gens, the one output the basis changes; raises
+    VerificationError when no pattern works.
     """
     # the embedded target, each row tagged with its generator's bit
     shift = len(dst_gens)
@@ -465,21 +463,15 @@ def _sandwich_solve(model, local_maps, src_table, dst_table, dst_gens):
                    == unknown(assign, 3 * j) & unknown(assign, 3 * j + 1)
                    for j in range(len(local_maps)))
 
-    twists = None
-    walked = min(len(kernel), TWIST_KERNEL_BITS)
-    for pick in range(1 << walked):
-        assign = particular
+    for pick in range(1 << len(kernel)):
+        charge()
+        twists = particular
         for k, vec in enumerate(kernel):
             if pick >> k & 1:
-                assign ^= vec
-        if consistent(assign):
-            twists = assign
+                twists ^= vec
+        if consistent(twists):
             break
-    if twists is None:
-        if walked < len(kernel):
-            raise SearchExhausted(
-                "no consistent tame adjustment among the first 2^%d of 2^%d "
-                "twist patterns" % (walked, len(kernel)))
+    else:
         raise no_pattern
 
     final_maps = []
@@ -513,14 +505,14 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
     the result from scratch, images in their recorded order.  A
     certificate says nothing about its extension off the stored domain,
     so that can be unsatisfiable as written; only the wild locus is
-    binding, and it is rebuilt over the first PERMUTATION_CAP orderings
-    of its image pool and re-extended.  When no rebuild is found
-    SearchExhausted leaves the question open.  The wild loci must be
-    disjoint -- two wild maps would compose to a tame one -- and a place
-    of the second set that the first set contains but does not map into
-    the second has no consistent reading, so it is rejected as
-    misaligned.  degree_cap is the search budget for the auxiliary
-    places of that re-extension, as in extend_pre_equivalence.
+    binding, and it is rebuilt over the orderings of its image pool and
+    re-extended.  When no rebuild is found, or MATCHING_ALLOWANCE cuts
+    the search first, SearchExhausted leaves the question open.  The
+    wild loci must be disjoint -- two wild maps would compose to a tame
+    one -- and a place of the second set that the first set contains but
+    does not map into the second has no consistent reading, so it is
+    rejected as misaligned.  degree_cap is the search budget for the
+    auxiliary places of that re-extension, as in extend_pre_equivalence.
     """
     se1, se2 = c1.equivalence, c2.equivalence
     if se1.model.key != se2.model.key:
@@ -570,9 +562,7 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
         pool = tuple(images[j] for j in keep)
         se = _realize(model, tuple(places[j] for j in keep),
                       tuple(maps[j] for j in keep), pool,
-                      itertools.islice(itertools.permutations(pool),
-                                       PERMUTATION_CAP),
-                      degree_cap)
+                      itertools.permutations(pool), degree_cap)
     cert = certify(se)
     expected = set(c1.wild_set) | pulled_back
     if set(cert.wild_set) != expected:
@@ -594,31 +584,43 @@ def _realize(model, places, maps, pool, orderings, degree_cap: int
     kills the class group modulo doubles the solve is a small
     equivalence; elsewhere extend_pre_equivalence completes it within
     degree_cap.  Raises SearchExhausted when the pool repeats a place or
-    no ordering solves, whether the orderings ran out or a twist solve
-    met its budget: one pool proves nothing.  The text names the places
-    as the wild locus, which they are in the one call whose failure
-    compose reports.
+    no ordering solves, and in words of its own once the orderings tried
+    and twist patterns examined pass MATCHING_ALLOWANCE: one pool proves
+    nothing.  The texts name the places as the wild locus, which they
+    are in the one call whose failure compose reports.
     """
+    locus = ", ".join(str(P) for P in places)
     message = ("no matching of the wild locus {%s} into its image pool "
                "realizes the composed local maps within the search budget"
-               % ", ".join(str(P) for P in places))
+               % locus)
     if len(set(pool)) != len(pool):
         raise SearchExhausted(message)
+    nodes = itertools.count(1)
+
+    def charge() -> None:
+        if next(nodes) > MATCHING_ALLOWANCE:
+            raise SearchExhausted(
+                "the matching search for the wild locus {%s} was cut at its "
+                "allowance of %d orderings and twist patterns before it "
+                "finished its image pool" % (locus, MATCHING_ALLOWANCE))
+
     src_gens, src_table = quotient_basis(model, places)
     base, (gens, table) = places, (src_gens, src_table)
     if set(pool) != set(places):
         base, (gens, table) = pool, quotient_basis(model, pool)
     for cand in orderings:
+        charge()
         dst_table = [[row[base.index(Q)] for Q in cand] for row in table]
         try:
             final_maps, gen_images = _sandwich_solve(
-                model, maps, src_table, dst_table, gens)
-        except (VerificationError, SearchExhausted):
+                model, maps, src_table, dst_table, gens, charge)
+        except VerificationError:
             continue
         if cand != base:
+            # the same row span walks the same patterns, charged already
             gens, dst_table = quotient_basis(model, cand)
             final_maps, gen_images = _sandwich_solve(
-                model, maps, src_table, dst_table, gens)
+                model, maps, src_table, dst_table, gens, lambda: None)
         if pic_complement_two_rank(model, places) == 0:
             return SmallEquivalence(model, places, cand, src_gens, gen_images,
                                     final_maps)

@@ -12,14 +12,15 @@ table served every ordering: each ordering builds its own
 quotient_basis, and the winner always goes through
 extend_pre_equivalence.  `place_solve` calls the table solve the way
 the place-reading solve was called: on the generators and the places,
-reading the classes itself.
+reading the classes itself.  The walks keep the bounds they had: at most
+ORDERING_CAP orderings of a pool, and at most TWIST_PATTERNS twist
+patterns in one solve, each bound on its own.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from wildsets import equivalence_core
 from wildsets.equivalence_core import (
     PreEquivalence,
     SmallEquivalence,
@@ -31,22 +32,37 @@ from wildsets.errors import SearchExhausted, VerificationError
 from wildsets.local_symbols import local_square_class
 from wildsets.square_class_spaces import sing_space
 
+ORDERING_CAP = 40320  # 8!
+TWIST_PATTERNS = 1 << 20
+
 
 def class_table(elements, places) -> list:
     return [[local_square_class(b, P) for P in places] for b in elements]
 
 
-def place_solve(model, places, images, local_maps, src_gens, dst_gens):
-    """_sandwich_solve on the local classes of both generator lists."""
+def place_solve(model, places, images, local_maps, src_gens, dst_gens,
+                patterns: int = TWIST_PATTERNS):
+    """_sandwich_solve on the local classes of both generator lists.
+
+    Its twist walk raises SearchExhausted past the given number of
+    patterns.
+    """
+    examined = itertools.count(1)
+
+    def charge():
+        if next(examined) > patterns:
+            raise SearchExhausted("no consistent tame adjustment among the "
+                                  "first %d twist patterns" % patterns)
+
     return _sandwich_solve(model, local_maps, class_table(src_gens, places),
-                           class_table(dst_gens, images), dst_gens)
+                           class_table(dst_gens, images), dst_gens, charge)
 
 
 def rigid_glue(model, places, images, maps) -> SmallEquivalence:
     """The composite solved on the whole domain, images in their order.
 
     Raises VerificationError on a repeated image or a prescription no
-    twist repairs, and SearchExhausted past the twist budget; compose
+    twist repairs, and SearchExhausted past TWIST_PATTERNS; compose
     then went on to the wild locus.
     """
     if len(set(images)) != len(images):
@@ -76,8 +92,7 @@ def wild_union_fallback(model, places, images, maps, degree_cap: int):
     if len(set(pool)) != len(pool):
         raise exhausted
     src_gens = quotient_basis(model, wild_places)[0]
-    for cand in itertools.islice(itertools.permutations(pool),
-                                 equivalence_core.PERMUTATION_CAP):
+    for cand in itertools.islice(itertools.permutations(pool), ORDERING_CAP):
         dst_gens = quotient_basis(model, cand)[0]
         try:
             final_maps, gen_images = place_solve(

@@ -135,16 +135,28 @@ FALLBACK_ARGV = ["construct", "--q", "5", "--rank", "1",
                  "--places", "t + 4, t + 2, t^2 + t + 1, t^2 + 3"]
 
 
+# what a matching search that its node allowance cuts prints
+CUT_TEXT = ("search exhausted: the matching search for the wild locus {%s} "
+            "was cut at its allowance of %d orderings and twist patterns "
+            "before it finished its image pool\n")
+
+
 def test_matching_cap_exhaustion_exits_four(capsys, monkeypatch):
-    monkeypatch.setattr(equivalence_core, "PERMUTATION_CAP", 1)
-    assert run(FALLBACK_ARGV) == 4
-    assert "within the search budget" in capsys.readouterr().err
+    # 1 node cuts the first twist walk of the last search; 3 nodes cut
+    # the walk over the 24 orderings of the last compose's pool
+    for allowance, locus in ((1, "t^2 + t + 1, t^2 + 3"),
+                             (3, "t + 4, t + 2, t^2 + t + 1, t^2 + 3")):
+        monkeypatch.setattr(equivalence_core, "MATCHING_ALLOWANCE", allowance)
+        assert run(FALLBACK_ARGV) == 4
+        assert capsys.readouterr().err == CUT_TEXT % (locus, allowance)
 
 
 def test_twist_walk_exhaustion_exits_four(capsys, monkeypatch):
-    monkeypatch.setattr(equivalence_core, "TWIST_KERNEL_BITS", 0)
+    # both searches of the first compose examine at least 2 twist
+    # patterns in their first ordering, so 2 nodes cut a twist walk
+    monkeypatch.setattr(equivalence_core, "MATCHING_ALLOWANCE", 2)
     assert run(FALLBACK_ARGV) == 4
-    assert "search exhausted" in capsys.readouterr().err
+    assert capsys.readouterr().err == CUT_TEXT % ("t^2 + t + 1, t^2 + 3", 2)
 
 
 def _sing_eliminations(monkeypatch, argv, out=None):
@@ -180,10 +192,29 @@ def test_fallback_builds_one_basis_per_side(capsys, monkeypatch, tmp_path):
     assert (code, capsys.readouterr().err) == (0, "")
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == SIX_POINT_SHA256
     assert built <= 4
-    # every ordering of the pool fails here
+    # every ordering of the pool fails here, within the default allowance
     code, built = _sing_eliminations(monkeypatch, FALLBACK_ARGV)
-    assert "within the search budget" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "search exhausted: no matching of the wild locus {t + 4, t + 2, "
+        "t^2 + t + 1, t^2 + 3} into its image pool realizes the composed "
+        "local maps within the search budget\n")
     assert code == 4 and built <= 5
+
+
+def test_an_allowance_of_the_nodes_a_search_uses_is_enough(
+        capsys, monkeypatch, tmp_path):
+    # the six-point search wins after 123 nodes, 122 orderings and one
+    # twist pattern; the winner's second solve, on its own basis, is not
+    # charged again
+    cert = tmp_path / "six.json"
+    monkeypatch.setattr(equivalence_core, "MATCHING_ALLOWANCE", 123)
+    assert run(SIX_POINT_ARGV + ["--out", str(cert)]) == 0
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == SIX_POINT_SHA256
+    capsys.readouterr()
+    monkeypatch.setattr(equivalence_core, "MATCHING_ALLOWANCE", 122)
+    assert run(SIX_POINT_ARGV) == 4
+    assert capsys.readouterr().err == CUT_TEXT % (
+        "t, t + 1, t + 2, t + 3, t + 4, t + 5", 122)
 
 
 # five degree-1 places over F_13: the fallback's image pool is not the

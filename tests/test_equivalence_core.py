@@ -8,6 +8,7 @@ Hilbert symbol in the expected data can be recomputed on paper.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from typing import Dict, Tuple
@@ -27,7 +28,6 @@ from wildsets.constructions import (
 from wildsets.elliptic_curve import EllipticModel
 from wildsets.equivalence_core import (
     SMALL_EQUIVALENCE_CHECKS,
-    TWIST_KERNEL_BITS,
     PreEquivalence,
     SmallEquivalence,
     WildSetCertificate,
@@ -434,6 +434,60 @@ def test_extension_and_glue_build_each_space_once(monkeypatch):
     assert counts == {"sing_space": 1, "delta_space": 0}
 
 
+def test_an_all_tame_composite_that_cannot_be_glued_is_undecided(
+        monkeypatch):
+    # without the guard the wild-locus search would remove no place, and
+    # quotient_basis would refuse the empty set
+    tame = identity_certificate(line(5), ["t"])
+
+    def no_glue(*args):
+        raise VerificationError("forced")
+
+    monkeypatch.setattr(equivalence_core, "_sandwich_solve", no_glue)
+    with pytest.raises(SearchExhausted, match="has no wild part to rebuild"):
+        compose(tame, tame)
+
+
+def test_a_twist_walk_the_allowance_cuts_ends_the_search(monkeypatch):
+    # the pool's first ordering wins after examining 17 twist patterns;
+    # 10 nodes cut that walk after 9, and the search reports the cut,
+    # whether more orderings follow or, as for compose's whole-domain
+    # glue, none does
+    L = line(5)
+    places = (lplace(L, "t + 2"), lplace(L, "t^2 + 3"))
+    pool = (lplace(L, "t + 1"), lplace(L, "t^2 + 2t + 4"))
+    maps = (LocalMap(U, U_PI), LocalMap(PI, U_PI))
+    walks = []
+    solve = equivalence_core._sandwich_solve
+
+    def counting(*args):
+        walks.append(0)
+
+        def charge():
+            args[-1]()
+            walks[-1] += 1
+
+        return solve(*args[:-1], charge)
+
+    def realize(orderings):
+        return equivalence_core._realize(L, places, maps, pool, orderings,
+                                         equivalence_core.DEGREE_CAP)
+
+    monkeypatch.setattr(equivalence_core, "_sandwich_solve", counting)
+    assert realize(itertools.permutations(pool)).images[:2] == pool
+    assert walks == [17]
+    monkeypatch.setattr(equivalence_core, "MATCHING_ALLOWANCE", 10)
+    for orderings in (itertools.permutations(pool), [pool]):
+        del walks[:]
+        with pytest.raises(SearchExhausted) as cut:
+            realize(orderings)
+        assert walks == [9]
+        assert str(cut.value) == (
+            "the matching search for the wild locus {t + 2, t^2 + 3} was "
+            "cut at its allowance of 10 orderings and twist patterns before "
+            "it finished its image pool")
+
+
 def test_certificates_over_different_fields_do_not_compose():
     with pytest.raises(ValueError, match="different fields"):
         compose(wild_singleton(line(5), "t^2 + 2"),
@@ -563,7 +617,11 @@ def test_unknown_backend_and_missing_fields_are_rejected():
 # verbatim as the oracle: it ran its own triangular basis, Gauss-Jordan
 # pass and free-variable extraction instead of the shared F_2 kernel.
 # It reads the classes at the places itself; the package's solve reads
-# class tables, which place_solve tabulates for it.
+# class tables, which place_solve tabulates for it.  The oracle keeps its
+# own bound on the twist walk: at most 2^ORACLE_TWIST_BITS patterns.
+
+ORACLE_TWIST_BITS = 20
+
 
 def _oracle_sandwich_solve(model, places, images, local_maps, src_gens, dst_gens):
     """Match prescribed local data to the embedded target, up to twists.
@@ -688,7 +746,7 @@ def _oracle_sandwich_solve(model, places, images, local_maps, src_gens, dst_gens
         return True
 
     twists = None
-    walked = min(len(kernel), TWIST_KERNEL_BITS)
+    walked = min(len(kernel), ORACLE_TWIST_BITS)
     for pick in range(1 << walked):
         assign = particular
         for k, vec in enumerate(kernel):
@@ -724,10 +782,16 @@ def _oracle_sandwich_solve(model, places, images, local_maps, src_gens, dst_gens
 
 
 def _solve_outcome(solve, *args):
+    """The solve's result, or its exception and message.
+
+    The two walks word a cut walk apart, so a cut has no message here.
+    """
     try:
         return solve(*args)
-    except (VerificationError, SearchExhausted) as exc:
-        return type(exc), str(exc)
+    except VerificationError as exc:
+        return VerificationError, str(exc)
+    except SearchExhausted:
+        return SearchExhausted, None
 
 
 def _twist_cases(rng, count):
@@ -772,14 +836,13 @@ def test_twist_solve_matches_the_triangular_solve(monkeypatch):
     rng = random.Random(4096)
     tally = {"kernel": 0, "particular": 0, "no_pattern": 0,
              "dependent": 0, "exhausted": 0, "cases": 0}
-    full = core.TWIST_KERNEL_BITS
+    full = ORACLE_TWIST_BITS
     for args in _twist_cases(rng, 240):
         tally["cases"] += 1
         for bits in (full, 0):
-            monkeypatch.setattr(core, "TWIST_KERNEL_BITS", bits)
-            monkeypatch.setitem(globals(), "TWIST_KERNEL_BITS", bits)
+            monkeypatch.setitem(globals(), "ORACLE_TWIST_BITS", bits)
             del seen[:]
-            new = _solve_outcome(place_solve, *args)
+            new = _solve_outcome(place_solve, *args, 1 << bits)
             assert new == _solve_outcome(_oracle_sandwich_solve, *args)
             if bits == 0 and new[0] is SearchExhausted:
                 tally["exhausted"] += 1
