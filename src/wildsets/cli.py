@@ -35,7 +35,6 @@ from .constructions import (
 )
 from .elliptic_curve import EllipticModel
 from .equivalence_core import (
-    DEGREE_CAP,
     SMALL_EQUIVALENCE_CHECKS,
     certificate_from_json,
     certificate_to_json,
@@ -150,21 +149,19 @@ def _cmd_smile(args) -> int:
 
 def _cmd_construct(args) -> int:
     model = _model(args)
-    if args.degree_cap < 1:
-        raise ValueError("the degree cap must be positive")
     if args.aux is not None and args.rank != "general":
         raise ValueError("--aux is read only by --rank general")
     S = _places(model, args.places)
     if args.rank == "0":
-        cert = construct_rank0(model, S, args.degree_cap)
+        cert = construct_rank0(model, S)
     elif args.rank == "1":
-        cert = construct_rank1(model, S, args.degree_cap)
+        cert = construct_rank1(model, S)
     else:
         aux = _places(model, args.aux or "")
         if not aux:
             raise ValueError(
                 "--rank general needs the 2-divisible points in --aux")
-        cert = construct_general(model, S, aux, args.degree_cap)
+        cert = construct_general(model, S, aux)
     blob = certificate_to_json(cert)
     if args.out:
         with open(args.out, "w") as handle:
@@ -355,9 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aux", default=None,
                    help="rank general only: the 2-divisible points")
     p.add_argument("--out", default=None, help="file for the certificate")
-    p.add_argument("--degree-cap", type=int, default=DEGREE_CAP,
-                   help="search budget for auxiliary places "
-                        "(default %d)" % DEGREE_CAP)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("verify", help="re-check a certificate file")

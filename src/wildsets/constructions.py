@@ -22,7 +22,6 @@ generic machinery.  Nothing returned here bypasses verification.
 from __future__ import annotations
 
 from .equivalence_core import (
-    DEGREE_CAP,
     PreEquivalence,
     WildSetCertificate,
     _places_by_degree,
@@ -109,7 +108,7 @@ def _track(cert: WildSetCertificate, P):
 
 # -- rank 0: compositions of singletons
 
-def _rank0(model, S, degree_cap: int) -> WildSetCertificate:
+def _rank0(model, S) -> WildSetCertificate:
     """Each 2-divisible place made wild on its own, the results composed.
 
     The witness of a place's halving has odd order exactly there, so
@@ -123,14 +122,13 @@ def _rank0(model, S, degree_cap: int) -> WildSetCertificate:
         cls = local_square_class(lam, q)
         lm = LocalMap.from_pairs([(cls, cls), (U, square_class_mul(U, cls))])
         pe = PreEquivalence(model, (q,), (q,), (lam,), (lam,), (lm,))
-        one = certify(extend_pre_equivalence(pe, degree_cap))
-        cert = one if cert is None else compose(cert, one, degree_cap)
+        one = certify(extend_pre_equivalence(pe))
+        cert = one if cert is None else compose(cert, one)
     assert set(cert.wild_set) == set(S)
     return cert
 
 
-def construct_rank0(model, S, degree_cap: int = DEGREE_CAP
-                    ) -> WildSetCertificate:
+def construct_rank0(model, S) -> WildSetCertificate:
     """A certificate whose wild set is exactly the 2-divisible set S.
 
     Gate: S nonempty and distinct, and every class in it 2-divisible.
@@ -141,13 +139,12 @@ def construct_rank0(model, S, degree_cap: int = DEGREE_CAP
             raise HypothesisError(
                 "the class of %s is not 2-divisible, so the set has "
                 "positive rank" % q)
-    return _rank0(model, S, degree_cap)
+    return _rank0(model, S)
 
 
 # -- rank 1, two points
 
-def construct_rank1_pair(model, p, q, degree_cap: int = DEGREE_CAP
-                         ) -> WildSetCertificate:
+def construct_rank1_pair(model, p, q) -> WildSetCertificate:
     """A wild pair of class rank 1; both proof cases are constructive.
 
     Gate: p != q, rank exactly 1, -1 a local square at both.  When one
@@ -156,10 +153,10 @@ def construct_rank1_pair(model, p, q, degree_cap: int = DEGREE_CAP
     even-order nonsquare; when neither is, their sum is 2-divisible and
     its witness does the trading while the matching stays put.
     """
-    return _pair(model, _require_rank_one(model, (p, q)), degree_cap)
+    return _pair(model, _require_rank_one(model, (p, q)))
 
 
-def _pair(model, S, degree_cap: int) -> WildSetCertificate:
+def _pair(model, S) -> WildSetCertificate:
     p, q = S
     if model.pic_mod2(p) == 0:
         p, q = q, p
@@ -183,24 +180,25 @@ def _pair(model, S, degree_cap: int) -> WildSetCertificate:
         maps = tuple(LocalMap.from_pairs([(U, c), (c, U)])
                      for c in (local_square_class(mu, r) for r in (p, q)))
     pe = PreEquivalence(model, (p, q), targets, (lam, mu), (mu, lam), maps)
-    cert = certify(extend_pre_equivalence(pe, degree_cap))
+    cert = certify(extend_pre_equivalence(pe))
     assert set(cert.wild_set) == {p, q}
     return cert
 
 
 # -- rank 1, three points
 
-def _aux_point_and_witness(model, S, mu, degree_cap: int):
+def _aux_point_and_witness(model, S, mu):
     """A fourth point and a function seeing it the way the proof needs.
 
-    Scans 2-divisible places outside S by degree for one whose halving
-    witness, possibly corrected by a global even-order class, is a
-    square at the first point and congruent to mu at the second.
+    Scans 2-divisible places outside S up to DEGREE_CAP for one whose
+    halving witness, possibly corrected by a global even-order class, is
+    a square at the first point and congruent to mu at the second.
     """
     gens = _global_even_generators(model)
     goal = local_square_class(mu, S[1])
     corrections = _classes_by_mask(gens, S[:2])
-    for P in _places_by_degree(model, degree_cap):
+    for P in _places_by_degree(model, "point", "admits the witness the "
+                               "three-point construction needs"):
         if P in S or model.pic_mod2(P) != 0:
             continue
         base = _even_class_witness(model, _single(P))
@@ -208,13 +206,9 @@ def _aux_point_and_witness(model, S, mu, degree_cap: int):
                 square_class_mul(goal, local_square_class(base, S[1])))
         if want in corrections:
             return P, base * _product(model, gens, corrections.index(want))
-    raise SearchExhausted(
-        "no point of degree <= %d admits the witness the three-point "
-        "construction needs; raise the degree cap" % degree_cap)
 
 
-def construct_rank1_triple(model, p1, p2, p3, degree_cap: int = DEGREE_CAP
-                           ) -> WildSetCertificate:
+def construct_rank1_triple(model, p1, p2, p3) -> WildSetCertificate:
     """A wild triple of class rank 1.
 
     Gate: distinct places, rank exactly 1, -1 a local square at each.
@@ -224,17 +218,16 @@ def construct_rank1_triple(model, p1, p2, p3, degree_cap: int = DEGREE_CAP
     auxiliary point found by a bounded search assemble into a
     pre-equivalence that sends the third point off to the auxiliary one.
     """
-    return _triple(model, _require_rank_one(model, (p1, p2, p3)), degree_cap)
+    return _triple(model, _require_rank_one(model, (p1, p2, p3)))
 
 
-def _triple(model, S, degree_cap: int) -> WildSetCertificate:
+def _triple(model, S) -> WildSetCertificate:
     p1, p2, p3 = S
     divisible = [P for P in S if model.pic_mod2(P) == 0]
     if divisible:
-        head = _rank0(model, divisible[:1], degree_cap)
+        head = _rank0(model, divisible[:1])
         rest = [_track(head, P) for P in S if P != divisible[0]]
-        cert = compose(head, construct_rank1_pair(model, *rest, degree_cap),
-                       degree_cap)
+        cert = compose(head, construct_rank1_pair(model, *rest))
     else:
         lam12 = _even_class_witness(model, _single(p1) + _single(p2))
         lam13 = _even_class_witness(model, _single(p1) + _single(p3))
@@ -242,10 +235,10 @@ def _triple(model, S, degree_cap: int) -> WildSetCertificate:
         for r in (p2, p3):
             assert local_square_class(mu, r) != ONE, \
                 "reciprocity should make mu a primary unit at %s" % r
-        p4, nu = _aux_point_and_witness(model, S, mu, degree_cap)
+        p4, nu = _aux_point_and_witness(model, S, mu)
         pe = _fit_triple_images(model, S, p4, (mu, lam12, lam12 * lam13),
                                 (mu, lam12, nu))
-        cert = certify(extend_pre_equivalence(pe, degree_cap))
+        cert = certify(extend_pre_equivalence(pe))
     assert set(cert.wild_set) == set(S)
     return cert
 
@@ -282,8 +275,7 @@ def _fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
 
 # -- rank 1, any size
 
-def construct_rank1(model, S, degree_cap: int = DEGREE_CAP
-                    ) -> WildSetCertificate:
+def construct_rank1(model, S) -> WildSetCertificate:
     """A wild set of class rank at most 1, by induction on its size.
 
     Gate: S nonempty and distinct, of rank at most 1; at rank 1, also
@@ -294,13 +286,13 @@ def construct_rank1(model, S, degree_cap: int = DEGREE_CAP
     -- are handled recursively and glued on.
     """
     S = tuple(_clean_places(S))
-    return _rank_at_most_one(model, S, g_rank(model, S).rank, degree_cap)
+    return _rank_at_most_one(model, S, g_rank(model, S).rank)
 
 
-def _rank_at_most_one(model, S, rank, degree_cap: int) -> WildSetCertificate:
+def _rank_at_most_one(model, S, rank) -> WildSetCertificate:
     """construct_rank1 past its distinctness check, given S's rank."""
     if rank == 0:
-        return _rank0(model, S, degree_cap)
+        return _rank0(model, S)
     if rank > 1:
         raise HypothesisError(
             "the classes of S span rank %d; this construction needs "
@@ -309,28 +301,26 @@ def _rank_at_most_one(model, S, rank, degree_cap: int) -> WildSetCertificate:
     if len(S) < 2:
         raise HypothesisError("a wild set of rank 1 needs at least 2 "
                               "points, got %d" % len(S))
-    return _rank1(model, S, degree_cap)
+    return _rank1(model, S)
 
 
-def _rank1(model, S, degree_cap: int) -> WildSetCertificate:
+def _rank1(model, S) -> WildSetCertificate:
     if len(S) == 2:
-        return _pair(model, S, degree_cap)
+        return _pair(model, S)
     if len(S) == 3:
-        return _triple(model, S, degree_cap)
+        return _triple(model, S)
     # two points of a rank-1 set span rank 0 exactly when both rows vanish
     split = _pair if model.pic_mod2(S[0]) or model.pic_mod2(S[1]) else _rank0
-    head = split(model, S[:2], degree_cap)
+    head = split(model, S[:2])
     rest = [_track(head, P) for P in S[2:]]
-    cert = compose(head, construct_rank1(model, rest, degree_cap),
-                   degree_cap)
+    cert = compose(head, construct_rank1(model, rest))
     assert set(cert.wild_set) == set(S)
     return cert
 
 
 # -- arbitrary rank
 
-def construct_general(model, P, Q, degree_cap: int = DEGREE_CAP
-                      ) -> WildSetCertificate:
+def construct_general(model, P, Q) -> WildSetCertificate:
     """A wild set of rank m: m independent classes plus n >= m halving ones.
 
     With m = 0 the set is Q alone, and this is the rank-0 route:
@@ -344,7 +334,7 @@ def construct_general(model, P, Q, degree_cap: int = DEGREE_CAP
     """
     P, Q = tuple(P), tuple(Q)
     if not P:
-        return construct_rank0(model, Q, degree_cap)
+        return construct_rank0(model, Q)
     _clean_places(P + Q)
     m, n = len(P), len(Q)
     if m > n:
@@ -368,8 +358,8 @@ def construct_general(model, P, Q, degree_cap: int = DEGREE_CAP
                     "the points %s and %s do not satisfy the pairing "
                     "condition" % (qi, qj))
     if m == 1:  # P[0] has a nonzero pic_mod2 row, Q only zero ones
-        return _rank1(model, P + Q, degree_cap)
-    cert = _pair(model, (P[0], Q[0]), degree_cap)
+        return _rank1(model, P + Q)
+    cert = _pair(model, (P[0], Q[0]))
     for p, q in zip(P[1:], Q[1:]):
         pair = (_track(cert, p), _track(cert, q))
         if pair[0] == pair[1]:
@@ -377,11 +367,9 @@ def construct_general(model, P, Q, degree_cap: int = DEGREE_CAP
         rank = g_rank(model, pair).rank
         assert rank <= 1, "the image pair spans rank %d; the certificate " \
             "so far failed to absorb the dependence" % rank
-        cert = compose(cert, _rank_at_most_one(model, pair, rank, degree_cap),
-                       degree_cap)
+        cert = compose(cert, _rank_at_most_one(model, pair, rank))
     leftovers = [_track(cert, q) for q in Q[m:]]
     if leftovers:
-        cert = compose(cert, construct_rank0(model, leftovers, degree_cap),
-                       degree_cap)
+        cert = compose(cert, construct_rank0(model, leftovers))
     assert set(cert.wild_set) == set(P) | set(Q)
     return cert

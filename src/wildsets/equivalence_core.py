@@ -94,9 +94,9 @@ __all__ = [
     "certificate_from_json",
 ]
 
-# Budgets of the bounded searches behind extend and compose; a search
-# that its budget cuts short raises SearchExhausted.
-DEGREE_CAP = 6  # the default degree cap: auxiliary places up to this degree
+# Budgets of the bounded searches behind extend and compose, read when a
+# search runs; a search that its budget cuts short raises SearchExhausted.
+DEGREE_CAP = 6  # auxiliary places and witness points up to this degree
 MATCHING_ALLOWANCE = 40320  # orderings plus twist patterns one search tries
 
 
@@ -182,12 +182,11 @@ class WildSetCertificate:
     size bound against the rank of the wild classes has been checked.
     """
 
-    __slots__ = ("equivalence", "wild_set", "report")
+    __slots__ = ("equivalence", "wild_set")
 
-    def __init__(self, equivalence, wild_set, report):
+    def __init__(self, equivalence, wild_set):
         self.equivalence = equivalence
         self.wild_set = tuple(wild_set)
-        self.report = dict(report)
         members = set(equivalence.places)
         for P in self.wild_set:
             if P not in members:
@@ -385,7 +384,7 @@ def certify(se: SmallEquivalence) -> WildSetCertificate:
         raise VerificationError("certificate is invalid: %s"
                                 % report["failures"][0])
     wild = sorted(P for P, lm in zip(se.places, se.local_maps) if lm.is_wild)
-    return WildSetCertificate(se, tuple(wild), report)
+    return WildSetCertificate(se, tuple(wild))
 
 
 # -- realizing prescribed local maps
@@ -495,8 +494,8 @@ def _sandwich_solve(model, local_maps, src_table, dst_table, dst_gens, charge):
 
 # -- composition
 
-def compose(c1: WildSetCertificate, c2: WildSetCertificate,
-            degree_cap: int = DEGREE_CAP) -> WildSetCertificate:
+def compose(c1: WildSetCertificate, c2: WildSetCertificate
+            ) -> WildSetCertificate:
     """Glue two certificates into one for the composed equivalence.
 
     The composite removes the first set together with the part of the
@@ -511,8 +510,7 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
     wild loci must be disjoint -- two wild maps would compose to a tame
     one -- and a place of the second set that the first set contains but
     does not map into the second has no consistent reading, so it is
-    rejected as misaligned.  degree_cap is the search budget for the
-    auxiliary places of that re-extension, as in extend_pre_equivalence.
+    rejected as misaligned.
     """
     se1, se2 = c1.equivalence, c2.equivalence
     if se1.model.key != se2.model.key:
@@ -552,7 +550,7 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
 
     places, images = tuple(places), tuple(images)
     try:
-        se = _realize(model, places, maps, images, [images], degree_cap)
+        se = _realize(model, places, maps, images, [images])
     except SearchExhausted:
         keep = [j for j, m in enumerate(maps) if m.is_wild]
         if not keep:
@@ -562,7 +560,7 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
         pool = tuple(images[j] for j in keep)
         se = _realize(model, tuple(places[j] for j in keep),
                       tuple(maps[j] for j in keep), pool,
-                      itertools.permutations(pool), degree_cap)
+                      itertools.permutations(pool))
     cert = certify(se)
     expected = set(c1.wild_set) | pulled_back
     if set(cert.wild_set) != expected:
@@ -573,8 +571,7 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate,
     return cert
 
 
-def _realize(model, places, maps, pool, orderings, degree_cap: int
-             ) -> SmallEquivalence:
+def _realize(model, places, maps, pool, orderings) -> SmallEquivalence:
     """The first ordering of pool that realizes maps on places, solved.
 
     Every ordering permutes the columns of one class table, the source
@@ -583,7 +580,7 @@ def _realize(model, places, maps, pool, orderings, degree_cap: int
     is solved again on its own quotient_basis.  Where removing the places
     kills the class group modulo doubles the solve is a small
     equivalence; elsewhere extend_pre_equivalence completes it within
-    degree_cap.  Raises SearchExhausted when the pool repeats a place or
+    DEGREE_CAP.  Raises SearchExhausted when the pool repeats a place or
     no ordering solves, and in words of its own once the orderings tried
     and twist patterns examined pass MATCHING_ALLOWANCE: one pool proves
     nothing.  The texts name the places as the wild locus, which they
@@ -626,34 +623,37 @@ def _realize(model, places, maps, pool, orderings, degree_cap: int
                                     final_maps)
         pe = PreEquivalence(model, places, cand, src_gens, gen_images,
                             final_maps)
-        return extend_pre_equivalence(pe, degree_cap)
+        return extend_pre_equivalence(pe)
     raise SearchExhausted(message)
 
 
 # -- extension of a pre-equivalence
 
-def _places_by_degree(model, degree_cap: int):
-    """Every place of degree at most the cap, by increasing degree.
+def _places_by_degree(model, what: str, why: str):
+    """Every place of degree at most DEGREE_CAP, by increasing degree.
 
     Within a degree the finite places come first, in enumeration order,
-    and the infinite place last.
+    and the infinite place last.  A scan that runs past them all raises
+    SearchExhausted: "no <what> of degree <= DEGREE_CAP <why>".
     """
-    for d in range(1, degree_cap + 1):
+    for d in range(1, DEGREE_CAP + 1):
         yield from sorted(model.places_of_degree(d),
                           key=lambda Q: Q.is_infinite)
+    raise SearchExhausted("no %s of degree <= %d %s" % (what, DEGREE_CAP, why))
 
 
-def _auxiliary_places(model, lams, forbidden, degree_cap) -> Tuple:
+def _auxiliary_places(model, lams, forbidden) -> Tuple:
     """One place per function, seeing it and none of the others.
 
     Scans places by increasing degree for residues that make exactly
     one of the given locally-trivial functions a nonsquare.  Existence
-    is guaranteed only in the limit, so running past the degree cap
-    raises instead of returning something wrong.
+    is guaranteed only in the limit, so running past DEGREE_CAP raises
+    instead of returning something wrong.
     """
     found: List[Optional[object]] = [None] * len(lams)
     missing = len(lams)
-    for P in _places_by_degree(model, degree_cap):
+    why = "separate the %d locally trivial classes" % len(lams)
+    for P in _places_by_degree(model, "places", why):
         if P in forbidden or P in found:
             continue
         nonsquare = [i for i, lam in enumerate(lams)
@@ -663,9 +663,6 @@ def _auxiliary_places(model, lams, forbidden, degree_cap) -> Tuple:
             missing -= 1
             if missing == 0:
                 return tuple(found)
-    raise SearchExhausted(
-        "no places of degree <= %d separate the %d locally trivial classes; "
-        "raise the degree cap" % (degree_cap, len(lams)))
 
 
 def _make_locally_trivial(mus, lams, spots) -> Tuple:
@@ -684,20 +681,19 @@ def _make_locally_trivial(mus, lams, spots) -> Tuple:
     return tuple(out)
 
 
-def extend_pre_equivalence(pe: PreEquivalence, degree_cap: int = DEGREE_CAP
-                           ) -> SmallEquivalence:
+def extend_pre_equivalence(pe: PreEquivalence) -> SmallEquivalence:
     """Complete a pre-equivalence to a small equivalence, literally.
 
     Requires the class ranks of the two removed sets to coincide; then
     the locally trivial subspaces Delta have a common rank, read off the
     class-group formula; at 0 there is nothing to attach.  Otherwise
     one auxiliary place per basis element of Delta on each side -- the
-    place seeing exactly that element -- kills the punctured class
-    group.  The places join the removed set carrying the identity local
-    map, and the quotient basis is patched to be locally trivial at
-    them; two equal removed sets share their Delta and places.  The
-    input is verified; the returned small equivalence is data until
-    certify verifies it.
+    place seeing exactly that element, scanned for up to DEGREE_CAP --
+    kills the punctured class group.  The places join the removed set
+    carrying the identity local map, and the quotient basis is patched
+    to be locally trivial at them; two equal removed sets share their
+    Delta and places.  The input is verified; the returned small
+    equivalence is data until certify verifies it.
     """
     report = verify_pre_equivalence(pe)
     if not report["passes"]:
@@ -714,11 +710,11 @@ def extend_pre_equivalence(pe: PreEquivalence, degree_cap: int = DEGREE_CAP
         return SmallEquivalence(model, pe.places, pe.images, pe.quotient_basis,
                                 pe.quotient_images, pe.local_maps)
     lams = delta_space(model, pe.places).generators
-    spots = _auxiliary_places(model, lams, set(pe.places), degree_cap)
+    spots = _auxiliary_places(model, lams, set(pe.places))
     lams2, spots2 = lams, spots
     if pe.images != pe.places:
         lams2 = delta_space(model, pe.images).generators
-        spots2 = _auxiliary_places(model, lams2, set(pe.images), degree_cap)
+        spots2 = _auxiliary_places(model, lams2, set(pe.images))
     return SmallEquivalence(
         model, pe.places + spots, pe.images + spots2,
         lams + _make_locally_trivial(pe.quotient_basis, lams, spots),

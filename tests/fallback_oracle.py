@@ -75,7 +75,7 @@ def rigid_glue(model, places, images, maps) -> SmallEquivalence:
                             final_maps)
 
 
-def wild_union_fallback(model, places, images, maps, degree_cap: int):
+def wild_union_fallback(model, places, images, maps):
     """Fresh certificate on the wild part, one quotient basis per ordering."""
     keep = [j for j, m in enumerate(maps) if m.is_wild]
     if not keep:
@@ -101,5 +101,5 @@ def wild_union_fallback(model, places, images, maps, degree_cap: int):
             continue
         pe = PreEquivalence(model, wild_places, cand, src_gens, gen_images,
                             final_maps)
-        return extend_pre_equivalence(pe, degree_cap)
+        return extend_pre_equivalence(pe)
     raise exhausted

@@ -54,10 +54,11 @@ def sing_element(model, p):
         "no everywhere-even-order element is a nonsquare at {%s}" % p)
 
 
-def aux_point_and_witness(model, S, mu, degree_cap: int):
+def aux_point_and_witness(model, S, mu):
     goal = local_square_class(mu, S[1])
     corrections = global_even_elements(model)
-    for P in _places_by_degree(model, degree_cap):
+    for P in _places_by_degree(model, "point", "admits the witness the "
+                               "three-point construction needs"):
         if P in S or model.pic_mod2(P) != 0:
             continue
         base = _even_class_witness(model, Divisor({P: 1}))
@@ -66,9 +67,6 @@ def aux_point_and_witness(model, S, mu, degree_cap: int):
             if local_square_class(nu, S[0]) == ONE and \
                     local_square_class(nu, S[1]) == goal:
                 return P, nu
-    raise SearchExhausted(
-        "no point of degree <= %d admits the witness the three-point "
-        "construction needs; raise the degree cap" % degree_cap)
 
 
 def fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:

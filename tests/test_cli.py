@@ -6,6 +6,7 @@ is the workflow the JSON format exists for.
 """
 
 import argparse
+import ast
 import functools
 import hashlib
 import itertools
@@ -124,10 +125,11 @@ def test_refusal_exits_three(capsys):
     assert "not 2-divisible" in capsys.readouterr().err
 
 
-def test_search_exhaustion_exits_four(capsys):
+def test_search_exhaustion_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr(equivalence_core, "DEGREE_CAP", 1)
     assert run(["construct", "--q", "5", "--rank", "1",
-                "--places", "t,t-1,t-2", "--degree-cap", "1"]) == 4
-    assert "degree" in capsys.readouterr().err
+                "--places", "t,t-1,t-2"]) == 4
+    assert "degree <= 1" in capsys.readouterr().err
 
 
 # rank 1 over F_5 whose compositions reach the matching fallback
@@ -336,9 +338,11 @@ def test_unusable_input_exits_two(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     # an option the subcommand does not read is a usage error: a seed
-    # outside selftest, a degree cap outside construct, a field in selftest
+    # outside selftest, a field in selftest, and a degree cap anywhere,
+    # since no command reads one
     for argv in (["ranks", "--seed", "1", "--q", "5", "--places", "t"],
-                 ["ranks", "--q", "5", "--places", "t", "--degree-cap", "3"],
+                 ["construct", "--q", "5", "--rank", "1", "--places", "t, t-1",
+                  "--degree-cap", "6"],
                  ["selftest", "--q", "5"]):
         with pytest.raises(SystemExit) as usage:
             run(argv)
@@ -407,8 +411,6 @@ CONSTRUCT_REFUSALS = [
      "(t^2 + 3; inert) do not satisfy the pairing condition"),
     (["--q", "5", "--rank", "general", "--places", "t", "--aux", ","], 2,
      "error: --rank general needs the 2-divisible points in --aux"),
-    (["--q", "5", "--rank", "0", "--places", "t^2+2", "--degree-cap", "0"], 2,
-     "error: the degree cap must be positive"),
 ]
 
 
@@ -478,6 +480,8 @@ UNUSABLE_ARGUMENTS = [
      "error: expected '(base; kind[; branch])', got '(t)'"),
     (["ranks"] + CURVE + ["--places", "(t; bogus)"],
      "error: unknown place kind 'bogus'"),
+    (["hilbert", "--q", "5", "--a", "y", "--b", "t", "--place", "t"],
+     "error: bad polynomial 'y': 'y' not allowed here (at index 0)"),
 ]
 
 
@@ -724,6 +728,18 @@ def test_a_missing_local_map_names_the_place(tmp_path, capsys,
     assert "no local map at t + 4" in err
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_a_basis_of_the_wrong_size_is_refused(tmp_path, capsys,
+                                              good_certificate, size):
+    # one element and its image dropped from the pair's basis, or added
+    data = dict(good_certificate)
+    for key in ("quotient_basis", "quotient_images"):
+        data[key] = (data[key] + ["2"])[:size]
+    assert verify_edited(tmp_path, capsys, data) == (
+        3, "refused: certificate is invalid: source basis has %d elements "
+        "for 2 places\n" % size)
+
+
 # -- the README examples and the module entry point
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -745,6 +761,35 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
         assert argv[0] == "wildsets"
         assert run(argv[1:]) == 0, line
     capsys.readouterr()
+
+
+def readme_python_tour():
+    text = README.read_text()
+    block = text.split("## Quick tour", 1)[1].split("```python", 1)[1]
+    return block.split("```", 1)[0]
+
+
+def _commented_value(comment):
+    """The literal a tour comment opens with: all of it, or the part
+    before its first comma, as in '+1, always'."""
+    try:
+        return ast.literal_eval(comment)
+    except (SyntaxError, ValueError):
+        return ast.literal_eval(comment.split(",", 1)[0])
+
+
+def test_readme_python_tour_runs():
+    tour = readme_python_tour()
+    namespace = {}
+    exec(tour, namespace)
+    checked = []
+    for line in tour.splitlines():
+        code, _, comment = line.partition("#")
+        if comment:
+            value = eval(code, namespace)
+            assert value == _commented_value(comment.strip()), line
+            checked.append(value)
+    assert checked == [-1, 1, ["t", "t + 4"]]
 
 
 def test_python_dash_m_entry_point():

@@ -24,7 +24,7 @@ from wildsets.equivalence_core import (
     check_necessary_condition,
     verify_small_equivalence,
 )
-from wildsets.errors import HypothesisError
+from wildsets.errors import HypothesisError, SearchExhausted
 from wildsets.function_field import Divisor
 from wildsets.local_symbols import PI, U, U_PI, LocalMap, minus_one_is_square
 from wildsets.projective_line import ProjectiveLine
@@ -78,19 +78,32 @@ def test_rank0_pair(line):
 
 def test_rank0_composition_searches_within_the_callers_cap(line, monkeypatch):
     # the third singleton is glued on through the compose fallback, whose
-    # re-extension must search with the caller's cap, not the default
-    caps = []
+    # re-extension scans up to DEGREE_CAP as it stands when the scan runs
+    drawn = []
     search = equivalence_core._auxiliary_places
 
-    def spy(model, lams, forbidden, degree_cap):
-        caps.append(degree_cap)
-        return search(model, lams, forbidden, degree_cap)
+    def spy(*args):
+        spots = search(*args)
+        drawn.extend(spots)
+        return spots
 
     monkeypatch.setattr(equivalence_core, "_auxiliary_places", spy)
+    monkeypatch.setattr(equivalence_core, "DEGREE_CAP", 2)
     S = [line.parse_place(s) for s in ("t^2 + 2", "t^2 + 3", "t^2 + t + 1")]
-    cert = construct_rank0(line, S, degree_cap=2)
+    cert = construct_rank0(line, S)
     assert_sound(line, cert, set(S))
-    assert caps and set(caps) == {2}
+    assert drawn and all(P.degree <= 2 for P in drawn)
+
+    realize = equivalence_core._realize
+
+    def cap_zero_in_the_fallback(model, places, maps, pool, orderings):
+        if not isinstance(orderings, list):  # the wild-locus permutations
+            monkeypatch.setattr(equivalence_core, "DEGREE_CAP", 0)
+        return realize(model, places, maps, pool, orderings)
+
+    monkeypatch.setattr(equivalence_core, "_realize", cap_zero_in_the_fallback)
+    with pytest.raises(SearchExhausted, match="no places of degree <= 0 "):
+        construct_rank0(line, S)
 
 
 def test_rank0_refuses_odd_degree(line):

@@ -83,8 +83,8 @@ def test_realize_matches_the_old_glues(capsys, monkeypatch):
         composes.append([])
         return compose(*args)
 
-    def recording(model, places, maps, pool, orderings, degree_cap):
-        args = (model, places, maps, pool, list(orderings), degree_cap)
+    def recording(model, places, maps, pool, orderings):
+        args = (model, places, maps, pool, list(orderings))
         composes[-1].append(args)
         return realize(*args)
 
@@ -97,7 +97,7 @@ def test_realize_matches_the_old_glues(capsys, monkeypatch):
              "out of order": 0, "exhausted": 0, "curve": 0}
     for calls in composes:
         assert 1 <= len(calls) <= 2, calls
-        model, places, maps, images, orderings, _ = calls[0]
+        model, places, maps, images, orderings = calls[0]
         assert orderings == [images]
         new = _glued(realize, *calls[0])
         assert new == _glued(rigid_glue, model, places, images, maps), \
@@ -106,10 +106,10 @@ def test_realize_matches_the_old_glues(capsys, monkeypatch):
         if len(calls) == 1:
             continue
         assert new == "falls through"
-        model, places, maps, pool, _, degree_cap = calls[1]
+        model, places, maps, pool, _ = calls[1]
         new = _outcome(realize, *calls[1])
         assert new == _outcome(wild_union_fallback, model, places, pool,
-                               maps, degree_cap), (places, pool)
+                               maps), (places, pool)
         tally["curve"] += isinstance(model, EllipticModel)
         if isinstance(new, tuple):
             tally["exhausted"] += new[0] is SearchExhausted

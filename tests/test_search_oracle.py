@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 import search_oracle as oracle
-from wildsets import constructions
+from wildsets import constructions, equivalence_core
 from wildsets.base_algebra import GF, poly_parse
 from wildsets.constructions import (
     _aux_point_and_witness,
@@ -57,11 +57,13 @@ def _outcome(search, *args):
         return type(exc), str(exc)
 
 
-def test_pair_searches_match_the_product_walks():
+def test_pair_searches_match_the_product_walks(monkeypatch):
     rng = random.Random("search pairs")
     tally = {"smile": 0, "no smile": 0, "point": 0, "no point": 0}
-    # the curve has no 2-divisible place below degree 4
+    # the curve has no 2-divisible place below degree 4; the point
+    # search scans up to the degree of the pair
     for model, degree, count in ((L5, 2, 10), (L9, 2, 10), (CURVE, 4, 6)):
+        monkeypatch.setattr(equivalence_core, "DEGREE_CAP", degree)
         divisible = [P for P in model.places_of_degree(degree)
                      if model.pic_mod2(P) == 0]
         for _ in range(count):
@@ -74,7 +76,7 @@ def test_pair_searches_match_the_product_walks():
                 found = _outcome(_sing_element, model, p)
                 assert found == _outcome(oracle.sing_element, model, p), p
             mu = _even_class_witness(model, Divisor({q1: 1}))
-            args = (model, (q1, q2), mu, degree)
+            args = (model, (q1, q2), mu)
             found = _outcome(_aux_point_and_witness, *args)
             assert found == _outcome(oracle.aux_point_and_witness, *args)
             tally["no point" if found[0] is SearchExhausted else "point"] += 1
