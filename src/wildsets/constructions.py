@@ -265,7 +265,7 @@ def _fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
         if all(lm is not None and lm.is_wild for lm in maps):
             images = tuple(_product(model, pool, row) for row in rows)
             pe = PreEquivalence(model, S, targets, basis, images, maps)
-            if verify_pre_equivalence(pe)["passes"]:
+            if not verify_pre_equivalence(pe):
                 return pe
     raise SearchExhausted(
         "no combination of the witnesses realizes a wild triple; the "

@@ -79,7 +79,6 @@ from .square_class_spaces import (
 )
 
 __all__ = [
-    "SMALL_EQUIVALENCE_CHECKS",
     "PreEquivalence",
     "SmallEquivalence",
     "WildSetCertificate",
@@ -245,63 +244,54 @@ def _side_classes(places, elements, failures, side):
     """Check one side's basis and tabulate its local square classes.
 
     The basis needs one element per place, even order off the places
-    and independent local data at them.  Returns whether it passes and
-    the table whose row i holds the class of elements[i] at each place
-    in order; the later checks read their classes off this table.
+    and independent local data at them; each check that fails appends
+    its text to failures.  Returns the table whose row i holds the
+    class of elements[i] at each place in order; the later checks read
+    their classes off this table.
     """
-    ok = True
     if len(elements) != len(places):
         failures.append("%s basis has %d elements for %d places"
                         % (side, len(elements), len(places)))
-        ok = False
     removed = set(places)
     for b in elements:
         for P, n in b.divisor().items():
             if P not in removed and n % 2:
                 failures.append("%s basis element %s has odd order at %s"
                                 % (side, b, P))
-                ok = False
                 break
     table = square_class_table(elements, places)
     if _f2_rank([_pack(row) for row in table]) != len(elements):
         failures.append("%s basis is dependent modulo the locally trivial "
                         "classes" % side)
-        ok = False
-    return ok, table
+    return table
 
 
-def _verification_report(matching, basis, images, small: bool) -> dict:
+def _verification_failures(matching, basis, images,
+                           small: bool) -> Tuple[str, ...]:
     """The checks of both certificate shapes, over one class table per side.
 
-    Every shape gets injectivity, both bases, the unit class and the
-    diagram; a small equivalence first has its domain checked and then
-    also gets symbol preservation and the class of -1.
+    Every shape gets injectivity, both bases and the diagram; a small
+    equivalence first has its domain checked and then also gets symbol
+    preservation and the class of -1.  The unit class needs no check: a
+    LocalMap fixes it by construction.  Returns the failures in that
+    order, empty when every check passes.
     """
     places, targets = matching.places, matching.images
     maps = matching.local_maps
-    report = {}
     if small:
         _require_rank_zero(matching.model, places, "removed")
         _require_rank_zero(matching.model, targets, "target")
-        report["domain_rank_zero"] = True
     failures: List[str] = []
-    report["injective"] = len(set(targets)) == len(targets)
-    if not report["injective"]:
+    if len(set(targets)) != len(targets):
         failures.append("two places share an image")
-    report["source_basis"], src = _side_classes(places, basis, failures,
-                                                "source")
-    report["target_basis"], dst = _side_classes(targets, images, failures,
-                                                "target")
-    report["unit_class_fixed"] = all(m.apply(ONE) == ONE for m in maps)
-    report["diagram_commutes"] = True
+    src = _side_classes(places, basis, failures, "source")
+    dst = _side_classes(targets, images, failures, "target")
     for b, row, image_row in zip(basis, src, dst):
         for P, lm, a, t in zip(places, maps, row, image_row):
             if lm.apply(a) != t:
                 failures.append("diagram breaks at %s on %s" % (P, b))
-                report["diagram_commutes"] = False
 
     if small:
-        report["symbols_preserved"] = True
         flags = [(minus_one_is_square(P), minus_one_is_square(Q))
                  for P, Q in zip(places, targets)]
         for i in range(len(basis)):
@@ -311,54 +301,42 @@ def _verification_report(matching, basis, images, small: bool) -> dict:
                             square_class_hilbert(dst[i][j], dst[k][j], tq):
                         failures.append("symbol of (%s, %s) changes at %s"
                                         % (basis[i], basis[k], P))
-                        report["symbols_preserved"] = False
 
         minus_one = matching.model.constant(matching.model.field.neg(1))
-        report["minus_one_fixed"] = True
         for P, Q, lm in zip(places, targets, maps):
             if lm.apply(local_square_class(minus_one, P)) != \
                     local_square_class(minus_one, Q):
                 failures.append("the class of -1 is not preserved at %s" % P)
-                report["minus_one_fixed"] = False
-
-    report["passes"] = all(report.values())
-    report["failures"] = tuple(failures)
-    return report
+    return tuple(failures)
 
 
-def verify_pre_equivalence(pe: PreEquivalence) -> dict:
-    """Check the four defining conditions of a pre-equivalence.
+def verify_pre_equivalence(pe: PreEquivalence) -> Tuple[str, ...]:
+    """Check the defining conditions of a pre-equivalence.
 
-    Returns one boolean per condition -- injectivity of the place map,
-    the recorded data being a basis of each quotient, local maps fixing
-    the trivial class, and commutation of the local/global square --
-    plus the list of specific failures.  Nothing is repaired silently.
+    The conditions: the place map is injective, the recorded data is a
+    basis of each quotient, and the local/global square commutes (the
+    local maps fix the trivial class by construction).  Returns the
+    specific failures, empty when the data passes; nothing is repaired
+    silently.
     """
-    return _verification_report(pe, pe.quotient_basis, pe.quotient_images,
-                                 small=False)
+    return _verification_failures(pe, pe.quotient_basis, pe.quotient_images,
+                                  small=False)
 
 
-# the boolean checks of verify_small_equivalence, besides "passes"
-SMALL_EQUIVALENCE_CHECKS = (
-    "domain_rank_zero", "injective", "source_basis", "target_basis",
-    "unit_class_fixed", "diagram_commutes", "symbols_preserved",
-    "minus_one_fixed",
-)
-
-
-def verify_small_equivalence(se: SmallEquivalence) -> dict:
+def verify_small_equivalence(se: SmallEquivalence) -> Tuple[str, ...]:
     """Check the defining conditions of a small equivalence.
 
     The domain condition -- the classes of each removed set, the places
     and their images alike, must exhaust the class group modulo
     doubles -- is a hard failure, raised instead of reported, because
     every later statement silently depends on it.
-    On top of the four conditions shared with pre-equivalences this
+    On top of the conditions shared with pre-equivalences this
     spot-checks Hilbert symbol preservation on all basis pairs at all
     removed places, and that every local map fixes the class of -1.
+    Returns the specific failures, empty when the data passes.
     """
-    return _verification_report(se, se.sing_basis, se.sing_images,
-                                 small=True)
+    return _verification_failures(se, se.sing_basis, se.sing_images,
+                                  small=True)
 
 
 def check_necessary_condition(model, S) -> bool:
@@ -379,10 +357,9 @@ def certify(se: SmallEquivalence) -> WildSetCertificate:
     map moves the even classes off themselves, which does not depend on
     the choice of local generators.
     """
-    report = verify_small_equivalence(se)
-    if not report["passes"]:
-        raise VerificationError("certificate is invalid: %s"
-                                % report["failures"][0])
+    failures = verify_small_equivalence(se)
+    if failures:
+        raise VerificationError("certificate is invalid: %s" % failures[0])
     wild = sorted(P for P, lm in zip(se.places, se.local_maps) if lm.is_wild)
     return WildSetCertificate(se, tuple(wild))
 
@@ -695,10 +672,10 @@ def extend_pre_equivalence(pe: PreEquivalence) -> SmallEquivalence:
     Delta and places.  The input is verified; the returned small
     equivalence is data until certify verifies it.
     """
-    report = verify_pre_equivalence(pe)
-    if not report["passes"]:
+    failures = verify_pre_equivalence(pe)
+    if failures:
         raise VerificationError("cannot extend an invalid pre-equivalence: %s"
-                                % report["failures"][0])
+                                % failures[0])
     model = pe.model
     src_rank = g_rank(model, pe.places).rank
     dst_rank = g_rank(model, pe.images).rank

@@ -347,28 +347,19 @@ def _delta_of(model, base: SquareClassSpace, relations) -> SquareClassSpace:
 # -- ranks in the class group modulo doubles
 
 class GYRank(NamedTuple):
-    """Rank data for the classes of a removed set in Pic modulo doubles."""
+    """The classes of a removed set in Pic modulo doubles: their rank."""
 
     removed: Tuple
     rank: int
-    independent: Tuple
 
     def __str__(self) -> str:
         return "rank %d of %d places" % (self.rank, len(self.removed))
 
 
 def g_rank(model, S) -> GYRank:
-    """Rank of the span of the classes of S, with an independent sublist.
-
-    The sublist is chosen greedily in the given order, inserting each
-    place's pic_mod2 row into a triangular basis and keeping the place
-    when the row is new, so it is the lexicographically first maximal
-    independent subset.
-    """
-    S = _clean_places(S)
-    basis: Dict[int, int] = {}
-    chosen = tuple(P for P in S if _xor_insert(basis, model.pic_mod2(P)))
-    return GYRank(tuple(S), len(chosen), chosen)
+    """Rank of the span of the classes of S: that of their pic_mod2 rows."""
+    S = tuple(_clean_places(S))
+    return GYRank(S, _f2_rank([model.pic_mod2(P) for P in S]))
 
 
 def pic_complement_two_rank(model, S) -> int:

@@ -86,7 +86,7 @@ def fit_triple_images(model, S, p4, basis, pool) -> PreEquivalence:
             maps.append(lm)
         else:
             pe = PreEquivalence(model, S, targets, basis, images, tuple(maps))
-            if verify_pre_equivalence(pe)["passes"]:
+            if not verify_pre_equivalence(pe):
                 return pe
     raise SearchExhausted(
         "no combination of the witnesses realizes a wild triple; the "

@@ -248,11 +248,17 @@ def test_composite_repeating_an_image_exits_four(capsys, q):
 def test_triple_without_fitting_images_exits_four(capsys, monkeypatch):
     # the witness search is complete; when it still finds nothing, a
     # hypothesis failed undetected, which proves nothing about the set
-    monkeypatch.setattr(constructions, "verify_pre_equivalence",
-                        lambda pe: {"passes": False})
+    refused = []
+
+    def refuse(pe):
+        refused.append(pe)
+        return ("diagram breaks at t on 2",)
+
+    monkeypatch.setattr(constructions, "verify_pre_equivalence", refuse)
     assert run(["construct", "--q", "5", "--rank", "1",
                 "--places", "t, t + 1, t + 4"]) == 4
     assert "no combination of the witnesses" in capsys.readouterr().err
+    assert refused
 
 
 # SHA-256 of the census transcript: (exit code, stdout, stderr) of every
@@ -738,6 +744,20 @@ def test_a_basis_of_the_wrong_size_is_refused(tmp_path, capsys,
     assert verify_edited(tmp_path, capsys, data) == (
         3, "refused: certificate is invalid: source basis has %d elements "
         "for 2 places\n" % size)
+
+
+# (edited key, its length after the edit: a pair's basis has two)
+UNEVEN_BASES = [("quotient_images", 1), ("quotient_basis", 1),
+                ("quotient_images", 3)]
+
+
+@pytest.mark.parametrize("key,size", UNEVEN_BASES)
+def test_a_basis_and_images_of_different_lengths_exit_two(
+        tmp_path, capsys, good_certificate, key, size):
+    data = dict(good_certificate)
+    data[key] = (data[key] + ["2"])[:size]
+    assert verify_edited(tmp_path, capsys, data) == (
+        2, "error: basis and images must have the same length\n")
 
 
 # -- the README examples and the module entry point
