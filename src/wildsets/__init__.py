@@ -22,7 +22,6 @@ from .constructions import (
 from .elliptic_curve import EllipticModel
 from .equivalence_core import (
     PreEquivalence,
-    SmallEquivalence,
     WildSetCertificate,
     certificate_from_json,
     certificate_to_json,
@@ -66,7 +65,6 @@ __all__ = [
     "PreEquivalence",
     "ProjectiveLine",
     "SearchExhausted",
-    "SmallEquivalence",
     "VerificationError",
     "WildSetCertificate",
     "WildSetsError",

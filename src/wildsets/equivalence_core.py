@@ -7,21 +7,23 @@ handles is a finite fragment of such a map: a matching of a removed set
 with target places, square-class data on the even-order classes, and
 one Klein-four isomorphism per removed place.
 
-Two certificate shapes appear.  A pre-equivalence records the map only
-modulo the everywhere-locally-trivial classes, which is the natural
-granularity for prescribing wild behavior.  A small equivalence, whose
-removed set and its image must both kill the punctured class group
-modulo doubles, records the map on the even-order classes themselves,
-and extension results for such data produce an actual self-equivalence
-of the field realizing it.
-The bridge between the two -- attach one auxiliary place per basis
-element of the locally trivial subspace, chosen to see exactly that
-element, and patch the basis to be locally trivial at the new places --
-is followed step by step in extend_pre_equivalence.
+One record holds every certificate, and two verifications read it.  A
+pre-equivalence records the map modulo the everywhere-locally-trivial
+classes, which is the natural granularity for prescribing wild
+behavior.  Where its removed set and the set of images both kill the
+punctured class group modulo doubles those classes vanish, so the same
+record gives the map on the even-order classes themselves: it is a
+small equivalence, and extension results for such data produce an
+actual self-equivalence of the field realizing it.
+The bridge from the one to the other -- attach one auxiliary place per
+basis element of the locally trivial subspace, chosen to see exactly
+that element, and patch the basis to be locally trivial at the new
+places -- is followed step by step in extend_pre_equivalence.
 
-Verification never trusts the certificate, and both shapes go through
-one body.  For a small equivalence it first requires both removed sets,
-the places and their images, to kill the class group modulo doubles.
+Verification never trusts the certificate, and both verifications go
+through one body.  For a small equivalence it first requires both
+removed sets, the places and their images, to kill the class group
+modulo doubles.
 It rechecks membership of the bases through their divisors, then
 tabulates the local square class of every basis element at every
 removed place and of every image at its target place, once per side.
@@ -80,7 +82,6 @@ from .square_class_spaces import (
 
 __all__ = [
     "PreEquivalence",
-    "SmallEquivalence",
     "WildSetCertificate",
     "quotient_basis",
     "verify_pre_equivalence",
@@ -101,12 +102,24 @@ MATCHING_ALLOWANCE = 40320  # orderings plus twist patterns one search tries
 
 # -- certificate data types
 
-class _PlaceMatching:
-    """Shared shape of both certificate types: places, images, local maps."""
+class PreEquivalence:
+    """A certificate: places, images, basis data and local maps.
 
-    __slots__ = ("model", "places", "images", "local_maps")
+    The recorded basis spans the even-order classes modulo those that
+    are local squares at every removed place, and the images span the
+    same quotient on the target side.  Where the removed set and its
+    image both kill the class group modulo doubles the locally trivial
+    classes vanish, the basis spans the even-order classes themselves
+    and the record is a small equivalence, which certify checks.
+    Construct freely; nothing is checked beyond shape until a verifier
+    runs.
+    """
 
-    def __init__(self, model, places, images, local_maps):
+    __slots__ = ("model", "places", "images", "quotient_basis",
+                 "quotient_images", "local_maps")
+
+    def __init__(self, model, places, images, quotient_basis, quotient_images,
+                 local_maps):
         self.model = model
         self.places = tuple(places)
         self.images = tuple(images)
@@ -119,58 +132,17 @@ class _PlaceMatching:
         for m in self.local_maps:
             if not isinstance(m, LocalMap):
                 raise TypeError("local maps must be LocalMap instances, got %r" % (m,))
-
-    def image_of(self, place):
-        return self.images[self.places.index(place)]
-
-
-class PreEquivalence(_PlaceMatching):
-    """Square-class data prescribed modulo the locally trivial classes.
-
-    The recorded basis spans the even-order classes modulo those that
-    are local squares at every removed place, and the images span the
-    same quotient on the target side.  Construct freely; nothing is
-    checked beyond shape until verify_pre_equivalence runs.
-    """
-
-    __slots__ = ("quotient_basis", "quotient_images")
-
-    def __init__(self, model, places, images, quotient_basis, quotient_images,
-                 local_maps):
-        super().__init__(model, places, images, local_maps)
         self.quotient_basis = tuple(quotient_basis)
         self.quotient_images = tuple(quotient_images)
         if len(self.quotient_images) != len(self.quotient_basis):
             raise ValueError("basis and images must have the same length")
 
+    def image_of(self, place):
+        return self.images[self.places.index(place)]
+
     def __repr__(self) -> str:
         return "PreEquivalence(%d places, basis of %d)" % (
             len(self.places), len(self.quotient_basis))
-
-
-class SmallEquivalence(_PlaceMatching):
-    """Square-class data on the full group of even-order classes.
-
-    Valid only when the classes of the removed set, and those of its
-    image, exhaust the class group modulo doubles; then the even-order
-    classes embed into the product of the local square-class groups and
-    the recorded basis determines the map completely.  Construct freely:
-    an instance is data until certify verifies it.
-    """
-
-    __slots__ = ("sing_basis", "sing_images")
-
-    def __init__(self, model, places, images, sing_basis, sing_images,
-                 local_maps):
-        super().__init__(model, places, images, local_maps)
-        self.sing_basis = tuple(sing_basis)
-        self.sing_images = tuple(sing_images)
-        if len(self.sing_images) != len(self.sing_basis):
-            raise ValueError("basis and images must have the same length")
-
-    def __repr__(self) -> str:
-        return "SmallEquivalence(%d places, basis of %d)" % (
-            len(self.places), len(self.sing_basis))
 
 
 class WildSetCertificate:
@@ -266,21 +238,21 @@ def _side_classes(places, elements, failures, side):
     return table
 
 
-def _verification_failures(matching, basis, images,
-                           small: bool) -> Tuple[str, ...]:
-    """The checks of both certificate shapes, over one class table per side.
+def _verification_failures(pe, small: bool) -> Tuple[str, ...]:
+    """The checks of both verifications, over one class table per side.
 
-    Every shape gets injectivity, both bases and the diagram; a small
+    Every record gets injectivity, both bases and the diagram; a small
     equivalence first has its domain checked and then also gets symbol
     preservation and the class of -1.  The unit class needs no check: a
     LocalMap fixes it by construction.  Returns the failures in that
     order, empty when every check passes.
     """
-    places, targets = matching.places, matching.images
-    maps = matching.local_maps
+    places, targets = pe.places, pe.images
+    basis, images = pe.quotient_basis, pe.quotient_images
+    maps = pe.local_maps
     if small:
-        _require_rank_zero(matching.model, places, "removed")
-        _require_rank_zero(matching.model, targets, "target")
+        _require_rank_zero(pe.model, places, "removed")
+        _require_rank_zero(pe.model, targets, "target")
     failures: List[str] = []
     if len(set(targets)) != len(targets):
         failures.append("two places share an image")
@@ -302,7 +274,7 @@ def _verification_failures(matching, basis, images,
                         failures.append("symbol of (%s, %s) changes at %s"
                                         % (basis[i], basis[k], P))
 
-        minus_one = matching.model.constant(matching.model.field.neg(1))
+        minus_one = pe.model.constant(pe.model.field.neg(1))
         for P, Q, lm in zip(places, targets, maps):
             if lm.apply(local_square_class(minus_one, P)) != \
                     local_square_class(minus_one, Q):
@@ -319,24 +291,22 @@ def verify_pre_equivalence(pe: PreEquivalence) -> Tuple[str, ...]:
     specific failures, empty when the data passes; nothing is repaired
     silently.
     """
-    return _verification_failures(pe, pe.quotient_basis, pe.quotient_images,
-                                  small=False)
+    return _verification_failures(pe, small=False)
 
 
-def verify_small_equivalence(se: SmallEquivalence) -> Tuple[str, ...]:
+def verify_small_equivalence(se: PreEquivalence) -> Tuple[str, ...]:
     """Check the defining conditions of a small equivalence.
 
     The domain condition -- the classes of each removed set, the places
     and their images alike, must exhaust the class group modulo
     doubles -- is a hard failure, raised instead of reported, because
     every later statement silently depends on it.
-    On top of the conditions shared with pre-equivalences this
+    On top of the conditions verify_pre_equivalence checks this
     spot-checks Hilbert symbol preservation on all basis pairs at all
     removed places, and that every local map fixes the class of -1.
     Returns the specific failures, empty when the data passes.
     """
-    return _verification_failures(se, se.sing_basis, se.sing_images,
-                                  small=True)
+    return _verification_failures(se, small=True)
 
 
 def check_necessary_condition(model, S) -> bool:
@@ -348,7 +318,7 @@ def check_necessary_condition(model, S) -> bool:
     return not S or len(S) >= 2 * g_rank(model, S).rank
 
 
-def certify(se: SmallEquivalence) -> WildSetCertificate:
+def certify(se: PreEquivalence) -> WildSetCertificate:
     """Verify a small equivalence and package it with its wild set.
 
     This is the one place a small equivalence is verified: the data is
@@ -548,7 +518,7 @@ def compose(c1: WildSetCertificate, c2: WildSetCertificate
     return cert
 
 
-def _realize(model, places, maps, pool, orderings) -> SmallEquivalence:
+def _realize(model, places, maps, pool, orderings) -> PreEquivalence:
     """The first ordering of pool that realizes maps on places, solved.
 
     Every ordering permutes the columns of one class table, the source
@@ -595,11 +565,10 @@ def _realize(model, places, maps, pool, orderings) -> SmallEquivalence:
             gens, dst_table = quotient_basis(model, cand)
             final_maps, gen_images = _sandwich_solve(
                 model, maps, src_table, dst_table, gens, lambda: None)
-        if pic_complement_two_rank(model, places) == 0:
-            return SmallEquivalence(model, places, cand, src_gens, gen_images,
-                                    final_maps)
         pe = PreEquivalence(model, places, cand, src_gens, gen_images,
                             final_maps)
+        if pic_complement_two_rank(model, places) == 0:
+            return pe
         return extend_pre_equivalence(pe)
     raise SearchExhausted(message)
 
@@ -658,19 +627,20 @@ def _make_locally_trivial(mus, lams, spots) -> Tuple:
     return tuple(out)
 
 
-def extend_pre_equivalence(pe: PreEquivalence) -> SmallEquivalence:
+def extend_pre_equivalence(pe: PreEquivalence) -> PreEquivalence:
     """Complete a pre-equivalence to a small equivalence, literally.
 
     Requires the class ranks of the two removed sets to coincide; then
     the locally trivial subspaces Delta have a common rank, read off the
-    class-group formula; at 0 there is nothing to attach.  Otherwise
-    one auxiliary place per basis element of Delta on each side -- the
-    place seeing exactly that element, scanned for up to DEGREE_CAP --
-    kills the punctured class group.  The places join the removed set
-    carrying the identity local map, and the quotient basis is patched
-    to be locally trivial at them; two equal removed sets share their
-    Delta and places.  The input is verified; the returned small
-    equivalence is data until certify verifies it.
+    class-group formula; at 0 there is nothing to attach, and the input
+    is returned as it is.  Otherwise one auxiliary place per basis
+    element of Delta on each side -- the place seeing exactly that
+    element, scanned for up to DEGREE_CAP -- kills the punctured class
+    group.  The places join the removed set carrying the identity local
+    map, and the quotient basis is patched to be locally trivial at
+    them; two equal removed sets share their Delta and places.  The
+    input is verified; the returned small equivalence is data until
+    certify verifies it.
     """
     failures = verify_pre_equivalence(pe)
     if failures:
@@ -684,15 +654,14 @@ def extend_pre_equivalence(pe: PreEquivalence) -> SmallEquivalence:
             "removed classes span ranks %d and %d; extension needs them "
             "equal" % (src_rank, dst_rank))
     if pic_complement_two_rank(model, pe.places) == 0:
-        return SmallEquivalence(model, pe.places, pe.images, pe.quotient_basis,
-                                pe.quotient_images, pe.local_maps)
+        return pe
     lams = delta_space(model, pe.places).generators
     spots = _auxiliary_places(model, lams, set(pe.places))
     lams2, spots2 = lams, spots
     if pe.images != pe.places:
         lams2 = delta_space(model, pe.images).generators
         spots2 = _auxiliary_places(model, lams2, set(pe.images))
-    return SmallEquivalence(
+    return PreEquivalence(
         model, pe.places + spots, pe.images + spots2,
         lams + _make_locally_trivial(pe.quotient_basis, lams, spots),
         lams2 + _make_locally_trivial(pe.quotient_images, lams2, spots2),
@@ -707,8 +676,8 @@ def certificate_to_json(cert: WildSetCertificate) -> str:
     data = se.model.header()
     data["S"] = [str(P) for P in se.places]
     data["T"] = [str(Q) for Q in se.images]
-    data["quotient_basis"] = [str(b) for b in se.sing_basis]
-    data["quotient_images"] = [str(m) for m in se.sing_images]
+    data["quotient_basis"] = [str(b) for b in se.quotient_basis]
+    data["quotient_images"] = [str(m) for m in se.quotient_images]
     data["local_maps"] = [
         {"place": str(P),
          "image_of_u": square_class_str(lm.image_of_u),
@@ -806,11 +775,16 @@ def certificate_from_json(text: str) -> WildSetCertificate:
         basis = [parse(s) for s in _strings(data, "quotient_basis")]
         imaged = [parse(s) for s in _strings(data, "quotient_images")]
         maps = _local_maps_from_json(parse_place, places, data["local_maps"])
-        claimed = {parse_place(s)
-                   for s in _strings(data, "claimed_wild_set")}
+        claimed = set()
+        for s in _strings(data, "claimed_wild_set"):
+            P = parse_place(s)
+            if P in claimed:
+                raise ValueError("the certificate claims %s twice as wild"
+                                 % _cut(str(P)))
+            claimed.add(P)
     except KeyError as missing:
         raise ValueError("certificate is missing the %s field" % missing)
-    se = SmallEquivalence(model, places, images, basis, imaged, maps)
+    se = PreEquivalence(model, places, images, basis, imaged, maps)
     cert = certify(se)
     if set(cert.wild_set) != claimed:
         raise VerificationError(

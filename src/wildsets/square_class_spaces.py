@@ -352,9 +352,6 @@ class GYRank(NamedTuple):
     removed: Tuple
     rank: int
 
-    def __str__(self) -> str:
-        return "rank %d of %d places" % (self.rank, len(self.removed))
-
 
 def g_rank(model, S) -> GYRank:
     """Rank of the span of the classes of S: that of their pic_mod2 rows."""
@@ -379,10 +376,14 @@ def pic_complement_two_rank(model, S) -> int:
 def check_lin_dep_lemma(model, S) -> dict:
     """Classes of S independent iff removing S adds no new even classes.
 
-    Both sides are computed: independence through the pic_mod2
-    coordinates of the classes, the right side by comparing the rank of
-    sing_space(S) with the rank over the complete curve.  A discrepancy
-    raises.
+    Independence is read off the pic_mod2 rows of the classes, the other
+    side by comparing the rank of sing_space(S) with the rank over the
+    complete curve.  sing_space builds its generators as 1 + rk Pic^0[2]
+    plus one per relation among the classes of S, |S| - rk G of them, so
+    the two sides agree by construction and the raise only guards that
+    construction.  What the call checks is that the generators of
+    Sing(S) verify: even order off S and independence modulo squares,
+    which SquareClassSpace establishes or raises on.
     """
     info = g_rank(model, S)
     independent = info.rank == len(info.removed)

@@ -23,7 +23,6 @@ import itertools
 
 from wildsets.equivalence_core import (
     PreEquivalence,
-    SmallEquivalence,
     _sandwich_solve,
     extend_pre_equivalence,
     quotient_basis,
@@ -58,7 +57,7 @@ def place_solve(model, places, images, local_maps, src_gens, dst_gens,
                            class_table(dst_gens, images), dst_gens, charge)
 
 
-def rigid_glue(model, places, images, maps) -> SmallEquivalence:
+def rigid_glue(model, places, images, maps) -> PreEquivalence:
     """The composite solved on the whole domain, images in their order.
 
     Raises VerificationError on a repeated image or a prescription no
@@ -71,8 +70,8 @@ def rigid_glue(model, places, images, maps) -> SmallEquivalence:
     dst = src if images == places else sing_space(model, images).generators
     final_maps, basis_images = place_solve(model, places, images, maps,
                                            src, dst)
-    return SmallEquivalence(model, places, images, src, basis_images,
-                            final_maps)
+    return PreEquivalence(model, places, images, src, basis_images,
+                          final_maps)
 
 
 def wild_union_fallback(model, places, images, maps):

@@ -327,6 +327,8 @@ def test_factor_with_multiplicity():
     lc, factors = poly_factor(f, F)
     assert lc == 1
     assert factors == [((0, 1), 2), ((1, 1), 1)]
+    with pytest.raises(ValueError, match="cannot factor the zero polynomial"):
+        poly_factor((), F)
 
 
 @pytest.mark.parametrize("q", [3, 5, 9])
@@ -407,6 +409,10 @@ def test_residue_field_inverse_and_sqrt():
         sq = RF.mul(a, a)
         r = RF.sqrt(sq)
         assert RF.mul(r, r) == sq
+    assert RF.sqrt(()) == ()
+    with pytest.raises(ValueError, match="not a square in the residue field"):
+        RF.sqrt(RF.nonsquare())
+    assert RF.constant_down((0, 1)) is None
 
 
 @pytest.mark.parametrize("q", [3, 5, 9, 13])

@@ -27,7 +27,7 @@ from wildsets import cli, constructions, equivalence_core, square_class_spaces
 from wildsets.base_algebra import GF, poly_is_irreducible, poly_str
 from wildsets.cli import MAX_FIELD_SIZE, run
 from wildsets.equivalence_core import (
-    SmallEquivalence,
+    PreEquivalence,
     certificate_to_json,
     certify,
     check_necessary_condition,
@@ -569,8 +569,8 @@ def test_verify_accepts_an_empty_wild_set(tmp_path, capsys):
     line = ProjectiveLine(GF(5))
     S = [line.parse_place("t"), line.parse_place("t^2 + 2")]
     gens = sing_space(line, S).generators
-    cert = certify(SmallEquivalence(line, S, S, gens, gens,
-                                    [LocalMap.identity()] * len(S)))
+    cert = certify(PreEquivalence(line, S, S, gens, gens,
+                                  [LocalMap.identity()] * len(S)))
     assert cert.wild_set == ()
     path = tmp_path / "identity.json"
     path.write_text(certificate_to_json(cert))
@@ -692,6 +692,8 @@ def _with_long_place(data, count):
 LONG_VALUES = [
     (lambda d: _with_long_place(d, 1), "which is not a removed place"),
     (lambda d: _with_long_place(d, 2), "two local maps at"),
+    (lambda d: dict(d, claimed_wild_set=[long_place()] * 2),
+     "twice as wild"),
     (lambda d: dict(d, S=d["S"] + [long_place()]), "no local map at"),
     (lambda d: _with_local_map(d, image_of_u="u" * 100000),
      "unknown square class"),
@@ -723,6 +725,13 @@ def test_duplicate_local_maps_are_rejected(tmp_path, capsys, good_certificate):
     code, err = verify_edited(tmp_path, capsys, data)
     assert code == 2
     assert "two local maps at t" in err
+
+
+def test_a_repeated_claimed_place_is_rejected(tmp_path, capsys,
+                                             good_certificate):
+    data = dict(good_certificate, claimed_wild_set=["t", "t", "t + 4"])
+    assert verify_edited(tmp_path, capsys, data) == (
+        2, "error: the certificate claims t twice as wild\n")
 
 
 def test_a_missing_local_map_names_the_place(tmp_path, capsys,

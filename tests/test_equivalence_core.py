@@ -28,7 +28,6 @@ from wildsets.constructions import (
 from wildsets.elliptic_curve import EllipticModel
 from wildsets.equivalence_core import (
     PreEquivalence,
-    SmallEquivalence,
     WildSetCertificate,
     certificate_from_json,
     certificate_to_json,
@@ -79,8 +78,8 @@ def lplace(L, text):
 def identity_certificate(model, texts):
     places = tuple(model.parse_place(s) for s in texts)
     gens = sing_space(model, places).generators
-    se = SmallEquivalence(model, places, places, gens, gens,
-                          (LocalMap.identity(),) * len(places))
+    se = PreEquivalence(model, places, places, gens, gens,
+                        (LocalMap.identity(),) * len(places))
     return certify(se)
 
 
@@ -129,6 +128,8 @@ def test_swap_pair_pre_equivalence_verifies():
     pe = PreEquivalence(L, (p, q), (p, q), (lam, mu), (mu, lam),
                         (SWAP, SWAP))
     assert verify_pre_equivalence(pe) == ()
+    # {t, t + 4} kills the class group modulo doubles: nothing to extend
+    assert extend_pre_equivalence(pe) is pe
 
 
 def test_identity_on_basis_with_swapped_maps_breaks_the_diagram():
@@ -153,15 +154,14 @@ def test_place_matchings_need_one_image_and_one_local_map_per_place():
     L = line(5)
     p, q = lplace(L, "t"), lplace(L, "t + 1")
     basis = (L.constant(2),)
-    for cls in (PreEquivalence, SmallEquivalence):
-        with pytest.raises(ValueError, match="one image per removed place"):
-            cls(L, (p, q), (p,), basis, basis, (SWAP, SWAP))
-        with pytest.raises(ValueError, match="one local map per removed place"):
-            cls(L, (p, q), (p, q), basis, basis, (SWAP,))
-        with pytest.raises(TypeError, match="must be LocalMap instances"):
-            cls(L, (p, q), (p, q), basis, basis, (SWAP, (PI, U)))
-        with pytest.raises(ValueError, match="must have the same length"):
-            cls(L, (p, q), (p, q), basis, (), (SWAP, SWAP))
+    with pytest.raises(ValueError, match="one image per removed place"):
+        PreEquivalence(L, (p, q), (p,), basis, basis, (SWAP, SWAP))
+    with pytest.raises(ValueError, match="one local map per removed place"):
+        PreEquivalence(L, (p, q), (p, q), basis, basis, (SWAP,))
+    with pytest.raises(TypeError, match="must be LocalMap instances"):
+        PreEquivalence(L, (p, q), (p, q), basis, basis, (SWAP, (PI, U)))
+    with pytest.raises(ValueError, match="must have the same length"):
+        PreEquivalence(L, (p, q), (p, q), basis, (), (SWAP, SWAP))
 
 
 # -- small equivalences and wild sets
@@ -177,6 +177,13 @@ def test_wild_pair_certificate_end_to_end():
     assert g_rank(L, cert.wild_set).rank == 1
     assert check_necessary_condition(L, cert.wild_set)
     assert _oracle_rank_preservation_report(cert.equivalence)["passes"]
+    # the verified type refuses a wild set it could not have computed
+    with pytest.raises(VerificationError, match="wild point t \\+ 1 lies "
+                       "outside the removed set"):
+        WildSetCertificate(se, (lplace(L, "t + 1"),))
+    with pytest.raises(VerificationError, match="a wild set of 1 places "
+                       "cannot have class rank 1"):
+        WildSetCertificate(se, (lplace(L, "t"),))
 
 
 def test_identity_certificate_has_no_wild_points():
@@ -191,9 +198,23 @@ def test_domain_condition_is_a_hard_error():
     L = line(5)
     q = lplace(L, "t^2 + 2")
     gens = sing_space(L, [q]).generators
-    se = SmallEquivalence(L, (q,), (q,), gens, gens, (LocalMap.identity(),))
+    se = PreEquivalence(L, (q,), (q,), gens, gens, (LocalMap.identity(),))
     with pytest.raises(HypothesisError):
         verify_small_equivalence(se)
+
+
+def test_certify_refuses_a_record_that_still_needs_extension():
+    # the wild singleton's data before extension is a valid
+    # pre-equivalence, but its lone even-degree place leaves class rank 1
+    L = line(5)
+    q = lplace(L, "t^2 + 2")
+    lam = L.parse("t^2 + 2")
+    pe = PreEquivalence(L, (q,), (q,), (lam,), (lam,), (FIX_PI,))
+    assert verify_pre_equivalence(pe) == ()
+    with pytest.raises(HypothesisError,
+                       match="the removed set leaves class rank 1"):
+        certify(pe)
+    assert certify(extend_pre_equivalence(pe)).wild_set == (q,)
 
 
 def test_target_set_of_positive_rank_is_a_hard_error():
@@ -201,8 +222,8 @@ def test_target_set_of_positive_rank_is_a_hard_error():
     # data is otherwise consistent, so only the target condition fails
     L = line(5)
     p, q = lplace(L, "t"), lplace(L, "t^2 + 2")
-    se = SmallEquivalence(L, (p,), (q,), (L.constant(2),),
-                          (L.parse("t^2 + 2"),), (SWAP,))
+    se = PreEquivalence(L, (p,), (q,), (L.constant(2),),
+                        (L.parse("t^2 + 2"),), (SWAP,))
     with pytest.raises(HypothesisError, match="the target set leaves "
                        "class rank 1; a small equivalence needs rank 0"):
         verify_small_equivalence(se)
@@ -218,8 +239,8 @@ def test_wild_maps_break_the_symbols_where_minus_one_is_a_nonsquare():
     L = line(3)
     p, q = lplace(L, "t"), lplace(L, "t + 1")
     two, f = L.constant(2), L.parse("t / (t + 1)")
-    se = SmallEquivalence(L, (p, q), (p, q), (two, f), (f, two),
-                          (SWAP, FIX_PI))
+    se = PreEquivalence(L, (p, q), (p, q), (two, f), (f, two),
+                        (SWAP, FIX_PI))
     assert verify_small_equivalence(se) == tuple(
         ["symbol of (2, 2) changes at %s" % P for P in (p, q)]
         + ["symbol of (%s, %s) changes at %s" % (f, f, P) for P in (p, q)]
@@ -230,8 +251,8 @@ def test_certify_refuses_invalid_data():
     L = line(5)
     p, q = lplace(L, "t"), lplace(L, "t + 4")
     lam, mu = L.constant(2), L.parse("t(t + 4)")
-    se = SmallEquivalence(L, (p, q), (p, q), (lam, mu), (lam, mu),
-                          (SWAP, SWAP))
+    se = PreEquivalence(L, (p, q), (p, q), (lam, mu), (lam, mu),
+                        (SWAP, SWAP))
     with pytest.raises(VerificationError):
         certify(se)
 
@@ -247,7 +268,7 @@ def test_singleton_extension_matches_the_hand_computation():
     se = cert.equivalence
     assert [str(P) for P in se.places] == ["t^2 + 2", "t"]
     assert se.places == se.images
-    assert [str(b) for b in se.sing_basis] == ["2", "2 * (t^2 + 2)^1"]
+    assert [str(b) for b in se.quotient_basis] == ["2", "2 * (t^2 + 2)^1"]
     assert [str(P) for P in cert.wild_set] == ["t^2 + 2"]
     assert se.local_maps[0].is_wild and se.local_maps[1].is_identity
 
@@ -382,7 +403,8 @@ def test_composition_is_associative_on_disjoint_singletons():
     assert left.equivalence.places == right.equivalence.places
     assert left.equivalence.images == right.equivalence.images
     assert left.equivalence.local_maps == right.equivalence.local_maps
-    assert left.equivalence.sing_images == right.equivalence.sing_images
+    assert (left.equivalence.quotient_images
+            == right.equivalence.quotient_images)
     assert left.wild_set == right.wild_set
     assert sorted(str(P) for P in left.wild_set) == \
         ["t^2 + 2", "t^2 + 3", "t^2 + t + 1"]
@@ -496,14 +518,14 @@ def test_verifier_catches_a_doctored_image_basis():
     cert = wild_pair(L, 0, 4)
     se = cert.equivalence
     # an image picking up odd order at (t+1), outside the target set
-    bad = se.sing_images[0] * L.parse("t + 1")
-    doctored = SmallEquivalence(
-        L, se.places, se.images, se.sing_basis,
-        (bad,) + se.sing_images[1:], se.local_maps)
+    bad = se.quotient_images[0] * L.parse("t + 1")
+    doctored = PreEquivalence(
+        L, se.places, se.images, se.quotient_basis,
+        (bad,) + se.quotient_images[1:], se.local_maps)
     # (t+1) also moves the local class of the image at (t+4)
     assert verify_small_equivalence(doctored) == (
         "target basis element %s has odd order at inf" % bad,
-        "diagram breaks at t + 4 on %s" % se.sing_basis[0])
+        "diagram breaks at t + 4 on %s" % se.quotient_basis[0])
     with pytest.raises(VerificationError, match="odd order at inf"):
         certify(doctored)
 
@@ -940,7 +962,7 @@ def _oracle_verification_report(matching, basis, images, small: bool) -> dict:
     return report
 
 
-def _oracle_rank_preservation_report(se: SmallEquivalence) -> dict:
+def _oracle_rank_preservation_report(se: PreEquivalence) -> dict:
     """Rank bookkeeping that any genuine certificate must satisfy."""
     model = se.model
     src = g_rank(model, se.places).rank
@@ -948,7 +970,7 @@ def _oracle_rank_preservation_report(se: SmallEquivalence) -> dict:
     removed = set(se.images)
     in_target = all(
         all(P in removed or n % 2 == 0 for P, n in m.divisor().items())
-        for m in se.sing_images)
+        for m in se.quotient_images)
     delta_src = delta_space(model, se.places).rank
     delta_dst = delta_space(model, se.images).rank
     return {
@@ -963,10 +985,10 @@ def _oracle_rank_preservation_report(se: SmallEquivalence) -> dict:
     }
 
 
-def _oracle_certify(se: SmallEquivalence) -> WildSetCertificate:
+def _oracle_certify(se: PreEquivalence) -> WildSetCertificate:
     """Verify a small equivalence and package it with its wild set."""
-    report = _oracle_verification_report(se, se.sing_basis, se.sing_images,
-                                         small=True)
+    report = _oracle_verification_report(se, se.quotient_basis,
+                                         se.quotient_images, small=True)
     if not report["passes"]:
         raise VerificationError("certificate is invalid: %s"
                                 % report["failures"][0])
@@ -1026,15 +1048,16 @@ def _doctored(cert, rng):
         return kind, se
     if kind == "odd image":
         i = rng.randrange(n)
-        images = list(se.sing_images)
+        images = list(se.quotient_images)
         images[i] = images[i] * _odd_outside(model, set(se.images), rng)
-        return kind, SmallEquivalence(model, se.places, se.images,
-                                      se.sing_basis, images, se.local_maps)
+        return kind, PreEquivalence(model, se.places, se.images,
+                                    se.quotient_basis, images, se.local_maps)
     if kind == "permute maps":
         maps = list(se.local_maps)
         rng.shuffle(maps)
-        return kind, SmallEquivalence(model, se.places, se.images,
-                                      se.sing_basis, se.sing_images, maps)
+        return kind, PreEquivalence(model, se.places, se.images,
+                                    se.quotient_basis, se.quotient_images,
+                                    maps)
     degrees = (2,) if kind == "retarget-even" else (1, 2)
     pool = [P for d in degrees for P in model.places_of_degree(d)]
     targets = tuple(rng.sample(pool, n))
@@ -1042,14 +1065,14 @@ def _doctored(cert, rng):
     # that only the conditions on the target set itself can fail
     try:
         maps, images = place_solve(
-            model, se.places, targets, se.local_maps, se.sing_basis,
+            model, se.places, targets, se.local_maps, se.quotient_basis,
             quotient_basis(model, targets)[0])
     except (VerificationError, SearchExhausted):
-        return kind + " unsolved", SmallEquivalence(
-            model, se.places, targets, se.sing_basis, se.sing_images,
+        return kind + " unsolved", PreEquivalence(
+            model, se.places, targets, se.quotient_basis, se.quotient_images,
             se.local_maps)
-    return kind, SmallEquivalence(model, se.places, targets, se.sing_basis,
-                                  images, maps)
+    return kind, PreEquivalence(model, se.places, targets, se.quotient_basis,
+                                images, maps)
 
 
 def test_certify_matches_the_rank_preserving_certify():
@@ -1067,7 +1090,7 @@ def test_certify_matches_the_rank_preserving_certify():
         tally[kind, outcome] = tally.get((kind, outcome), 0) + 1
         try:
             report = _oracle_verification_report(
-                se, se.sing_basis, se.sing_images, small=True)
+                se, se.quotient_basis, se.quotient_images, small=True)
         except HypothesisError:
             continue
         if pic_complement_two_rank(se.model, se.images):

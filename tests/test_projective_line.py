@@ -158,6 +158,7 @@ def test_divisor_arithmetic():
     assert D.degree == 0
     assert (D - D).is_zero
     assert (2 * D).get(Q) == 4
+    assert 0 * D == Divisor() and (0 * D).is_zero
     assert (D + Divisor({P: -1})).get(P) == 0
     assert D.support() == [inf, P, Q]
     assert Divisor({P: 1}) + Divisor({P: -1}) == Divisor()
@@ -168,6 +169,7 @@ def test_divisor_str():
     L = ProjectiveLine(F)
     D = Divisor({Place(L, (0, 1)): 2, L.infinity: -1})
     assert str(D) == "-inf + 2*(t)"
+    assert str(Divisor()) == "0"
 
 
 # -- factored rational functions ----------------------------------------------
@@ -261,6 +263,11 @@ def test_functions_of_different_lines_do_not_multiply():
         t5 * t7
     with pytest.raises(ValueError, match="different models"):
         t5 / t7
+    # a function times or over a number is no function
+    with pytest.raises(TypeError):
+        t5 * 2
+    with pytest.raises(TypeError):
+        t5 / 2
 
 
 def test_is_square():
