@@ -648,13 +648,15 @@ def _frobenius(h: Poly, rows: List[Poly], F: Fq) -> Poly:
     return poly_norm(out)
 
 
-def _ddf(f: Poly, F: Fq) -> Iterator[Tuple[Poly, int]]:
+def _ddf(f: Poly, F: Fq, rootless: bool = False) -> Iterator[Tuple[Poly, int]]:
     # distinct-degree: yields (product of the factors of degree d, d) by
     # increasing d, f squarefree monic; for any monic f of degree >= 1 the
     # first block holds the distinct factors of its least degree.  h is
     # x^(q^d) mod f: one power for d = 1, then each step applies the
     # Frobenius map through the rows x^(iq) mod f, built at d = 2 and
-    # reduced mod f when a block divides out.
+    # reduced mod f when a block divides out.  rootless says f has no
+    # root in F_q, so the gcd at d = 1 is 1 and is skipped; the power
+    # is still taken, for the rows.
     h = (0, 1)
     rows: List[Poly] = []
     d = 0
@@ -665,6 +667,8 @@ def _ddf(f: Poly, F: Fq) -> Iterator[Tuple[Poly, int]]:
             return
         if d == 1:
             h = poly_pow_mod(h, F.q, f, F)
+            if rootless:
+                continue
         else:
             if not rows:
                 rows = _frobenius_rows(h, f, F)
@@ -739,7 +743,9 @@ def poly_factor(f: Poly, F: Fq) -> Tuple[int, List[Tuple[Poly, int]]]:
     A cofactor of degree 2 or 3 with no root is irreducible, since any
     factorization of it has a factor of degree 1.  A longer one, and
     every f over a larger field, goes through the squarefree,
-    distinct-degree and equal-degree stages.  The equal-degree stage is randomized but seeded from the
+    distinct-degree and equal-degree stages; after a root stage the
+    distinct-degree stage skips its d = 1 gcd, as the cofactor has no
+    root.  The equal-degree stage is randomized but seeded from the
     input, so the call is deterministic.  The generator is seeded on the
     first split it is asked for: most inputs need none.
     """
@@ -756,11 +762,12 @@ def poly_factor(f: Poly, F: Fq) -> Tuple[int, List[Tuple[Poly, int]]]:
         return made[0]
 
     found: Dict[Poly, int] = {}
-    if F.q <= _ROOT_SCAN_MAX_Q:
+    rootless = F.q <= _ROOT_SCAN_MAX_Q
+    if rootless:
         f = _root_stage(f, F, found)
     while poly_deg(f) > 0:
         s = _squarefree_part(f, F)
-        for block, d in _ddf(s, F):
+        for block, d in _ddf(s, F, rootless):
             for g in _edf(block, d, F, rng):
                 e, f = poly_strip(f, g, F)
                 found[g] = found.get(g, 0) + e

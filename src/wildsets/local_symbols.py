@@ -17,6 +17,11 @@ Jacobi symbols in F_q[t] without forming the residue itself.  A table
 of many functions at many places goes through ``square_class_table``,
 which reads each atom's character at each place once per call, however
 many functions share the atom, and keeps nothing once it returns.
+
+A Hilbert symbol needs less than the two classes: the pairing reads a's
+character only where b has odd order, and b's only where a has, so
+``hilbert_symbol`` and ``reciprocity_product`` read the order parities
+first and a character only where the pairing uses it.
 """
 
 from __future__ import annotations
@@ -107,19 +112,45 @@ def square_class_hilbert(a: SquareClass, b: SquareClass,
     return -1 if sign else 1
 
 
+def _check_models(a, b, place=None) -> None:
+    model = a.model
+    if b.model is not model and b.model.key != model.key:
+        raise ValueError("cannot pair functions on different models")
+    if place is not None and place.model is not model and place.model.key != model.key:
+        raise ValueError("the place is on a different model from the functions")
+
+
 def hilbert_symbol(a, b, place) -> int:
-    """The quadratic Hilbert symbol of two functions at a place."""
-    return square_class_hilbert(local_square_class(a, place),
-                                local_square_class(b, place),
-                                minus_one_is_square(place))
+    """The quadratic Hilbert symbol of two functions at a place.
+
+    square_class_hilbert of the two classes, reading only what it uses:
+    no character where both orders are even, a's character only if b
+    has odd order, b's only if a has, and chi(-1) only if both have.
+    Raises ValueError when the functions and the place are not all on
+    one model.
+    """
+    _check_models(a, b, place)
+    ea = a.ord_at(place) & 1
+    eb = b.ord_at(place) & 1
+    if not (ea or eb):
+        return 1
+    sign = eb and a.residue_char(place) < 0
+    if ea:
+        sign ^= b.residue_char(place) < 0
+        if eb and not minus_one_is_square(place):
+            sign ^= 1
+    return -1 if sign else 1
 
 
 def reciprocity_product(a, b) -> int:
     """Product of Hilbert symbols over all places; always +1.
 
     The symbol is +1 wherever both functions have order zero, so the
-    product runs over the union of the two divisor supports.
+    product runs over the union of the two divisor supports, and it
+    reads at most one character per odd-order entry of the two
+    divisors.  Raises ValueError when a and b are on different models.
     """
+    _check_models(a, b)
     places = set(a.divisor().coeffs) | set(b.divisor().coeffs)
     prod = 1
     for P in places:

@@ -8,8 +8,9 @@ square-and-multiply.  Above the coefficient loops it keeps the plain
 forms of the modular helpers: a remainder read off a division that
 builds the quotient too, a product reduced only after it is formed, a
 power that starts from 1 and squares once past its top bit, a
-distinct-degree stage that raises to the q-th power at every degree,
-and a strip that divides out one power at a time.  `install` swaps
+distinct-degree stage that raises to the q-th power at every degree
+and takes every gcd (the d = 1 gcd of a rootless input too), and a
+strip that divides out one power at a time.  `install` swaps
 these functions into `wildsets.base_algebra`, so that the higher
 helpers built on them (gcd, factor, jacobi, irreducibility, residue
 fields) can be run on the old route too.
@@ -147,8 +148,9 @@ def poly_strip(f: Poly, g: Poly, F: Fq) -> Tuple[int, Poly]:
         f, e = q, e + 1
 
 
-def _ddf(f: Poly, F: Fq) -> Iterator[Tuple[Poly, int]]:
-    # distinct-degree, x^(q^d) mod f as a fresh q-th power at every d
+def _ddf(f: Poly, F: Fq, rootless: bool = False) -> Iterator[Tuple[Poly, int]]:
+    # distinct-degree, x^(q^d) mod f as a fresh q-th power at every d;
+    # the gcd at d = 1 is taken even when rootless says it is 1
     h = (0, 1)
     d = 0
     while poly_deg(f) > 0:

@@ -15,6 +15,7 @@ from wildsets.base_algebra import (
     poly_parse,
 )
 from wildsets.elliptic_curve import EllipticModel
+from wildsets.function_field import FactoredFunction
 from wildsets.local_symbols import (
     ONE,
     PI,
@@ -315,15 +316,110 @@ def test_from_pairs_matches_the_greedy_fill_on_every_short_list():
     assert checked == 69905
 
 
+def _pair_models():
+    """The lines over F_3, F_5, F_9, F_27, F_243 and the F_5 curve t^3 + 4t."""
+    models = [ProjectiveLine(GF(q)) for q in (3, 5, 9, 27, 243)]
+    return models + [EllipticModel(GF(5), poly_parse("t^3 + 4t", GF(5)))]
+
+
+def _seeded_pairs(model, rng, n):
+    """n pairs (a, b) of ratios of polynomials of degree <= 3; b shares a
+    factor with a every other pair, and on the curve every other b is
+    times y."""
+    F = model.field
+
+    def ratio():
+        return (model.from_poly(random_poly(rng, F, rng.randrange(4)))
+                / model.from_poly(random_poly(rng, F, rng.randrange(4))))
+
+    pairs = []
+    for i in range(n):
+        a, b = ratio(), ratio()
+        if i % 2:
+            shared = model.from_poly(random_poly(rng, F, rng.randrange(1, 3)))
+            a, b = a * shared, b * shared ** rng.choice((1, 2, 3))
+        if isinstance(model, EllipticModel) and i % 4 >= 2:
+            b = b * model.y()
+        pairs.append((a, b))
+    return pairs
+
+
 def test_square_class_hilbert_matches_element_level():
-    L = ProjectiveLine(GF(5))
+    """The lazy symbol equals the pairing of the two full classes at every
+    place of either support and at infinity."""
     rng = random.Random(29)
-    places = [L.infinity] + finite_places_of_degree(L, 1)
-    for _ in range(10):
-        a, b = random_element(rng, L), random_element(rng, L)
-        for P in places:
-            assert hilbert_symbol(a, b, P) == square_class_hilbert(
-                local_square_class(a, P), local_square_class(b, P), minus_one_is_square(P))
+    cases = collections.Counter()
+    for model in _pair_models():
+        for a, b in _seeded_pairs(model, rng, 12):
+            places = set(a.divisor().coeffs) | set(b.divisor().coeffs)
+            places.add(model.infinity)
+            for P in places:
+                odd = (a.ord_at(P) & 1) + (b.ord_at(P) & 1)
+                cases[("both even", "one odd", "both odd")[odd]] += 1
+                assert hilbert_symbol(a, b, P) == square_class_hilbert(
+                    local_square_class(a, P), local_square_class(b, P),
+                    minus_one_is_square(P)), (model.key, a, b, P)
+    assert all(cases[k] > 0 for k in ("both even", "one odd", "both odd")), cases
+
+
+def _counted_reads(monkeypatch):
+    """A list that records each function whose residue_char is read."""
+    reads = []
+    read = FactoredFunction.residue_char
+
+    def counted(self, place, atom_char=None):
+        reads.append(self)
+        return read(self, place, atom_char)
+
+    monkeypatch.setattr(FactoredFunction, "residue_char", counted)
+    return reads
+
+
+def test_hilbert_symbol_reads_only_the_characters_it_pairs(monkeypatch):
+    L = ProjectiveLine(GF(5))
+    at_t = Place(L, (0, 1))
+    parse = lambda s: RationalFunction.parse(L, s)
+    reads = _counted_reads(monkeypatch)
+    # both orders even: no character at all
+    assert hilbert_symbol(parse("2 * t^2"), parse("(t - 1) / t^2"), at_t) == 1
+    assert reads == []
+    # only a has odd order: only b's character, here of the nonsquare 2
+    a, b = parse("t * (t - 1)"), parse("2 * t^2")
+    assert hilbert_symbol(a, b, at_t) == -1
+    assert reads == [b]
+    del reads[:]
+    assert hilbert_symbol(b, a, at_t) == -1
+    assert reads == [b]
+
+
+def test_reciprocity_reads_at_most_one_character_per_odd_entry(monkeypatch):
+    reads = _counted_reads(monkeypatch)
+    rng = random.Random(31)
+    for model in _pair_models():
+        for a, b in _seeded_pairs(model, rng, 6):
+            odd = sum(n & 1 for D in (a.divisor(), b.divisor())
+                      for n in D.coeffs.values())
+            del reads[:]
+            assert reciprocity_product(a, b) == 1
+            assert len(reads) <= odd, (model.key, a, b)
+
+
+def test_symbols_refuse_functions_on_different_models():
+    a = ProjectiveLine(GF(5)).parse("t")
+    b = ProjectiveLine(GF(7)).parse("t+1")
+    with pytest.raises(ValueError, match="different models"):
+        reciprocity_product(a, b)
+    with pytest.raises(ValueError, match="different models"):  # no place to pair at
+        reciprocity_product(a.model.constant(2), b.model.constant(3))
+    with pytest.raises(ValueError, match="different models"):
+        hilbert_symbol(a, b, a.model.infinity)
+    with pytest.raises(ValueError, match="different model"):
+        hilbert_symbol(a, a, b.model.infinity)
+    # another model with the same key is the same model
+    c = ProjectiveLine(GF(5)).parse("t+1")
+    assert hilbert_symbol(a, c, c.model.infinity) == hilbert_symbol(
+        a, a.model.parse("t+1"), a.model.infinity)
+    assert reciprocity_product(a, c) == 1
 
 
 # -- residue characters against the Euler criterion ------------------------------

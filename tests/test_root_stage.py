@@ -186,3 +186,36 @@ def test_above_the_bound_the_distinct_degree_route_runs(monkeypatch):
                for d in (1, 2, 3, 3, 4, 6)]
     for f in inputs:
         assert poly_factor(f, F) == kernel_oracle.poly_factor(f, F), f
+
+
+def test_a_rootless_input_skips_only_the_first_gcd(monkeypatch):
+    """The d = 1 gcd of a rootless squarefree polynomial is 1, so the
+    distinct-degree stage told so yields the same blocks without it."""
+    gcds = []
+    gcd = base_algebra.poly_gcd
+
+    def counted(f, g, F):
+        gcds.append(f)
+        return gcd(f, g, F)
+
+    monkeypatch.setattr(base_algebra, "poly_gcd", counted)
+    fields = [field_above(2)]
+    while fields[-1].q < BOUND:
+        fields.append(field_above(fields[-1].q))
+    assert [F.q for F in fields] == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31]
+    for F in fields:
+        rng = random.Random("rootless %d" % F.q)
+        for d in range(4, 9):
+            made = 0
+            while made < 3:
+                s = tuple(rng.randrange(F.q) for _ in range(d)) + (1,)
+                if (any(base_algebra.poly_eval(s, a, F) == 0 for a in range(F.q))
+                        or gcd(s, base_algebra.poly_deriv(s, F), F) != (1,)):
+                    continue
+                made += 1
+                del gcds[:]
+                want = list(base_algebra._ddf(s, F))
+                full = len(gcds)
+                del gcds[:]
+                assert list(base_algebra._ddf(s, F, rootless=True)) == want, (F.q, s)
+                assert len(gcds) == full - 1, (F.q, s)
