@@ -527,8 +527,10 @@ def _realize(model, places, maps, pool, orderings) -> PreEquivalence:
     is solved again on its own quotient_basis.  Where removing the places
     kills the class group modulo doubles the solve is a small
     equivalence; elsewhere extend_pre_equivalence completes it within
-    DEGREE_CAP.  Raises SearchExhausted when the pool repeats a place or
-    no ordering solves, and in words of its own once the orderings tried
+    DEGREE_CAP.  Raises SearchExhausted when the pool repeats a place,
+    when its classes span another rank than the places' (no ordering
+    could then give a small equivalence or an extension), or when no
+    ordering solves, and in words of its own once the orderings tried
     and twist patterns examined pass MATCHING_ALLOWANCE: one pool proves
     nothing.  The texts name the places as the wild locus, which they
     are in the one call whose failure compose reports.
@@ -537,7 +539,8 @@ def _realize(model, places, maps, pool, orderings) -> PreEquivalence:
     message = ("no matching of the wild locus {%s} into its image pool "
                "realizes the composed local maps within the search budget"
                % locus)
-    if len(set(pool)) != len(pool):
+    if len(set(pool)) != len(pool) or \
+            g_rank(model, pool).rank != g_rank(model, places).rank:
         raise SearchExhausted(message)
     nodes = itertools.count(1)
 

@@ -40,6 +40,7 @@ from wildsets.square_class_spaces import (
     check_lin_dep_lemma,
     check_pic_rank_formula,
     g_rank,
+    sing_space,
     smile,
 )
 
@@ -144,21 +145,38 @@ def test_criterion_2_rank_formula_matches_direct_computation():
     checked = 0
     for model, S in _criterion_2_and_3_sets():
         report = check_pic_rank_formula(model, S)
-        assert report["formula_rank"] == report["direct_rank"]
+        assert report == {"formula_rank": model.punctured_pic_two_rank(S)}
         checked += 1
     print("criterion 2 (rank formula): PASS — %d removed sets, %.1fs"
           % (checked, time.time() - started))
 
 
+def _no_subset_sum_is_two_divisible(model, S):
+    """Independence of the classes of S, asked of two_divisible alone."""
+    return not any(model.two_divisible(Divisor(dict.fromkeys(T, 1)))
+                   for size in range(1, len(S) + 1)
+                   for T in itertools.combinations(S, size))
+
+
 def test_criterion_3_linear_dependence_lemma_both_directions():
+    # the lemma's report, the class group through two_divisible (which
+    # never reads the pic_mod2 rows), and Sing(S) itself must agree: the
+    # classes are independent exactly when no even class gains odd order
+    # at a removed place
     started = time.time()
-    checked = 0
+    checked = independent = 0
     for model, S in _criterion_2_and_3_sets():
         report = check_lin_dep_lemma(model, S)
-        assert report["classes_independent"] == report["space_unchanged"]
+        removed = set(S)
+        unchanged = not any(n % 2 for g in sing_space(model, S).generators
+                            for P, n in g.divisor().items() if P in removed)
+        assert report == {"classes_independent": unchanged}, S
+        assert unchanged == _no_subset_sum_is_two_divisible(model, S), S
         checked += 1
-    print("criterion 3 (dependence lemma): PASS — %d removed sets, %.1fs"
-          % (checked, time.time() - started))
+        independent += unchanged
+    assert 0 < independent < checked
+    print("criterion 3 (dependence lemma): PASS — %d removed sets, %d "
+          "independent, %.1fs" % (checked, independent, time.time() - started))
 
 
 def test_criterion_4_construction_round_trips():

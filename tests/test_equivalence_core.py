@@ -497,6 +497,28 @@ def test_a_twist_walk_the_allowance_cuts_ends_the_search(monkeypatch):
             "it finished its image pool")
 
 
+def test_a_pool_of_another_class_rank_is_undecided_not_refused(
+        monkeypatch):
+    # (t) has class rank 1 and (t^2 + 2) rank 0 on the F_5 line: no
+    # ordering of either pool gives the other a small equivalence or an
+    # extension, so the search ends before it solves anything, and one
+    # pool proves nothing
+    L = line(5)
+    t, s = lplace(L, "t"), lplace(L, "t^2 + 2")
+    solves, solve = [], equivalence_core._sandwich_solve
+    monkeypatch.setattr(equivalence_core, "_sandwich_solve",
+                        lambda *args: solves.append(args) or solve(*args))
+    for places, pool in (((t,), (s,)), ((s,), (t,))):
+        with pytest.raises(SearchExhausted) as ended:
+            equivalence_core._realize(L, places, (LocalMap(PI, U),), pool,
+                                      [pool])
+        assert str(ended.value) == (
+            "no matching of the wild locus {%s} into its image pool "
+            "realizes the composed local maps within the search budget"
+            % places[0])
+    assert solves == []
+
+
 def test_certificates_over_different_fields_do_not_compose():
     with pytest.raises(ValueError, match="different fields"):
         compose(wild_singleton(line(5), "t^2 + 2"),

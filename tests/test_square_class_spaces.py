@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from wildsets import square_class_spaces
 from wildsets.base_algebra import GF, irreducibles_of_degree, poly_parse
 from wildsets.elliptic_curve import EllipticModel, _point_key
 from wildsets.errors import HypothesisError, VerificationError
@@ -230,8 +231,8 @@ def test_g_rank_invariants():
         rng.shuffle(pool)
         S = pool[:size]
         info = g_rank(model, S)
+        assert info == (info.rank,)
         assert info.rank <= min(len(S), cap)
-        assert info.removed == tuple(S)
         # the rank is the span's whatever the order, and one more place
         # adds at most one to it
         assert g_rank(model, S[::-1]).rank == info.rank
@@ -244,12 +245,35 @@ def test_g_rank_invariants():
 def test_check_lin_dep_lemma_examples():
     L = line(5)
     report = check_lin_dep_lemma(L, [lplace(L, "t")])
-    assert report["classes_independent"] and report["space_unchanged"]
+    assert report == {"classes_independent": True}
     report = check_lin_dep_lemma(L, [lplace(L, "t"), lplace(L, "t + 4")])
-    assert not report["classes_independent"]
-    assert not report["space_unchanged"]
+    assert report == {"classes_independent": False}
     report = check_lin_dep_lemma(L, [lplace(L, "t^2 + 2")])
-    assert not report["classes_independent"]
+    assert report == {"classes_independent": False}
+    with pytest.raises(ValueError, match="repeated places"):
+        check_lin_dep_lemma(L, [lplace(L, "t")] * 2)
+
+
+def test_check_lin_dep_lemma_raises_when_sing_fails_to_verify(monkeypatch):
+    # the relation between t and t + 4 gets a witness with odd order at
+    # t + 1, which stays: Sing(S) no longer verifies, and the lemma says so
+    L = line(5)
+    monkeypatch.setattr(square_class_spaces, "_even_class_witness",
+                        lambda model, D: model.parse("t(t + 1)"))
+    with pytest.raises(VerificationError,
+                       match="odd order at the retained place t \\+ 1"):
+        check_lin_dep_lemma(L, [lplace(L, "t"), lplace(L, "t + 4")])
+
+
+def test_sing_space_raises_when_the_backend_halves_nothing(monkeypatch):
+    # pic_mod2 makes t + (t + 4) 2-divisible; a halve_in_pic that
+    # disagrees leaves the relation without a witness
+    L = line(5)
+    monkeypatch.setattr(ProjectiveLine, "halve_in_pic", lambda self, D: None)
+    with pytest.raises(HypothesisError) as refused:
+        check_lin_dep_lemma(L, [lplace(L, "t"), lplace(L, "t + 4")])
+    assert str(refused.value).startswith("the class of ")
+    assert str(refused.value).endswith(" is not 2-divisible")
 
 
 def test_check_lin_dep_lemma_fuzz():
@@ -268,18 +292,49 @@ def test_check_lin_dep_lemma_fuzz():
 
 def test_check_pic_rank_formula_examples():
     L = line(5)
-    assert check_pic_rank_formula(L, [lplace(L, "t^2 + 2")])["direct_rank"] == 1
-    assert check_pic_rank_formula(L, [lplace(L, "t")])["direct_rank"] == 0
+    assert check_pic_rank_formula(L, [lplace(L, "t^2 + 2")]) == \
+        {"formula_rank": 1}
+    assert check_pic_rank_formula(L, [lplace(L, "t")]) == {"formula_rank": 0}
 
     model = curve(5, "t^3 + 4t")
     report = check_pic_rank_formula(model, [model.infinity])
-    assert report == {"formula_rank": 2, "direct_rank": 2}
+    assert report == {"formula_rank": 2}
     rt = model.places_above((0, 1))[0]
     report = check_pic_rank_formula(model, [model.infinity, rt])
-    assert report["formula_rank"] == 2
+    assert report == {"formula_rank": 2}
 
     with pytest.raises(HypothesisError):
         check_pic_rank_formula(model, [rt])
+
+
+def test_check_pic_rank_formula_raises_when_the_backend_disagrees(
+        monkeypatch):
+    L = line(5)
+    monkeypatch.setattr(ProjectiveLine, "punctured_pic_two_rank",
+                        lambda self, S: 0)
+    with pytest.raises(VerificationError, match="punctured class group ranks "
+                       "disagree: formula 1, direct 0"):
+        check_pic_rank_formula(L, [lplace(L, "t^2 + 2")])
+
+
+def test_delta_space_raises_on_a_wrong_relation(monkeypatch):
+    # Sing({t^2 + 2}) on the F_5 line is spanned by 2 and t^2 + 2, and
+    # Delta by 2 alone: a relation that selects t^2 + 2 gives a class
+    # that is no local square, and no relation at all a rank below the
+    # class-group identity's
+    L = line(5)
+    S = [lplace(L, "t^2 + 2")]
+    sing, table, relations = square_class_spaces._sing_relations(L, S)
+    assert sing.generators[0] == L.constant(2)
+    assert sing.generators[1].divisor() == Divisor({S[0]: 1, L.infinity: -2})
+    assert relations == [0b01]
+    for doctored, message in (
+            ([0b10], "is not a local square at t\\^2 \\+ 2"),
+            ([], "computed rank 0, but the class-group identity gives 1")):
+        monkeypatch.setattr(square_class_spaces, "_sing_relations",
+                            lambda model, S: (sing, table, doctored))
+        with pytest.raises(VerificationError, match=message):
+            delta_space(L, S)
 
 
 def test_check_pic_rank_formula_fuzz():
@@ -406,7 +461,8 @@ def test_smile_line_examples():
     assert smile(L, p2, p3)       # t^2 + 2 is 4, a square, modulo t^2 + 3
     assert smile(L, p3, p2)       # and t^2 + 3 is 1 modulo t^2 + 2
 
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError, match="the class of t is not "
+                       "2-divisible, so the relation is undefined"):
         smile(L, lplace(L, "t"), p2)
     with pytest.raises(ValueError):
         smile(L, p2, p2)
