@@ -37,7 +37,6 @@ from .local_symbols import (
     LocalMap,
     local_square_class,
     minus_one_is_square,
-    square_class_mul,
     square_class_table,
 )
 from .function_field import Divisor
@@ -79,7 +78,7 @@ def _classes_by_mask(elements, places) -> list:
     """The classes at the places of each _product(model, elements, mask)."""
     out = [(ONE,) * len(places)]
     for row in square_class_table(elements, places):
-        out += [tuple(map(square_class_mul, v, row)) for v in out]
+        out += [tuple(a ^ b for a, b in zip(v, row)) for v in out]
     return out
 
 
@@ -120,7 +119,7 @@ def _rank0(model, S) -> WildSetCertificate:
     for q in S:
         lam = _even_class_witness(model, _single(q))
         cls = local_square_class(lam, q)
-        lm = LocalMap.from_pairs([(cls, cls), (U, square_class_mul(U, cls))])
+        lm = LocalMap.from_pairs([(cls, cls), (U, U ^ cls)])
         pe = PreEquivalence(model, (q,), (q,), (lam,), (lam,), (lm,))
         one = certify(extend_pre_equivalence(pe))
         cert = one if cert is None else compose(cert, one)
@@ -203,7 +202,7 @@ def _aux_point_and_witness(model, S, mu):
             continue
         base = _even_class_witness(model, _single(P))
         want = (local_square_class(base, S[0]),
-                square_class_mul(goal, local_square_class(base, S[1])))
+                goal ^ local_square_class(base, S[1]))
         if want in corrections:
             return P, base * _product(model, gens, corrections.index(want))
 

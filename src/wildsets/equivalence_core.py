@@ -56,6 +56,7 @@ from .elliptic_curve import EllipticModel
 from .errors import HypothesisError, SearchExhausted, VerificationError
 from .local_symbols import (
     ONE,
+    PI,
     U,
     LocalMap,
     local_square_class,
@@ -245,7 +246,8 @@ def _verification_failures(pe, small: bool) -> Tuple[str, ...]:
     equivalence first has its domain checked and then also gets symbol
     preservation and the class of -1.  The unit class needs no check: a
     LocalMap fixes it by construction.  Returns the failures in that
-    order, empty when every check passes.
+    order, empty when every check passes.  The unit -1 has class ONE
+    where minus_one_is_square and U elsewhere.
     """
     places, targets = pe.places, pe.images
     basis, images = pe.quotient_basis, pe.quotient_images
@@ -274,10 +276,8 @@ def _verification_failures(pe, small: bool) -> Tuple[str, ...]:
                         failures.append("symbol of (%s, %s) changes at %s"
                                         % (basis[i], basis[k], P))
 
-        minus_one = pe.model.constant(pe.model.field.neg(1))
-        for P, Q, lm in zip(places, targets, maps):
-            if lm.apply(local_square_class(minus_one, P)) != \
-                    local_square_class(minus_one, Q):
+        for P, (sq, tq), lm in zip(places, flags, maps):
+            if lm.apply(ONE if sq else U) != (ONE if tq else U):
                 failures.append("the class of -1 is not preserved at %s" % P)
     return tuple(failures)
 
@@ -377,11 +377,11 @@ def _sandwich_solve(model, local_maps, src_table, dst_table, dst_gens, charge):
             image = lm.apply(start)
             images_of_b.append(image)
             # pre-twist feeds the map u times the class instead
-            flips.append(_pack([lm.image_of_u], j) if start[0] else 0)
+            flips.append(lm.image_of_u << 2 * j if start & PI else 0)
             # post-twist flips the residue bit of odd-parity values,
             # whose parity the pre-twist may itself have moved
-            flips.append(_pack([(0, image[0])], j))
-            flips.append(_pack([U], j) if start[0] and lm.image_of_u[0] else 0)
+            flips.append((U if image & PI else ONE) << 2 * j)
+            flips.append(U << 2 * j if start & lm.image_of_u & PI else 0)
         prescribed.append(_pack(images_of_b))
         twist_flips.append(flips)
 

@@ -3,15 +3,14 @@
 At a place P with odd residue field, the completion's nonzero elements
 modulo squares form a Klein four-group generated by a fixed nonsquare
 unit u and the canonical uniformizer pi.  We encode the class of an
-element as a pair of bits
+element as the int below 4 whose bit 0 is its order parity and bit 1
+the nonsquare bit of its unit-part residue: ONE = 0, PI = 1, U = 2 and
+U_PI = 3, so a product of names is the XOR of their codes, and
+multiplication of classes is ^.  Everything downstream -- symbols,
+local maps, their wildness, and the rows square_class_spaces packs two
+bits per place -- is bookkeeping on these ints.
 
-    (ord parity, nonsquare bit of the unit-part residue)
-
-so 1 = (0,0), u = (0,1), pi = (1,0), and u*pi = (1,1).  Multiplication
-of classes is XOR.  Everything downstream -- symbols, local maps, and
-their wildness -- is bookkeeping on these pairs.
-
-The second bit is the backend's ``residue_char``: the quadratic
+Bit 1 is the backend's ``residue_char``: the quadratic
 character of the unit-part residue, which both backends assemble from
 Jacobi symbols in F_q[t] without forming the residue itself.  A table
 of many functions at many places goes through ``square_class_table``,
@@ -26,23 +25,19 @@ first and a character only where the pairing uses it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .base_algebra import _quoted
 
-SquareClass = Tuple[int, int]
+SquareClass = int
 
-ONE: SquareClass = (0, 0)
-U: SquareClass = (0, 1)
-PI: SquareClass = (1, 0)
-U_PI: SquareClass = (1, 1)
+ONE: SquareClass = 0
+PI: SquareClass = 1
+U: SquareClass = 2
+U_PI: SquareClass = 3
 
 _CLASS_NAMES = {ONE: "1", U: "u", PI: "pi", U_PI: "u*pi"}
 _CLASS_BY_NAME = {name: cls for cls, name in _CLASS_NAMES.items()}
-
-
-def square_class_mul(a: SquareClass, b: SquareClass) -> SquareClass:
-    return (a[0] ^ b[0], a[1] ^ b[1])
 
 
 def square_class_str(a: SquareClass) -> str:
@@ -69,7 +64,7 @@ def minus_one_is_square(place) -> bool:
 
 def local_square_class(elem, place) -> SquareClass:
     """The square class of a function in the completion at a place."""
-    return (elem.ord_at(place) & 1, int(elem.residue_char(place) < 0))
+    return elem.ord_at(place) & PI | (elem.residue_char(place) < 0) << 1
 
 
 def square_class_table(elements: Sequence, places: Sequence) -> List[List[SquareClass]]:
@@ -93,7 +88,7 @@ def square_class_table(elements: Sequence, places: Sequence) -> List[List[Square
             got = chars[key] = read(atom, place, model)
         return got
 
-    return [[(elem.ord_at(P) & 1, int(elem.residue_char(P, atom_char) < 0))
+    return [[elem.ord_at(P) & PI | (elem.residue_char(P, atom_char) < 0) << 1
              for P in places] for elem in elements]
 
 
@@ -102,13 +97,11 @@ def square_class_hilbert(a: SquareClass, b: SquareClass,
     """Hilbert symbol of two square classes, +1 or -1.
 
     The pairing is chi(-1)^(ord_a ord_b) * chi(ua)^(ord_b) * chi(ub)^(ord_a)
-    with u* the unit parts; on bit pairs that is a symmetric F_2 form.
+    with u* the unit parts; on the class bits that is a symmetric F_2 form.
     """
-    ea, sa = a
-    eb, sb = b
-    sign = (sa & eb) ^ (sb & ea)
+    sign = (a >> 1 & b) ^ (b >> 1 & a)
     if not minus_one_square:
-        sign ^= ea & eb
+        sign ^= a & b & PI
     return -1 if sign else 1
 
 
@@ -163,9 +156,9 @@ class LocalMap:
 
     Recorded by the images of u and pi.  Any pair of distinct nontrivial
     classes determines one (the group is Klein four), and the map acts
-    F_2-linearly on (ord, nonsquare) pairs.  A map is *wild* when it
-    moves u, i.e. fails to come from a square-class-scaling of the
-    completion's multiplicative group.
+    F_2-linearly on the codes: a ^ b goes to the ^ of the images.  A map
+    is *wild* when it moves u, i.e. fails to come from a
+    square-class-scaling of the completion's multiplicative group.
     """
 
     __slots__ = ("image_of_u", "image_of_pi")
@@ -199,13 +192,8 @@ class LocalMap:
         return None
 
     def apply(self, a: SquareClass) -> SquareClass:
-        e, s = a
-        out = ONE
-        if e:
-            out = square_class_mul(out, self.image_of_pi)
-        if s:
-            out = square_class_mul(out, self.image_of_u)
-        return out
+        return ((self.image_of_pi if a & PI else ONE)
+                ^ (self.image_of_u if a & U else ONE))
 
     @property
     def is_wild(self) -> bool:

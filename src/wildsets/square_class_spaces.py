@@ -52,7 +52,7 @@ import itertools
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import HypothesisError, VerificationError
-from .local_symbols import local_square_class, square_class_table
+from .local_symbols import ONE, local_square_class, square_class_table
 from .function_field import Divisor
 
 __all__ = [
@@ -156,15 +156,12 @@ def _product(model, gens: Sequence, mask: int):
     return out
 
 
-def _pack(classes, first: int = 0) -> int:
-    """Square classes packed two bits per place, from place `first` on.
-
-    The class at place j puts its order parity at bit 2j and its
-    nonsquare bit at bit 2j + 1.
-    """
+def _pack(classes) -> int:
+    """Square classes packed two bits per place: the class at place j,
+    an int below 4, at bits 2j (order parity) and 2j + 1 (nonsquare)."""
     bits = 0
-    for j, (e, s) in enumerate(classes, first):
-        bits |= (e | s << 1) << 2 * j
+    for j, c in enumerate(classes):
+        bits |= c << 2 * j
     return bits
 
 
@@ -212,7 +209,7 @@ def _independent_modulo_squares(model, gens, divisors, places) -> bool:
             selected |= r
         picked = [i for i in range(len(gens)) if selected >> i & 1]
         column = square_class_table([gens[i] for i in picked], [P])
-        chars = sum(row[0][1] << i for i, row in zip(picked, column))
+        chars = sum(row[0] >> 1 << i for i, row in zip(picked, column))
         odd = [r for r in relations if (r & chars).bit_count() % 2]
         relations = [r for r in relations if r not in odd] + \
             [r ^ odd[0] for r in odd[1:]]
@@ -329,7 +326,7 @@ def _delta_of(model, base: SquareClassSpace, relations) -> SquareClassSpace:
     space = SquareClassSpace(model, S, gens)
     for g, row in zip(space.generators, square_class_table(space.generators, S)):
         for P, cls in zip(S, row):
-            if cls != (0, 0):
+            if cls != ONE:
                 raise VerificationError(
                     "generator %s is not a local square at %s" % (g, P))
     expected = pic_complement_two_rank(model, S)
@@ -417,14 +414,16 @@ def smile(model, q1, q2) -> bool:
     is, and that norm pairs T with the class of q2 - deg(q2) O, which
     lies in 2E(F_q), where the Tate pairing vanishes: with q2 = 2D + div g,
     Weil reciprocity makes it (t - x0)(D)^2 (g(T) / g(O))^2.  Defined
-    only for distinct places with 2-divisible classes, and symmetric there.
+    only for distinct places with 2-divisible classes, and symmetric there:
+    halving q1 for lam decides q1, and two_divisible decides q2.
     """
     if q1 == q2:
         raise ValueError("the relation compares two distinct places")
-    for P in (q1, q2):
-        if not model.two_divisible(Divisor({P: 1})):
-            raise HypothesisError(
-                "the class of %s is not 2-divisible, so the relation is "
-                "undefined" % P)
-    lam = _even_class_witness(model, Divisor({q1: 1}))
-    return local_square_class(lam, q2) == (0, 0)
+    undefined = "the class of %s is not 2-divisible, so the relation is undefined"
+    try:
+        lam = _even_class_witness(model, Divisor({q1: 1}))
+    except HypothesisError:
+        raise HypothesisError(undefined % q1) from None
+    if not model.two_divisible(Divisor({q2: 1})):
+        raise HypothesisError(undefined % q2)
+    return local_square_class(lam, q2) == ONE

@@ -23,6 +23,7 @@ from wildsets.base_algebra import (
     poly_strip,
 )
 from wildsets.elliptic_curve import CurveFunction, CurvePlace, _pair_norm
+from wildsets.local_symbols import ONE, PI, U
 
 
 def _vp(g: Poly, p: Poly, F) -> int:
@@ -126,7 +127,7 @@ def euler_square_class(elem, place):
     """local_square_class by the Euler criterion on the unit residue."""
     chi = euler_char(place, unit_residue(elem, place))
     assert chi != 0, "unit residue of a nonzero function cannot vanish"
-    return (elem.ord_at(place) & 1, 1 if chi < 0 else 0)
+    return elem.ord_at(place) & PI | (U if chi < 0 else ONE)
 
 
 def unit_residue(elem, place):

@@ -42,7 +42,7 @@ def smile(model, q1, q2) -> bool:
                 "the class of %s is not 2-divisible, so the relation is "
                 "undefined" % P)
     lam = _even_class_witness(model, Divisor({q1: 1}))
-    return all(local_square_class(elem * lam, q2) == (0, 0)
+    return all(local_square_class(elem * lam, q2) == ONE
                for elem in global_even_elements(model))
 
 

@@ -57,7 +57,7 @@ def independent_modulo_squares(model, gens, divisors, places) -> bool:
         return True
     for P in places:
         for i, g in enumerate(gens):
-            vectors[i] = vectors[i] << 1 | local_square_class(g, P)[1]
+            vectors[i] = vectors[i] << 1 | local_square_class(g, P) >> 1
         if _f2_rank(vectors) == len(gens):
             return True
     kernel = _kernel_basis(vectors)

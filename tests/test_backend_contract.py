@@ -62,6 +62,15 @@ def test_every_place_names_the_irreducible_under_it(model):
                 assert model.parse_place(str(P)).base == P.base
 
 
+@pytest.mark.parametrize("model", models(), ids=lambda m: m.backend)
+def test_zero_has_no_function_on_either_backend(model):
+    for build in (lambda: model.constant(0), lambda: model.from_poly(()),
+                  lambda: model.from_poly((0, 0))):
+        with pytest.raises(ValueError, match="the zero element has no "
+                           "factored form"):
+            build()
+
+
 def test_plumbing_lives_in_the_bases_only():
     for cls in (Place, CurvePlace):
         assert issubclass(cls, ModelPlace)

@@ -47,7 +47,7 @@ def assert_sound(model, cert, requested):
     assert verify_small_equivalence(se) == ()
     # wild exactly where the local map moves the even classes
     assert {P for P, lm in zip(se.places, se.local_maps)
-            if lm.image_of_u[0]} == set(requested)
+            if lm.image_of_u & PI} == set(requested)
     assert set(cert.wild_set) == set(requested)
     assert check_necessary_condition(model, cert.wild_set)
 

@@ -25,7 +25,7 @@ from wildsets.base_algebra import (
 )
 from wildsets.elliptic_curve import CurveFunction, CurvePlace, EllipticModel
 from wildsets.function_field import Divisor
-from wildsets.local_symbols import local_square_class, reciprocity_product
+from wildsets.local_symbols import ONE, U, local_square_class, reciprocity_product
 from wildsets.projective_line import ProjectiveLine
 from wildsets.square_class_spaces import pic_complement_two_rank
 
@@ -517,8 +517,7 @@ def test_constants_are_units_everywhere():
             cls = local_square_class(c, P)
             # the residue field is F_{q^deg}, so a non-square constant
             # becomes a square exactly where the degree is even
-            want = 0 if P.degree % 2 == 0 else 1
-            assert cls == (0, want)
+            assert cls == (ONE if P.degree % 2 == 0 else U)
 
 
 def test_vertical_line_divisors():

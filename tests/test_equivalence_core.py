@@ -119,6 +119,19 @@ def test_quotient_basis_has_one_element_per_place():
                 assert P in set(S) or n % 2 == 0
 
 
+def test_quotient_basis_raises_when_the_relations_miss_a_generator(
+        monkeypatch):
+    # Sing({t^2 + 2}) has rank 2 over one removed place; a relation list
+    # that closes no generator leaves both in the quotient
+    L = line(5)
+    sing_relations = equivalence_core._sing_relations
+    monkeypatch.setattr(equivalence_core, "_sing_relations",
+                        lambda model, S: sing_relations(model, S)[:2] + ([],))
+    with pytest.raises(VerificationError, match="quotient of rank 2 over 1 "
+                       "removed places"):
+        quotient_basis(L, [lplace(L, "t^2 + 2")])
+
+
 # -- pre-equivalence verification
 
 def test_swap_pair_pre_equivalence_verifies():
@@ -391,6 +404,17 @@ def test_disjoint_singletons_compose_to_their_union():
     assert sorted(str(P) for P in both.wild_set) == ["t^2 + 2", "t^2 + 3"]
     assert [str(P) for P in both.equivalence.places] == \
         ["t^2 + 2", "t", "t^2 + 3"]
+
+
+def test_compose_raises_when_the_wild_set_comes_out_wrong(monkeypatch):
+    # a composite whose certificate reads no wild place is refused
+    L = line(5)
+    c1, c2 = wild_singleton(L, "t^2 + 2"), wild_singleton(L, "t^2 + 3")
+    monkeypatch.setattr(equivalence_core, "certify",
+                        lambda se: WildSetCertificate(se, ()))
+    with pytest.raises(VerificationError, match="composition computed wild "
+                       "set \\{\\}, expected \\{t\\^2 \\+ 2, t\\^2 \\+ 3\\}"):
+        compose(c1, c2)
 
 
 def test_composition_is_associative_on_disjoint_singletons():
@@ -705,10 +729,11 @@ def _oracle_sandwich_solve(model, places, images, local_maps, src_gens, dst_gens
         v = 0
         flips = []
         for j, (P, lm) in enumerate(zip(places, local_maps)):
-            e0, s0 = local_square_class(b, P)
-            e, s = lm.apply((e0, s0))
+            c0 = local_square_class(b, P)
+            c = lm.apply(c0)
+            e0, e, s = c0 & 1, c & 1, c >> 1
             v |= e << (2 * j) | s << (2 * j + 1)
-            iu_e, iu_s = lm.image_of_u
+            iu_e, iu_s = lm.image_of_u & 1, lm.image_of_u >> 1
             # pre-twist feeds the map u times the class instead
             flips.append((iu_e << (2 * j) | iu_s << (2 * j + 1))
                          if e0 else 0)

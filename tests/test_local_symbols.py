@@ -28,7 +28,6 @@ from wildsets.local_symbols import (
     reciprocity_product,
     residue_field_size,
     square_class_hilbert,
-    square_class_mul,
     square_class_parse,
     square_class_str,
 )
@@ -62,11 +61,14 @@ def random_element(rng, L, max_deg=3):
 
 
 def test_square_classes_form_klein_four():
+    # a class is the int its names XOR to: bit 0 the order parity, bit 1
+    # the nonsquare bit, so the product of classes is ^
+    assert (ONE, PI, U, U_PI) == (0, 1, 2, 3) and U ^ PI == U_PI
     for a in CLASSES:
-        assert square_class_mul(a, a) == ONE
+        assert a ^ a == ONE
         for b in CLASSES:
-            assert square_class_mul(a, b) in CLASSES
-            assert square_class_mul(a, b) == square_class_mul(b, a)
+            assert a ^ b in CLASSES
+            assert a ^ b == b ^ a
 
 
 def test_square_class_names():
@@ -98,8 +100,8 @@ def test_local_square_class_is_multiplicative():
     for _ in range(15):
         a, b = random_element(rng, L), random_element(rng, L)
         for P in places:
-            assert local_square_class(a * b, P) == square_class_mul(
-                local_square_class(a, P), local_square_class(b, P))
+            assert local_square_class(a * b, P) == \
+                local_square_class(a, P) ^ local_square_class(b, P)
 
 
 def test_minus_one_square_depends_on_residue_size():
@@ -108,6 +110,23 @@ def test_minus_one_square_depends_on_residue_size():
     assert not minus_one_is_square(Place(L3, (0, 1)))
     assert minus_one_is_square(finite_places_of_degree(L3, 2)[0])  # size 9
     assert residue_field_size(finite_places_of_degree(L5, 2)[0]) == 25
+
+
+@pytest.mark.parametrize("q, f", [(3, None), (5, None), (9, None),
+                                  (5, "t^3 + 4t")])
+def test_class_of_minus_one_is_read_off_the_flag(q, f):
+    # verification reads the class of -1 off minus_one_is_square: ONE
+    # where -1 is a local square, U elsewhere
+    F = GF(q)
+    model = ProjectiveLine(F) if f is None else \
+        EllipticModel(F, poly_parse(f, F))
+    minus_one = model.constant(F.neg(1))
+    seen = set()
+    for P in model.places_of_degree(1) + model.places_of_degree(2):
+        flag = minus_one_is_square(P)
+        assert local_square_class(minus_one, P) == (ONE if flag else U), P
+        seen.add(flag)
+    assert seen == ({True} if q % 4 == 1 else {True, False})
 
 
 # -- Hilbert symbols ------------------------------------------------------------
@@ -203,7 +222,7 @@ def test_local_map_is_linear_and_bijective():
         assert images == set(CLASSES)
         for a in CLASSES:
             for b in CLASSES:
-                assert m.apply(square_class_mul(a, b)) == square_class_mul(m.apply(a), m.apply(b))
+                assert m.apply(a ^ b) == m.apply(a) ^ m.apply(b)
 
 
 def test_local_map_compose_and_inverse():
@@ -229,7 +248,7 @@ def test_symbol_preservation_depends_on_minus_one():
 
 
 def map_from_action(a, fa, b, fb):
-    vals = {a: fa, b: fb, square_class_mul(a, b): square_class_mul(fa, fb)}
+    vals = {a: fa, b: fb, a ^ b: fa ^ fb}
     return LocalMap(vals[U], vals[PI])
 
 
@@ -454,7 +473,7 @@ def _sample_places(model, rng, counts):
 def _check_against_euler(elem, places, seen):
     for P in places:
         want = euler_square_class(elem, P)
-        assert elem.residue_char(P) == (-1 if want[1] else 1), (elem, P)
+        assert elem.residue_char(P) == (-1 if want & U else 1), (elem, P)
         assert local_square_class(elem, P) == want
         seen["cases"] += 1
         seen[getattr(P, "kind", "infinite" if P.is_infinite else "finite")] += 1

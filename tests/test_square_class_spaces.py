@@ -22,7 +22,7 @@ from wildsets.base_algebra import GF, irreducibles_of_degree, poly_parse
 from wildsets.elliptic_curve import EllipticModel, _point_key
 from wildsets.errors import HypothesisError, VerificationError
 from wildsets.function_field import Divisor
-from wildsets.local_symbols import local_square_class
+from wildsets.local_symbols import ONE, local_square_class
 from wildsets.projective_line import Place, ProjectiveLine
 from wildsets.square_class_spaces import (
     SquareClassSpace,
@@ -80,7 +80,7 @@ def line_space_ranks(L, S):
             for i, P in enumerate(finite):
                 if mask >> i & 1:
                     h = h * L.from_poly(P.poly)
-            if all(local_square_class(h, P) == (0, 0) for P in S):
+            if all(local_square_class(h, P) == ONE for P in S):
                 delta_count += 1
     ranks = []
     for count in (even_count, delta_count):
@@ -160,7 +160,7 @@ def test_delta_space_line_against_enumeration():
                 sp = delta_space(L, S)
                 assert sp.rank == want
                 for g in sp.generators:
-                    assert all(local_square_class(g, P) == (0, 0) for P in S)
+                    assert all(local_square_class(g, P) == ONE for P in S)
                     for P, n in g.divisor().items():
                         assert n % 2 == 0 or P in S
 
@@ -464,6 +464,12 @@ def test_smile_line_examples():
     with pytest.raises(HypothesisError, match="the class of t is not "
                        "2-divisible, so the relation is undefined"):
         smile(L, lplace(L, "t"), p2)
+    with pytest.raises(HypothesisError, match="the class of t is not "
+                       "2-divisible, so the relation is undefined"):
+        smile(L, p2, lplace(L, "t"))
+    # q1 is refused before q2
+    with pytest.raises(HypothesisError, match="the class of t \\+ 1 is not "):
+        smile(L, lplace(L, "t + 1"), lplace(L, "t"))
     with pytest.raises(ValueError):
         smile(L, p2, p2)
 
@@ -514,10 +520,10 @@ def test_global_even_generators_are_squares_at_two_divisible_places(
     assert len(divisible) >= 6
     for P in rng.sample(divisible, min(len(divisible), 200)):
         for g in gens:
-            assert local_square_class(g, P) == (0, 0), (g, P)
+            assert local_square_class(g, P) == ONE, (g, P)
     # the constant is no square at odd degree, so the fact needs q2
     odd = model.places_of_degree(1)[-1]
-    assert local_square_class(gens[0], odd) != (0, 0)
+    assert local_square_class(gens[0], odd) != ONE
 
 
 # -- the independence machinery itself
@@ -544,7 +550,8 @@ def full_fingerprint_independent(model, gens, places):
     for g in gens:
         bits = 0
         for j, P in enumerate(places):
-            e, s = local_square_class(g, P)
+            c = local_square_class(g, P)
+            e, s = c & 1, c >> 1
             bits |= e << (2 * j) | s << (2 * j + 1)
         rows.append(bits)
     if len(span(rows)) == 1 << len(gens):
@@ -570,7 +577,7 @@ def fallback_walk_bound(gens, divisors, places):
         for P in support:
             bits = bits << 1 | D.get(P) & 1
         for P in places:
-            bits = bits << 1 | local_square_class(g, P)[1]
+            bits = bits << 1 | local_square_class(g, P) >> 1
         rows.append(bits)
     return (1 << len(gens)) // len(span(rows)) - 1
 
